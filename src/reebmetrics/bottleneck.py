@@ -1,16 +1,24 @@
 """Exact bottleneck distance between typed extended persistence diagrams.
 
 Matchings must pair points of the same kind, so the optimum decomposes as a
-maximum of per-kind optima. Each per-kind optimum is found by binary search
-over the finite candidate set (pairwise l-infinity distances and diagonal
-costs); feasibility at a threshold is a maximum bipartite matching question
-with the standard diagonal-slot doubling.
+maximum of per-kind optima. Each per-kind optimum is one of finitely many
+candidates: the pairwise l-infinity distances and the diagonal costs. They
+are computed once per kind as exact fractions and sorted, and every distance
+is replaced by its integer rank in that order. A binary search over ranks
+then tests O(log nk) thresholds; feasibility at a threshold is a perfect
+matching in the graph doubled by diagonal slots, found by an iterative
+Hopcroft-Karp that compares only integers. The witness matching is checked
+against the optimum before it is returned. Among optimal matchings, which
+one is the witness is an implementation detail; its cost always equals the
+value.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .diagram import KINDS, Diagram, DiagramPoint, linf
@@ -61,62 +69,171 @@ def matching_cost(d1: Diagram, d2: Diagram, m: PartialMatching) -> Fraction:
     return cost
 
 
-def _kind_matching(
-    left: Sequence[DiagramPoint],
-    right: Sequence[DiagramPoint],
-    delta: Fraction,
-) -> Optional[list[Optional[int]]]:
-    """Perfect matching in the doubled graph at threshold delta, or None.
+@dataclass(frozen=True)
+class _KindRanks:
+    """The distances of one kind, each replaced by its rank among them.
 
-    Nodes: every left point and a diagonal slot per right point; targets:
-    every right point and a diagonal slot per left point. Returns, for each
-    left point, the matched right index or None for its diagonal slot.
+    `candidates` holds every distinct pair distance and diagonal cost, and 0,
+    in increasing order; `pairs[a][j]` is the rank of `linf(left[a],
+    right[j])` and `diag_left` / `diag_right` the ranks of the diagonal
+    costs. A threshold is a rank, and every test against it compares
+    integers.
     """
-    n, k = len(left), len(right)
-    # left side: 0..n-1 real points, n..n+k-1 diagonal slots of right points
-    # right side: 0..k-1 real points, k..k+n-1 diagonal slots of left points
-    def neighbors(a: int) -> list[int]:
-        if a < n:
-            p = left[a]
-            out = [j for j in range(k) if linf(p, right[j]) <= delta]
-            if p.diagonal_distance <= delta:
-                out.append(k + a)
-            return out
-        j = a - n
-        out = list(range(k, k + n))  # diagonal-to-diagonal is free
-        if right[j].diagonal_distance <= delta:
-            out.append(j)
-        return out
 
-    match_right: dict[int, int] = {}
+    candidates: list[Fraction]
+    pairs: list[list[int]]
+    diag_left: list[int]
+    diag_right: list[int]
 
-    def augment(a: int, seen: set[int]) -> bool:
-        for b in neighbors(a):
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_right or augment(match_right[b], seen):
-                match_right[b] = a
-                return True
-        return False
 
-    for a in range(n + k):
-        if not augment(a, set()):
+def _kind_ranks(
+    left: Sequence[DiagramPoint], right: Sequence[DiagramPoint]
+) -> _KindRanks:
+    dist = [[linf(p, q) for q in right] for p in left]
+    diag_left = [p.diagonal_distance for p in left]
+    diag_right = [q.diagonal_distance for q in right]
+    candidates = sorted(
+        {Fraction(0), *diag_left, *diag_right, *chain.from_iterable(dist)}
+    )
+    rank = {c: r for r, c in enumerate(candidates)}
+    return _KindRanks(
+        candidates,
+        [[rank[d] for d in row] for row in dist],
+        [rank[d] for d in diag_left],
+        [rank[d] for d in diag_right],
+    )
+
+
+def _threshold_matching(
+    ranks: _KindRanks, threshold: int
+) -> Optional[list[Optional[int]]]:
+    """Perfect matching in the doubled graph at a rank threshold, or None.
+
+    Left nodes are the n left points, then a diagonal slot n + j per right
+    point; right nodes are the k right points, then a diagonal slot k + a per
+    left point. Point a meets point j when their distance ranks at most the
+    threshold, and its own slot k + a when its diagonal cost does; slot n + j
+    meets point j the same way, and every slot meets every slot, since
+    diagonal-to-diagonal is free. Returns, for each left point, the matched
+    right index or None for its diagonal slot.
+
+    Hopcroft-Karp: each phase layers the graph by a BFS from the free left
+    nodes, then augments along vertex-disjoint shortest paths found by a DFS
+    on an explicit stack. The slot-to-slot block is complete, so it is never
+    listed: only the slots of the layer where the BFS first enters it can
+    use it on a shortest path, and they share one cursor over it.
+    """
+    n, k = len(ranks.diag_left), len(ranks.diag_right)
+    size = n + k
+    adj = [[j for j, r in enumerate(row) if r <= threshold] for row in ranks.pairs]
+    for a, r in enumerate(ranks.diag_left):
+        if r <= threshold:
+            adj[a].append(k + a)
+    adj.extend([j] if r <= threshold else [] for j, r in enumerate(ranks.diag_right))
+    block = range(k, size)
+    unreached = size + 1
+    match_left = [-1] * size
+    match_right = [-1] * size
+
+    while True:
+        layer = [unreached] * size
+        queue = [u for u in range(size) if match_left[u] < 0]
+        if not queue:
+            break
+        for u in queue:
+            layer[u] = 0
+        shortest = unreached  # number of left nodes on a shortest augmenting path
+        block_layer = unreached
+        for u in queue:  # grows while it is read
+            d = layer[u]
+            if d >= shortest:
+                break
+            targets = adj[u]
+            if u >= n and block_layer == unreached:
+                block_layer = d
+                targets = [*targets, *block]
+            for v in targets:
+                w = match_right[v]
+                if w < 0:
+                    shortest = min(shortest, d + 1)
+                elif layer[w] == unreached:
+                    layer[w] = d + 1
+                    queue.append(w)
+        if shortest == unreached:
             return None
-    assignment: list[Optional[int]] = [None] * n
-    for b, a in match_right.items():
-        if a < n and b < k:
-            assignment[a] = b
-    return assignment
+
+        def usable(v: int, d: int) -> bool:
+            # v continues a shortest path from a node of layer d - 1
+            w = match_right[v]
+            return layer[w] == d if w >= 0 else d == shortest
+
+        cursor = [0] * size
+        block_cursor = k
+        for root in range(size):
+            if match_left[root] >= 0:
+                continue
+            path, via = [root], []
+            while path:
+                u = path[-1]
+                d = layer[u] + 1
+                targets = adj[u]
+                i = cursor[u]
+                while i < len(targets) and not usable(targets[i], d):
+                    i += 1
+                cursor[u] = i
+                v = targets[i] if i < len(targets) else -1
+                if v < 0 and u >= n and d - 1 == block_layer:
+                    while block_cursor < size and not usable(block_cursor, d):
+                        block_cursor += 1
+                    if block_cursor < size:
+                        v = block_cursor
+                if v < 0:
+                    # dead end for this phase; the parent skips it on its next look
+                    layer[u] = unreached
+                    path.pop()
+                    if via:
+                        via.pop()
+                    continue
+                via.append(v)
+                w = match_right[v]
+                if w < 0:
+                    for x, y in zip(path, via):
+                        match_left[x] = y
+                        match_right[y] = x
+                    break
+                path.append(w)
+
+    return [v if v < k else None for v in match_left[:n]]
+
+
+def _kind_assignment(ranks: _KindRanks) -> tuple[Fraction, list[Optional[int]]]:
+    """The smallest feasible candidate of one kind and a matching attaining it."""
+    lo, hi = 0, len(ranks.candidates) - 1
+    best, assignment = hi, None
+    while lo <= hi:  # the largest candidate is always feasible
+        mid = (lo + hi) // 2
+        found = _threshold_matching(ranks, mid)
+        if found is None:
+            lo = mid + 1
+        else:
+            best, assignment, hi = mid, found, mid - 1
+    assert assignment is not None
+    return ranks.candidates[best], assignment
 
 
 def feasible(d1: Diagram, d2: Diagram, delta: ValueLike) -> bool:
-    """Does some valid partial matching have cost <= delta?"""
+    """Does some valid partial matching have cost <= delta?
+
+    Feasibility only changes at candidate values, so the threshold is the
+    rank of the largest candidate not above delta.
+    """
     delta = to_fraction(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     for kind in KINDS:
-        if _kind_matching(d1.of_kind(kind), d2.of_kind(kind), delta) is None:
+        ranks = _kind_ranks(d1.of_kind(kind), d2.of_kind(kind))
+        threshold = bisect_right(ranks.candidates, delta) - 1
+        if _threshold_matching(ranks, threshold) is None:
             return False
     return True
 
@@ -125,7 +242,7 @@ def bottleneck(d1: Diagram, d2: Diagram) -> BottleneckResult:
     """Exact optimum over partial matchings, with a witness attaining it.
 
     The optimum is one of finitely many candidate values; per kind we binary
-    search the sorted candidates for the smallest feasible threshold.
+    search the ranks of the sorted candidates for the smallest feasible one.
     """
     kind_indices_1 = {kind: [] for kind in KINDS}
     kind_indices_2 = {kind: [] for kind in KINDS}
@@ -144,25 +261,7 @@ def bottleneck(d1: Diagram, d2: Diagram) -> BottleneckResult:
         right = [d2.points[j] for j in kind_indices_2[kind]]
         if not left and not right:
             continue
-        candidates = {Fraction(0)}
-        for p in left:
-            candidates.add(p.diagonal_distance)
-            for q in right:
-                candidates.add(linf(p, q))
-        for q in right:
-            candidates.add(q.diagonal_distance)
-        ordered = sorted(candidates)
-        lo, hi = 0, len(ordered) - 1
-        best = ordered[-1]
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if _kind_matching(left, right, ordered[mid]) is not None:
-                best = ordered[mid]
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        assignment = _kind_matching(left, right, best)
-        assert assignment is not None
+        best, assignment = _kind_assignment(_kind_ranks(left, right))
         value = max(value, best)
         for a, b in enumerate(assignment):
             if b is None:

@@ -27,6 +27,15 @@ def _down_multiset(g: ReebGraph, vid: str) -> Counter:
     return counter
 
 
+def _unordered(a: str, b: str) -> tuple[str, str]:
+    return (a, b) if a < b else (b, a)
+
+
+def _edge_counts(g: ReebGraph) -> Counter:
+    """Multiplicity of every unordered vertex pair joined by an edge."""
+    return Counter(_unordered(a, b) for a, b in g.edges)
+
+
 def level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> Optional[dict[str, str]]:
     """A vertex bijection preserving values and edge multiplicities, or None."""
     if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
@@ -48,18 +57,23 @@ def level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> Optional[dict[str, str]]:
         if prof1 != prof2:
             return None
 
+    # Depth-first search over the vertices of g1 in level order, on an
+    # explicit stack: a frame (level, position, next candidate index) stands
+    # for one vertex of g1 and resumes its scan of the same-level vertices of
+    # g2 when a deeper choice fails.
     mapping: dict[str, str] = {}
     used: set[str] = set()
-
-    def assign_class(level_idx: int, pos: int) -> bool:
-        if level_idx == len(levels):
-            return True
+    stack = [(0, 0, 0)]
+    while stack:
+        level_idx, pos, start = stack.pop()
         members = classes1[levels[level_idx]]
-        if pos == len(members):
-            return assign_class(level_idx + 1, 0)
         v = members[pos]
+        if v in mapping:  # resumed after a failure below: undo this choice
+            used.remove(mapping.pop(v))
         want = Counter({mapping[u]: c for u, c in _down_multiset(g1, v).items()})
-        for w in classes2[levels[level_idx]]:
+        candidates = classes2[levels[level_idx]]
+        for idx in range(start, len(candidates)):
+            w = candidates[idx]
             if w in used:
                 continue
             if _degree_profile(g2, w) != _degree_profile(g1, v):
@@ -68,14 +82,14 @@ def level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> Optional[dict[str, str]]:
                 continue
             mapping[v] = w
             used.add(w)
-            if assign_class(level_idx, pos + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    if assign_class(0, 0):
-        return dict(mapping)
+            stack.append((level_idx, pos, idx + 1))
+            if pos + 1 < len(members):
+                stack.append((level_idx, pos + 1, 0))
+            elif level_idx + 1 < len(levels):
+                stack.append((level_idx + 1, 0, 0))
+            else:
+                return dict(mapping)
+            break
     return None
 
 
@@ -101,7 +115,9 @@ def structure_isomorphisms(
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
-    def down_up_counts(g: ReebGraph, vid: str, fixed: dict[str, str] | None = None) -> tuple[int, int]:
+    edges1, edges2 = _edge_counts(g1), _edge_counts(g2)
+
+    def down_up_counts(g: ReebGraph, vid: str) -> tuple[int, int]:
         return (g.down_degree(vid), g.up_degree(vid))
 
     def compatible(v: str, w: str) -> bool:
@@ -110,8 +126,8 @@ def structure_isomorphisms(
         # edges between v and already-assigned vertices must match with the
         # same orientation and multiplicity
         for u, sigma_u in mapping.items():
-            m1 = sum(1 for a, b in g1.edges if {a, b} == {u, v})
-            m2 = sum(1 for a, b in g2.edges if {a, b} == {sigma_u, w})
+            m1 = edges1[_unordered(u, v)]
+            m2 = edges2[_unordered(sigma_u, w)]
             if m1 != m2:
                 return False
             if m1:

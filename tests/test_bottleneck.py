@@ -1,10 +1,13 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
+from typing import Optional, Sequence
 
 import pytest
 
 from reebmetrics import (
+    KINDS,
     Diagram,
     DiagramPoint,
     PartialMatching,
@@ -18,6 +21,7 @@ from reebmetrics import (
     extended_diagram,
     y_graph,
 )
+from reebmetrics.diagram import linf
 
 
 def point(kind, b, d):
@@ -61,6 +65,97 @@ def brute_force_bottleneck(d1: Diagram, d2: Diagram) -> F:
         if best[0] is None or cost < best[0]:
             best[0] = cost
     return best[0] if best[0] is not None else F(0)
+
+
+def reference_kind_matching(
+    left: Sequence[DiagramPoint],
+    right: Sequence[DiagramPoint],
+    delta: F,
+) -> Optional[list[Optional[int]]]:
+    """Perfect matching in the doubled graph at threshold delta, or None.
+
+    The matcher the library used before its rank-based Hopcroft-Karp: a
+    recursive augmenting-path search that recomputes every distance as a
+    fraction. Nodes: every left point and a diagonal slot per right point;
+    targets: every right point and a diagonal slot per left point.
+    """
+    n, k = len(left), len(right)
+
+    def neighbors(a: int) -> list[int]:
+        if a < n:
+            p = left[a]
+            out = [j for j in range(k) if linf(p, right[j]) <= delta]
+            if p.diagonal_distance <= delta:
+                out.append(k + a)
+            return out
+        j = a - n
+        out = list(range(k, k + n))  # diagonal-to-diagonal is free
+        if right[j].diagonal_distance <= delta:
+            out.append(j)
+        return out
+
+    match_right: dict[int, int] = {}
+
+    def augment(a: int, seen: set[int]) -> bool:
+        for b in neighbors(a):
+            if b in seen:
+                continue
+            seen.add(b)
+            if b not in match_right or augment(match_right[b], seen):
+                match_right[b] = a
+                return True
+        return False
+
+    for a in range(n + k):
+        if not augment(a, set()):
+            return None
+    assignment: list[Optional[int]] = [None] * n
+    for b, a in match_right.items():
+        if a < n and b < k:
+            assignment[a] = b
+    return assignment
+
+
+def reference_bottleneck(d1: Diagram, d2: Diagram) -> F:
+    """Per-kind binary search over sorted candidates with the reference matcher."""
+    value = F(0)
+    for kind in KINDS:
+        left, right = d1.of_kind(kind), d2.of_kind(kind)
+        candidates = {F(0)}
+        for p in left:
+            candidates.add(p.diagonal_distance)
+            for q in right:
+                candidates.add(linf(p, q))
+        for q in right:
+            candidates.add(q.diagonal_distance)
+        ordered = sorted(candidates)
+        lo, hi = 0, len(ordered) - 1
+        best = ordered[-1]
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if reference_kind_matching(left, right, ordered[mid]) is not None:
+                best = ordered[mid]
+                hi = mid - 1
+            else:
+                lo = mid + 1
+        value = max(value, best)
+    return value
+
+
+def random_kind_points(rng: random.Random, kind: str, count: int) -> list[DiagramPoint]:
+    """Points of one kind on a coarse grid, so that coincident points occur."""
+    pts = []
+    for _ in range(count):
+        if pts and rng.random() < 0.15:
+            pts.append(rng.choice(pts))
+            continue
+        a = F(rng.randint(0, 24), 4)
+        gap = F(rng.randint(0 if kind in ("Ext0", "Ext1") else 1, 16), 4)
+        if kind in ("Ord0", "Ext0"):
+            pts.append(DiagramPoint(kind, a, a + gap))
+        else:
+            pts.append(DiagramPoint(kind, a + gap, a))
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +299,46 @@ def test_graph_bottleneck_examples():
     assert graph_bottleneck(figure1_left(), figure1_right()) == 0
     perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})
     assert graph_bottleneck(y, perturbed) == F("0.05")
+
+
+def test_bottleneck_matches_reference_matcher():
+    rng = random.Random(2017)
+    for trial in range(200):
+        sides = []
+        for _ in range(2):
+            pts = []
+            for kind in KINDS:
+                count = 0 if rng.random() < 0.2 else rng.randint(0, 15)
+                pts.extend(random_kind_points(rng, kind, count))
+            sides.append(Diagram(pts))
+        d1, d2 = sides
+        result = bottleneck(d1, d2)
+        assert result.value == reference_bottleneck(d1, d2), trial
+        result.witness.validate(d1, d2)
+        assert matching_cost(d1, d2, result.witness) == result.value
+
+
+def test_bottleneck_at_scale_within_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    rng = random.Random(201)
+    left, right = [], []
+    largest_jitter = F(0)
+    for _ in range(201):
+        birth = F(rng.randint(0, 4096), 16)
+        p = DiagramPoint("Ord0", birth, birth + F(rng.randint(2, 512), 16))
+        db, dd = F(rng.randint(-8, 8), 128), F(rng.randint(-8, 8), 128)
+        largest_jitter = max(largest_jitter, abs(db), abs(dd))
+        left.append(p)
+        right.append(DiagramPoint("Ord0", p.birth + db, p.death + dd))
+    d1, d2 = Diagram(left), Diagram(right)
+    result = bottleneck(d1, d2)
+    assert matching_cost(d1, d2, result.witness) == result.value
+    assert 0 < result.value <= largest_jitter
+    assert feasible(d1, d2, result.value)
+    candidates = (
+        {linf(p, q) for p in d1.points for q in d2.points}
+        | {p.diagonal_distance for p in d1.points}
+        | {q.diagonal_distance for q in d2.points}
+    )
+    below = max(c for c in candidates if c < result.value)
+    assert not feasible(d1, d2, below)

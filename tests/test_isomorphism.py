@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 from reebmetrics import (
@@ -95,3 +96,25 @@ def test_structure_isomorphism_respects_orientation():
 
 def test_structure_isomorphism_none_for_different_shapes():
     assert structure_isomorphisms(figure1_left(), figure1_right()) == []
+
+
+def test_level_isomorphism_at_scale_within_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    # a 1500-vertex comb: trunk t0 < t1 < ... with a downward tooth below
+    # each trunk vertex, every value distinct
+    vertices, edges = [], []
+    for i in range(750):
+        vertices += [(f"t{i}", 2 * i + 1), (f"d{i}", F(2 * i + 1, 2))]
+        edges.append((f"d{i}", f"t{i}"))
+        if i:
+            edges.append((f"t{i - 1}", f"t{i}"))
+    comb = ReebGraph(vertices, edges)
+    other = relabeled(comb, "_r")
+    mapping = level_isomorphism(comb, other)
+    assert mapping is not None
+    assert all(mapping[v] == f"{v}_r" for v in comb.vertex_ids)
+    # swapping the top two teeth keeps every degree profile, so the search
+    # fails only at t748 and unwinds through every earlier vertex
+    swapped = [e for e in edges if e not in (("d748", "t748"), ("d749", "t749"))]
+    swapped += [("d748", "t749"), ("d749", "t748")]
+    assert not is_level_isomorphic(comb, ReebGraph(vertices, swapped))
