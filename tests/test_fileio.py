@@ -66,6 +66,12 @@ def test_graph_text_round_trip():
     assert parse_graph_text(graph_to_text(g)) == g
 
 
+def test_graph_text_edge_ends_share_vertex_ids():
+    g = parse_graph_text("v bottom 0\nv top 3\nv tip 1\ne bottom top\ne tip top\n")
+    ids = {id(vid) for vid in g.vertex_ids}
+    assert all(id(u) in ids and id(v) in ids for u, v in g.edges)
+
+
 def test_graph_text_round_trip_random():
     import random
 

@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +24,8 @@ from reebmetrics import (
     validate,
     y_graph,
 )
+from reebmetrics.graph import ValidationReport
+from reebmetrics.persistence import extended_diagram, reduce_extended_filtration
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,170 @@ def test_single_vertex_graph_is_valid():
 # ---------------------------------------------------------------------------
 
 
+def reference_canonicalize(g: ReebGraph) -> ReebGraph:
+    """The original quadratic loop: splice one pass-through vertex at a time,
+    rebuilding the adjacency and re-sorting the vertices after each."""
+    report = validate(g)
+    hard = [v for v in report.violations if v.code != "pass-through"]
+    if hard:
+        raise InvalidGraphError(str(ValidationReport(tuple(hard))))
+
+    values = {vid: g.value(vid) for vid in g.vertex_ids}
+    edges = list(g.edges)
+    changed = True
+    while changed:
+        changed = False
+        adj: dict[str, list[int]] = {vid: [] for vid in values}
+        for idx, (u, v) in enumerate(edges):
+            if u is None:
+                continue
+            adj[u].append(idx)
+            adj[v].append(idx)
+        for vid in sorted(values, key=lambda x: (values[x], x)):
+            incident = adj[vid]
+            if len(incident) != 2:
+                continue
+            fv = values[vid]
+            others = []
+            for idx in incident:
+                u, v = edges[idx]
+                others.append(u if v == vid else v)
+            if len(others) != 2:
+                continue
+            a, b = others
+            if not (values[a] < fv < values[b] or values[b] < fv < values[a]):
+                continue
+            lo, hi = (a, b) if values[a] < values[b] else (b, a)
+            edges[incident[0]] = (lo, hi)
+            edges[incident[1]] = (None, None)
+            del values[vid]
+            changed = True
+            break
+    kept = [(u, v) for u, v in edges if u is not None]
+    return ReebGraph(sorted(values.items(), key=lambda item: (item[1], item[0])), kept, name=g.name)
+
+
+def comb_parts(rng: random.Random, teeth: int, up_share: float = 0.5):
+    """Trunk t0 < t1 < ... with one tooth per trunk vertex above t0, hanging
+    down or, with probability `up_share`, standing up."""
+    vertices, edges = [("t0", F(0))], []
+    for i in range(1, teeth + 1):
+        vertices.append((f"t{i}", F(4 * i)))
+        edges.append((f"t{i - 1}", f"t{i}"))
+        depth = F(rng.randint(1, 12), 4)
+        if rng.random() < up_share:
+            vertices.append((f"u{i}", 4 * i + depth))
+            edges.append((f"t{i}", f"u{i}"))
+        else:
+            vertices.append((f"d{i}", 4 * i - depth))
+            edges.append((f"d{i}", f"t{i}"))
+    return vertices, edges
+
+
+def ladder_parts(rng: random.Random, rungs: int):
+    """Rails a0 < a1 < ... and b0 < b1 < ..., joined by the rungs (ai, bi)."""
+    vertices, edges = [], []
+    for i in range(rungs + 1):
+        vertices += [(f"a{i}", F(4 * i)), (f"b{i}", 4 * i + F(rng.randint(1, 12), 4))]
+        edges.append((f"a{i}", f"b{i}"))
+        if i:
+            edges += [(f"a{i - 1}", f"a{i}"), (f"b{i - 1}", f"b{i}")]
+    return vertices, edges
+
+
+def mixed_parts(rng: random.Random, slots: int):
+    """Trunk t0 < t1 < ... whose slot i holds a downward tooth, an upward
+    tooth or a second arc from t(i-1) to t(i), parallel to the trunk."""
+    vertices, edges = [("t0", F(0))], []
+    for i in range(1, slots + 1):
+        vertices.append((f"t{i}", F(4 * i)))
+        edges.append((f"t{i - 1}", f"t{i}"))
+        depth = F(rng.randint(1, 12), 4)
+        kind = rng.randrange(3)
+        if kind == 0:
+            vertices.append((f"d{i}", 4 * i - depth))
+            edges.append((f"d{i}", f"t{i}"))
+        elif kind == 1:
+            vertices.append((f"u{i}", 4 * i + depth))
+            edges.append((f"t{i}", f"u{i}"))
+        else:
+            edges.append((f"t{i}", f"t{i - 1}"))
+    return vertices, edges
+
+
+def subdivided_parts(rng: random.Random, vertices, edges, max_chain: int):
+    """Put 0 to `max_chain` pass-through vertices on every arc, then shuffle
+    the vertex order, the edge order and each edge's endpoint order.
+
+    Some new ids start with "vertex ", the prefix `validate` writes before
+    every vertex it reports."""
+    values = dict(vertices)
+    out_vertices, out_edges = list(vertices), []
+    for u, v in edges:
+        if values[u] > values[v]:
+            u, v = v, u
+        lo, hi = values[u], values[v]
+        chain = [u]
+        for cut in sorted(rng.sample(range(1, 64), rng.randint(0, max_chain))):
+            vid = f"{rng.choice(('p', 'p ', 'vertex '))}{len(out_vertices)}"
+            out_vertices.append((vid, lo + (hi - lo) * cut / 64))
+            chain.append(vid)
+        chain.append(v)
+        for a, b in zip(chain, chain[1:]):
+            out_edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    rng.shuffle(out_vertices)
+    rng.shuffle(out_edges)
+    return out_vertices, out_edges
+
+
+def canonicalize_cases(seed: int, count: int):
+    """Seeded random graphs, combs, ladders and mixed graphs, subdivided."""
+    rng = random.Random(seed)
+    for case in range(count):
+        family = case % 4
+        if family == 0:
+            g = random_graph(rng, n_critical=rng.randint(3, 7))
+            parts = (list(g.vertices()), list(g.edges))
+        elif family == 1:
+            parts = comb_parts(rng, rng.randint(0, 6))
+        elif family == 2:
+            parts = ladder_parts(rng, rng.randint(0, 4))
+        else:
+            parts = mixed_parts(rng, rng.randint(1, 6))
+        vertices, edges = subdivided_parts(rng, *parts, max_chain=rng.randint(0, 6))
+        yield ReebGraph(vertices, edges, name=rng.choice((None, f"case{case}")))
+
+
+def test_canonicalize_matches_reference_loop():
+    removed = 0
+    for g in canonicalize_cases(4242, 240):
+        want = reference_canonicalize(g)
+        got = canonicalize(g)
+        assert got.vertices() == want.vertices()
+        assert got.edges == want.edges
+        assert got.name == want.name
+        removed += len(g.vertex_ids) - len(got.vertex_ids)
+    assert removed > 1000
+
+
+def test_canonicalize_errors_match_reference_loop():
+    for case, g in enumerate(canonicalize_cases(77, 40)):
+        vertices, edges = list(g.vertices()), list(g.edges)
+        if case % 3 != 1:  # a level edge to a new vertex
+            vid, value = vertices[case % len(vertices)]
+            vertices.append(("level", value))
+            edges.append((vid, "level"))
+        if case % 3 != 0:  # a second component
+            vertices += [("x", F(-2)), ("y", F(-1))]
+            edges.append(("y", "x"))
+        bad = ReebGraph(vertices, edges)
+        with pytest.raises(InvalidGraphError) as want:
+            reference_canonicalize(bad)
+        with pytest.raises(InvalidGraphError) as got:
+            canonicalize(bad)
+        assert str(got.value) == str(want.value)
+
+
 def test_canonicalize_removes_subdivision():
     g = ReebGraph(
         [("a", 0), ("m", F("1.5")), ("b", 3)],
@@ -89,6 +257,24 @@ def test_canonicalize_removes_subdivision():
     )
     out = canonicalize(g)
     assert out == ReebGraph([("a", 0), ("b", 3)], [("a", "b")])
+
+    # a 1001-vertex comb with two pass-through vertices on every arc: 3001
+    # vertices in, the comb out, at the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    comb = ReebGraph(*comb_parts(random.Random(5), 500, up_share=0))
+    sub_vertices, sub_edges = list(comb.vertices()), []
+    for k, (u, v) in enumerate(comb.edges):
+        lo, hi = comb.edge_values(k)
+        inner = [(f"s{k}_{j}", lo + (hi - lo) * j / 3) for j in (1, 2)]
+        sub_vertices += inner
+        chain = [u] + [vid for vid, _ in inner] + [v]
+        sub_edges += zip(chain, chain[1:])
+    subdivided = ReebGraph(sub_vertices, sub_edges)
+    assert len(subdivided.vertex_ids) >= 3000
+    out = canonicalize(subdivided)
+    assert out == comb
+    assert out.edges == comb.edges
+    assert reduce_extended_filtration(subdivided) == extended_diagram(out)
 
 
 def test_canonicalize_idempotent_on_y():
@@ -125,6 +311,20 @@ def test_canonicalize_chain_of_pass_throughs():
     )
     out = canonicalize(g)
     assert len(out.vertex_ids) == 2 and len(out.edges) == 1
+
+    # a 5000-vertex monotone chain collapses to its two ends, at the
+    # default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    n = 5000
+    chain = ReebGraph(
+        [(f"c{i}", F(i, 3)) for i in range(n)],
+        [(f"c{i}", f"c{i + 1}") for i in range(n - 1)],
+    )
+    out = canonicalize(chain)
+    top = f"c{n - 1}"
+    assert out.vertices() == (("c0", F(0)), (top, F(n - 1, 3)))
+    assert out.edges == (("c0", top),)
+    assert reduce_extended_filtration(chain) == extended_diagram(out)
 
 
 # ---------------------------------------------------------------------------
