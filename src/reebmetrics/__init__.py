@@ -17,7 +17,7 @@ from .bottleneck import (
     graph_bottleneck,
     matching_cost,
 )
-from .diagram import EXT0, EXT1, KINDS, ORD0, REL1, Diagram, DiagramPoint, diagram_equal
+from .diagram import EXT0, EXT1, KINDS, ORD0, REL1, Diagram, DiagramPoint
 from .distortion import (
     Correspondence,
     FDBoundCertificate,
@@ -67,6 +67,7 @@ from .graph import (
     split_components,
     stats,
     travel_distance,
+    travel_distances,
     validate,
 )
 from .isomorphism import is_level_isomorphic, level_isomorphism, structure_isomorphisms

@@ -103,7 +103,3 @@ class Diagram:
     def __str__(self) -> str:
         return "\n".join(str(p) for p in self.points)
 
-
-def diagram_equal(d1: Diagram, d2: Diagram) -> bool:
-    """Exact multiset equality of typed points."""
-    return d1 == d2

@@ -19,7 +19,7 @@ from .graph import (
     InvalidGraphError,
     ReebGraph,
     critical_values,
-    travel_distance,
+    travel_distances,
 )
 from .isomorphism import structure_isomorphisms
 from .rationals import ValueLike, to_fraction
@@ -74,41 +74,6 @@ class Correspondence:
                 raise ValueError("psi maps outside the graphs")
         if not self.phi or not self.psi:
             raise ValueError("correspondence must cover both sample sets")
-
-    def continuity_defects(self) -> tuple[Fraction, Fraction]:
-        """Worst continuity-surrogate slack of phi and psi.
-
-        Consecutive samples along an arc must map to points joinable by a
-        path of value-span at most their own gap plus twice the value
-        defect; returns the largest overage on each side (zero when the
-        surrogate holds).
-        """
-
-        def side(src: ReebGraph, dst: ReebGraph, mapping: dict[GraphPoint, GraphPoint]) -> Fraction:
-            defect = max(
-                (abs(x.value - y.value) for x, y in mapping.items()),
-                default=Fraction(0),
-            )
-            worst = Fraction(0)
-            per_edge: dict[int, list[GraphPoint]] = {}
-            for p in mapping:
-                if p.edge is not None:
-                    per_edge.setdefault(p.edge, []).append(p)
-            for idx, pts in per_edge.items():
-                u, v = src.edges[idx]
-                chain = [src.vertex_point(u)] + sorted(pts, key=lambda p: p.value)
-                chain.append(src.vertex_point(v))
-                for a, b in zip(chain, chain[1:]):
-                    if a not in mapping or b not in mapping:
-                        continue
-                    gap = b.value - a.value
-                    allowed = gap + 2 * defect
-                    spanned = travel_distance(dst, mapping[a], mapping[b])
-                    if spanned > allowed:
-                        worst = max(worst, spanned - allowed)
-            return worst
-
-        return side(self.g1, self.g2, self.phi), side(self.g2, self.g1, self.psi)
 
 
 def identity_correspondence(g: ReebGraph, resolution: Optional[ValueLike] = None) -> Correspondence:
@@ -259,34 +224,23 @@ def natural_correspondence(
 # ---------------------------------------------------------------------------
 
 
-class _TravelCache:
-    def __init__(self, g: ReebGraph):
-        self.g = g
-        self.memo: dict[tuple, Fraction] = {}
-
-    def __call__(self, x: GraphPoint, y: GraphPoint) -> Fraction:
-        key = tuple(sorted((x.location_key(), y.location_key())))
-        if key not in self.memo:
-            self.memo[key] = travel_distance(self.g, x, y)
-        return self.memo[key]
-
-
 def distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
     """Max over sampled correspondence pairs of |d_f - d_g|, exact on samples.
 
-    The sampling remainder (twice the resolution) is reported separately by
-    `certify_fd_upper`.
+    The pairs are phi's (x, phi(x)) and psi's (psi(y), y). Their points on
+    each graph get one `travel_distances` matrix, and the distortion is the
+    largest |D1[i][j] - D2[i][j]| over i < j. The sampling remainder (twice
+    the resolution) is reported separately by `certify_fd_upper`.
     """
     c.validate()
-    d1 = _TravelCache(g1)
-    d2 = _TravelCache(g2)
     pairs = [(x, y) for x, y in c.phi.items()] + [(x, y) for y, x in c.psi.items()]
+    d1 = travel_distances(g1, [x for x, _ in pairs])
+    d2 = travel_distances(g2, [y for _, y in pairs])
     worst = Fraction(0)
     for i in range(len(pairs)):
-        x1, y1 = pairs[i]
+        row1, row2 = d1[i], d2[i]
         for j in range(i + 1, len(pairs)):
-            x2, y2 = pairs[j]
-            gap = abs(d1(x1, x2) - d2(y1, y2))
+            gap = abs(row1[j] - row2[j])
             if gap > worst:
                 worst = gap
     return worst

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .bottleneck import graph_bottleneck
-from .diagram import diagram_equal
 from .distortion import value_shift_upper
 from .generators import figure1_left, figure1_right, figure5, random_graph
 from .graph import ReebGraph, critical_values, min_critical_gap, validate
@@ -189,7 +188,7 @@ def _run_snapping(config: ExperimentConfig) -> list[TrialRecord]:
             TrialRecord(
                 "snapping",
                 i,
-                diagram_equal(left, right),
+                left == right,
                 _fmt({"a": a, "b": b, "points": len(left)}),
             )
         )
@@ -271,7 +270,7 @@ def _run_recovery(config: ExperimentConfig) -> list[TrialRecord]:
 def _run_figure1(config: ExperimentConfig) -> list[TrialRecord]:
     left = figure1_left()
     right = figure1_right()
-    same_diagram = diagram_equal(extended_diagram(left), extended_diagram(right))
+    same_diagram = extended_diagram(left) == extended_diagram(right)
     db = graph_bottleneck(left, right)
     iso = is_level_isomorphic(left, right)
     upper = intrinsic_upper(left, right)

@@ -21,6 +21,32 @@ class InvalidGraphError(ValueError):
     """Raised when an operation requires invariants the input violates."""
 
 
+class UnionFind:
+    """Disjoint sets of hashable items, grown one `add` at a time."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def __contains__(self, x: object) -> bool:
+        return x in self.parent
+
+    def add(self, x: object) -> None:
+        self.parent[x] = x
+
+    def find(self, x: object) -> object:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    def union(self, x: object, y: object) -> None:
+        """Link the root of x under the root of y."""
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+
 @dataclass(frozen=True)
 class GraphPoint:
     """A point on a Reeb graph: either a vertex or an edge-interior point.
@@ -428,90 +454,99 @@ def arcs_in_interval(g: ReebGraph, lo: ValueLike, hi: ValueLike) -> tuple[Arc, .
 # ---------------------------------------------------------------------------
 
 
-def _window_connected(g: ReebGraph, x: GraphPoint, y: GraphPoint, lo: Fraction, hi: Fraction) -> bool:
-    """Can x reach y inside the preimage of [lo, hi]?"""
+def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fraction]]:
+    """The matrix of d_f(x, y) over `points`, rows and columns in input order.
 
-    def anchors(p: GraphPoint) -> list[str]:
-        if p.vertex is not None:
-            return [p.vertex] if lo <= p.value <= hi else []
-        out = []
-        u, v = g.edges[p.edge]  # type: ignore[arg-type]
-        if lo <= p.value <= hi:
-            if lo <= g.value(u) <= hi:
-                out.append(u)
-            if lo <= g.value(v) <= hi:
-                out.append(v)
-        return out
+    d_f(x, y) is the smallest hi - lo such that x and y share a component of
+    the preimage of [lo, hi] (Bauer-Ge-Wang): the least value span of a path
+    joining them. Each arc is subdivided at the given edge-interior points,
+    which leaves d_f unchanged and makes every point a node (equal locations
+    share one). For each distinct node value lo, taken as the window floor,
+    the nodes of value >= lo join one union-find in increasing value order,
+    each linked to its neighbours already present, until the points above
+    the floor are all joined. When two components meet at value t, every
+    pair of points across them gets span t - lo, and each entry keeps its
+    least span over all floors. A pair joins at most once per floor, so the
+    cost is O(L (V' alpha + P^2)) for L distinct node values, V' nodes and P
+    distinct points. Exact: every span is a difference of node values.
 
-    if not (lo <= x.value <= hi and lo <= y.value <= hi):
-        return False
-    if x.location_key() == y.location_key():
-        return True
-    # two interior points of the same edge reach each other along it
-    if x.edge is not None and x.edge == y.edge:
-        return True
-    start = anchors(x)
-    target = set(anchors(y))
-    if y.vertex is not None and y.vertex in start:
-        return True
-    if not start or not target:
-        return False
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        v = queue.popleft()
-        if v in target:
-            return True
-        for _, w in g.neighbors(v):
-            if w in seen:
-                continue
-            if lo <= g.value(w) <= hi:
-                seen.add(w)
-                queue.append(w)
-    return bool(seen & target)
+    Raises ValueError for a point not on the graph and InvalidGraphError
+    when two points lie in different components.
+    """
+    points = tuple(points)
+    for p in points:
+        if not g.contains_point(p):
+            raise ValueError(f"point {p} is not on the graph")
+
+    # nodes: the vertices, then one per distinct edge-interior point
+    node_of = {("v", vid): i for i, vid in enumerate(g.vertex_ids)}
+    value = [g.value(vid) for vid in g.vertex_ids]
+    inside: dict[int, list[int]] = {}  # edge index -> its interior nodes
+    column: dict[int, int] = {}  # point node -> its row in the distinct matrix
+    slots = []
+    for p in points:
+        key = p.location_key()
+        if key not in node_of:
+            node_of[key] = len(value)
+            value.append(p.value)
+            inside.setdefault(p.edge, []).append(node_of[key])  # type: ignore[arg-type]
+        slots.append(column.setdefault(node_of[key], len(column)))
+    adjacent: list[list[int]] = [[] for _ in value]
+    for idx, (u, v) in enumerate(g.edges):
+        between = sorted(inside.get(idx, ()), key=value.__getitem__)
+        chain = [node_of["v", u], *between, node_of["v", v]]
+        for a, b in zip(chain, chain[1:]):
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+
+    size = len(column)
+    dist: list[list[Optional[Fraction]]] = [[None] * size for _ in range(size)]
+    for k in range(size):
+        dist[k][k] = Fraction(0)
+    order = sorted(range(len(value)), key=value.__getitem__)
+    for start, first in enumerate(order):
+        lo = value[first]
+        if start and value[order[start - 1]] == lo:
+            continue  # one sweep per distinct floor
+        pending = sum(value[node] >= lo for node in column) - 1  # joins to come
+        if pending < 1:
+            break  # no pair left above this floor, nor above higher ones
+        sets = UnionFind()
+        members: dict[int, list[int]] = {}  # root -> rows of its points
+        for node in order[start:]:
+            sets.add(node)
+            members[node] = [column[node]] if node in column else []
+            for other in adjacent[node]:
+                if other not in sets:
+                    continue
+                a, b = sets.find(node), sets.find(other)
+                if a == b:
+                    continue
+                joined, into = members.pop(a), members[b]
+                if joined and into:
+                    span = value[node] - lo
+                    for i in joined:
+                        row = dist[i]
+                        for j in into:
+                            if row[j] is None or span < row[j]:
+                                row[j] = dist[j][i] = span
+                    pending -= 1
+                into.extend(joined)
+                sets.union(a, b)
+            if not pending:
+                break  # every point above the floor is joined
+    if any(d is None for row in dist for d in row):
+        raise InvalidGraphError("points are not connected in the graph")
+    return [[dist[i][j] for j in slots] for i in slots]  # type: ignore[misc]
 
 
 def travel_distance(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> Fraction:
-    """Minimal value-span over paths joining x and y.
+    """d_f(x, y): the smallest value span of a path joining x and y.
 
-    Exact: within an edge the function is monotone, so the optimum window is
-    delimited by vertex values or by the endpoints themselves.
+    One entry of `travel_distances`; to query many pairs of a point set,
+    call that once instead.
     """
-    for p in (x, y):
-        if not g.contains_point(p):
-            raise ValueError(f"point {p} is not on the graph")
-    if x.location_key() == y.location_key():
-        return Fraction(0)
-    if x.edge is not None and x.edge == y.edge:
-        return abs(x.value - y.value)
-
-    floor = min(x.value, y.value)
-    ceil = max(x.value, y.value)
-    values = sorted({g.value(v) for v in g.vertex_ids} | {x.value, y.value})
-    lows = [v for v in values if v <= floor]
-    highs = [v for v in values if v >= ceil]
-
-    best: Optional[Fraction] = None
-    for hi in highs:
-        if best is not None and hi - floor >= best:
-            break
-        # largest feasible lo for this hi (feasibility is monotone in lo)
-        feasible_lo: Optional[Fraction] = None
-        a, b = 0, len(lows) - 1
-        while a <= b:
-            mid = (a + b) // 2
-            if _window_connected(g, x, y, lows[mid], hi):
-                feasible_lo = lows[mid]
-                a = mid + 1
-            else:
-                b = mid - 1
-        if feasible_lo is not None:
-            span = hi - feasible_lo
-            if best is None or span < best:
-                best = span
-    if best is None:
-        raise InvalidGraphError("points are not connected in the graph")
-    return best
+    return travel_distances(g, (x, y))[0][1]
 
 
 # ---------------------------------------------------------------------------

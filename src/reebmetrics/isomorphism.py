@@ -137,23 +137,25 @@ def structure_isomorphisms(
                     return False
         return True
 
-    def backtrack(i: int) -> None:
-        if len(found) >= limit:
-            return
-        if i == len(order1):
-            found.append(dict(mapping))
-            return
+    # Depth-first search on an explicit stack: a frame (position, next
+    # candidate index) stands for order1[position] and resumes its scan of
+    # verts2 after everything below its current choice is explored.
+    stack = [(0, 0)]
+    while stack and len(found) < limit:
+        i, start = stack.pop()
         v = order1[i]
-        for w in verts2:
-            if w in used:
+        if v in mapping:  # resumed: undo the choice explored below
+            used.remove(mapping.pop(v))
+        for idx in range(start, len(verts2)):
+            w = verts2[idx]
+            if w in used or not compatible(v, w):
                 continue
-            if not compatible(v, w):
-                continue
+            if i + 1 == len(order1):  # the last vertex has one free candidate
+                found.append({**mapping, v: w})
+                break
             mapping[v] = w
             used.add(w)
-            backtrack(i + 1)
-            del mapping[v]
-            used.remove(w)
-
-    backtrack(0)
+            stack.append((i, idx + 1))
+            stack.append((i + 1, 0))
+            break
     return found

@@ -25,6 +25,7 @@ from .graph import (
     CriticalValues,
     InvalidGraphError,
     ReebGraph,
+    UnionFind,
     canonicalize,
     validate,
 )
@@ -72,36 +73,25 @@ def _merge_raw(
         if g.value(u) <= b and g.value(v) >= a
     ]
 
-    parent: dict[object, object] = {("v", v): ("v", v) for v in in_band}
+    sets = UnionFind()
+    for v in in_band:
+        sets.add(("v", v))
     for idx in overlapping:
-        parent[("e", idx)] = ("e", idx)
-
-    def find(x: object) -> object:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: object, y: object) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for idx in overlapping:
+        sets.add(("e", idx))
         u, v = g.edges[idx]
         if u in in_band:
-            union(("e", idx), ("v", u))
+            sets.union(("e", idx), ("v", u))
         if v in in_band:
-            union(("e", idx), ("v", v))
+            sets.union(("e", idx), ("v", v))
 
-    roots = sorted({find(x) for x in parent}, key=repr)
+    roots = sorted({sets.find(x) for x in sets.parent}, key=repr)
     mid_of: dict[object, str] = {}
     components: list[BandComponent] = []
     taken = set(g.vertex_ids)
     counter = 0
     for root in roots:
         members = tuple(
-            sorted(v for v in in_band if find(("v", v)) == root)
+            sorted(v for v in in_band if sets.find(("v", v)) == root)
         )
         rep = None
         if members:
@@ -128,7 +118,7 @@ def _merge_raw(
         if not (fu <= b and fv >= a):
             edges.append((u, v))
             continue
-        mid_id = mid_of[find(("e", idx))]
+        mid_id = mid_of[sets.find(("e", idx))]
         if fu < a:
             edges.append((u, mid_id))
         if fv > b:

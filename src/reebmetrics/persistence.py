@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .diagram import EXT0, EXT1, ORD0, REL1, Diagram, DiagramPoint
-from .graph import InvalidGraphError, ReebGraph, validate
+from .graph import InvalidGraphError, ReebGraph, UnionFind, validate
 
 
 @dataclass(frozen=True)
@@ -132,26 +132,17 @@ def ord0_unionfind(g: ReebGraph) -> tuple[DiagramPoint, ...]:
     position = {
         (c.kind, c.ref): rank for rank, c in enumerate(order)
     }
-    parent: dict[str, str] = {}
+    sets = UnionFind()
     birth_rank: dict[str, int] = {}
-
-    def find(v: str) -> str:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
     points: list[DiagramPoint] = []
     for cell in order:
         if cell.kind == "vertex":
             vid = cell.ref  # type: ignore[assignment]
-            parent[vid] = vid
+            sets.add(vid)
             birth_rank[vid] = position[("vertex", vid)]
         else:
             u, v = g.edges[cell.ref]  # type: ignore[index]
-            ru, rv = find(u), find(v)
+            ru, rv = sets.find(u), sets.find(v)
             if ru == rv:
                 continue
             elder, younger = (
@@ -161,7 +152,7 @@ def ord0_unionfind(g: ReebGraph) -> tuple[DiagramPoint, ...]:
             death_value = cell.value
             if birth_value < death_value:
                 points.append(DiagramPoint(ORD0, birth_value, death_value))
-            parent[younger] = elder
+            sets.union(younger, elder)
     return tuple(sorted(points, key=DiagramPoint.sort_key))
 
 

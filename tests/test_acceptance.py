@@ -8,7 +8,6 @@ import random
 from fractions import Fraction as F
 
 from reebmetrics import (
-    diagram_equal,
     extended_diagram,
     figure1_left,
     figure1_right,
@@ -92,7 +91,7 @@ def test_criterion_5_recovery():
 def test_criterion_6_figure1():
     """Equal diagrams, zero bottleneck, non-isomorphic, positive intrinsic bound."""
     left, right = figure1_left(), figure1_right()
-    assert diagram_equal(extended_diagram(left), extended_diagram(right))
+    assert extended_diagram(left) == extended_diagram(right)
     db = graph_bottleneck(left, right)
     assert db == 0
     assert not is_level_isomorphic(left, right)

@@ -17,6 +17,7 @@ from reebmetrics import (
     random_graph,
     sample_net,
     segment,
+    travel_distances,
     value_shift_upper,
     y_graph,
 )
@@ -145,13 +146,41 @@ def test_lower_bounds_never_exceed_value_shift_uppers():
         assert graph_bottleneck(g, other) <= bound
 
 
+def continuity_defect(src, dst, mapping) -> F:
+    """Worst slack of a map's continuity surrogate, zero when it holds.
+
+    Consecutive samples along an arc of src must map to points of dst
+    joinable by a path of value span at most their own gap plus twice the
+    map's value defect.
+    """
+    defect = max(abs(x.value - y.value) for x, y in mapping.items())
+    per_edge: dict = {}
+    for p in mapping:
+        if p.edge is not None:
+            per_edge.setdefault(p.edge, []).append(p)
+    steps = []
+    for idx, pts in per_edge.items():
+        u, v = src.edges[idx]
+        chain = [src.vertex_point(u), *sorted(pts, key=lambda p: p.value), src.vertex_point(v)]
+        steps += [(a, b) for a, b in zip(chain, chain[1:]) if a in mapping and b in mapping]
+    d = travel_distances(dst, [mapping[p] for step in steps for p in step])
+    allowed = [b.value - a.value + 2 * defect for a, b in steps]
+    return max([F(0)] + [d[2 * k][2 * k + 1] - room for k, room in enumerate(allowed)])
+
+
 def test_continuity_surrogate_holds_for_built_in_witnesses():
     y, seg = y_graph(), segment()
     proj = projection_correspondence(y, seg, resolution=F(1, 4))
-    assert proj.continuity_defects() == (0, 0)
+    assert continuity_defect(y, seg, proj.phi) == continuity_defect(seg, y, proj.psi) == 0
     perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})
     nat = natural_correspondence(y, perturbed, {v: v for v in y.vertex_ids})
-    assert nat.continuity_defects() == (0, 0)
+    assert continuity_defect(y, perturbed, nat.phi) == continuity_defect(perturbed, y, nat.psi) == 0
+    # it fails for a map that moves one sample of arc a-c, value kept, onto
+    # arc b-c: its neighbours on a-c reach it only over the fork at c
+    torn = dict(nat.phi)
+    x = next(p for p, q in nat.phi.items() if p.edge == 0 and F("1.05") < q.value < F("1.5"))
+    torn[x] = perturbed.edge_point(1, nat.phi[x].value)
+    assert continuity_defect(y, perturbed, torn) > 0
 
 
 def test_correspondence_json_round_trip():

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -17,10 +18,12 @@ from reebmetrics import (
     is_level_isomorphic,
     min_critical_gap,
     random_graph,
+    sample_net,
     segment,
     split_components,
     stats,
     travel_distance,
+    travel_distances,
     validate,
     y_graph,
 )
@@ -448,6 +451,91 @@ def brute_force_travel(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> F:
     return best[0]
 
 
+def _window_connected(g: ReebGraph, x: GraphPoint, y: GraphPoint, lo: F, hi: F) -> bool:
+    """Can x reach y inside the preimage of [lo, hi]?"""
+
+    def anchors(p: GraphPoint) -> list[str]:
+        if p.vertex is not None:
+            return [p.vertex] if lo <= p.value <= hi else []
+        out = []
+        u, v = g.edges[p.edge]
+        if lo <= p.value <= hi:
+            if lo <= g.value(u) <= hi:
+                out.append(u)
+            if lo <= g.value(v) <= hi:
+                out.append(v)
+        return out
+
+    if not (lo <= x.value <= hi and lo <= y.value <= hi):
+        return False
+    if x.location_key() == y.location_key():
+        return True
+    # two interior points of the same edge reach each other along it
+    if x.edge is not None and x.edge == y.edge:
+        return True
+    start = anchors(x)
+    target = set(anchors(y))
+    if y.vertex is not None and y.vertex in start:
+        return True
+    if not start or not target:
+        return False
+    seen = set(start)
+    queue = deque(start)
+    while queue:
+        v = queue.popleft()
+        if v in target:
+            return True
+        for _, w in g.neighbors(v):
+            if w in seen:
+                continue
+            if lo <= g.value(w) <= hi:
+                seen.add(w)
+                queue.append(w)
+    return bool(seen & target)
+
+
+def reference_travel_distance(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> F:
+    """The per-pair travel distance that `travel_distances` replaced.
+
+    For each window ceiling, binary-search the largest feasible floor with a
+    BFS per window; feasibility is monotone in the floor.
+    """
+    for p in (x, y):
+        if not g.contains_point(p):
+            raise ValueError(f"point {p} is not on the graph")
+    if x.location_key() == y.location_key():
+        return F(0)
+    if x.edge is not None and x.edge == y.edge:
+        return abs(x.value - y.value)
+
+    floor = min(x.value, y.value)
+    ceil = max(x.value, y.value)
+    values = sorted({g.value(v) for v in g.vertex_ids} | {x.value, y.value})
+    lows = [v for v in values if v <= floor]
+    highs = [v for v in values if v >= ceil]
+
+    best = None
+    for hi in highs:
+        if best is not None and hi - floor >= best:
+            break
+        feasible_lo = None
+        a, b = 0, len(lows) - 1
+        while a <= b:
+            mid = (a + b) // 2
+            if _window_connected(g, x, y, lows[mid], hi):
+                feasible_lo = lows[mid]
+                a = mid + 1
+            else:
+                b = mid - 1
+        if feasible_lo is not None:
+            span = hi - feasible_lo
+            if best is None or span < best:
+                best = span
+    if best is None:
+        raise InvalidGraphError("points are not connected in the graph")
+    return best
+
+
 def test_travel_segment_interior_points():
     s = segment()
     assert travel_distance(s, s.edge_point(0, 1), s.edge_point(0, 2)) == 1
@@ -501,6 +589,96 @@ def test_travel_properties_on_y(a, b):
     d = travel_distance(y, x, z)
     assert d == travel_distance(y, z, x)
     assert d >= abs(x.value - z.value)
+
+
+def test_travel_distances_match_reference_on_sample_nets():
+    rng = random.Random(4044)
+    checked = 0
+    for _ in range(10):
+        g = random_graph(rng, n_critical=rng.randint(4, 7))
+        net = list(sample_net(g, g.span() / 16))
+        rng.shuffle(net)
+        d = travel_distances(g, net)
+        for i, x in enumerate(net):
+            for j in range(i, len(net)):
+                assert d[i][j] == d[j][i] == reference_travel_distance(g, x, net[j])
+                checked += 1
+    assert checked > 4000
+
+
+@st.composite
+def small_graphs_with_points(draw):
+    """A connected graph on 1-7 vertices (level and parallel edges allowed)
+    and 1-7 points on it, vertices and edge-interior points, repeats allowed."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    values = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    g = ReebGraph(
+        [(f"v{i}", values[i]) for i in range(n)],
+        [(f"v{a}", f"v{b}") for a, b in pairs if a != b],
+    )
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        if not g.edges or draw(st.booleans()):
+            points.append(g.vertex_point(draw(st.sampled_from(g.vertex_ids))))
+        else:
+            idx = draw(st.integers(0, len(g.edges) - 1))
+            lo, hi = g.edge_values(idx)
+            points.append(g.edge_point(idx, lo + (hi - lo) * F(draw(st.integers(0, 8)), 8)))
+    return g, points
+
+
+@given(small_graphs_with_points())
+@settings(max_examples=150, deadline=None)
+def test_travel_distances_is_a_pseudometric_within_value_bounds(case):
+    g, points = case
+    d = travel_distances(g, points)
+    n = len(points)
+    for i in range(n):
+        assert d[i][i] == 0
+        for j in range(n):
+            x, y = points[i], points[j]
+            assert d[i][j] == d[j][i]
+            assert abs(x.value - y.value) <= d[i][j] <= g.span()
+            assert d[i][j] == reference_travel_distance(g, x, y)
+            for k in range(n):
+                assert d[i][k] <= d[i][j] + d[j][k]
+
+
+def test_travel_distances_repeated_points():
+    y = y_graph()
+    p, q = y.edge_point(0, F("0.5")), y.edge_point(1, F("1.5"))
+    b = y.vertex_point("b")
+    points = [p, b, q, p, GraphPoint(value=F("0.5"), edge=0), y.vertex_point("b")]
+    d = travel_distances(y, points)
+    assert len(d) == 6 and all(len(row) == 6 for row in d)
+    for i, x in enumerate(points):
+        for j, z in enumerate(points):
+            assert d[i][j] == reference_travel_distance(y, x, z)
+    assert d[0][3] == d[0][4] == d[1][5] == 0
+    assert d[0][2] == d[3][2] == F("1.5")
+    assert travel_distances(y, []) == []
+    assert travel_distances(y, [b]) == [[0]]
+
+
+def test_travel_distances_errors():
+    s = segment()
+    with pytest.raises(ValueError):
+        travel_distances(s, [s.vertex_point("bot"), GraphPoint(value=F(1), vertex="zz")])
+    with pytest.raises(ValueError):
+        travel_distances(s, [GraphPoint(value=F(9), edge=0)])
+    two = ReebGraph(
+        [("a", 0), ("b", 1), ("c", 2), ("d", 3)],
+        [("a", "b"), ("c", "d")],
+    )
+    ends = [two.vertex_point("a"), two.edge_point(0, F(1, 2)), two.edge_point(1, F(5, 2))]
+    with pytest.raises(InvalidGraphError):
+        travel_distances(two, ends)
+    with pytest.raises(InvalidGraphError):
+        travel_distance(two, ends[0], ends[2])
+    # points of one component are fine, whatever the rest of the graph
+    assert travel_distances(two, ends[:2]) == [[0, F(1, 2)], [F(1, 2), 0]]
 
 
 # ---------------------------------------------------------------------------

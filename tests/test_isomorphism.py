@@ -1,5 +1,9 @@
+import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
+
+import pytest
 
 from reebmetrics import (
     ReebGraph,
@@ -8,6 +12,7 @@ from reebmetrics import (
     figure1_right,
     is_level_isomorphic,
     level_isomorphism,
+    random_graph,
     segment,
     structure_isomorphisms,
     y_graph,
@@ -118,3 +123,125 @@ def test_level_isomorphism_at_scale_within_recursion_limit():
     swapped = [e for e in edges if e not in (("d748", "t748"), ("d749", "t749"))]
     swapped += [("d748", "t749"), ("d749", "t748")]
     assert not is_level_isomorphic(comb, ReebGraph(vertices, swapped))
+
+
+def reference_structure_isomorphisms(
+    g1: ReebGraph, g2: ReebGraph, limit: int = 32
+) -> list[dict[str, str]]:
+    """The recursive search that `structure_isomorphisms` replaced."""
+    if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
+        return []
+    order1 = sorted(g1.vertex_ids, key=lambda v: (g1.value(v), v))
+    verts2 = list(g2.vertex_ids)
+    found: list[dict[str, str]] = []
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+    edges1 = Counter(tuple(sorted(e)) for e in g1.edges)
+    edges2 = Counter(tuple(sorted(e)) for e in g2.edges)
+
+    def compatible(v: str, w: str) -> bool:
+        if (g1.down_degree(v), g1.up_degree(v)) != (g2.down_degree(w), g2.up_degree(w)):
+            return False
+        for u, sigma_u in mapping.items():
+            m1 = edges1[tuple(sorted((u, v)))]
+            m2 = edges2[tuple(sorted((sigma_u, w)))]
+            if m1 != m2:
+                return False
+            if m1 and (g1.value(u) < g1.value(v)) != (g2.value(sigma_u) < g2.value(w)):
+                return False
+        return True
+
+    def backtrack(i: int) -> None:
+        if len(found) >= limit:
+            return
+        if i == len(order1):
+            found.append(dict(mapping))
+            return
+        v = order1[i]
+        for w in verts2:
+            if w in used:
+                continue
+            if not compatible(v, w):
+                continue
+            mapping[v] = w
+            used.add(w)
+            backtrack(i + 1)
+            del mapping[v]
+            used.remove(w)
+
+    backtrack(0)
+    return found
+
+
+def shuffled_copy(rng: random.Random, g: ReebGraph, suffix: str) -> ReebGraph:
+    """g relabelled, with vertex and edge order shuffled and values moved
+    monotonically, so every structure isomorphism survives."""
+    values = sorted({g.value(v) for v in g.vertex_ids})
+    moved = {val: k * 3 + rng.randint(0, 2) for k, val in enumerate(values)}
+    vertices = [(f"{v}{suffix}", moved[g.value(v)]) for v in g.vertex_ids]
+    edges = [(f"{u}{suffix}", f"{v}{suffix}") for u, v in g.edges]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return ReebGraph(vertices, edges)
+
+
+def structure_cases(seed: int, count: int):
+    """Seeded graph pairs: shuffled copies (symmetric shapes have many
+    witnesses) and random graphs of one vertex count, in both orders."""
+    rng = random.Random(seed)
+    teeth = rng.randint(2, 4)
+    # interchangeable teeth at one value: teeth! witnesses
+    comb = ReebGraph(
+        [("r", 0), ("top", 10)] + [(f"t{i}", 5) for i in range(teeth)],
+        [("r", "top")] + [(e, f"t{i}") for i in range(teeth) for e in ("r", "top")],
+    )
+    shapes = [y_graph(), cycle(), figure1_left(), figure1_right(), comb]
+    shapes += [random_graph(rng, n_critical=rng.randint(3, 7)) for _ in range(count)]
+    for g in shapes:
+        yield g, shuffled_copy(rng, g, "_s")
+        other = random_graph(rng, n_critical=len(g.vertex_ids))
+        yield g, other
+        yield other, g
+
+
+def test_structure_isomorphisms_match_reference_search():
+    witnesses = 0
+    for g1, g2 in structure_cases(seed=4321, count=40):
+        for limit in (0, 1, 3, 32):
+            got = structure_isomorphisms(g1, g2, limit=limit)
+            assert got == reference_structure_isomorphisms(g1, g2, limit=limit)
+            assert len(got) <= limit
+            witnesses += len(got)
+    assert witnesses > 200
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_structure_isomorphisms_below_vertex_count_recursion_limit():
+    # a chain whose copy lists its vertices in value order, so the first
+    # free candidate is always the right one and the search only descends
+    # (limit=1: proving the witness unique would scan O(n^3) candidates)
+    n = 400
+    chain = ReebGraph(
+        [(f"c{i}", i) for i in range(n)], [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+    )
+    copy = ReebGraph(
+        [(f"k{i}", 2 * i) for i in range(n)], [(f"k{i}", f"k{i + 1}") for i in range(n - 1)]
+    )
+    limit = _stack_depth() + 100
+    assert limit < n
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        assert structure_isomorphisms(chain, copy, limit=1) == [
+            {f"c{i}": f"k{i}" for i in range(n)}
+        ]
+        with pytest.raises(RecursionError):
+            reference_structure_isomorphisms(chain, copy, limit=1)
+    finally:
+        sys.setrecursionlimit(old)

@@ -10,7 +10,6 @@ from reebmetrics import (
     InvalidGraphError,
     ReebGraph,
     cycle,
-    diagram_equal,
     extended_diagram,
     figure1_left,
     figure1_right,
@@ -106,10 +105,10 @@ def test_extended_diagram_rejects_invalid():
 
 
 def test_diagram_equal():
-    assert diagram_equal(extended_diagram(figure1_left()), extended_diagram(figure1_right()))
-    assert not diagram_equal(extended_diagram(y_graph()), extended_diagram(segment()))
+    assert extended_diagram(figure1_left()) == extended_diagram(figure1_right())
+    assert extended_diagram(y_graph()) != extended_diagram(segment())
     d = extended_diagram(cycle())
-    assert diagram_equal(d, d)
+    assert d == d
 
 
 # ---------------------------------------------------------------------------
