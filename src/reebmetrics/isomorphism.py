@@ -113,29 +113,30 @@ def structure_isomorphisms(
     verts2 = list(g2.vertex_ids)
     found: list[dict[str, str]] = []
     mapping: dict[str, str] = {}
-    used: set[str] = set()
+    used: set[str] = set()  # the image of mapping
 
     edges1, edges2 = _edge_counts(g1), _edge_counts(g2)
-
-    def down_up_counts(g: ReebGraph, vid: str) -> tuple[int, int]:
-        return (g.down_degree(vid), g.up_degree(vid))
+    nbrs1 = {v: {w for _, w in g1.neighbors(v)} for v in g1.vertex_ids}
+    nbrs2 = {v: {w for _, w in g2.neighbors(v)} for v in g2.vertex_ids}
+    prof1 = {v: _degree_profile(g1, v) for v in g1.vertex_ids}
+    prof2 = {v: _degree_profile(g2, v) for v in g2.vertex_ids}
 
     def compatible(v: str, w: str) -> bool:
-        if down_up_counts(g1, v) != down_up_counts(g2, w):
+        if prof1[v] != prof2[w]:
             return False
         # edges between v and already-assigned vertices must match with the
-        # same orientation and multiplicity
-        for u, sigma_u in mapping.items():
-            m1 = edges1[_unordered(u, v)]
-            m2 = edges2[_unordered(sigma_u, w)]
-            if m1 != m2:
+        # same orientation and multiplicity. Only neighbours share an edge:
+        # each mapped neighbour u of v needs the same edges between sigma(u)
+        # and w, and then w has no other mapped neighbour iff the counts of
+        # mapped neighbours agree.
+        mapped = [u for u in nbrs1[v] if u in mapping]
+        for u in mapped:
+            sigma_u = mapping[u]
+            if edges1[_unordered(u, v)] != edges2[_unordered(sigma_u, w)]:
                 return False
-            if m1:
-                o1 = g1.value(u) < g1.value(v)
-                o2 = g2.value(sigma_u) < g2.value(w)
-                if o1 != o2:
-                    return False
-        return True
+            if (g1.value(u) < g1.value(v)) != (g2.value(sigma_u) < g2.value(w)):
+                return False
+        return len(mapped) == sum(1 for x in nbrs2[w] if x in used)
 
     # Depth-first search on an explicit stack: a frame (position, next
     # candidate index) stands for order1[position] and resumes its scan of

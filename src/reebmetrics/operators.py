@@ -3,7 +3,13 @@
 `merge` contracts every connected component of the preimage of a closed band
 [a, b] to a vertex at the band midpoint; on diagrams this acts by snapping
 coordinates inside the band to the midpoint (`snap_diagram`), which is the
-testable contract pairing the two.
+testable contract pairing the two. Every caller goes through one private
+function that contracts a sorted list of pairwise-disjoint bands in a single
+pass and canonicalizes once, so `merge_sequence` on disjoint anchors and each
+pass of `clear_features` cost one O((V + E) log k) pass for k bands, not one
+pass per band. A new vertex is named by a prefix and the least free number
+(`m0`, `m1`, ... for `merge` and `merge_sequence`, `s<pass>_0`, ... for
+`clear_features`); a lone vertex already at its band's midpoint keeps its id.
 
 `simplify` removes every diagram point within the stated offset of the
 diagonal by merging bands around the near features' spans, widened so that
@@ -16,9 +22,11 @@ parameter.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .diagram import EXT0, Diagram, DiagramPoint
 from .graph import (
@@ -53,79 +61,68 @@ class MergeParams:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
-class BandComponent:
-    """One contracted component: its new vertex and the vertices it absorbed."""
+def _merge_bands(
+    g: ReebGraph, bands: Sequence[MergeParams], prefix: str = "m"
+) -> ReebGraph:
+    """Contract the preimage of every band in one pass; output is canonical.
 
-    mid_id: str
-    members: tuple[str, ...]
-    representative: Optional[str]  # absorbed vertex closest in value to the mid
-
-
-def _merge_raw(
-    g: ReebGraph, params: MergeParams, mid_prefix: str = "m"
-) -> tuple[ReebGraph, tuple[BandComponent, ...]]:
-    a, b = params.a, params.b
-    in_band = {v for v in g.vertex_ids if a <= g.value(v) <= b}
-    overlapping = [
-        idx
-        for idx, (u, v) in enumerate(g.edges)
-        if g.value(u) <= b and g.value(v) >= a
-    ]
+    `bands` are sorted and pairwise disjoint (b_i < a_{i+1}), so a vertex
+    lies in at most one band, found by bisection. The components of a band's
+    preimage are the classes of its vertices joined by edges with both ends
+    in that band; each becomes one vertex at the band midpoint, named
+    `<prefix><n>` with the least n free, except that a lone vertex already at
+    the midpoint keeps its id. Edges inside one band are dropped; every other
+    edge keeps its ends, each moved to its component's vertex. An edge that
+    crosses a band with neither end inside stays whole: the vertex a merge
+    would put on it is pass-through. One O((V + E) log k) pass for k bands,
+    then one `canonicalize`; the same graph, up to the names of new vertices,
+    as merging the bands one at a time.
+    """
+    if not bands:
+        return g
+    starts = [band.a for band in bands]
+    band_of: dict[str, int] = {}
+    for vid, val in g.vertices():
+        i = bisect_right(starts, val) - 1
+        if i >= 0 and val <= bands[i].b:
+            band_of[vid] = i
 
     sets = UnionFind()
-    for v in in_band:
-        sets.add(("v", v))
-    for idx in overlapping:
-        sets.add(("e", idx))
-        u, v = g.edges[idx]
-        if u in in_band:
-            sets.union(("e", idx), ("v", u))
-        if v in in_band:
-            sets.union(("e", idx), ("v", v))
+    for vid in band_of:
+        sets.add(vid)
+    for u, v in g.edges:
+        if u in band_of and band_of[u] == band_of.get(v):
+            sets.union(u, v)
+    root_of = {vid: sets.find(vid) for vid in band_of}
+    sizes = Counter(root_of.values())
 
-    roots = sorted({sets.find(x) for x in sets.parent}, key=repr)
-    mid_of: dict[object, str] = {}
-    components: list[BandComponent] = []
+    vertices = [(vid, val) for vid, val in g.vertices() if vid not in band_of]
     taken = set(g.vertex_ids)
     counter = 0
-    for root in roots:
-        members = tuple(
-            sorted(v for v in in_band if sets.find(("v", v)) == root)
-        )
-        rep = None
-        if members:
-            rep = min(members, key=lambda v: (abs(g.value(v) - params.mid), v))
-        if len(members) == 1 and g.value(members[0]) == params.mid:
-            # a lone vertex already at the midpoint keeps its identity
-            mid_id = members[0]
-        else:
-            while f"{mid_prefix}{counter}" in taken:
-                counter += 1
-            mid_id = f"{mid_prefix}{counter}"
-            taken.add(mid_id)
-        mid_of[root] = mid_id
-        components.append(BandComponent(mid_id, members, rep))
-
-    vertices: list[tuple[str, Fraction]] = [
-        (v, g.value(v)) for v in g.vertex_ids if v not in in_band
-    ]
-    vertices.extend((comp.mid_id, params.mid) for comp in components)
-
-    edges: list[tuple[str, str]] = []
-    for idx, (u, v) in enumerate(g.edges):
-        fu, fv = g.value(u), g.value(v)
-        if not (fu <= b and fv >= a):
-            edges.append((u, v))
+    name_of: dict[str, str] = {}  # component root -> its new vertex
+    for vid, root in root_of.items():
+        if root in name_of:
             continue
-        mid_id = mid_of[sets.find(("e", idx))]
-        if fu < a:
-            edges.append((u, mid_id))
-        if fv > b:
-            edges.append((mid_id, v))
+        mid = bands[band_of[vid]].mid
+        if sizes[root] == 1 and g.value(vid) == mid:
+            name = vid  # a lone vertex already at the midpoint keeps its id
+        else:
+            while f"{prefix}{counter}" in taken:
+                counter += 1
+            name = f"{prefix}{counter}"
+            taken.add(name)
+        name_of[root] = name
+        vertices.append((name, mid))
 
-    merged = ReebGraph(vertices, edges, name=g.name)
-    return merged, tuple(components)
+    def moved(vid: str) -> str:
+        return name_of[root_of[vid]] if vid in band_of else vid
+
+    edges = [
+        (moved(u), moved(v))
+        for u, v in g.edges
+        if u not in band_of or band_of[u] != band_of.get(v)
+    ]
+    return canonicalize(ReebGraph(vertices, edges, name=g.name))
 
 
 def merge(g: ReebGraph, params: MergeParams) -> ReebGraph:
@@ -134,8 +131,7 @@ def merge(g: ReebGraph, params: MergeParams) -> ReebGraph:
     Post-contract, pass-through vertices left by arcs that crossed the whole
     band are removed, so merging a band free of critical values is a no-op.
     """
-    raw, _ = _merge_raw(g, params)
-    return canonicalize(raw)
+    return _merge_bands(g, [params])
 
 
 def snap_diagram(d: Diagram, params: MergeParams) -> Diagram:
@@ -261,7 +257,9 @@ def clear_features(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, tuple[Move
     Each pass merges closure-widened bands around the near features and
     recomputes the diagram; by the snapping principle every near point lands
     on the diagonal and disappears, so the point count strictly decreases
-    and the loop terminates.
+    and the loop terminates. A pass's bands are sorted and disjoint, so they
+    are contracted together in one pass over the graph; the vertices it
+    creates are named `s<pass>_<n>`. Each band is one `band-merge` move.
     """
     work = g
     moves: list[Move] = []
@@ -271,11 +269,9 @@ def clear_features(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, tuple[Move
         bands = _near_bands(diagram, alpha)
         if not bands:
             break
-        for lo, hi in bands:
-            params = MergeParams(lo, hi)
-            raw, _ = _merge_raw(work, params, mid_prefix=f"s{step}_")
-            moves.append(Move("band-merge", (lo, hi), params.width))
-            work = canonicalize(raw)
+        merges = [MergeParams(lo, hi) for lo, hi in bands]
+        work = _merge_bands(work, merges, prefix=f"s{step}_")
+        moves.extend(Move("band-merge", (p.a, p.b), p.width) for p in merges)
     else:  # pragma: no cover - termination is structural
         raise AssertionError("simplification failed to terminate")
     return work, tuple(moves)
@@ -360,11 +356,6 @@ class TransformParams:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
-    def bands_disjoint(self) -> bool:
-        vals = self.anchors.values
-        width = 18 * self.alpha
-        return all(b - a > width for a, b in zip(vals, vals[1:]))
-
 
 @dataclass(frozen=True)
 class MergeSequenceResult:
@@ -379,8 +370,10 @@ def merge_sequence(
     """Merge a band around every anchor, lowest anchor first.
 
     Disjoint bands compose at the cost of the widest one (the maps act
-    independently around each anchor); overlapping bands are applied in the
-    same order with a warning, and their costs add.
+    independently around each anchor) and are contracted together in one
+    pass over the graph; overlapping bands are contracted one at a time in
+    the same order with a warning, and their costs add. New vertices are
+    named `m<n>`.
     """
     halfwidth = to_fraction(halfwidth)
     if isinstance(anchors, CriticalValues):
@@ -394,9 +387,10 @@ def merge_sequence(
             "merging sequentially from the lowest anchor",
             stacklevel=2,
         )
+    bands = [MergeParams(c - halfwidth, c + halfwidth) for c in values]
     work = g
-    for c in values:
-        work = merge(work, MergeParams(c - halfwidth, c + halfwidth))
+    for group in [bands] if disjoint else [[band] for band in bands]:
+        work = _merge_bands(work, group)
     if not values:
         cert = Fraction(0)
     elif disjoint:

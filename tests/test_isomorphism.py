@@ -224,8 +224,8 @@ def _stack_depth() -> int:
 
 def test_structure_isomorphisms_below_vertex_count_recursion_limit():
     # a chain whose copy lists its vertices in value order, so the first
-    # free candidate is always the right one and the search only descends
-    # (limit=1: proving the witness unique would scan O(n^3) candidates)
+    # free candidate is always the right one and the search only descends;
+    # at the default limit the search also proves the witness unique
     n = 400
     chain = ReebGraph(
         [(f"c{i}", i) for i in range(n)], [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
@@ -238,9 +238,9 @@ def test_structure_isomorphisms_below_vertex_count_recursion_limit():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
-        assert structure_isomorphisms(chain, copy, limit=1) == [
-            {f"c{i}": f"k{i}" for i in range(n)}
-        ]
+        witness = {f"c{i}": f"k{i}" for i in range(n)}
+        assert structure_isomorphisms(chain, copy, limit=1) == [witness]
+        assert structure_isomorphisms(chain, copy) == [witness]
         with pytest.raises(RecursionError):
             reference_structure_isomorphisms(chain, copy, limit=1)
     finally:

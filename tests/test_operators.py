@@ -1,14 +1,19 @@
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebmetrics import (
     Diagram,
     DiagramPoint,
     MergeParams,
+    ReebGraph,
     TransformParams,
+    canonicalize,
     crit_ball_check,
     critical_values,
     cycle,
@@ -26,6 +31,8 @@ from reebmetrics import (
     snap_diagram,
     y_graph,
 )
+from reebmetrics.graph import UnionFind
+from reebmetrics.operators import Move, _merge_bands, _near_bands, clear_features
 
 
 def point(kind, b, d):
@@ -94,6 +101,232 @@ def test_snapping_soundness_on_random_graphs():
         assert extended_diagram(merge(g, params)) == snap_diagram(
             extended_diagram(g), params
         )
+
+
+# ---------------------------------------------------------------------------
+# one-pass band merge against the per-band fold
+# ---------------------------------------------------------------------------
+
+
+def _reference_merge_raw(g, a, b, prefix):
+    """One band contracted the per-band way: every edge meeting the band
+    joins the component of its in-band ends, and one crossing the band with
+    no end inside is a component of its own, with its own midpoint vertex."""
+    mid = (a + b) / 2
+    in_band = {v for v in g.vertex_ids if a <= g.value(v) <= b}
+    overlapping = [
+        idx for idx, (u, v) in enumerate(g.edges) if g.value(u) <= b and g.value(v) >= a
+    ]
+    sets = UnionFind()
+    for v in in_band:
+        sets.add(("v", v))
+    for idx in overlapping:
+        sets.add(("e", idx))
+        u, v = g.edges[idx]
+        if u in in_band:
+            sets.union(("e", idx), ("v", u))
+        if v in in_band:
+            sets.union(("e", idx), ("v", v))
+
+    mid_of = {}
+    taken = set(g.vertex_ids)
+    counter = 0
+    for root in sorted({sets.find(x) for x in sets.parent}, key=repr):
+        members = [v for v in in_band if sets.find(("v", v)) == root]
+        if len(members) == 1 and g.value(members[0]) == mid:
+            mid_of[root] = members[0]
+        else:
+            while f"{prefix}{counter}" in taken:
+                counter += 1
+            mid_of[root] = f"{prefix}{counter}"
+            taken.add(mid_of[root])
+
+    vertices = [(v, g.value(v)) for v in g.vertex_ids if v not in in_band]
+    vertices += [(mid_id, mid) for mid_id in mid_of.values()]
+    edges = []
+    for idx, (u, v) in enumerate(g.edges):
+        if not (g.value(u) <= b and g.value(v) >= a):
+            edges.append((u, v))
+            continue
+        mid_id = mid_of[sets.find(("e", idx))]
+        if g.value(u) < a:
+            edges.append((u, mid_id))
+        if g.value(v) > b:
+            edges.append((mid_id, v))
+    return ReebGraph(vertices, edges, name=g.name)
+
+
+def reference_merge_bands(g, bands, prefix="m"):
+    """Merge the bands one at a time, canonicalizing after each."""
+    for a, b in bands:
+        g = canonicalize(_reference_merge_raw(g, a, b, prefix))
+    return g
+
+
+def reference_clear_features(g, alpha):
+    """`clear_features` with one merge and one canonicalize per band."""
+    work, moves = g, []
+    for step in range(len(extended_diagram(g)) + 2):
+        bands = _near_bands(extended_diagram(work), alpha)
+        if not bands:
+            return work, tuple(moves)
+        for lo, hi in bands:
+            work = reference_merge_bands(work, [(lo, hi)], prefix=f"s{step}_")
+            moves.append(Move("band-merge", (lo, hi), hi - lo))
+    raise AssertionError("simplification failed to terminate")
+
+
+def comb_graph(rng, teeth):
+    """Trunk t0 < ... < t(n+1) at multiples of 4, with a tooth of depth 1/4
+    to 3 hanging down from or standing up on each inner trunk vertex."""
+    vertices, edges = [("t0", F(0))], []
+    for i in range(1, teeth + 2):
+        vertices.append((f"t{i}", F(4 * i)))
+        edges.append((f"t{i - 1}", f"t{i}"))
+        if i <= teeth:
+            depth = F(rng.randint(1, 12), 4)
+            tip = 4 * i + depth if rng.random() < 0.5 else 4 * i - depth
+            vertices.append((f"x{i}", tip))
+            edges.append((f"t{i}", f"x{i}"))
+    return canonicalize(ReebGraph(vertices, edges))
+
+
+def ladder_graph(rng, rungs):
+    """Rails a0 < a1 < ... and b0 < b1 < ..., joined by the rungs (ai, bi)."""
+    vertices, edges = [], []
+    for i in range(rungs + 1):
+        vertices += [(f"a{i}", F(4 * i)), (f"b{i}", 4 * i + F(rng.randint(1, 12), 4))]
+        edges.append((f"a{i}", f"b{i}"))
+        if i:
+            edges += [(f"a{i - 1}", f"a{i}"), (f"b{i - 1}", f"b{i}")]
+    return canonicalize(ReebGraph(vertices, edges))
+
+
+def family_graph(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_graph(rng, n_critical=rng.randint(4, 9))
+    if kind == 1:
+        return comb_graph(rng, rng.randint(1, 8))
+    return ladder_graph(rng, rng.randint(1, 5))
+
+
+TOUCH = F(1, 10**9)  # the gap between two almost touching bands
+
+
+def random_bands(rng, g):
+    """Sorted, pairwise-disjoint bands over g's value range and a little
+    beyond: arbitrary and degenerate bands, bands centred on a vertex value,
+    and bands almost touching the one below."""
+    values = sorted({g.value(v) for v in g.vertex_ids})
+    cursor, end = values[0] - 1, values[-1] + 1
+    bands = []
+    while True:
+        r = rng.random()
+        if r < 0.3:
+            later = [x for x in values if x > cursor]
+            if not later:
+                break
+            c = rng.choice(later[:3])
+            half = min(F(rng.randint(1, 400), 1000), (c - cursor) / 2)
+            a, b = c - half, c + half
+        else:
+            a = cursor + (TOUCH if rng.random() < 0.25 else F(rng.randint(1, 3000), 1000))
+            b = a if r < 0.4 else a + F(rng.randint(0, 6000), 1000)
+        if b > end:
+            break
+        bands.append((a, b))
+        cursor = b
+    return bands
+
+
+def band_features(g, bands):
+    """The cases of the one-pass merge that (g, bands) exercises."""
+    features = set()
+    for i, (a, b) in enumerate(bands):
+        inside = [v for v in g.vertex_ids if a <= g.value(v) <= b]
+        inner = [(u, v) for u, v in g.edges if a <= g.value(u) and g.value(v) <= b]
+        sets = UnionFind()
+        for v in inside:
+            sets.add(v)
+        for u, v in inner:
+            sets.union(u, v)
+        sizes = Counter(sets.find(v) for v in inside)
+        if not inside:
+            features.add("empty band")
+        if len(sizes) > 1:
+            features.add("several components")
+        if len(inner) > len(inside) - len(sizes):
+            features.add("loop inside a band")
+        if any(n == 1 and g.value(v) == (a + b) / 2 for v, n in sizes.items()):
+            features.add("lone vertex at the midpoint")
+        if i and a - bands[i - 1][1] <= TOUCH:
+            features.add("almost touching")
+    for u, v in g.edges:
+        if sum(g.value(u) < a and b < g.value(v) for a, b in bands) >= 2:
+            features.add("edge crossing several bands")
+    return features
+
+
+def test_merge_bands_matches_per_band_fold():
+    rng = random.Random(5150)
+    seen = Counter()
+    for _ in range(300):
+        g = family_graph(rng)
+        bands = random_bands(rng, g)
+        seen.update(band_features(g, bands))
+        fast = _merge_bands(g, [MergeParams(a, b) for a, b in bands])
+        ref = reference_merge_bands(g, bands)
+        assert is_level_isomorphic(fast, ref)
+        assert extended_diagram(fast) == extended_diagram(ref)
+        for vid in g.vertex_ids:
+            if not any(a <= g.value(vid) <= b for a, b in bands):
+                assert fast.value(vid) == ref.value(vid) == g.value(vid)
+        # the same input ids survive: a lone vertex at its midpoint keeps its id
+        kept = set(g.vertex_ids)
+        assert kept & set(fast.vertex_ids) == kept & set(ref.vertex_ids)
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+
+def test_merge_sequence_matches_per_band_fold():
+    rng = random.Random(6160)
+    overlaps = 0
+    for _ in range(80):
+        g = family_graph(rng)
+        values = sorted({g.value(v) for v in g.vertex_ids})
+        anchors = sorted(set(rng.sample(values, rng.randint(1, len(values)))))
+        halfwidth = F(rng.randint(1, 1500), 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = merge_sequence(g, anchors, halfwidth)
+        ref = reference_merge_bands(g, [(c - halfwidth, c + halfwidth) for c in anchors])
+        assert is_level_isomorphic(result.graph, ref)
+        overlaps += result.overlap
+    assert 0 < overlaps < 80
+
+
+def test_clear_features_matches_per_band_fold():
+    rng = random.Random(7170)
+    moves = 0
+    for _ in range(120):
+        g = family_graph(rng)
+        alpha = g.span() / 3 * F(rng.randint(1, 100), 100)
+        fast, ref = clear_features(g, alpha), reference_clear_features(g, alpha)
+        assert fast[1] == ref[1]
+        assert is_level_isomorphic(fast[0], ref[0])
+        moves += len(fast[1])
+    assert moves > 100
+
+
+@given(st.integers(0, 2**32), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_merge_bands_snaps_the_diagram(graph_seed, band_seed):
+    g = family_graph(random.Random(graph_seed))
+    bands = random_bands(random.Random(band_seed), g)
+    want = extended_diagram(g)
+    for a, b in bands:
+        want = snap_diagram(want, MergeParams(a, b))
+    assert extended_diagram(_merge_bands(g, [MergeParams(a, b) for a, b in bands])) == want
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +449,37 @@ def test_full_transform_certificate_budget():
     assert result.certificate <= 22 * alpha
 
 
+def test_full_transform_recovers_jittered_1000_tooth_comb():
+    # 2002 vertices, at the default recursion limit: a trunk with one
+    # downward tooth per slot of height 4, values on a 1/256 grid, jitter of
+    # at most alpha = 1/32, so the 18 alpha anchor bands fit in every gap
+    rng = random.Random(1000)
+    vertices, edges, prev = [("b", F(0))], [], "b"
+    for i in range(1, 1001):
+        fork = 4 * i + F(7, 2)
+        vertices += [(f"f{i}", fork), (f"t{i}", fork - F(rng.randint(64, 192), 64))]
+        edges += [(prev, f"f{i}"), (f"f{i}", f"t{i}")]
+        prev = f"f{i}"
+    vertices.append(("top", 4 * 1001 + F(1, 2)))
+    edges.append((prev, "top"))
+    source = ReebGraph(vertices, edges)
+    assert len(source.vertex_ids) == 2002
+    noisy = source.with_values({v: x + F(rng.randint(-8, 8), 256) for v, x in vertices})
+    result = full_transform(noisy, TransformParams(F(1, 32), critical_values(source)))
+    assert not result.overlap
+    assert is_level_isomorphic(result.graph, source)
+
+
 def test_merge_sequence_overlap_warns():
     y = y_graph()
     with pytest.warns(UserWarning):
         merge_sequence(y, critical_values(y), F("0.9"))
+
+
+def test_merge_sequence_rejects_negative_halfwidth():
+    y = y_graph()
+    with pytest.raises(ValueError):
+        merge_sequence(y, critical_values(y), F("-0.1"))
 
 
 # ---------------------------------------------------------------------------
