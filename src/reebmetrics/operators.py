@@ -14,9 +14,10 @@ pass per band. A new vertex is named by a prefix and the least free number
 `simplify` removes every diagram point within the stated offset of the
 diagonal by merging bands around the near features' spans, widened so that
 snapping cannot drag a surviving point into the cleared zone, and recomputes
-the diagram between passes. Each move's metric cost is the width of its
-band, so the emitted certificate stays proportional to the clearance
-parameter.
+the diagram between passes. `move_certificate` is the one rule that costs
+band merges, for `simplify` and `merge_sequence` alike: a pass of disjoint
+bands costs its widest band, and passes and stretches add, so the emitted
+certificate stays proportional to the clearance parameter.
 """
 
 from __future__ import annotations
@@ -165,10 +166,7 @@ class Move:
     kind: str  # "band-merge" or "stretch"
     band: tuple[Fraction, Fraction]
     cost: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.band[1] - self.band[0]
+    step: int = 0  # the pass of a band merge; one pass's bands are disjoint
 
 
 @dataclass(frozen=True)
@@ -259,57 +257,45 @@ def clear_features(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, tuple[Move
     on the diagonal and disappears, so the point count strictly decreases
     and the loop terminates. A pass's bands are sorted and disjoint, so they
     are contracted together in one pass over the graph; the vertices it
-    creates are named `s<pass>_<n>`. Each band is one `band-merge` move.
+    creates are named `s<pass>_<n>`. Each band is one `band-merge` move,
+    costed at its width and tagged with its pass, which `move_certificate`
+    needs to cost the pass at its widest band.
     """
     work = g
     moves: list[Move] = []
-    guard = len(extended_diagram(g)) + 2
-    for step in range(guard):
-        diagram = extended_diagram(work)
+    diagram = extended_diagram(g)
+    for step in range(len(diagram) + 2):
         bands = _near_bands(diagram, alpha)
         if not bands:
             break
         merges = [MergeParams(lo, hi) for lo, hi in bands]
         work = _merge_bands(work, merges, prefix=f"s{step}_")
-        moves.extend(Move("band-merge", (p.a, p.b), p.width) for p in merges)
+        moves.extend(Move("band-merge", (p.a, p.b), p.width, step) for p in merges)
+        diagram = extended_diagram(work)
     else:  # pragma: no cover - termination is structural
         raise AssertionError("simplification failed to terminate")
     return work, tuple(moves)
 
 
 def move_certificate(moves: Sequence[Move]) -> Fraction:
-    """Distortion bound for a composed sequence of band merges.
+    """Upper bound on the functional distortion distance across `moves`.
 
-    The value action of the composition is a chain of clamps, so the maximal
-    displacement is computed exactly from each band midpoint's trajectory
-    through the later bands, and the back-and-forth path term is bounded by
-    the hull of the bands each trajectory visits. The per-move widths always
-    add up to a valid bound (triangle inequality), so the minimum of the two
-    is taken. A stretch move's cost simply adds.
+    The bound is the sum over passes of each pass's widest band, plus the
+    cost of every stretch. Within one pass the bands are disjoint, and the
+    quotient map moves each value by at most w_i/2 inside its own band and
+    leaves every other value alone. A path's span changes only through its
+    two extremes, so d_f, the least span of a path between two points, moves
+    by at most max w_i. Passes and stretches are composed one after another,
+    so their costs add by the triangle inequality.
     """
-    if not moves:
-        return Fraction(0)
-    stretch_cost = sum(
-        (m.cost for m in moves if m.kind == "stretch"), Fraction(0)
-    )
-    bands = [m.band for m in moves if m.kind != "stretch"]
-    if not bands:
-        return stretch_cost
-    total = sum(b - a for a, b in bands)
-    displacement = Fraction(0)
-    path_term = Fraction(0)
-    for i, (lo_i, hi_i) in enumerate(bands):
-        position = (lo_i + hi_i) / 2
-        hull_lo, hull_hi = lo_i, hi_i
-        for lo_j, hi_j in bands[i + 1 :]:
-            if lo_j <= position <= hi_j:
-                position = (lo_j + hi_j) / 2
-                hull_lo = min(hull_lo, lo_j)
-                hull_hi = max(hull_hi, hi_j)
-        displacement = max(displacement, position - lo_i, hi_i - position)
-        path_term = max(path_term, hull_hi - hull_lo)
-    composed = displacement + path_term
-    return min(total, composed) + stretch_cost
+    widest: dict[int, Fraction] = {}
+    stretch = Fraction(0)
+    for m in moves:
+        if m.kind == "stretch":
+            stretch += m.cost
+        else:
+            widest[m.step] = max(m.cost, widest.get(m.step, m.cost))
+    return sum(widest.values(), stretch)
 
 
 def simplify(g: ReebGraph, alpha: ValueLike) -> SimplifyResult:
@@ -369,11 +355,11 @@ def merge_sequence(
 ) -> MergeSequenceResult:
     """Merge a band around every anchor, lowest anchor first.
 
-    Disjoint bands compose at the cost of the widest one (the maps act
-    independently around each anchor) and are contracted together in one
-    pass over the graph; overlapping bands are contracted one at a time in
-    the same order with a warning, and their costs add. New vertices are
-    named `m<n>`.
+    Disjoint bands are one pass, contracted together in one pass over the
+    graph, so by `move_certificate` they cost the widest band, 2*halfwidth.
+    Overlapping bands are contracted one pass per band in the same order
+    with a warning, and their costs add up to 2*halfwidth per anchor. New
+    vertices are named `m<n>`.
     """
     halfwidth = to_fraction(halfwidth)
     if isinstance(anchors, CriticalValues):
@@ -389,15 +375,11 @@ def merge_sequence(
         )
     bands = [MergeParams(c - halfwidth, c + halfwidth) for c in values]
     work = g
-    for group in [bands] if disjoint else [[band] for band in bands]:
+    moves: list[Move] = []
+    for step, group in enumerate([bands] if disjoint else [[band] for band in bands]):
         work = _merge_bands(work, group)
-    if not values:
-        cert = Fraction(0)
-    elif disjoint:
-        cert = 2 * halfwidth
-    else:
-        cert = 2 * halfwidth * len(values)
-    return MergeSequenceResult(work, cert, not disjoint)
+        moves.extend(Move("band-merge", (p.a, p.b), p.width, step) for p in group)
+    return MergeSequenceResult(work, move_certificate(moves), not disjoint)
 
 
 @dataclass(frozen=True)

@@ -33,15 +33,18 @@ def test_each_experiment_passes_quickly(name):
 
 
 # sha256 of each suite's records at seed 2 with 12 trials, pinned before
-# `canonicalize` became a single pass: the records must stay byte-identical
+# `canonicalize` became a single pass: the records must stay byte-identical.
+# `simplify-contract` and `lowerbound-consistency` were re-pinned when a pass
+# of disjoint bands came to cost its widest band, which lowered four
+# certificates and changed no other value
 GOLDEN_RECORDS = {
     "stability": "f20163eb3467b84cb8d8d68da5cd48372bc078d7cd901da9e488f6dee209cc2f",
     "snapping": "23a50bfe4f23e6f71f698f1fa4a3b3d500c631497ac8361271af91729a1e5bd2",
-    "simplify-contract": "c54ffaf220831dbe9da3a68d3a0d97ed300f7844b1fc08aade2122b7e364a099",
+    "simplify-contract": "42a7d03f8e9af6bf8fd3a183bfdf857f0fee2dfa97712cbd3502389a647bca7e",
     "recovery": "ace29c9a514e3e6e607171980e3080253fedfc18582fe53919f7c5f7b33ceed2",
     "figure1": "8a47d4e5a9dbfa0ee9a2c59baf5f930e290c2a05405ee43a9df2731589b63e9d",
     "figure5": "0e0f0d330d2eb4b970aaddfbe2c8909d31b421e9f337ee2e854a0535cfc15184",
-    "lowerbound-consistency": "7c25214fb6108e1dd0ebf601bf764aae014bc75e8fafc53c4bb27a610efb7c2a",
+    "lowerbound-consistency": "649cfb4789c89f07eb1fc808e21b8074b1ced5c0b21444564985c72662d4ed8f",
     "path-equivalence": "ec374e5de9c13023b25b0f3a7bf21552ba2021c13da282ac16e754d884c810d2",
 }
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reebmetrics import (
     Diagram,
     DiagramPoint,
+    ExperimentConfig,
     MergeParams,
     ReebGraph,
     TransformParams,
@@ -18,6 +19,7 @@ from reebmetrics import (
     critical_values,
     cycle,
     extended_diagram,
+    fd_lower,
     figure1_left,
     figure1_right,
     full_transform,
@@ -26,13 +28,20 @@ from reebmetrics import (
     merge,
     merge_sequence,
     random_graph,
+    run_experiment,
     segment,
     simplify,
     snap_diagram,
     y_graph,
 )
 from reebmetrics.graph import UnionFind
-from reebmetrics.operators import Move, _merge_bands, _near_bands, clear_features
+from reebmetrics.operators import (
+    Move,
+    _merge_bands,
+    _near_bands,
+    clear_features,
+    move_certificate,
+)
 
 
 def point(kind, b, d):
@@ -172,8 +181,39 @@ def reference_clear_features(g, alpha):
             return work, tuple(moves)
         for lo, hi in bands:
             work = reference_merge_bands(work, [(lo, hi)], prefix=f"s{step}_")
-            moves.append(Move("band-merge", (lo, hi), hi - lo))
+            moves.append(Move("band-merge", (lo, hi), hi - lo, step))
     raise AssertionError("simplification failed to terminate")
+
+
+def reference_move_certificate(moves):
+    """The clamp-chain bound: the least of the summed band widths and the
+    exact displacement of each band midpoint through the later bands plus
+    the hull of the bands it visits, with stretch costs added. It ignores
+    passes, so it reads a pass of disjoint bands as a chain."""
+    if not moves:
+        return F(0)
+    stretch_cost = sum((m.cost for m in moves if m.kind == "stretch"), F(0))
+    bands = [m.band for m in moves if m.kind != "stretch"]
+    if not bands:
+        return stretch_cost
+    total = sum(b - a for a, b in bands)
+    displacement = F(0)
+    path_term = F(0)
+    for i, (lo_i, hi_i) in enumerate(bands):
+        position = (lo_i + hi_i) / 2
+        hull_lo, hull_hi = lo_i, hi_i
+        for lo_j, hi_j in bands[i + 1 :]:
+            if lo_j <= position <= hi_j:
+                position = (lo_j + hi_j) / 2
+                hull_lo = min(hull_lo, lo_j)
+                hull_hi = max(hull_hi, hi_j)
+        displacement = max(displacement, position - lo_i, hi_i - position)
+        path_term = max(path_term, hull_hi - hull_lo)
+    return min(total, displacement + path_term) + stretch_cost
+
+
+def passes(moves):
+    return len({m.step for m in moves if m.kind == "band-merge"})
 
 
 def comb_graph(rng, teeth):
@@ -301,13 +341,18 @@ def test_merge_sequence_matches_per_band_fold():
             result = merge_sequence(g, anchors, halfwidth)
         ref = reference_merge_bands(g, [(c - halfwidth, c + halfwidth) for c in anchors])
         assert is_level_isomorphic(result.graph, ref)
+        # 2*halfwidth per pass: one pass for disjoint bands, else one per anchor
+        n_passes = len(anchors) if result.overlap else 1
+        assert result.certificate == 2 * halfwidth * n_passes
         overlaps += result.overlap
     assert 0 < overlaps < 80
+    assert merge_sequence(g, [], F(1)).certificate == 0
 
 
 def test_clear_features_matches_per_band_fold():
     rng = random.Random(7170)
     moves = 0
+    runs = Counter()
     for _ in range(120):
         g = family_graph(rng)
         alpha = g.span() / 3 * F(rng.randint(1, 100), 100)
@@ -315,7 +360,11 @@ def test_clear_features_matches_per_band_fold():
         assert fast[1] == ref[1]
         assert is_level_isomorphic(fast[0], ref[0])
         moves += len(fast[1])
+        runs[passes(fast[1])] += 1
+        if passes(fast[1]) == 1:
+            assert move_certificate(fast[1]) <= reference_move_certificate(fast[1])
     assert moves > 100
+    assert runs[1] > 50, runs
 
 
 @given(st.integers(0, 2**32), st.integers(0, 2**32))
@@ -394,6 +443,7 @@ def test_simplify_tiny_trunk_stretches():
 
 def test_simplify_contract_on_random_instances():
     rng = random.Random(17)
+    runs = Counter()
     for _ in range(100):
         g = random_graph(rng, n_critical=rng.randint(4, 9))
         alpha = g.span() / 3 * F(rng.randint(1, 100), 100)
@@ -402,6 +452,33 @@ def test_simplify_contract_on_random_instances():
         assert all(p.diagonal_distance > alpha / 2 for p in out)
         assert graph_bottleneck(g, result.graph) <= 4 * alpha
         assert result.certificate <= 2 * alpha
+        runs[passes(result.moves)] += 1
+        if passes(result.moves) == 1:
+            assert result.certificate <= reference_move_certificate(result.moves)
+    assert runs[1] > 50, runs
+
+
+@given(st.integers(0, 2**32), st.integers(1, 100))
+@settings(max_examples=100, deadline=None)
+def test_simplify_certificate_between_lower_bound_and_contract(seed, percent):
+    rng = random.Random(seed)
+    g = random_graph(rng, n_critical=rng.randint(4, 9))
+    alpha = g.span() / 3 * F(percent, 100)
+    result = simplify(g, alpha)
+    assert fd_lower(g, result.graph) <= result.certificate <= 2 * alpha
+
+
+@pytest.mark.parametrize(
+    "seed, trial, certificate",
+    [(60570, 50, F("2.12")), (810916, 19, F("1.96"))],
+)
+def test_simplify_contract_seeds_costed_per_pass(seed, trial, certificate):
+    # one pass of disjoint bands, once costed as a chain above 2 alpha
+    report = run_experiment("simplify-contract", ExperimentConfig(seed=seed, trials=trial + 1))
+    record = report.records[trial]
+    assert record.passed, record.values
+    assert F(record.values["certificate"]) == certificate
+    assert certificate <= 2 * F(record.values["alpha"])
 
 
 # ---------------------------------------------------------------------------
