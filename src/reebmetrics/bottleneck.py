@@ -2,13 +2,16 @@
 
 Matchings must pair points of the same kind, so the optimum decomposes as a
 maximum of per-kind optima. Each per-kind optimum is one of finitely many
-candidates: the pairwise l-infinity distances and the diagonal costs. They
-are computed once per kind as exact fractions and sorted, and every distance
-is replaced by its integer rank in that order. A binary search over ranks
-then tests O(log nk) thresholds; feasibility at a threshold is a perfect
-matching in the graph doubled by diagonal slots, found by an iterative
-Hopcroft-Karp that compares only integers. The witness matching is checked
-against the optimum before it is returned. Among optimal matchings, which
+candidates: the pairwise l-infinity distances and the diagonal costs. Per
+kind, every coordinate is scaled to an int over the lcm L of the kind's
+denominators; over 2L each pair distance is 2 max(|db|, |dd|) and each
+diagonal cost |b - d|, all ints. They are sorted, and every distance is
+replaced by its integer rank in that order. A binary search then tests
+O(log nk) rank thresholds; feasibility at a threshold is a perfect matching
+in the graph doubled by diagonal slots, found by an iterative Hopcroft-Karp
+that compares only integers. Only the optimal candidate becomes a
+`Fraction` again, and the witness matching is checked against it in exact
+`Fraction` arithmetic before it is returned. Among optimal matchings, which
 one is the witness is an implementation detail; its cost always equals the
 value.
 """
@@ -24,7 +27,7 @@ from typing import Optional, Sequence
 from .diagram import KINDS, Diagram, DiagramPoint, linf
 from .graph import ReebGraph
 from .persistence import extended_diagram
-from .rationals import ValueLike, to_fraction
+from .rationals import ValueLike, common_denominator, on_lattice, to_fraction
 
 
 @dataclass(frozen=True)
@@ -74,13 +77,14 @@ class _KindRanks:
     """The distances of one kind, each replaced by its rank among them.
 
     `candidates` holds every distinct pair distance and diagonal cost, and 0,
-    in increasing order; `pairs[a][j]` is the rank of `linf(left[a],
-    right[j])` and `diag_left` / `diag_right` the ranks of the diagonal
-    costs. A threshold is a rank, and every test against it compares
-    integers.
+    in increasing order, as ints in units of 1/`scale`; `pairs[a][j]` is the
+    rank of `linf(left[a], right[j])` and `diag_left` / `diag_right` the
+    ranks of the diagonal costs. A threshold is a rank, and every test
+    against it compares integers.
     """
 
-    candidates: list[Fraction]
+    candidates: list[int]
+    scale: int
     pairs: list[list[int]]
     diag_left: list[int]
     diag_right: list[int]
@@ -89,15 +93,25 @@ class _KindRanks:
 def _kind_ranks(
     left: Sequence[DiagramPoint], right: Sequence[DiagramPoint]
 ) -> _KindRanks:
-    dist = [[linf(p, q) for q in right] for p in left]
-    diag_left = [p.diagonal_distance for p in left]
-    diag_right = [q.diagonal_distance for q in right]
-    candidates = sorted(
-        {Fraction(0), *diag_left, *diag_right, *chain.from_iterable(dist)}
+    lattice = common_denominator(
+        chain.from_iterable((p.birth, p.death) for p in chain(left, right))
     )
+
+    def coords(points: Sequence[DiagramPoint]) -> list[tuple[int, int]]:
+        return [(on_lattice(p.birth, lattice), on_lattice(p.death, lattice)) for p in points]
+
+    # over 2 * lattice: linf(p, q) is 2 max(|db|, |dd|), a diagonal cost |b - d|
+    lefts, rights = coords(left), coords(right)
+    dist = [
+        [2 * max(abs(b - b2), abs(d - d2)) for b2, d2 in rights] for b, d in lefts
+    ]
+    diag_left = [abs(b - d) for b, d in lefts]
+    diag_right = [abs(b - d) for b, d in rights]
+    candidates = sorted({0, *diag_left, *diag_right, *chain.from_iterable(dist)})
     rank = {c: r for r, c in enumerate(candidates)}
     return _KindRanks(
         candidates,
+        2 * lattice,
         [[rank[d] for d in row] for row in dist],
         [rank[d] for d in diag_left],
         [rank[d] for d in diag_right],
@@ -218,21 +232,22 @@ def _kind_assignment(ranks: _KindRanks) -> tuple[Fraction, list[Optional[int]]]:
         else:
             best, assignment, hi = mid, found, mid - 1
     assert assignment is not None
-    return ranks.candidates[best], assignment
+    return Fraction(ranks.candidates[best], ranks.scale), assignment
 
 
 def feasible(d1: Diagram, d2: Diagram, delta: ValueLike) -> bool:
     """Does some valid partial matching have cost <= delta?
 
     Feasibility only changes at candidate values, so the threshold is the
-    rank of the largest candidate not above delta.
+    rank of the largest candidate not above delta. On a kind's lattice delta
+    may fall between two candidates; it is compared with them exactly.
     """
     delta = to_fraction(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     for kind in KINDS:
         ranks = _kind_ranks(d1.of_kind(kind), d2.of_kind(kind))
-        threshold = bisect_right(ranks.candidates, delta) - 1
+        threshold = bisect_right(ranks.candidates, delta * ranks.scale) - 1
         if _threshold_matching(ranks, threshold) is None:
             return False
     return True

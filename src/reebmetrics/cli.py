@@ -179,12 +179,17 @@ def iso_cmd(file_a: str, file_b: str) -> None:
 )
 @click.option("--witness-file", default=None, help="correspondence JSON (witness=file)")
 def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[str]) -> None:
-    """Certified lower/upper bounds on the functional distortion distance."""
+    """Certified lower/upper bounds on the functional distortion distance.
+
+    Prints the bounds, their gap (upper - lower) and, for the sampled
+    witnesses (collapse, file), the sampling remainder inside the upper bound.
+    """
     from .fileio import correspondence_from_json
 
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
     lower = fd_lower(g1, g2)
     source = witness
+    cert = None
     if witness == "natural":
         upper = best_structure_shift(g1, g2)
         if upper is None:
@@ -208,6 +213,9 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
         upper = cert.upper
     click.echo(f"lower {format_value(lower)}")
     click.echo(f"upper {format_value(upper)} ({source})")
+    click.echo(f"gap {format_value(upper - lower)}")
+    if cert is not None:
+        click.echo(f"remainder {format_value(cert.remainder)}")
 
 
 @main.command(name="pathlen")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional, Union
 
 from .bottleneck import graph_bottleneck
@@ -18,11 +19,11 @@ from .graph import (
     GraphPoint,
     InvalidGraphError,
     ReebGraph,
+    _travel_matrix,
     critical_values,
-    travel_distances,
 )
 from .isomorphism import structure_isomorphisms
-from .rationals import ValueLike, to_fraction
+from .rationals import ValueLike, common_denominator, to_fraction
 
 
 def default_resolution(g: ReebGraph) -> Fraction:
@@ -229,21 +230,33 @@ def distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
 
     The pairs are phi's (x, phi(x)) and psi's (psi(y), y). Their points on
     each graph get one `travel_distances` matrix, and the distortion is the
-    largest |D1[i][j] - D2[i][j]| over i < j. The sampling remainder (twice
-    the resolution) is reported separately by `certify_fd_upper`.
+    largest |D1[i][j] - D2[i][j]| over i < j. Both matrices are computed as
+    ints over one lattice, the lcm of the denominators of both graphs'
+    values and all sampled points, so the gaps are int differences. The
+    sampling remainder (twice the resolution) is reported separately by
+    `certify_fd_upper`.
     """
     c.validate()
     pairs = [(x, y) for x, y in c.phi.items()] + [(x, y) for y, x in c.psi.items()]
-    d1 = travel_distances(g1, [x for x, _ in pairs])
-    d2 = travel_distances(g2, [y for _, y in pairs])
-    worst = Fraction(0)
+    xs = tuple(x for x, _ in pairs)
+    ys = tuple(y for _, y in pairs)
+    scale = common_denominator(
+        chain(
+            (g1.value(v) for v in g1.vertex_ids),
+            (g2.value(v) for v in g2.vertex_ids),
+            (p.value for p in chain(xs, ys)),
+        )
+    )
+    d1 = _travel_matrix(g1, xs, scale)
+    d2 = _travel_matrix(g2, ys, scale)
+    worst = 0
     for i in range(len(pairs)):
         row1, row2 = d1[i], d2[i]
         for j in range(i + 1, len(pairs)):
             gap = abs(row1[j] - row2[j])
             if gap > worst:
                 worst = gap
-    return worst
+    return Fraction(worst, scale)
 
 
 def value_defect(c: Correspondence, side: str = "phi") -> Fraction:

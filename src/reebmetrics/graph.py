@@ -12,9 +12,10 @@ import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional
 
-from .rationals import ValueLike, format_value, to_fraction
+from .rationals import ValueLike, common_denominator, format_value, on_lattice, to_fraction
 
 
 class InvalidGraphError(ValueError):
@@ -468,19 +469,33 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
     pair of points across them gets span t - lo, and each entry keeps its
     least span over all floors. A pair joins at most once per floor, so the
     cost is O(L (V' alpha + P^2)) for L distinct node values, V' nodes and P
-    distinct points. Exact: every span is a difference of node values.
+    distinct points. Exact: node values are swept as ints over the lcm of
+    their denominators, every span is a difference of two of them, and the
+    entries become `Fraction`s only on return.
 
     Raises ValueError for a point not on the graph and InvalidGraphError
     when two points lie in different components.
     """
     points = tuple(points)
+    scale = common_denominator(chain(g._values.values(), (p.value for p in points)))
+    matrix = _travel_matrix(g, points, scale)
+    exact = {d: Fraction(d, scale) for d in set(chain.from_iterable(matrix))}
+    return [[exact[d] for d in row] for row in matrix]
+
+
+def _travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale: int) -> list[list[int]]:
+    """`travel_distances` times `scale`, as ints.
+
+    `scale` must be a multiple of the denominators of every vertex value and
+    point value, so that each node value is an int on its lattice.
+    """
     for p in points:
         if not g.contains_point(p):
             raise ValueError(f"point {p} is not on the graph")
 
     # nodes: the vertices, then one per distinct edge-interior point
     node_of = {("v", vid): i for i, vid in enumerate(g.vertex_ids)}
-    value = [g.value(vid) for vid in g.vertex_ids]
+    value = [on_lattice(g.value(vid), scale) for vid in g.vertex_ids]
     inside: dict[int, list[int]] = {}  # edge index -> its interior nodes
     column: dict[int, int] = {}  # point node -> its row in the distinct matrix
     slots = []
@@ -488,21 +503,22 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
         key = p.location_key()
         if key not in node_of:
             node_of[key] = len(value)
-            value.append(p.value)
+            value.append(on_lattice(p.value, scale))
             inside.setdefault(p.edge, []).append(node_of[key])  # type: ignore[arg-type]
         slots.append(column.setdefault(node_of[key], len(column)))
     adjacent: list[list[int]] = [[] for _ in value]
     for idx, (u, v) in enumerate(g.edges):
         between = sorted(inside.get(idx, ()), key=value.__getitem__)
-        chain = [node_of["v", u], *between, node_of["v", v]]
-        for a, b in zip(chain, chain[1:]):
+        arc = [node_of["v", u], *between, node_of["v", v]]
+        for a, b in zip(arc, arc[1:]):
             adjacent[a].append(b)
             adjacent[b].append(a)
 
     size = len(column)
-    dist: list[list[Optional[Fraction]]] = [[None] * size for _ in range(size)]
+    unset = max(value) - min(value) + 1  # above every span
+    dist = [[unset] * size for _ in range(size)]
     for k in range(size):
-        dist[k][k] = Fraction(0)
+        dist[k][k] = 0
     order = sorted(range(len(value)), key=value.__getitem__)
     for start, first in enumerate(order):
         lo = value[first]
@@ -528,16 +544,16 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
                     for i in joined:
                         row = dist[i]
                         for j in into:
-                            if row[j] is None or span < row[j]:
+                            if span < row[j]:
                                 row[j] = dist[j][i] = span
                     pending -= 1
                 into.extend(joined)
                 sets.union(a, b)
             if not pending:
                 break  # every point above the floor is joined
-    if any(d is None for row in dist for d in row):
+    if any(unset in row for row in dist):
         raise InvalidGraphError("points are not connected in the graph")
-    return [[dist[i][j] for j in slots] for i in slots]  # type: ignore[misc]
+    return [[dist[i][j] for j in slots] for i in slots]
 
 
 def travel_distance(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> Fraction:

@@ -1,14 +1,24 @@
-"""Exact rational values: parsing from decimal strings and canonical printing.
+"""Exact rational values: parsing, canonical printing, and integer lattices.
 
 All function values in this package are `fractions.Fraction`. Floats are
 rejected at every entry point because a single rounding error would corrupt
 exact diagram equality and matching types downstream.
+
+The hot loops of the read path (the persistence cell sort, the bottleneck
+candidates, the travel-distance sweep) do not compare `Fraction`s. Each
+computation takes the lcm of the denominators of the values it reads
+(`common_denominator`) and works on each value times that lcm, an exact
+`int` (`on_lattice`). Scaling by a positive constant keeps every order, tie
+and difference, so those loops compare and subtract plain ints, and only
+the results they return become `Fraction`s again.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from typing import Iterable
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+)(\.(\d+))?$")
 _RATIO_RE = re.compile(r"^[+-]?\d+/\d+$")
@@ -31,6 +41,16 @@ def to_fraction(value: ValueLike) -> Fraction:
     if isinstance(value, str):
         return parse_value(value)
     raise TypeError(f"cannot interpret {value!r} as an exact value")
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of `values`; 1 when there are none."""
+    return math.lcm(*{value.denominator for value in values})
+
+
+def on_lattice(value: Fraction, scale: int) -> int:
+    """`value * scale` as an int; `scale` is a multiple of its denominator."""
+    return value.numerator * (scale // value.denominator)
 
 
 def parse_value(text: str) -> Fraction:

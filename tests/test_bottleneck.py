@@ -142,15 +142,17 @@ def reference_bottleneck(d1: Diagram, d2: Diagram) -> F:
     return value
 
 
-def random_kind_points(rng: random.Random, kind: str, count: int) -> list[DiagramPoint]:
+def random_kind_points(
+    rng: random.Random, kind: str, count: int, denominator: int = 4
+) -> list[DiagramPoint]:
     """Points of one kind on a coarse grid, so that coincident points occur."""
     pts = []
     for _ in range(count):
         if pts and rng.random() < 0.15:
             pts.append(rng.choice(pts))
             continue
-        a = F(rng.randint(0, 24), 4)
-        gap = F(rng.randint(0 if kind in ("Ext0", "Ext1") else 1, 16), 4)
+        a = F(rng.randint(0, 6 * denominator), denominator)
+        gap = F(rng.randint(0 if kind in ("Ext0", "Ext1") else 1, 4 * denominator), denominator)
         if kind in ("Ord0", "Ext0"):
             pts.append(DiagramPoint(kind, a, a + gap))
         else:
@@ -342,3 +344,73 @@ def test_bottleneck_at_scale_within_recursion_limit():
     )
     below = max(c for c in candidates if c < result.value)
     assert not feasible(d1, d2, below)
+
+
+def candidate_values(d1: Diagram, d2: Diagram) -> set[F]:
+    """Every same-kind pair distance and every diagonal cost, and 0."""
+    out = {F(0)}
+    for kind in KINDS:
+        left, right = d1.of_kind(kind), d2.of_kind(kind)
+        out |= {linf(p, q) for p in left for q in right}
+        out |= {p.diagonal_distance for p in (*left, *right)}
+    return out
+
+
+def random_pair(rng: random.Random, denominators=(4, 4, 4, 4), most: int = 6):
+    """Two diagrams with up to `most` points of each kind, kind k on the grid
+    of `denominators[k]`."""
+    return tuple(
+        Diagram(
+            p
+            for kind, den in zip(KINDS, denominators)
+            for p in random_kind_points(rng, kind, rng.randint(0, most), den)
+        )
+        for _ in range(2)
+    )
+
+
+def test_feasible_matches_reference_at_between_and_off_the_candidates():
+    # dyadic diagrams: candidates are multiples of 1/8, so deltas in thirds
+    # and sevenths fall off every kind's lattice unless they are integers
+    rng = random.Random(3037)
+    for trial in range(25):
+        d1, d2 = random_pair(rng)
+        value = reference_bottleneck(d1, d2)
+        candidates = sorted(candidate_values(d1, d2))
+        deltas = candidates + [(a + b) / 2 for a, b in zip(candidates, candidates[1:])]
+        deltas += [F(m, den) for den in (3, 7) for m in range(0, 11 * den, 2)]
+        for delta in deltas:
+            assert feasible(d1, d2, delta) == (value <= delta), (trial, delta)
+
+
+def test_bottleneck_when_kinds_carry_different_denominators():
+    rng = random.Random(7211)
+    for trial in range(40):
+        d1, d2 = random_pair(rng, denominators=(3, 7, 5, 11), most=8)
+        result = bottleneck(d1, d2)
+        assert result.value == reference_bottleneck(d1, d2), trial
+        assert matching_cost(d1, d2, result.witness) == result.value
+        assert feasible(d1, d2, result.value)
+
+
+def test_bottleneck_with_pairwise_coprime_denominators():
+    # every coordinate on its own prime: each kind's lcm is a product of
+    # dozens of primes, far beyond any machine word
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    rng = random.Random(4099)
+    for trial in range(6):
+        dens = iter(rng.sample(primes, len(primes)))
+        sides = []
+        for _ in range(2):
+            pts = []
+            for kind in ("Ord0", "Rel1"):
+                for _ in range(9):
+                    p, q = next(dens), next(dens)
+                    a = F(rng.randint(0, 8 * p), p)
+                    b = a + F(rng.randint(1, 4 * q), q)
+                    pts.append(DiagramPoint(kind, *((a, b) if kind == "Ord0" else (b, a))))
+            sides.append(Diagram(pts))
+        d1, d2 = sides
+        result = bottleneck(d1, d2)
+        assert result.value == reference_bottleneck(d1, d2), trial
+        assert matching_cost(d1, d2, result.witness) == result.value

@@ -1,11 +1,19 @@
 import json
+import random
+from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
 
 from reebmetrics.cli import main
 from reebmetrics.fileio import graph_to_text, parse_graph_text
-from reebmetrics.generators import figure1_left, figure1_right, segment, y_graph
+from reebmetrics.generators import (
+    figure1_left,
+    figure1_right,
+    random_graph,
+    segment,
+    y_graph,
+)
 
 
 @pytest.fixture
@@ -179,8 +187,6 @@ def test_experiment_unknown_name(runner):
 
 
 def test_fdbound_witness_file(runner, tmp_path):
-    from fractions import Fraction as F
-
     from reebmetrics.distortion import projection_correspondence
     from reebmetrics.fileio import correspondence_to_json
 
@@ -196,6 +202,7 @@ def test_fdbound_witness_file(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "lower 0.25" in result.output
     assert "upper 1 (file)" in result.output  # 1/2 sampled + 2*(1/4) remainder
+    assert result.output.endswith("gap 0.75\nremainder 0.5\n")
 
 
 def test_fdbound_collapse_witness(runner, tmp_path):
@@ -204,3 +211,149 @@ def test_fdbound_collapse_witness(runner, tmp_path):
     result = runner.invoke(main, ["fdbound", a, b, "--witness", "collapse"])
     assert result.exit_code == 0, result.output
     assert "lower 0.25" in result.output
+
+
+# ---------------------------------------------------------------------------
+# exact outputs, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+
+def pinned_pair(name):
+    """The figure 1 pair, two seeded graphs, and a seeded graph with a copy
+    whose values move by multiples of 1/21 of a quarter of its smallest arc
+    span, which brings in denominators the original lacks."""
+    if name == "figure1":
+        return figure1_left(), figure1_right()
+    if name == "random":
+        return random_graph(21, n_critical=10), random_graph(22, n_critical=10)
+    rng = random.Random(23)
+    g = random_graph(rng, n_critical=9)
+    gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+    return g, g.with_values(
+        {v: g.value(v) + gap / 4 * F(rng.randint(-21, 21), 21) for v in g.vertex_ids}
+    )
+
+
+# `reeb diagram` of each side, `reeb bottleneck --witness` and `reeb fdbound`.
+# The outputs were captured while every value was still compared as a
+# `Fraction`; the `gap` lines of `fdbound` came later, below the unchanged
+# bound lines.
+PINNED = {
+    "figure1": (
+        (
+            "Ord0 3 4\n"
+            "Ord0 4 5\n"
+            "Ext0 0 8\n"
+            "Ext1 6 2\n"
+        ),
+        (
+            "Ord0 3 4\n"
+            "Ord0 4 5\n"
+            "Ext0 0 8\n"
+            "Ext1 6 2\n"
+        ),
+        (
+            "0\n"
+            "match Ord0 3 4 -- Ord0 3 4\n"
+            "match Ord0 4 5 -- Ord0 4 5\n"
+            "match Ext0 0 8 -- Ext0 0 8\n"
+            "match Ext1 6 2 -- Ext1 6 2\n"
+        ),
+        (
+            "lower 0\n"
+            "upper 20 (contraction-join)\n"
+            "gap 20\n"
+        ),
+    ),
+    "random": (
+        (
+            "Ord0 1.48 2.37\n"
+            "Rel1 0.7 0.14\n"
+            "Rel1 7.69 5.99\n"
+            "Rel1 8.12 0.14\n"
+            "Ext0 0.14 9.55\n"
+            "Ext1 4.38 3.79\n"
+        ),
+        (
+            "Rel1 6.95 0.53\n"
+            "Rel1 8.2 7.44\n"
+            "Rel1 9.23 0.53\n"
+            "Ext0 0.53 9.75\n"
+            "Ext1 3.29 2.39\n"
+            "Ext1 6.67 5.24\n"
+        ),
+        (
+            "3.21\n"
+            "match Rel1 7.69 5.99 -- Rel1 8.2 7.44\n"
+            "match Rel1 8.12 0.14 -- Rel1 9.23 0.53\n"
+            "match Ext0 0.14 9.55 -- Ext0 0.53 9.75\n"
+            "diagonal left Ord0 1.48 2.37\n"
+            "diagonal left Rel1 0.7 0.14\n"
+            "diagonal left Ext1 4.38 3.79\n"
+            "diagonal right Rel1 6.95 0.53\n"
+            "diagonal right Ext1 3.29 2.39\n"
+            "diagonal right Ext1 6.67 5.24\n"
+        ),
+        (
+            "lower 1.605\n"
+            "upper 28.71 (contraction-join)\n"
+            "gap 27.105\n"
+        ),
+    ),
+    "jitter": (
+        (
+            "Ord0 1.45 2.43\n"
+            "Ord0 3.36 5.58\n"
+            "Rel1 9.4 1.02\n"
+            "Ext0 1.02 9.68\n"
+            "Ext1 7.63 6.06\n"
+        ),
+        (
+            "Ord0 943/700 1753/700\n"
+            "Ord0 3.4 1921/350\n"
+            "Rel1 1648/175 0.98\n"
+            "Ext0 0.98 1704/175\n"
+            "Ext1 5261/700 2123/350\n"
+        ),
+        (
+            "4/35\n"
+            "match Ord0 1.45 2.43 -- Ord0 943/700 1753/700\n"
+            "match Ord0 3.36 5.58 -- Ord0 3.4 1921/350\n"
+            "match Rel1 9.4 1.02 -- Rel1 1648/175 0.98\n"
+            "match Ext0 1.02 9.68 -- Ext0 0.98 1704/175\n"
+            "match Ext1 7.63 6.06 -- Ext1 5261/700 2123/350\n"
+        ),
+        (
+            "lower 2/35\n"
+            "upper 4/35 (natural)\n"
+            "gap 2/35\n"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_outputs_are_pinned(runner, tmp_path, name):
+    g1, g2 = pinned_pair(name)
+    a, b = write(tmp_path / "a.txt", g1), write(tmp_path / "b.txt", g2)
+    commands = (["diagram", a], ["diagram", b], ["bottleneck", a, b, "--witness"], ["fdbound", a, b])
+    for args, expected in zip(commands, PINNED[name]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output == expected, args[0]
+
+
+def test_fdbound_reports_gap_and_remainder(runner, tmp_path):
+    y = y_graph()
+    a = write(tmp_path / "y.txt", y)
+    b = write(tmp_path / "seg.txt", segment())
+    # the sampled witnesses: 1/2 on the samples, plus the 2 * (1/8) remainder
+    # of the default resolution; the bounds keep their lines
+    result = runner.invoke(main, ["fdbound", a, b, "--witness", "collapse"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "lower 0.25\nupper 0.75 (collapse)\ngap 0.5\nremainder 0.25\n"
+    # an analytic witness has no remainder
+    c = write(tmp_path / "c.txt", y.with_values({"b": "1.05"}))
+    result = runner.invoke(main, ["fdbound", a, c])
+    assert result.exit_code == 0, result.output
+    assert result.output == "lower 0.025\nupper 0.05 (natural)\ngap 0.025\n"

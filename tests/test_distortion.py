@@ -5,6 +5,7 @@ import pytest
 
 from reebmetrics import (
     Correspondence,
+    ReebGraph,
     FDBoundCertificate,
     certify_fd_upper,
     distortion,
@@ -22,6 +23,30 @@ from reebmetrics import (
     y_graph,
 )
 from reebmetrics.distortion import default_resolution, value_defect
+
+
+def reference_distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> F:
+    """The distortion loop before it moved onto one integer lattice: one
+    `Fraction` matrix per graph, and the gaps subtracted as fractions."""
+    c.validate()
+    pairs = [(x, y) for x, y in c.phi.items()] + [(x, y) for y, x in c.psi.items()]
+    d1 = travel_distances(g1, [x for x, _ in pairs])
+    d2 = travel_distances(g2, [y for _, y in pairs])
+    worst = F(0)
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            worst = max(worst, abs(d1[i][j] - d2[i][j]))
+    return worst
+
+
+def dyadic(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    """The same order of values, moved onto a 1/8 grid with random steps."""
+    levels = sorted({g.value(v) for v in g.vertex_ids})
+    new, at = {}, F(0)
+    for value in levels:
+        at += F(rng.randint(1, 12), 8)
+        new[value] = at
+    return g.with_values({v: new[g.value(v)] for v in g.vertex_ids})
 
 
 def test_sample_net_contains_vertices_and_respects_resolution():
@@ -194,3 +219,28 @@ def test_correspondence_json_round_trip():
     assert back.psi == c.psi
     assert back.resolution == c.resolution
     assert fd_upper(y, seg, back) == fd_upper(y, seg, c)
+
+
+def test_distortion_matches_fraction_reference():
+    # resolution 1/3 on dyadic graphs puts sample points on thirds, which no
+    # vertex value has: the common lattice must cover the samples too
+    rng = random.Random(5150)
+    checked = 0
+    for trial in range(8):
+        g = random_graph(rng, n_critical=rng.randint(4, 6))
+        if trial % 2:
+            g = dyadic(g, rng)
+        gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+        jitter = g.with_values(
+            {v: g.value(v) + gap / 4 * F(rng.randint(-7, 7), 7) for v in g.vertex_ids}
+        )
+        ident = {v: v for v in g.vertex_ids}
+        seg = segment(g.min_value(), g.max_value())
+        for resolution in (F(1, 3), g.span() / 7):
+            for c, other in (
+                (natural_correspondence(g, jitter, ident, resolution), jitter),
+                (projection_correspondence(g, seg, resolution), seg),
+            ):
+                assert distortion(g, other, c) == reference_distortion(g, other, c), trial
+                checked += 1
+    assert checked == 32

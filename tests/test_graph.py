@@ -606,6 +606,26 @@ def test_travel_distances_match_reference_on_sample_nets():
     assert checked > 4000
 
 
+def test_travel_distances_match_reference_on_coprime_denominators():
+    # the r-th smallest value becomes r + 1/p_r for the r-th prime, and the
+    # points sit at thirds of their arcs: the sweep's lattice is the lcm of
+    # every one of those denominators
+    primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+    rng = random.Random(6007)
+    for _ in range(4):
+        g = random_graph(rng, n_critical=rng.randint(4, 7))
+        levels = sorted({g.value(v) for v in g.vertex_ids})
+        new = {value: r + F(1, primes[r]) for r, value in enumerate(levels)}
+        g = g.with_values({v: new[g.value(v)] for v in g.vertex_ids})
+        points = [g.vertex_point(v) for v in g.vertex_ids]
+        points += [g.point_at_parameter(idx, F(1, 3)) for idx in range(len(g.edges))]
+        rng.shuffle(points)
+        d = travel_distances(g, points)
+        for i, x in enumerate(points):
+            for j in range(i, len(points)):
+                assert d[i][j] == d[j][i] == reference_travel_distance(g, x, points[j])
+
+
 @st.composite
 def small_graphs_with_points(draw):
     """A connected graph on 1-7 vertices (level and parallel edges allowed)

@@ -1,7 +1,10 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebmetrics import (
     Diagram,
@@ -24,6 +27,117 @@ from reebmetrics.persistence import ord0_unionfind, rel1_unionfind
 
 def point(kind, b, d):
     return DiagramPoint(kind, F(b), F(d))
+
+
+@dataclass(frozen=True)
+class _Cell:
+    value: F  # entry value on its own axis (ascending or descending)
+    dim: int  # dimension of the underlying graph cell
+    index: int  # stable input index
+    kind: str  # "vertex", "edge", "cone-vertex" or "cone-edge"
+    ref: object  # vertex id, or edge index
+
+
+def reference_reduce_extended_filtration(g: ReebGraph) -> Diagram:
+    """The Z2 reduction as it was before cells were sorted on ints.
+
+    Every cell carries its exact `Fraction` value and the sort compares
+    them; the library now sorts the same cells by integer values over one
+    common denominator, and must pair them identically.
+    """
+    cells = [_Cell(g.value(vid), 0, i, "vertex", vid) for i, vid in enumerate(g.vertex_ids)]
+    for idx, (u, v) in enumerate(g.edges):
+        cells.append(_Cell(max(g.value(u), g.value(v)), 1, idx, "edge", idx))
+    cells.sort(key=lambda c: (c.value, c.dim, c.index))
+    coned = [
+        _Cell(g.value(vid), 0, i, "cone-vertex", vid) for i, vid in enumerate(g.vertex_ids)
+    ]
+    for idx, (u, v) in enumerate(g.edges):
+        coned.append(_Cell(min(g.value(u), g.value(v)), 1, idx, "cone-edge", idx))
+    coned.sort(key=lambda c: (-c.value, c.dim, c.index))
+    cells += coned
+    pos = {(c.kind, c.ref): i for i, c in enumerate(cells)}
+
+    columns: list[int] = []
+    for c in cells:
+        if c.kind == "vertex":
+            col = 0
+        elif c.kind == "edge":
+            u, v = g.edges[c.ref]
+            col = (1 << pos[("vertex", u)]) | (1 << pos[("vertex", v)])
+        elif c.kind == "cone-vertex":
+            col = 1 << pos[("vertex", c.ref)]
+        else:
+            u, v = g.edges[c.ref]
+            col = (
+                (1 << pos[("edge", c.ref)])
+                | (1 << pos[("cone-vertex", u)])
+                | (1 << pos[("cone-vertex", v)])
+            )
+        columns.append(col)
+
+    low_owner: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for j in range(len(columns)):
+        col = columns[j]
+        while col:
+            low = col.bit_length() - 1
+            owner = low_owner.get(low)
+            if owner is None:
+                low_owner[low] = j
+                pairs.append((low, j))
+                break
+            col ^= columns[owner]
+        columns[j] = col
+
+    points = []
+    for i, j in pairs:
+        kinds = (cells[i].kind, cells[j].kind)
+        b, d = cells[i].value, cells[j].value
+        if kinds == ("vertex", "edge"):
+            if b < d:
+                points.append(DiagramPoint("Ord0", b, d))
+        elif kinds == ("vertex", "cone-vertex"):
+            points.append(DiagramPoint("Ext0", b, d))
+        elif kinds == ("edge", "cone-edge"):
+            points.append(DiagramPoint("Ext1", b, d))
+        elif kinds == ("cone-vertex", "cone-edge"):
+            if b > d:
+                points.append(DiagramPoint("Rel1", b, d))
+        else:
+            raise AssertionError(f"unexpected pair {kinds}")
+    return Diagram(points)
+
+
+def ladder(rng: random.Random, rungs: int) -> ReebGraph:
+    """Two rails joined by `rungs` crossing arcs, with tied rail values."""
+    level = {"bot": 0, "top": 4 * rungs + 4}
+    edges = []
+    for side in "lr":
+        below = "bot"
+        for k in range(rungs):
+            vid = f"{side}{k}"
+            level[vid] = 4 * k + 2 + rng.choice((0, 0, 1))
+            edges.append((below, vid))
+            below = vid
+        edges.append((below, "top"))
+    for k in range(rungs):
+        a, b = f"l{k}", f"r{min(rungs - 1, k + 1)}"
+        if level[a] != level[b]:
+            edges.append((a, b))
+    return ReebGraph(level.items(), edges)
+
+
+PRIMES = [p for p in range(2, 114) if all(p % q for q in range(2, p))]  # the first 30
+
+
+def on_primes(g: ReebGraph) -> ReebGraph:
+    """The same order of values, moved onto pairwise coprime denominators:
+    the r-th smallest distinct value becomes r + 1/p_r."""
+    levels = sorted({g.value(v) for v in g.vertex_ids})
+    assert len(levels) <= len(PRIMES)
+    new = {value: r + F(1, PRIMES[r]) for r, value in enumerate(levels)}
+    return g.with_values({v: new[g.value(v)] for v in g.vertex_ids})
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +335,66 @@ def test_tie_rich_graph_cross_oracle():
     assert len(d.of_kind("Ext1")) == g.first_betti()
     ext0 = d.of_kind("Ext0")
     assert ext0 == (point("Ext0", 0, 4),)
+
+
+# ---------------------------------------------------------------------------
+# the integer cell order against the Fraction-keyed reduction
+# ---------------------------------------------------------------------------
+
+
+def tie_rich_graphs() -> list[ReebGraph]:
+    """Shared levels across branches, in both directions, and parallel arcs."""
+    fork = ReebGraph(
+        [("a", 0), ("t1", 1), ("t2", 1), ("s1", 2), ("s2", 3), ("top", 4)],
+        [("a", "s1"), ("t1", "s1"), ("s1", "s2"), ("t2", "s2"), ("s2", "top")],
+    )
+    loops = ReebGraph(
+        [("m1", 0), ("m2", 0), ("s", 1), ("f1", 2), ("f2", 2), ("t1", 3), ("t2", 3), ("top", 4)],
+        [
+            ("m1", "s"), ("m2", "s"), ("s", "f1"), ("s", "f2"),
+            ("f1", "t1"), ("f1", "t2"), ("f2", "t2"), ("f2", "top"), ("f2", "top"),
+        ],
+    )
+    return [fork, fork.negated(), loops, loops.negated(), cycle(), y_graph()]
+
+
+def test_reduction_matches_fraction_reference():
+    rng = random.Random(8101)
+    graphs = tie_rich_graphs()
+    for _ in range(40):
+        g = random_graph(rng, n_critical=rng.randint(3, 12))
+        graphs += [g, g.negated(), on_primes(g)]
+    for rungs in (1, 2, 5, 9):
+        g = ladder(rng, rungs)
+        graphs += [g, g.negated(), on_primes(g)]
+    graphs += [on_primes(g) for g in tie_rich_graphs()]
+    for k, g in enumerate(graphs):
+        d = reduce_extended_filtration(g)
+        assert d == reference_reduce_extended_filtration(g), k
+        assert d.of_kind("Ord0") == ord0_unionfind(g), k
+        assert d.of_kind("Rel1") == rel1_unionfind(g), k
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 1-7 vertices with values of mixed small denominators; level
+    arcs, parallel arcs and several components are all allowed."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    values = [
+        F(draw(st.integers(0, 12)), draw(st.sampled_from((1, 2, 3, 5, 7))))
+        for _ in range(n)
+    ]
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)
+    )
+    return ReebGraph(
+        [(f"v{i}", values[i]) for i in range(n)],
+        [(f"v{a}", f"v{b}") for a, b in pairs if a != b],
+    )
+
+
+@given(small_graphs())
+@settings(max_examples=200, deadline=None)
+def test_reduction_matches_fraction_reference_on_small_graphs(g):
+    assert reduce_extended_filtration(g) == reference_reduce_extended_filtration(g)
+    assert ord0_unionfind(g) == reference_reduce_extended_filtration(g).of_kind("Ord0")
