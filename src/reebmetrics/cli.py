@@ -245,9 +245,7 @@ def pathlen_cmd(manifest: str, metric: str) -> None:
         upper = best_structure_shift(a, b)
         if upper is None:
             upper = intrinsic_upper(a, b)
-        certs.append(
-            FDBoundCertificate(fd_lower(a, b), upper, "manifest step", "bottleneck")
-        )
+        certs.append(FDBoundCertificate(fd_lower(a, b), upper, "manifest step"))
     path = GraphPath(tuple(steps), tuple(certs))
     result = path_length(path, "bottleneck" if metric == "db" else "fd_upper")
     for k, value in enumerate(result.per_step):

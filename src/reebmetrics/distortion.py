@@ -9,6 +9,7 @@ witnesses such as value reassignments on a fixed graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -22,7 +23,7 @@ from .graph import (
     _travel_matrix,
     critical_values,
 )
-from .isomorphism import structure_isomorphisms
+from .isomorphism import _edge_counts, _unordered, structure_isomorphisms
 from .rationals import ValueLike, common_denominator, to_fraction
 
 
@@ -287,7 +288,6 @@ class FDBoundCertificate:
     lower: Fraction
     upper: Fraction
     upper_witness: Union[Correspondence, str]
-    lower_source: str = "bottleneck"
     remainder: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
@@ -302,7 +302,6 @@ def certify_fd_upper(
     g2: ReebGraph,
     witness: Union[Correspondence, str],
     upper: Optional[ValueLike] = None,
-    with_lower: bool = True,
 ) -> FDBoundCertificate:
     """Build a certificate from a correspondence or a stated analytic bound.
 
@@ -318,12 +317,10 @@ def certify_fd_upper(
             raise ValueError("an analytic witness needs an explicit bound")
         upper_total = to_fraction(upper)
         remainder = Fraction(0)
-    lower = fd_lower(g1, g2) if with_lower else Fraction(0)
     return FDBoundCertificate(
-        lower=lower,
+        lower=fd_lower(g1, g2),
         upper=upper_total,
         upper_witness=witness,
-        lower_source="bottleneck" if with_lower else "trivial",
         remainder=remainder,
     )
 
@@ -339,13 +336,8 @@ def value_shift_upper(g1: ReebGraph, g2: ReebGraph, vertex_map: dict[str, str]) 
         g2.vertex_ids
     ):
         raise ValueError("vertex map must be a bijection between the vertex sets")
-    from collections import Counter
-
-    mapped = Counter(
-        tuple(sorted((vertex_map[u], vertex_map[v]))) for u, v in g1.edges
-    )
-    actual = Counter(tuple(sorted(e)) for e in g2.edges)
-    if mapped != actual:
+    mapped = Counter(_unordered(vertex_map[u], vertex_map[v]) for u, v in g1.edges)
+    if mapped != _edge_counts(g2):
         raise ValueError("vertex map must carry the edge multiset exactly")
     return max(abs(g1.value(v) - g2.value(vertex_map[v])) for v in g1.vertex_ids)
 

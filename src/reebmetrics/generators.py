@@ -9,6 +9,7 @@ critical values and features of geometrically decreasing height.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -125,15 +126,14 @@ def _sample_values(
     if count < 2:
         raise ValueError("need at least two critical values")
     span = hi - lo
-    if min_gap * (count - 1) >= span:
+    if span <= 0 or min_gap * (count - 1) >= span:
         raise ValueError("value range too small for requested gap")
+    # draw k on the grid lo + (k / denominator) * span; gaps are tested on k
+    min_steps = math.ceil(min_gap * denominator / span)
     for _ in range(10_000):
-        picks = sorted(
-            lo + Fraction(rng.randint(0, denominator), denominator) * span
-            for _ in range(count)
-        )
-        if all(b - a >= min_gap for a, b in zip(picks, picks[1:])):
-            return picks
+        picks = sorted(rng.randint(0, denominator) for _ in range(count))
+        if all(b - a >= min_steps for a, b in zip(picks, picks[1:])):
+            return [lo + Fraction(k, denominator) * span for k in picks]
     raise RuntimeError("could not sample well-separated values")
 
 

@@ -1,30 +1,18 @@
-"""Value-preserving multigraph isomorphism.
+"""Value-preserving and orientation-preserving multigraph isomorphism.
 
 A level-preserving isomorphism certifies functional distortion distance zero
-between two Reeb graphs. The search groups vertices by value and backtracks
-over value classes; with only down-neighbors assigned at each stage, edge
-multiplicities can be checked incrementally.
+between two Reeb graphs. A structure isomorphism may move values but keeps
+the value order on every edge, which is what a monotone linear
+interpolation between two graphs needs. Both come from one backtracking
+search; they differ only in the key a vertex and its image must share.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
+from typing import Callable, Hashable, Optional
 
 from .graph import ReebGraph
-
-
-def _degree_profile(g: ReebGraph, vid: str) -> tuple[int, int]:
-    return (g.down_degree(vid), g.up_degree(vid))
-
-
-def _down_multiset(g: ReebGraph, vid: str) -> Counter:
-    fv = g.value(vid)
-    counter: Counter = Counter()
-    for _, w in g.neighbors(vid):
-        if g.value(w) < fv:
-            counter[w] += 1
-    return counter
 
 
 def _unordered(a: str, b: str) -> tuple[str, str]:
@@ -36,61 +24,82 @@ def _edge_counts(g: ReebGraph) -> Counter:
     return Counter(_unordered(a, b) for a, b in g.edges)
 
 
-def level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> Optional[dict[str, str]]:
-    """A vertex bijection preserving values and edge multiplicities, or None."""
-    if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
-        return None
-    classes1: dict = {}
-    classes2: dict = {}
-    for vid in g1.vertex_ids:
-        classes1.setdefault(g1.value(vid), []).append(vid)
-    for vid in g2.vertex_ids:
-        classes2.setdefault(g2.value(vid), []).append(vid)
-    if set(classes1) != set(classes2):
-        return None
-    levels = sorted(classes1)
-    for lvl in levels:
-        if len(classes1[lvl]) != len(classes2[lvl]):
-            return None
-        prof1 = sorted(_degree_profile(g1, v) for v in classes1[lvl])
-        prof2 = sorted(_degree_profile(g2, v) for v in classes2[lvl])
-        if prof1 != prof2:
-            return None
+def _isomorphisms(
+    g1: ReebGraph,
+    g2: ReebGraph,
+    key: Callable[[ReebGraph, str], Hashable],
+    limit: int,
+) -> list[dict[str, str]]:
+    """Up to `limit` vertex bijections g1 -> g2 that keep `key`, edge
+    multiplicities and the value order on every edge.
 
-    # Depth-first search over the vertices of g1 in level order, on an
-    # explicit stack: a frame (level, position, next candidate index) stands
-    # for one vertex of g1 and resumes its scan of the same-level vertices of
-    # g2 when a deeper choice fails.
+    g1's vertices are visited in (value, id) order; each is tried against
+    the unused vertices of g2 with its key, in `g2.vertex_ids` order, so
+    the witnesses come in a fixed order.
+    """
+    if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
+        return []
+    keys1 = {v: key(g1, v) for v in g1.vertex_ids}
+    by_key: dict[Hashable, list[str]] = {}
+    for w in g2.vertex_ids:
+        by_key.setdefault(key(g2, w), []).append(w)
+    if Counter(keys1.values()) != Counter({k: len(ws) for k, ws in by_key.items()}):
+        return []
+    order1 = sorted(g1.vertex_ids, key=lambda v: (g1.value(v), v))
+    edges1, edges2 = _edge_counts(g1), _edge_counts(g2)
+    nbrs1 = {v: {w for _, w in g1.neighbors(v)} for v in g1.vertex_ids}
+    nbrs2 = {v: {w for _, w in g2.neighbors(v)} for v in g2.vertex_ids}
+    found: list[dict[str, str]] = []
     mapping: dict[str, str] = {}
-    used: set[str] = set()
-    stack = [(0, 0, 0)]
-    while stack:
-        level_idx, pos, start = stack.pop()
-        members = classes1[levels[level_idx]]
-        v = members[pos]
-        if v in mapping:  # resumed after a failure below: undo this choice
+    used: set[str] = set()  # the image of mapping
+
+    # Depth-first search on an explicit stack: a frame (position, next
+    # candidate index) stands for order1[position] and resumes its scan of
+    # the candidates after everything below its current choice is explored.
+    stack = [(0, 0)]
+    while stack and len(found) < limit:
+        i, start = stack.pop()
+        v = order1[i]
+        if v in mapping:  # resumed: undo the choice explored below
             used.remove(mapping.pop(v))
-        want = Counter({mapping[u]: c for u, c in _down_multiset(g1, v).items()})
-        candidates = classes2[levels[level_idx]]
+        # Only neighbours share an edge: each mapped neighbour u of v needs
+        # the same edges, with the same orientation, between sigma(u) and a
+        # candidate w, and then w has no other mapped neighbour iff the
+        # counts of mapped neighbours agree.
+        fv = g1.value(v)
+        mapped = [
+            (mapping[u], edges1[_unordered(u, v)], g1.value(u) < fv)
+            for u in nbrs1[v]
+            if u in mapping
+        ]
+        candidates = by_key[keys1[v]]
         for idx in range(start, len(candidates)):
             w = candidates[idx]
-            if w in used:
+            if w in used or len(mapped) != sum(1 for x in nbrs2[w] if x in used):
                 continue
-            if _degree_profile(g2, w) != _degree_profile(g1, v):
+            fw = g2.value(w)
+            if any(
+                edges2[_unordered(sigma_u, w)] != count or (g2.value(sigma_u) < fw) != below
+                for sigma_u, count, below in mapped
+            ):
                 continue
-            if _down_multiset(g2, w) != want:
-                continue
+            if i + 1 == len(order1):  # the last vertex has one free candidate
+                found.append({**mapping, v: w})
+                break
             mapping[v] = w
             used.add(w)
-            stack.append((level_idx, pos, idx + 1))
-            if pos + 1 < len(members):
-                stack.append((level_idx, pos + 1, 0))
-            elif level_idx + 1 < len(levels):
-                stack.append((level_idx + 1, 0, 0))
-            else:
-                return dict(mapping)
+            stack.append((i, idx + 1))
+            stack.append((i + 1, 0))
             break
-    return None
+    return found
+
+
+def level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> Optional[dict[str, str]]:
+    """A vertex bijection preserving values and edge multiplicities, or None."""
+    found = _isomorphisms(
+        g1, g2, lambda g, v: (g.value(v), g.down_degree(v), g.up_degree(v)), limit=1
+    )
+    return found[0] if found else None
 
 
 def is_level_isomorphic(g1: ReebGraph, g2: ReebGraph) -> bool:
@@ -107,56 +116,6 @@ def structure_isomorphisms(
     vertex values between the two graphs needs. Values themselves may differ.
     Returns up to `limit` witnesses.
     """
-    if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
-        return []
-    order1 = sorted(g1.vertex_ids, key=lambda v: (g1.value(v), v))
-    verts2 = list(g2.vertex_ids)
-    found: list[dict[str, str]] = []
-    mapping: dict[str, str] = {}
-    used: set[str] = set()  # the image of mapping
-
-    edges1, edges2 = _edge_counts(g1), _edge_counts(g2)
-    nbrs1 = {v: {w for _, w in g1.neighbors(v)} for v in g1.vertex_ids}
-    nbrs2 = {v: {w for _, w in g2.neighbors(v)} for v in g2.vertex_ids}
-    prof1 = {v: _degree_profile(g1, v) for v in g1.vertex_ids}
-    prof2 = {v: _degree_profile(g2, v) for v in g2.vertex_ids}
-
-    def compatible(v: str, w: str) -> bool:
-        if prof1[v] != prof2[w]:
-            return False
-        # edges between v and already-assigned vertices must match with the
-        # same orientation and multiplicity. Only neighbours share an edge:
-        # each mapped neighbour u of v needs the same edges between sigma(u)
-        # and w, and then w has no other mapped neighbour iff the counts of
-        # mapped neighbours agree.
-        mapped = [u for u in nbrs1[v] if u in mapping]
-        for u in mapped:
-            sigma_u = mapping[u]
-            if edges1[_unordered(u, v)] != edges2[_unordered(sigma_u, w)]:
-                return False
-            if (g1.value(u) < g1.value(v)) != (g2.value(sigma_u) < g2.value(w)):
-                return False
-        return len(mapped) == sum(1 for x in nbrs2[w] if x in used)
-
-    # Depth-first search on an explicit stack: a frame (position, next
-    # candidate index) stands for order1[position] and resumes its scan of
-    # verts2 after everything below its current choice is explored.
-    stack = [(0, 0)]
-    while stack and len(found) < limit:
-        i, start = stack.pop()
-        v = order1[i]
-        if v in mapping:  # resumed: undo the choice explored below
-            used.remove(mapping.pop(v))
-        for idx in range(start, len(verts2)):
-            w = verts2[idx]
-            if w in used or not compatible(v, w):
-                continue
-            if i + 1 == len(order1):  # the last vertex has one free candidate
-                found.append({**mapping, v: w})
-                break
-            mapping[v] = w
-            used.add(w)
-            stack.append((i, idx + 1))
-            stack.append((i + 1, 0))
-            break
-    return found
+    return _isomorphisms(
+        g1, g2, lambda g, v: (g.down_degree(v), g.up_degree(v)), limit=limit
+    )

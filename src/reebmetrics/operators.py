@@ -32,11 +32,10 @@ from typing import Sequence
 from .diagram import EXT0, Diagram, DiagramPoint
 from .graph import (
     CriticalValues,
-    InvalidGraphError,
     ReebGraph,
     UnionFind,
     canonicalize,
-    validate,
+    require_canonical,
 )
 from .persistence import extended_diagram
 from .rationals import ValueLike, to_fraction
@@ -310,9 +309,7 @@ def simplify(g: ReebGraph, alpha: ValueLike) -> SimplifyResult:
     alpha = to_fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    report = validate(g)
-    if not report.ok:
-        raise InvalidGraphError(str(report))
+    require_canonical(g)
 
     work, cleared = clear_features(g, alpha)
     moves = list(cleared)

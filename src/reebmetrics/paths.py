@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .bottleneck import graph_bottleneck
 from .distortion import FDBoundCertificate, best_structure_shift, fd_lower
-from .graph import InvalidGraphError, ReebGraph, validate
+from .graph import InvalidGraphError, ReebGraph, require_canonical, validate
 from .operators import clear_features, move_certificate
 from .persistence import extended_diagram
 from .rationals import ValueLike, format_value, to_fraction
@@ -48,7 +48,7 @@ class GraphPath:
 
 
 def constant_path(g: ReebGraph) -> GraphPath:
-    cert = FDBoundCertificate(Fraction(0), Fraction(0), "constant", "bottleneck")
+    cert = FDBoundCertificate(Fraction(0), Fraction(0), "constant")
     return GraphPath(((Fraction(0), g), (Fraction(1), g)), (cert,))
 
 
@@ -76,7 +76,7 @@ def reverse_path(p: GraphPath) -> GraphPath:
     certs = []
     for a, b, c in segs:
         certs.append(
-            FDBoundCertificate(c.lower, c.upper, "reversed segment", c.lower_source, c.remainder)
+            FDBoundCertificate(c.lower, c.upper, "reversed segment", c.remainder)
         )
     return GraphPath(tuple(steps), tuple(certs))
 
@@ -158,7 +158,6 @@ def linear_path(
                 lower=fd_lower(a, b),
                 upper=per_step,
                 upper_witness="identity maps on a fixed graph",
-                lower_source="bottleneck",
             )
         )
     steps = tuple((Fraction(k, n), graphs[k]) for k in range(n + 1))
@@ -175,9 +174,7 @@ def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    report = validate(g)
-    if not report.ok:
-        raise InvalidGraphError(str(report))
+    require_canonical(g)
 
     pieces: list[GraphPath] = []
     current = g
@@ -190,7 +187,6 @@ def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
             lower=fd_lower(graph, cleared),
             upper=move_certificate(moves),
             upper_witness=f"feature clearing at alpha={format_value(scale)}",
-            lower_source="bottleneck",
         )
         pieces.append(
             GraphPath(((Fraction(0), graph), (Fraction(1), cleared)), (cert,))
@@ -235,7 +231,6 @@ def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
             lower=fd_lower(current, terminal),
             upper=current.span() / 2,
             upper_witness="collapse of a short segment to its midpoint",
-            lower_source="bottleneck",
         )
         pieces.append(
             GraphPath(((Fraction(0), current), (Fraction(1), terminal)), (cert,))
@@ -259,7 +254,6 @@ def _bridge_certificate(a: ReebGraph, b: ReebGraph) -> FDBoundCertificate:
         lower=fd_lower(a, b),
         upper=abs(va - vb),
         upper_witness="point-to-point shift",
-        lower_source="bottleneck",
     )
 
 

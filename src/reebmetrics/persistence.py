@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagram import EXT0, EXT1, ORD0, REL1, Diagram, DiagramPoint
-from .graph import InvalidGraphError, ReebGraph, UnionFind, validate
+from .graph import ReebGraph, UnionFind, require_canonical
 from .rationals import common_denominator, on_lattice
 
 
@@ -169,7 +169,5 @@ def rel1_unionfind(g: ReebGraph) -> tuple[DiagramPoint, ...]:
 
 def extended_diagram(g: ReebGraph) -> Diagram:
     """The typed extended persistence diagram of a valid connected graph."""
-    report = validate(g)
-    if not report.ok:
-        raise InvalidGraphError(str(report))
+    require_canonical(g)
     return reduce_extended_filtration(g)

@@ -103,26 +103,30 @@ def test_structure_isomorphism_none_for_different_shapes():
     assert structure_isomorphisms(figure1_left(), figure1_right()) == []
 
 
-def test_level_isomorphism_at_scale_within_recursion_limit():
-    assert sys.getrecursionlimit() <= 1000
-    # a 1500-vertex comb: trunk t0 < t1 < ... with a downward tooth below
-    # each trunk vertex, every value distinct
+def swapped_teeth_combs() -> tuple[ReebGraph, ReebGraph]:
+    """A 1500-vertex comb, trunk t0 < t1 < ... with a downward tooth below
+    each trunk vertex and every value distinct, and the same comb with its
+    top two teeth swapped. The swap keeps every degree profile, so a search
+    fails only at t748 and unwinds through every earlier vertex."""
     vertices, edges = [], []
     for i in range(750):
         vertices += [(f"t{i}", 2 * i + 1), (f"d{i}", F(2 * i + 1, 2))]
         edges.append((f"d{i}", f"t{i}"))
         if i:
             edges.append((f"t{i - 1}", f"t{i}"))
-    comb = ReebGraph(vertices, edges)
+    swapped = [e for e in edges if e not in (("d748", "t748"), ("d749", "t749"))]
+    swapped += [("d748", "t749"), ("d749", "t748")]
+    return ReebGraph(vertices, edges), ReebGraph(vertices, swapped)
+
+
+def test_level_isomorphism_at_scale_within_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    comb, swapped = swapped_teeth_combs()
     other = relabeled(comb, "_r")
     mapping = level_isomorphism(comb, other)
     assert mapping is not None
     assert all(mapping[v] == f"{v}_r" for v in comb.vertex_ids)
-    # swapping the top two teeth keeps every degree profile, so the search
-    # fails only at t748 and unwinds through every earlier vertex
-    swapped = [e for e in edges if e not in (("d748", "t748"), ("d749", "t749"))]
-    swapped += [("d748", "t749"), ("d749", "t748")]
-    assert not is_level_isomorphic(comb, ReebGraph(vertices, swapped))
+    assert not is_level_isomorphic(comb, swapped)
 
 
 def reference_structure_isomorphisms(
@@ -185,16 +189,19 @@ def shuffled_copy(rng: random.Random, g: ReebGraph, suffix: str) -> ReebGraph:
     return ReebGraph(vertices, edges)
 
 
+def interchangeable_comb(teeth: int) -> ReebGraph:
+    """Teeth at one value between a bottom and a top: teeth! isomorphisms."""
+    return ReebGraph(
+        [("r", 0), ("top", 10)] + [(f"t{i}", 5) for i in range(teeth)],
+        [("r", "top")] + [(e, f"t{i}") for i in range(teeth) for e in ("r", "top")],
+    )
+
+
 def structure_cases(seed: int, count: int):
     """Seeded graph pairs: shuffled copies (symmetric shapes have many
     witnesses) and random graphs of one vertex count, in both orders."""
     rng = random.Random(seed)
-    teeth = rng.randint(2, 4)
-    # interchangeable teeth at one value: teeth! witnesses
-    comb = ReebGraph(
-        [("r", 0), ("top", 10)] + [(f"t{i}", 5) for i in range(teeth)],
-        [("r", "top")] + [(e, f"t{i}") for i in range(teeth) for e in ("r", "top")],
-    )
+    comb = interchangeable_comb(rng.randint(2, 4))
     shapes = [y_graph(), cycle(), figure1_left(), figure1_right(), comb]
     shapes += [random_graph(rng, n_critical=rng.randint(3, 7)) for _ in range(count)]
     for g in shapes:
@@ -245,3 +252,116 @@ def test_structure_isomorphisms_below_vertex_count_recursion_limit():
             reference_structure_isomorphisms(chain, copy, limit=1)
     finally:
         sys.setrecursionlimit(old)
+
+
+def reference_level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> dict[str, str] | None:
+    """The value-class search that `level_isomorphism` replaced: g1's
+    vertices level by level in `vertex_ids` order, each matched on degree
+    profile and on the images of its down-neighbours."""
+
+    def profile(g: ReebGraph, v: str) -> tuple[int, int]:
+        return (g.down_degree(v), g.up_degree(v))
+
+    def down_multiset(g: ReebGraph, v: str) -> Counter:
+        return Counter(w for _, w in g.neighbors(v) if g.value(w) < g.value(v))
+
+    if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
+        return None
+    classes1: dict = {}
+    classes2: dict = {}
+    for v in g1.vertex_ids:
+        classes1.setdefault(g1.value(v), []).append(v)
+    for v in g2.vertex_ids:
+        classes2.setdefault(g2.value(v), []).append(v)
+    if set(classes1) != set(classes2):
+        return None
+    levels = sorted(classes1)
+    for lvl in levels:
+        prof1 = sorted(profile(g1, v) for v in classes1[lvl])
+        if prof1 != sorted(profile(g2, v) for v in classes2[lvl]):
+            return None
+
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+    stack = [(0, 0, 0)]  # (level, position in level, next candidate index)
+    while stack:
+        level_idx, pos, start = stack.pop()
+        members = classes1[levels[level_idx]]
+        v = members[pos]
+        if v in mapping:
+            used.remove(mapping.pop(v))
+        want = Counter({mapping[u]: c for u, c in down_multiset(g1, v).items()})
+        candidates = classes2[levels[level_idx]]
+        for idx in range(start, len(candidates)):
+            w = candidates[idx]
+            if w in used or profile(g2, w) != profile(g1, v):
+                continue
+            if down_multiset(g2, w) != want:
+                continue
+            mapping[v] = w
+            used.add(w)
+            stack.append((level_idx, pos, idx + 1))
+            if pos + 1 < len(members):
+                stack.append((level_idx, pos + 1, 0))
+            elif level_idx + 1 < len(levels):
+                stack.append((level_idx + 1, 0, 0))
+            else:
+                return dict(mapping)
+            break
+    return None
+
+
+def permuted_copy(rng: random.Random, g: ReebGraph, suffix: str) -> ReebGraph:
+    """g relabelled, with vertex and edge order shuffled and values kept."""
+    vertices = [(f"{v}{suffix}", g.value(v)) for v in g.vertex_ids]
+    edges = [(f"{u}{suffix}", f"{v}{suffix}") for u, v in g.edges]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return ReebGraph(vertices, edges)
+
+
+def level_cases(seed: int, count: int):
+    yield from structure_cases(seed, count)
+    rng = random.Random(seed)
+    shapes = [y_graph(), cycle(), figure1_left(), figure1_right()]
+    shapes += [interchangeable_comb(teeth) for teeth in (2, 3, 5)]
+    shapes += [random_graph(rng, n_critical=rng.randint(3, 9)) for _ in range(count)]
+    for g in shapes:
+        other = permuted_copy(rng, g, "_p")
+        yield g, other
+        yield other, g
+    yield figure1_left(), figure1_right()
+    yield figure1_right(), figure1_left()
+    comb, swapped = swapped_teeth_combs()
+    yield comb, permuted_copy(rng, comb, "_p")
+    yield comb, swapped
+    yield swapped, comb
+
+
+def assert_level_witness(g1: ReebGraph, g2: ReebGraph, sigma: dict[str, str]) -> None:
+    assert sorted(sigma) == sorted(g1.vertex_ids)
+    assert sorted(sigma.values()) == sorted(g2.vertex_ids)
+    assert all(g1.value(v) == g2.value(sigma[v]) for v in g1.vertex_ids)
+    mapped = Counter(tuple(sorted((sigma[u], sigma[v]))) for u, v in g1.edges)
+    assert mapped == Counter(tuple(sorted(e)) for e in g2.edges)
+
+
+def test_level_isomorphism_matches_reference_search():
+    found = missed = exact = 0
+    for g1, g2 in level_cases(seed=8642, count=40):
+        got = level_isomorphism(g1, g2)
+        want = reference_level_isomorphism(g1, g2)
+        assert (got is None) == (want is None)
+        assert is_level_isomorphic(g1, g2) == (got is not None)
+        if got is None:
+            missed += 1
+            continue
+        found += 1
+        assert_level_witness(g1, g2, got)
+        # with one vertex per value there is one witness; with ties the two
+        # searches may pick different, equally valid ones
+        values = [g1.value(v) for v in g1.vertex_ids]
+        if len(set(values)) == len(values):
+            assert got == want
+            exact += 1
+    assert found > 50 and missed > 100 and exact > 40
