@@ -16,12 +16,7 @@ import click
 from . import __version__
 from .bottleneck import bottleneck
 from .diagram import Diagram
-from .distortion import (
-    best_structure_shift,
-    certify_fd_upper,
-    fd_lower,
-    projection_correspondence,
-)
+from .distortion import best_structure_shift, certify_fd_upper, projection_correspondence
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .fileio import (
     diagram_to_text,
@@ -168,6 +163,11 @@ def iso_cmd(file_a: str, file_b: str) -> None:
         click.echo(f"{v} -> {w}")
 
 
+def _segment_or_point(g: ReebGraph) -> bool:
+    """True for a graph of one edge or of one vertex."""
+    return len(g.edges) <= 1 and len(g.vertex_ids) == len(g.edges) + 1
+
+
 @main.command(name="fdbound")
 @click.argument("file_a")
 @click.argument("file_b")
@@ -187,34 +187,31 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
     from .fileio import correspondence_from_json
 
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
-    lower = fd_lower(g1, g2)
     source = witness
-    cert = None
     if witness == "natural":
         upper = best_structure_shift(g1, g2)
         if upper is None:
             upper = intrinsic_upper(g1, g2)
             source = "contraction-join"
+        cert = certify_fd_upper(g1, g2, source, upper)
     elif witness == "collapse":
-        if len(g2.vertex_ids) <= 2:
+        if _segment_or_point(g2):
             cert = certify_fd_upper(g1, g2, projection_correspondence(g1, g2))
-        elif len(g1.vertex_ids) <= 2:
+        elif _segment_or_point(g1):
             cert = certify_fd_upper(g2, g1, projection_correspondence(g2, g1))
         else:
             raise click.ClickException(
                 "the collapse witness needs a segment on one side"
             )
-        upper = cert.upper
     else:
         if witness_file is None:
             raise click.ClickException("--witness file needs --witness-file <path>")
         c = correspondence_from_json(g1, g2, _read(witness_file))
         cert = certify_fd_upper(g1, g2, c)
-        upper = cert.upper
-    click.echo(f"lower {format_value(lower)}")
-    click.echo(f"upper {format_value(upper)} ({source})")
-    click.echo(f"gap {format_value(upper - lower)}")
-    if cert is not None:
+    click.echo(f"lower {format_value(cert.lower)}")
+    click.echo(f"upper {format_value(cert.upper)} ({source})")
+    click.echo(f"gap {format_value(cert.upper - cert.lower)}")
+    if witness != "natural":
         click.echo(f"remainder {format_value(cert.remainder)}")
 
 
@@ -238,14 +235,12 @@ def pathlen_cmd(manifest: str, metric: str) -> None:
     if len(steps) < 2:
         raise click.ClickException("manifest needs at least two steps")
 
-    from .distortion import FDBoundCertificate
-
     certs = []
-    for (t0, a), (t1, b) in zip(steps, steps[1:]):
+    for (_, a), (_, b) in zip(steps, steps[1:]):
         upper = best_structure_shift(a, b)
         if upper is None:
             upper = intrinsic_upper(a, b)
-        certs.append(FDBoundCertificate(fd_lower(a, b), upper, "manifest step"))
+        certs.append(certify_fd_upper(a, b, "manifest step", upper))
     path = GraphPath(tuple(steps), tuple(certs))
     result = path_length(path, "bottleneck" if metric == "db" else "fd_upper")
     for k, value in enumerate(result.per_step):

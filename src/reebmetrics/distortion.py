@@ -165,32 +165,29 @@ def natural_correspondence(
 ) -> Correspondence:
     """Correspondence induced by a structure isomorphism (values may differ).
 
-    Edge samples map by linear reparameterization along matched arcs.
+    Edge samples map by linear reparameterization along matched arcs. Each
+    edge of g1 takes the free edge of g2 with the smallest index between the
+    images of its ends, so parallel arcs keep their index order; the map
+    back is the inverse of that edge matching.
     """
     inverse = {w: v for v, w in vertex_map.items()}
     if len(inverse) != len(vertex_map):
         raise ValueError("vertex map is not a bijection")
 
-    def edge_match(src: ReebGraph, dst: ReebGraph, mapping: dict[str, str]) -> dict[int, int]:
-        used: set[int] = set()
-        out: dict[int, int] = {}
-        for idx, (u, v) in enumerate(src.edges):
-            mu, mv = mapping[u], mapping[v]
-            found = None
-            for jdx, (a, b) in enumerate(dst.edges):
-                if jdx in used:
-                    continue
-                if {a, b} == {mu, mv}:
-                    found = jdx
-                    break
-            if found is None:
-                raise ValueError("vertex map does not carry edges to edges")
-            used.add(found)
-            out[idx] = found
-        return out
-
-    fwd_edges = edge_match(g1, g2, vertex_map)
-    bwd_edges = edge_match(g2, g1, inverse)
+    # each end pair lists its free edges of g2 in descending index order,
+    # so pop() takes the smallest
+    free: dict[tuple[str, str], list[int]] = {}
+    for jdx in reversed(range(len(g2.edges))):
+        free.setdefault(_unordered(*g2.edges[jdx]), []).append(jdx)
+    fwd_edges: dict[int, int] = {}
+    for idx, (u, v) in enumerate(g1.edges):
+        slots = free.get(_unordered(vertex_map[u], vertex_map[v]))
+        if not slots:
+            raise ValueError("vertex map does not carry edges to edges")
+        fwd_edges[idx] = slots.pop()
+    if any(free.values()):
+        raise ValueError("vertex map does not carry edges to edges")
+    bwd_edges = {jdx: idx for idx, jdx in fwd_edges.items()}
 
     h = to_fraction(resolution) if resolution is not None else min(
         default_resolution(g1), default_resolution(g2)
@@ -344,12 +341,7 @@ def value_shift_upper(g1: ReebGraph, g2: ReebGraph, vertex_map: dict[str, str]) 
 
 def best_structure_shift(g1: ReebGraph, g2: ReebGraph) -> Optional[Fraction]:
     """Smallest value-shift bound over found structure isomorphisms, if any."""
-    best: Optional[Fraction] = None
-    for sigma in structure_isomorphisms(g1, g2):
-        try:
-            bound = value_shift_upper(g1, g2, sigma)
-        except ValueError:
-            continue
-        if best is None or bound < best:
-            best = bound
-    return best
+    return min(
+        (value_shift_upper(g1, g2, sigma) for sigma in structure_isomorphisms(g1, g2)),
+        default=None,
+    )

@@ -31,7 +31,6 @@ from .paths import (
     contraction_path,
     intrinsic_upper,
     linear_path,
-    path_length,
 )
 from .persistence import extended_diagram
 from .rationals import format_value, to_fraction
@@ -405,16 +404,11 @@ def _run_path_equivalence(config: ExperimentConfig) -> list[TrialRecord]:
         target = {v: target_graph.value(v) for v in g.vertex_ids}
         sums = []
         for n in refinements:
-            path = linear_path(g, target, n)
-            length = path_length(path, "bottleneck")
-            sums.append(length.total)
-            segment_ok = all(
-                s.bottleneck <= 2 * s.fd_upper
-                for s in check_path(path, f"linear-{n}").segments
-            )
+            chk = check_path(linear_path(g, target, n), f"linear-{n}")
+            sums.append(chk.bottleneck_total)
             record(
-                segment_ok,
-                {"check": "linear-segments", "n": n, "bottleneck_sum": length.total},
+                all(s.ok for s in chk.segments),
+                {"check": "linear-segments", "n": n, "bottleneck_sum": chk.bottleneck_total},
             )
         monotone = all(a <= b for a, b in zip(sums, sums[1:]))
         record(monotone, {"check": "linear-refinement", "sums": [format_value(s) for s in sums]})

@@ -168,22 +168,18 @@ class ReebGraph:
         return len(self._adj[vid])
 
     def up_degree(self, vid: str) -> int:
+        """Arcs to strictly higher neighbours; a level edge counts on neither side."""
         fv = self._values[vid]
-        return sum(
-            1 for _, w in self._adj[vid] if (self._values[w], w) > (fv, vid)
-        )
+        return sum(1 for _, w in self._adj[vid] if self._values[w] > fv)
 
     def down_degree(self, vid: str) -> int:
-        return self.degree(vid) - self.up_degree(vid)
+        """Arcs to strictly lower neighbours; a level edge counts on neither side."""
+        fv = self._values[vid]
+        return sum(1 for _, w in self._adj[vid] if self._values[w] < fv)
 
     def is_pass_through(self, vid: str) -> bool:
         """True for a removable regular vertex: one arc down, one arc up."""
-        if self.degree(vid) != 2:
-            return False
-        fv = self._values[vid]
-        ups = sum(1 for _, w in self._adj[vid] if self._values[w] > fv)
-        downs = sum(1 for _, w in self._adj[vid] if self._values[w] < fv)
-        return ups == 1 and downs == 1
+        return self.degree(vid) == 2 and self.up_degree(vid) == self.down_degree(vid) == 1
 
     def is_critical(self, vid: str) -> bool:
         return not self.is_pass_through(vid)
@@ -304,8 +300,8 @@ class ReebGraph:
 # ---------------------------------------------------------------------------
 
 
-def validate(g: ReebGraph) -> ValidationReport:
-    """Report every invariant violation; an empty report means a valid graph."""
+def _structural_violations(g: ReebGraph) -> list[Violation]:
+    """Level edges and disconnection: what `canonicalize` cannot repair."""
     violations: list[Violation] = []
     for idx, (u, v) in enumerate(g.edges):
         if g.value(u) == g.value(v):
@@ -324,13 +320,19 @@ def validate(g: ReebGraph) -> ValidationReport:
                 "graph",
             )
         )
+    return violations
+
+
+def validate(g: ReebGraph) -> ValidationReport:
+    """Report every invariant violation; an empty report means a valid graph."""
+    violations = _structural_violations(g)
     for vid in g.vertex_ids:
         if g.is_pass_through(vid):
             violations.append(
                 Violation(
                     "pass-through",
                     "non-critical degree-2 vertex (one arc down, one arc up)",
-                    f"vertex {vid}",  # canonicalize reads the id back from here
+                    f"vertex {vid}",
                 )
             )
     return ValidationReport(tuple(violations))
@@ -343,22 +345,16 @@ def canonicalize(g: ReebGraph) -> ReebGraph:
 
     Splicing out a pass-through vertex leaves every other vertex's degree
     and up/down split as they were, so the removed set is exactly the
-    input's pass-through set, read once from `validate`. Those vertices
-    form maximal monotone chains; each chain becomes one edge from its
-    lowest to its highest non-pass-through vertex, kept in the slot of the
-    chain's smallest edge index, and edges keep their relative order. The
-    output vertices are sorted by (value, id). One O(V + E) pass, plus that
-    O(V log V) sort.
+    input's pass-through set. Those vertices form maximal monotone chains;
+    each chain becomes one edge from its lowest to its highest
+    non-pass-through vertex, kept in the slot of the chain's smallest edge
+    index, and edges keep their relative order. The output vertices are
+    sorted by (value, id). One O(V + E) pass, plus that O(V log V) sort.
     """
-    report = validate(g)
-    hard = [v for v in report.violations if v.code != "pass-through"]
+    hard = _structural_violations(g)
     if hard:
         raise InvalidGraphError(str(ValidationReport(tuple(hard))))
-    through = {
-        v.location.removeprefix("vertex ")
-        for v in report.violations
-        if v.code == "pass-through"
-    }
+    through = {v for v in g.vertex_ids if g.is_pass_through(v)}
 
     # edges are oriented lower end first, and no edge is level, so each
     # pass-through vertex is the lower end of exactly one edge

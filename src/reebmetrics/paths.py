@@ -8,12 +8,12 @@ partition's bottleneck sum bounds the bottleneck length from below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bottleneck import graph_bottleneck
-from .distortion import FDBoundCertificate, best_structure_shift, fd_lower
+from .distortion import FDBoundCertificate, best_structure_shift, certify_fd_upper
 from .graph import InvalidGraphError, ReebGraph, require_canonical, validate
 from .operators import clear_features, move_certificate
 from .persistence import extended_diagram
@@ -52,6 +52,13 @@ def constant_path(g: ReebGraph) -> GraphPath:
     return GraphPath(((Fraction(0), g), (Fraction(1), g)), (cert,))
 
 
+def _step(a: ReebGraph, b: ReebGraph, witness: str, upper: Fraction) -> GraphPath:
+    """A one-segment path from a to b, certified by an analytic witness."""
+    return GraphPath(
+        ((Fraction(0), a), (Fraction(1), b)), (certify_fd_upper(a, b, witness, upper),)
+    )
+
+
 def concatenate(paths: Sequence[GraphPath]) -> GraphPath:
     """Join paths end to end, reparameterizing time uniformly per segment."""
     segs: list[tuple[ReebGraph, ReebGraph, FDBoundCertificate]] = []
@@ -73,12 +80,8 @@ def reverse_path(p: GraphPath) -> GraphPath:
     n = len(segs)
     steps = [(Fraction(0), segs[0][1])]
     steps += [(Fraction(i + 1, n), segs[i][0]) for i in range(n)]
-    certs = []
-    for a, b, c in segs:
-        certs.append(
-            FDBoundCertificate(c.lower, c.upper, "reversed segment", c.remainder)
-        )
-    return GraphPath(tuple(steps), tuple(certs))
+    certs = tuple(replace(c, upper_witness="reversed segment") for _, _, c in segs)
+    return GraphPath(tuple(steps), certs)
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ def path_length(p: GraphPath, metric: str = "bottleneck") -> PathLengthResult:
         values = tuple(
             graph_bottleneck(a, b) for a, b, _ in p.segments()
         )
-    elif metric in ("fd_upper", "fd"):
+    elif metric == "fd_upper":
         values = tuple(c.upper for c in p.certificates)
     else:
         raise ValueError("metric must be 'bottleneck' or 'fd_upper'")
@@ -151,17 +154,12 @@ def linear_path(
         (abs(full_target[v] - g.value(v)) for v in g.vertex_ids), default=Fraction(0)
     )
     per_step = sup / n
-    certs = []
-    for a, b in zip(graphs, graphs[1:]):
-        certs.append(
-            FDBoundCertificate(
-                lower=fd_lower(a, b),
-                upper=per_step,
-                upper_witness="identity maps on a fixed graph",
-            )
-        )
+    certs = tuple(
+        certify_fd_upper(a, b, "identity maps on a fixed graph", per_step)
+        for a, b in zip(graphs, graphs[1:])
+    )
     steps = tuple((Fraction(k, n), graphs[k]) for k in range(n + 1))
-    return GraphPath(steps, tuple(certs))
+    return GraphPath(steps, certs)
 
 
 def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
@@ -183,14 +181,8 @@ def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
         cleared, moves = clear_features(graph, scale)
         if cleared == graph:
             return graph
-        cert = FDBoundCertificate(
-            lower=fd_lower(graph, cleared),
-            upper=move_certificate(moves),
-            upper_witness=f"feature clearing at alpha={format_value(scale)}",
-        )
-        pieces.append(
-            GraphPath(((Fraction(0), graph), (Fraction(1), cleared)), (cert,))
-        )
+        witness = f"feature clearing at alpha={format_value(scale)}"
+        pieces.append(_step(graph, cleared, witness, move_certificate(moves)))
         return cleared
 
     for scale in sorted(
@@ -227,14 +219,8 @@ def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
     mid = (current.min_value() + current.max_value()) / 2
     terminal = ReebGraph([("pt", mid)], name="point")
     if current != terminal:
-        cert = FDBoundCertificate(
-            lower=fd_lower(current, terminal),
-            upper=current.span() / 2,
-            upper_witness="collapse of a short segment to its midpoint",
-        )
-        pieces.append(
-            GraphPath(((Fraction(0), current), (Fraction(1), terminal)), (cert,))
-        )
+        witness = "collapse of a short segment to its midpoint"
+        pieces.append(_step(current, terminal, witness, current.span() / 2))
 
     if not pieces:
         return constant_path(g)
@@ -246,41 +232,34 @@ def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
 # ---------------------------------------------------------------------------
 
 
-def _bridge_certificate(a: ReebGraph, b: ReebGraph) -> FDBoundCertificate:
-    """Certificate between two single-vertex graphs."""
-    va = a.value(a.vertex_ids[0])
-    vb = b.value(b.vertex_ids[0])
-    return FDBoundCertificate(
-        lower=fd_lower(a, b),
-        upper=abs(va - vb),
-        upper_witness="point-to-point shift",
-    )
-
-
 def join_via_contractions(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> GraphPath:
     """Contract both graphs to points and bridge the midpoints."""
     down = contraction_path(g1, n)
     up = contraction_path(g2, n)
     end1 = down.steps[-1][1]
     end2 = up.steps[-1][1]
-    bridge = GraphPath(
-        ((Fraction(0), end1), (Fraction(1), end2)),
-        (_bridge_certificate(end1, end2),),
-    )
+    shift = abs(end1.min_value() - end2.min_value())
+    bridge = _step(end1, end2, "point-to-point shift", shift)
     return concatenate([down, bridge, reverse_path(up)])
 
 
 def direct_linear_path(g1: ReebGraph, g2: ReebGraph, n: int = 1) -> Optional[GraphPath]:
-    """Linear value interpolation along a structure isomorphism, if one exists."""
+    """Linear value interpolation along a structure isomorphism, if one exists.
+
+    A structure isomorphism keeps every edge's strict value order, so the
+    interpolation along the first one fails only when g1 itself has a level
+    edge, and then it fails along every one.
+    """
     from .isomorphism import structure_isomorphisms
 
-    for sigma in structure_isomorphisms(g1, g2):
-        target = {v: g2.value(sigma[v]) for v in g1.vertex_ids}
-        try:
-            return linear_path(g1, target, n)
-        except InvalidGraphError:
-            continue
-    return None
+    found = structure_isomorphisms(g1, g2, limit=1)
+    if not found:
+        return None
+    target = {v: g2.value(found[0][v]) for v in g1.vertex_ids}
+    try:
+        return linear_path(g1, target, n)
+    except InvalidGraphError:
+        return None
 
 
 def intrinsic_upper(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> Fraction:
@@ -340,15 +319,10 @@ class StrongEquivalenceReport:
 
 
 def check_path(p: GraphPath, label: str) -> PathCheck:
-    segs = []
-    for a, b, cert in p.segments():
-        segs.append(SegmentCheck(graph_bottleneck(a, b), cert.upper))
-    return PathCheck(
-        label=label,
-        segments=tuple(segs),
-        bottleneck_total=sum((s.bottleneck for s in segs), Fraction(0)),
-        fd_upper_total=sum((s.fd_upper for s in segs), Fraction(0)),
-    )
+    db = path_length(p, "bottleneck")
+    fd = path_length(p, "fd_upper")
+    segs = tuple(SegmentCheck(b, u) for b, u in zip(db.per_step, fd.per_step))
+    return PathCheck(label, segs, db.total, fd.total)
 
 
 def check_strong_equivalence(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> StrongEquivalenceReport:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from reebmetrics.cli import main
 from reebmetrics.fileio import graph_to_text, parse_graph_text
 from reebmetrics.generators import (
+    cycle,
     figure1_left,
     figure1_right,
     random_graph,
@@ -211,6 +212,24 @@ def test_fdbound_collapse_witness(runner, tmp_path):
     result = runner.invoke(main, ["fdbound", a, b, "--witness", "collapse"])
     assert result.exit_code == 0, result.output
     assert "lower 0.25" in result.output
+
+
+def test_fdbound_collapse_picks_the_side_by_shape(runner, tmp_path):
+    # the cycle has two vertices but two arcs: it is not a segment
+    y = write(tmp_path / "y.txt", y_graph())
+    loop = write(tmp_path / "cycle.txt", cycle())
+    seg = write(tmp_path / "seg.txt", segment())
+    for args in ([loop, y], [y, loop]):
+        result = runner.invoke(main, ["fdbound", *args, "--witness", "collapse"])
+        assert result.exit_code == 1
+        assert "needs a segment" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+    outputs = [
+        runner.invoke(main, ["fdbound", *args, "--witness", "collapse"])
+        for args in ([loop, seg], [seg, loop])
+    ]
+    assert [r.exit_code for r in outputs] == [0, 0]
+    assert outputs[0].output == outputs[1].output
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from reebmetrics import (
     ReebGraph,
     FDBoundCertificate,
     certify_fd_upper,
+    cycle,
     distortion,
     fd_lower,
     fd_upper,
@@ -18,6 +19,7 @@ from reebmetrics import (
     random_graph,
     sample_net,
     segment,
+    structure_isomorphisms,
     travel_distances,
     value_shift_upper,
     y_graph,
@@ -244,3 +246,98 @@ def test_distortion_matches_fraction_reference():
                 assert distortion(g, other, c) == reference_distortion(g, other, c), trial
                 checked += 1
     assert checked == 32
+
+
+def reference_natural_correspondence(g1, g2, vertex_map, resolution=None):
+    """The two-pass edge matching that `natural_correspondence` replaced:
+    each direction greedily takes, for every edge in index order, the first
+    unused edge of the other graph between the mapped ends."""
+    inverse = {w: v for v, w in vertex_map.items()}
+    if len(inverse) != len(vertex_map):
+        raise ValueError("vertex map is not a bijection")
+
+    def edge_match(src, dst, mapping):
+        used, out = set(), {}
+        for idx, (u, v) in enumerate(src.edges):
+            found = next(
+                (
+                    jdx
+                    for jdx, (a, b) in enumerate(dst.edges)
+                    if jdx not in used and {a, b} == {mapping[u], mapping[v]}
+                ),
+                None,
+            )
+            if found is None:
+                raise ValueError("vertex map does not carry edges to edges")
+            used.add(found)
+            out[idx] = found
+        return out
+
+    fwd, bwd = edge_match(g1, g2, vertex_map), edge_match(g2, g1, inverse)
+    h = F(resolution) if resolution is not None else min(
+        default_resolution(g1), default_resolution(g2)
+    )
+
+    def transport(src, dst, vmap, emap):
+        out = {}
+        for p in sample_net(src, h):
+            if p.vertex is not None:
+                out[p] = dst.vertex_point(vmap[p.vertex])
+                continue
+            lo, hi = src.edge_values(p.edge)
+            t = (p.value - lo) / (hi - lo)
+            jdx = emap[p.edge]
+            same = vmap[src.edges[p.edge][0]] == dst.edges[jdx][0]
+            out[p] = dst.point_at_parameter(jdx, t if same else 1 - t)
+        return out
+
+    return Correspondence(
+        g1, g2, transport(g1, g2, vertex_map, fwd), transport(g2, g1, inverse, bwd), h
+    )
+
+
+def shuffled_copy(g, rng):
+    """g under fresh ids, with vertices, edges and edge ends in random order."""
+    ids = list(g.vertex_ids)
+    rng.shuffle(ids)
+    rename = {v: f"v{k}" for k, v in enumerate(ids)}
+    vertices = [(rename[v], g.value(v)) for v in g.vertex_ids]
+    rng.shuffle(vertices)
+    edges = [
+        (rename[u], rename[v]) if rng.random() < 0.5 else (rename[v], rename[u])
+        for u, v in g.edges
+    ]
+    rng.shuffle(edges)
+    return ReebGraph(vertices, edges)
+
+
+def test_natural_correspondence_matches_two_pass_reference():
+    rng = random.Random(9090)
+    theta = ReebGraph([("a", 0), ("b", 1), ("c", 2)], [("a", "b")] * 3 + [("b", "c")])
+    graphs = [cycle(), theta, y_graph()]
+    graphs += [random_graph(rng, n_critical=rng.randint(3, 7)) for _ in range(12)]
+    checked = 0
+    for g in graphs:
+        for _ in range(3):
+            h = shuffled_copy(g, rng)
+            for sigma in structure_isomorphisms(g, h, limit=4):
+                for resolution in (None, g.span() / 5):
+                    got = natural_correspondence(g, h, sigma, resolution)
+                    want = reference_natural_correspondence(g, h, sigma, resolution)
+                    assert got.phi == want.phi and got.psi == want.psi
+                    assert got.resolution == want.resolution
+                    checked += 1
+    assert checked >= 90
+
+
+def test_natural_correspondence_errors_match_reference():
+    y = y_graph()
+    # a -- c is an edge of Y, but its image a -- b is not
+    swap = {"a": "a", "b": "c", "c": "b", "d": "d"}
+    # the map reaches one of the cycle's two arcs and leaves the other
+    ident = {"bot": "bot", "top": "top"}
+    seg = ReebGraph([("bot", 0), ("top", 3)], [("bot", "top")])
+    for g1, g2, vmap in ((y, y, swap), (seg, cycle(), ident)):
+        for build in (natural_correspondence, reference_natural_correspondence):
+            with pytest.raises(ValueError, match="does not carry edges to edges"):
+                build(g1, g2, vmap)

@@ -17,6 +17,7 @@ from reebmetrics import (
     structure_isomorphisms,
     y_graph,
 )
+from reebmetrics.persistence import extended_diagram
 
 
 def relabeled(g: ReebGraph, suffix: str) -> ReebGraph:
@@ -68,16 +69,39 @@ def test_parallel_edges_match():
 
 
 def test_branch_position_distinguishes():
-    # same value multisets, branch attached to different arcs of a fork
+    # s splits into arcs up to p and to the top of a branch; b joins at p.
+    # The two graphs differ only in which top (d at 3 or e at 4) sits above
+    # p, so they have the same diagram and the same (value, down, up) keys.
+    vertices = [("a", 0), ("s", 1), ("b", F("1.5")), ("p", 2), ("d", 3), ("e", 4)]
     left = ReebGraph(
-        [("a", 0), ("b", 1), ("c", 2), ("m", F("2.5")), ("d", 3), ("e", 4)],
-        [("a", "c"), ("b", "c"), ("c", "m"), ("m", "d"), ("m", "e")],
+        vertices, [("a", "s"), ("s", "p"), ("p", "d"), ("s", "e"), ("b", "p")]
     )
     right = ReebGraph(
-        [("a", 0), ("b", 1), ("c", 2), ("m", F("2.5")), ("d", 3), ("e", 4)],
-        [("a", "c"), ("b", "c"), ("c", "m"), ("m", "d"), ("m", "e")],
+        vertices, [("a", "s"), ("s", "p"), ("p", "e"), ("s", "d"), ("b", "p")]
     )
-    assert is_level_isomorphic(left, right)
+    assert not is_level_isomorphic(left, right)
+    assert extended_diagram(left) == extended_diagram(right)
+    assert len(structure_isomorphisms(left, right)) == 1
+
+    def keys(g):
+        return Counter((g.value(v), g.down_degree(v), g.up_degree(v)) for v in g.vertex_ids)
+
+    assert keys(left) == keys(right)
+
+
+def test_level_edge_answer_does_not_depend_on_vertex_ids():
+    # b and c share a value; renaming them z and y swaps their id order,
+    # which once decided the side of the degree profile the level edge fell on
+    g1 = ReebGraph(
+        [("a", 0), ("b", 1), ("c", 1), ("d", 2)], [("a", "b"), ("b", "c"), ("c", "d")]
+    )
+    g2 = ReebGraph(
+        [("a", 0), ("z", 1), ("y", 1), ("d", 2)], [("a", "z"), ("z", "y"), ("y", "d")]
+    )
+    assert (g1.down_degree("b"), g1.up_degree("b")) == (1, 0)
+    assert (g1.down_degree("c"), g1.up_degree("c")) == (0, 1)
+    assert level_isomorphism(g1, g2) == {"a": "a", "b": "z", "c": "y", "d": "d"}
+    assert level_isomorphism(g2, g1) == {"a": "a", "z": "b", "y": "c", "d": "d"}
 
 
 def test_structure_isomorphism_ignores_values():

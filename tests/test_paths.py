@@ -5,7 +5,9 @@ import pytest
 
 from reebmetrics import (
     InvalidGraphError,
+    ReebGraph,
     check_strong_equivalence,
+    concatenate,
     constant_path,
     contraction_path,
     cycle,
@@ -17,9 +19,12 @@ from reebmetrics import (
     linear_path,
     path_length,
     random_graph,
+    reverse_path,
     segment,
+    structure_isomorphisms,
     y_graph,
 )
+from reebmetrics.distortion import certify_fd_upper, projection_correspondence
 from reebmetrics.paths import GraphPath, check_path
 
 
@@ -62,6 +67,8 @@ def test_path_length_needs_metric():
     p = constant_path(segment())
     with pytest.raises(ValueError):
         path_length(p, "hausdorff")
+    with pytest.raises(ValueError):
+        path_length(p, "fd")  # the metric is named fd_upper
 
 
 def test_graph_path_validation():
@@ -160,6 +167,46 @@ def test_direct_linear_path_none_for_different_structure():
     assert direct_linear_path(y_graph(), cycle(), 2) is None
 
 
+def test_direct_linear_path_follows_the_first_witness():
+    rng = random.Random(4242)
+    y = y_graph()
+    pairs = [(y, y.with_values({"b": F("0.8"), "d": F("3.5")})), (cycle(), cycle(1, 2))]
+    for _ in range(6):
+        g = random_graph(rng, n_critical=rng.randint(4, 7))
+        gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+        moved = {v: g.value(v) + gap / 4 * F(rng.randint(-8, 8), 8) for v in g.vertex_ids}
+        pairs.append((g, g.with_values(moved)))
+    for g1, g2 in pairs:
+        witnesses = structure_isomorphisms(g1, g2)
+        paths = [
+            linear_path(g1, {v: g2.value(sigma[v]) for v in g1.vertex_ids}, 3)
+            for sigma in witnesses
+        ]  # every witness interpolates when g1 has no level edge
+        assert direct_linear_path(g1, g2, 3) == paths[0]
+
+
+def test_direct_linear_path_none_when_g1_has_a_level_edge():
+    level = ReebGraph(
+        [("a", 0), ("b", 1), ("c", 1), ("d", 2)], [("a", "b"), ("b", "c"), ("c", "d")]
+    )
+    assert structure_isomorphisms(level, level)
+    assert direct_linear_path(level, level, 2) is None
+
+
+def test_reverse_path_keeps_bounds_and_remainders():
+    y, seg = y_graph(), segment()
+    sampled = certify_fd_upper(y, seg, projection_correspondence(y, seg))
+    assert sampled.remainder > 0
+    p = concatenate(
+        [GraphPath(((F(0), y), (F(1), seg)), (sampled,)), contraction_path(seg, 2)]
+    )
+    back = reverse_path(p)
+    assert back.graphs == p.graphs[::-1]
+    for c, r in zip(p.certificates[::-1], back.certificates):
+        assert (r.lower, r.upper, r.remainder) == (c.lower, c.upper, c.remainder)
+        assert r.upper_witness == "reversed segment"
+
+
 # ---------------------------------------------------------------------------
 # two-sided consistency checks
 # ---------------------------------------------------------------------------
@@ -202,6 +249,21 @@ def test_refining_linear_partition_never_decreases_bottleneck_sum():
 def test_per_segment_two_sided_bound_on_contraction():
     chk = check_path(contraction_path(figure1_left(), 4), "contraction")
     assert chk.ok
+
+
+def test_check_path_totals_are_path_lengths():
+    y = y_graph()
+    for p in (
+        contraction_path(figure1_left(), 4),
+        join_via_contractions(y, cycle(), 2),
+        linear_path(y, {"b": F("1.05"), "c": F("1.95")}, 4),
+    ):
+        chk = check_path(p, "p")
+        db, fd = path_length(p, "bottleneck"), path_length(p, "fd_upper")
+        assert (chk.bottleneck_total, chk.fd_upper_total) == (db.total, fd.total)
+        assert [(s.bottleneck, s.fd_upper) for s in chk.segments] == list(
+            zip(db.per_step, fd.per_step)
+        )
 
 
 def test_admissibility_surrogate_step_bounds_vanish_under_refinement():
