@@ -86,8 +86,6 @@ from .operators import (
 from .paths import (
     GraphPath,
     PathLengthResult,
-    StrongEquivalenceReport,
-    check_strong_equivalence,
     concatenate,
     constant_path,
     contraction_path,

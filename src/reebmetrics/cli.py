@@ -8,6 +8,7 @@ when any assertion fails.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -17,7 +18,7 @@ from . import __version__
 from .bottleneck import bottleneck
 from .diagram import Diagram
 from .distortion import best_structure_shift, certify_fd_upper, projection_correspondence
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import _SUITES, EXPERIMENTS, ExperimentConfig, run_experiment
 from .fileio import (
     diagram_to_text,
     graph_to_json,
@@ -25,7 +26,7 @@ from .fileio import (
     load_graph_or_diagram,
     parse_graph_text,
 )
-from .generators import generate
+from .generators import _GENERATORS, generate
 from .graph import ReebGraph, canonicalize, critical_values, stats, validate
 from .isomorphism import level_isomorphism
 from .operators import MergeParams, TransformParams, full_transform, merge, simplify
@@ -163,6 +164,15 @@ def iso_cmd(file_a: str, file_b: str) -> None:
         click.echo(f"{v} -> {w}")
 
 
+def _natural_upper(g1: ReebGraph, g2: ReebGraph) -> tuple[Fraction, str]:
+    """The best value shift along a structure isomorphism, else the
+    contraction-join bound, with the name of the witness that gave it."""
+    upper = best_structure_shift(g1, g2)
+    if upper is not None:
+        return upper, "natural"
+    return intrinsic_upper(g1, g2), "contraction-join"
+
+
 def _segment_or_point(g: ReebGraph) -> bool:
     """True for a graph of one edge or of one vertex."""
     return len(g.edges) <= 1 and len(g.vertex_ids) == len(g.edges) + 1
@@ -189,10 +199,7 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
     source = witness
     if witness == "natural":
-        upper = best_structure_shift(g1, g2)
-        if upper is None:
-            upper = intrinsic_upper(g1, g2)
-            source = "contraction-join"
+        upper, source = _natural_upper(g1, g2)
         cert = certify_fd_upper(g1, g2, source, upper)
     elif witness == "collapse":
         if _segment_or_point(g2):
@@ -235,12 +242,10 @@ def pathlen_cmd(manifest: str, metric: str) -> None:
     if len(steps) < 2:
         raise click.ClickException("manifest needs at least two steps")
 
-    certs = []
-    for (_, a), (_, b) in zip(steps, steps[1:]):
-        upper = best_structure_shift(a, b)
-        if upper is None:
-            upper = intrinsic_upper(a, b)
-        certs.append(certify_fd_upper(a, b, "manifest step", upper))
+    certs = [
+        certify_fd_upper(a, b, "manifest step", _natural_upper(a, b)[0])
+        for (_, a), (_, b) in zip(steps, steps[1:])
+    ]
     path = GraphPath(tuple(steps), tuple(certs))
     result = path_length(path, "bottleneck" if metric == "db" else "fd_upper")
     for k, value in enumerate(result.per_step):
@@ -258,7 +263,7 @@ def intrinsic_cmd(file_a: str, file_b: str) -> None:
 
 
 @main.command(name="gen")
-@click.argument("spec")
+@click.argument("spec", type=click.Choice(list(_GENERATORS)), metavar="SPEC")
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--n", type=int, default=None, help="figure5 index / random critical count")
 @click.option("-o", "--output", default=None)
@@ -318,7 +323,7 @@ def validate_cmd(path: str) -> None:
 
 
 @main.command(name="experiment")
-@click.argument("name")
+@click.argument("name", type=click.Choice([*EXPERIMENTS, "all"]), metavar="NAME")
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--trials", type=int, default=None, help="override the trial count")
 @click.option("--K", "k_value", default="1/22", show_default=True)
@@ -334,22 +339,12 @@ def experiment_cmd(
     name: str, seed: int, trials: Optional[int], k_value: str, eps_frac: str, fmt: str
 ) -> None:
     """Run a named experiment suite, or 'all'. Exit 0 iff everything passes."""
-    defaults = {
-        "stability": 200,
-        "snapping": 100,
-        "simplify-contract": 100,
-        "recovery": 50,
-        "figure1": 1,
-        "figure5": 1,
-        "lowerbound-consistency": 100,
-        "path-equivalence": 100,
-    }
     names = list(EXPERIMENTS) if name == "all" else [name]
     ok = True
     for exp_name in names:
         config = ExperimentConfig(
             seed=seed,
-            trials=trials if trials is not None else defaults.get(exp_name, 100),
+            trials=trials if trials is not None else _SUITES[exp_name][1],
             K=parse_value(k_value),
             epsilon_fraction=parse_value(eps_frac),
         )

@@ -26,25 +26,9 @@ from .operators import (
     simplify,
     snap_diagram,
 )
-from .paths import (
-    check_path,
-    contraction_path,
-    intrinsic_upper,
-    linear_path,
-)
+from .paths import GraphPath, contraction_path, intrinsic_upper, linear_path, path_length
 from .persistence import extended_diagram
 from .rationals import format_value, to_fraction
-
-EXPERIMENTS = (
-    "stability",
-    "snapping",
-    "simplify-contract",
-    "recovery",
-    "figure1",
-    "figure5",
-    "lowerbound-consistency",
-    "path-equivalence",
-)
 
 
 @dataclass(frozen=True)
@@ -396,6 +380,12 @@ def _run_path_equivalence(config: ExperimentConfig) -> list[TrialRecord]:
         )
         index += 1
 
+    def lengths(path: GraphPath) -> tuple[Fraction, Fraction, bool]:
+        """Both totals, and whether every segment has d_B <= 2 * upper."""
+        db, fd = path_length(path, "bottleneck"), path_length(path, "fd_upper")
+        ok = all(b <= 2 * u for b, u in zip(db.per_step, fd.per_step))
+        return db.total, fd.total, ok
+
     pair_count = max(2, config.trials // 20)
     for _ in range(pair_count):
         g = _random_instance(rng, config)
@@ -404,29 +394,25 @@ def _run_path_equivalence(config: ExperimentConfig) -> list[TrialRecord]:
         target = {v: target_graph.value(v) for v in g.vertex_ids}
         sums = []
         for n in refinements:
-            chk = check_path(linear_path(g, target, n), f"linear-{n}")
-            sums.append(chk.bottleneck_total)
-            record(
-                all(s.ok for s in chk.segments),
-                {"check": "linear-segments", "n": n, "bottleneck_sum": chk.bottleneck_total},
-            )
+            db, _, ok = lengths(linear_path(g, target, n))
+            sums.append(db)
+            record(ok, {"check": "linear-segments", "n": n, "bottleneck_sum": db})
         monotone = all(a <= b for a, b in zip(sums, sums[1:]))
         record(monotone, {"check": "linear-refinement", "sums": [format_value(s) for s in sums]})
 
     for label, graph in (("figure1_left", figure1_left()), ("random", _random_instance(rng, config))):
         sums = []
         for n in refinements:
-            path = contraction_path(graph, n)
-            chk = check_path(path, f"contraction-{n}")
-            sums.append(chk.bottleneck_total)
+            db, fd, ok = lengths(contraction_path(graph, n))
+            sums.append(db)
             record(
-                chk.ok,
+                ok and db <= 2 * fd,
                 {
                     "check": "contraction-segments",
                     "graph": label,
                     "n": n,
-                    "bottleneck_sum": chk.bottleneck_total,
-                    "fd_sum": chk.fd_upper_total,
+                    "bottleneck_sum": db,
+                    "fd_sum": fd,
                 },
             )
         monotone = all(a <= b for a, b in zip(sums, sums[1:]))
@@ -437,23 +423,25 @@ def _run_path_equivalence(config: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], list[TrialRecord]]] = {
-    "stability": _run_stability,
-    "snapping": _run_snapping,
-    "simplify-contract": _run_simplify_contract,
-    "recovery": _run_recovery,
-    "figure1": _run_figure1,
-    "figure5": _run_figure5,
-    "lowerbound-consistency": _run_lowerbound,
-    "path-equivalence": _run_path_equivalence,
+# suite name -> (runner, trial count of `reeb experiment`), in run order
+_SUITES: dict[str, tuple[Callable[[ExperimentConfig], list[TrialRecord]], int]] = {
+    "stability": (_run_stability, 200),
+    "snapping": (_run_snapping, 100),
+    "simplify-contract": (_run_simplify_contract, 100),
+    "recovery": (_run_recovery, 50),
+    "figure1": (_run_figure1, 1),
+    "figure5": (_run_figure5, 1),
+    "lowerbound-consistency": (_run_lowerbound, 100),
+    "path-equivalence": (_run_path_equivalence, 100),
 }
+EXPERIMENTS = tuple(_SUITES)
 
 
 def run_experiment(name: str, config: Optional[ExperimentConfig] = None) -> ExperimentReport:
-    if name not in _RUNNERS:
+    if name not in _SUITES:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     config = config or ExperimentConfig()
-    records = _RUNNERS[name](config)
+    records = _SUITES[name][0](config)
     return ExperimentReport(name, config, tuple(records))
 
 

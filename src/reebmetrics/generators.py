@@ -254,18 +254,20 @@ def random_graph(
     return g
 
 
+_GENERATORS = {
+    "segment": segment,
+    "cycle": cycle,
+    "Y": y_graph,
+    "y": y_graph,
+    "figure1_left": figure1_left,
+    "figure1_right": figure1_right,
+    "figure5": figure5,
+    "random": random_graph,
+}
+
+
 def generate(spec: str, **params) -> ReebGraph:
     """Dispatch on a generator name; see the individual functions."""
-    table = {
-        "segment": segment,
-        "cycle": cycle,
-        "Y": y_graph,
-        "y": y_graph,
-        "figure1_left": figure1_left,
-        "figure1_right": figure1_right,
-        "figure5": figure5,
-        "random": random_graph,
-    }
-    if spec not in table:
-        raise ValueError(f"unknown generator {spec!r}; choose from {sorted(table)}")
-    return table[spec](**params)
+    if spec not in _GENERATORS:
+        raise ValueError(f"unknown generator {spec!r}; choose from {sorted(_GENERATORS)}")
+    return _GENERATORS[spec](**params)

@@ -473,6 +473,9 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
     when two points lie in different components.
     """
     points = tuple(points)
+    for p in points:
+        if not g.contains_point(p):
+            raise ValueError(f"point {p} is not on the graph")
     scale = common_denominator(chain(g._values.values(), (p.value for p in points)))
     matrix = _travel_matrix(g, points, scale)
     exact = {d: Fraction(d, scale) for d in set(chain.from_iterable(matrix))}
@@ -482,13 +485,10 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
 def _travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale: int) -> list[list[int]]:
     """`travel_distances` times `scale`, as ints.
 
+    Every point must be on the graph (callers check `contains_point`), and
     `scale` must be a multiple of the denominators of every vertex value and
     point value, so that each node value is an int on its lattice.
     """
-    for p in points:
-        if not g.contains_point(p):
-            raise ValueError(f"point {p} is not on the graph")
-
     # nodes: the vertices, then one per distinct edge-interior point
     node_of = {("v", vid): i for i, vid in enumerate(g.vertex_ids)}
     value = [on_lattice(g.value(vid), scale) for vid in g.vertex_ids]

@@ -1,9 +1,10 @@
 """Discretized paths in the space of Reeb graphs and intrinsic-metric bounds.
 
 A `GraphPath` is a finite time-stamped sequence of graphs; every consecutive
-pair carries a certified functional-distortion upper bound, so the summed
-certificates bound the path's length in that metric from above, while any
-partition's bottleneck sum bounds the bottleneck length from below.
+pair carries a certified interval [d_B/2, upper] around its functional
+distortion distance. The path's two lengths are read from those intervals:
+the summed upper bounds in the distortion metric, and the summed bottleneck
+distances (twice each lower bound) in the bottleneck metric.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bottleneck import graph_bottleneck
 from .distortion import FDBoundCertificate, best_structure_shift, certify_fd_upper
 from .graph import InvalidGraphError, ReebGraph, require_canonical, validate
 from .operators import clear_features, move_certificate
@@ -22,6 +22,15 @@ from .rationals import ValueLike, format_value, to_fraction
 
 @dataclass(frozen=True)
 class GraphPath:
+    """Time-stamped graphs from t=0 to t=1 with one certificate per segment.
+
+    Invariant: `certificates[i]` certifies the segment from step i to step
+    i + 1 and comes from `certify_fd_upper` on that pair (in either order,
+    since d_B is symmetric), or is the constant path's [0, 0]. Its lower
+    bound is therefore half the segment's bottleneck distance, which
+    `path_length` reads back instead of recomputing.
+    """
+
     steps: tuple[tuple[Fraction, ReebGraph], ...]
     certificates: tuple[FDBoundCertificate, ...]
 
@@ -92,16 +101,14 @@ class PathLengthResult:
 
 
 def path_length(p: GraphPath, metric: str = "bottleneck") -> PathLengthResult:
-    """Sum the chosen metric over consecutive steps.
+    """Sum the chosen metric over consecutive steps, read from the certificates.
 
-    For the bottleneck metric any partition's sum lower-bounds the true
-    length; for the distortion metric the certificate sum is an upper-bound
-    flavored estimate.
+    Each segment's bottleneck distance is twice its certificate's lower
+    bound; its distortion length is the certificate's upper bound, so the
+    "fd_upper" total bounds the path's length in that metric from above.
     """
     if metric == "bottleneck":
-        values = tuple(
-            graph_bottleneck(a, b) for a, b, _ in p.segments()
-        )
+        values = tuple(2 * c.lower for c in p.certificates)
     elif metric == "fd_upper":
         values = tuple(c.upper for c in p.certificates)
     else:
@@ -277,65 +284,3 @@ def intrinsic_upper(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> Fraction:
     join = join_via_contractions(g1, g2, n)
     candidates.append(path_length(join, "fd_upper").total)
     return min(candidates)
-
-
-# ---------------------------------------------------------------------------
-# consistency report for the global equivalence of intrinsic metrics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SegmentCheck:
-    bottleneck: Fraction
-    fd_upper: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.bottleneck <= 2 * self.fd_upper
-
-
-@dataclass(frozen=True)
-class PathCheck:
-    label: str
-    segments: tuple[SegmentCheck, ...]
-    bottleneck_total: Fraction
-    fd_upper_total: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(s.ok for s in self.segments)
-            and self.bottleneck_total <= 2 * self.fd_upper_total
-        )
-
-
-@dataclass(frozen=True)
-class StrongEquivalenceReport:
-    checks: tuple[PathCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def check_path(p: GraphPath, label: str) -> PathCheck:
-    db = path_length(p, "bottleneck")
-    fd = path_length(p, "fd_upper")
-    segs = tuple(SegmentCheck(b, u) for b, u in zip(db.per_step, fd.per_step))
-    return PathCheck(label, segs, db.total, fd.total)
-
-
-def check_strong_equivalence(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> StrongEquivalenceReport:
-    """Per-segment two-sided consistency on every constructed path.
-
-    A fixed partition's bottleneck sum does not lower-bound the intrinsic
-    bottleneck metric (the infimum runs over paths), so the testable claim
-    is: on each constructed path, every segment and the totals satisfy
-    bottleneck <= 2 * certified distortion bound.
-    """
-    checks = []
-    direct = direct_linear_path(g1, g2, n)
-    if direct is not None:
-        checks.append(check_path(direct, "direct-linear"))
-    checks.append(check_path(join_via_contractions(g1, g2, n), "join-via-contractions"))
-    return StrongEquivalenceReport(tuple(checks))

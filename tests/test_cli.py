@@ -184,7 +184,16 @@ def test_experiment_command_text(runner):
 
 def test_experiment_unknown_name(runner):
     result = runner.invoke(main, ["experiment", "nope"])
-    assert result.exit_code != 0
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid value" in result.output
+
+
+def test_gen_unknown_name(runner):
+    result = runner.invoke(main, ["gen", "nope"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid value" in result.output
 
 
 def test_fdbound_witness_file(runner, tmp_path):

@@ -7,6 +7,7 @@ from reebmetrics import (
     Correspondence,
     ReebGraph,
     FDBoundCertificate,
+    GraphPoint,
     certify_fd_upper,
     cycle,
     distortion,
@@ -110,6 +111,22 @@ def test_correspondence_validation_rejects_foreign_points():
     )
     with pytest.raises(ValueError):
         distortion(y, seg, c)
+
+
+def test_distortion_rejects_off_graph_points():
+    y, seg = y_graph(), segment()
+    off_y = GraphPoint(value=F(9), edge=0)  # past the top of y's first edge
+    off_seg = GraphPoint(value=F(-1), edge=0)
+    on_y, on_seg = y.vertex_point("a"), seg.vertex_point("bot")
+    for phi, psi in (
+        ({off_y: on_seg}, {on_seg: on_y}),
+        ({on_y: off_seg}, {on_seg: on_y}),
+        ({on_y: on_seg}, {off_seg: on_y}),
+        ({on_y: on_seg}, {on_seg: off_y}),
+    ):
+        c = Correspondence(y, seg, phi, psi, resolution=F(1, 4))
+        with pytest.raises(ValueError):
+            distortion(y, seg, c)
 
 
 def test_fd_lower_examples():

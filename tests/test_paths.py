@@ -6,7 +6,6 @@ import pytest
 from reebmetrics import (
     InvalidGraphError,
     ReebGraph,
-    check_strong_equivalence,
     concatenate,
     constant_path,
     contraction_path,
@@ -14,6 +13,7 @@ from reebmetrics import (
     direct_linear_path,
     figure1_left,
     figure1_right,
+    graph_bottleneck,
     intrinsic_upper,
     join_via_contractions,
     linear_path,
@@ -25,7 +25,25 @@ from reebmetrics import (
     y_graph,
 )
 from reebmetrics.distortion import certify_fd_upper, projection_correspondence
-from reebmetrics.paths import GraphPath, check_path
+from reebmetrics.paths import GraphPath
+
+
+def reference_bottleneck_lengths(p: GraphPath) -> tuple[F, ...]:
+    """Each segment's bottleneck distance, recomputed from its two graphs.
+
+    `path_length(p, "bottleneck")` reads these from the certificates'
+    lower bounds instead.
+    """
+    return tuple(graph_bottleneck(a, b) for a, b, _ in p.segments())
+
+
+def assert_two_sided(p: GraphPath) -> None:
+    """Every recomputed segment d_B, and their total, is at most twice the
+    certified upper bound."""
+    db = reference_bottleneck_lengths(p)
+    uppers = [c.upper for c in p.certificates]
+    assert all(b <= 2 * u for b, u in zip(db, uppers))
+    assert sum(db) <= 2 * sum(uppers)
 
 
 def test_constant_path_length_zero():
@@ -208,26 +226,24 @@ def test_reverse_path_keeps_bounds_and_remainders():
 
 
 # ---------------------------------------------------------------------------
-# two-sided consistency checks
+# lengths read from certificates, and d_B <= 2 * upper per segment
 # ---------------------------------------------------------------------------
 
 
-def test_check_strong_equivalence_on_perturbation():
+def test_direct_path_two_sided_on_perturbation():
     y = y_graph()
     perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})
     for n in (2, 4, 8, 16):
-        report = check_strong_equivalence(y, perturbed, n)
-        assert report.ok
-        labels = [c.label for c in report.checks]
-        assert "direct-linear" in labels
+        direct = direct_linear_path(y, perturbed, n)
+        assert direct is not None
+        assert_two_sided(direct)
+        assert_two_sided(join_via_contractions(y, perturbed, n))
 
 
-def test_check_strong_equivalence_figure1():
-    report = check_strong_equivalence(figure1_left(), figure1_right(), 4)
-    assert report.ok
-    for chk in report.checks:
-        for seg in chk.segments:
-            assert seg.bottleneck <= 2 * seg.fd_upper
+def test_figure1_paths_two_sided_per_segment():
+    left, right = figure1_left(), figure1_right()
+    assert direct_linear_path(left, right, 4) is None
+    assert_two_sided(join_via_contractions(left, right, 4))
 
 
 def test_refining_linear_partition_never_decreases_bottleneck_sum():
@@ -247,23 +263,58 @@ def test_refining_linear_partition_never_decreases_bottleneck_sum():
 
 
 def test_per_segment_two_sided_bound_on_contraction():
-    chk = check_path(contraction_path(figure1_left(), 4), "contraction")
-    assert chk.ok
+    rng = random.Random(13)
+    randoms = [random_graph(rng, n_critical=rng.randint(4, 7)) for _ in range(3)]
+    for g in (y_graph(), cycle(), figure1_left(), *randoms):
+        for n in (2, 4):
+            assert_two_sided(contraction_path(g, n))
 
 
-def test_check_path_totals_are_path_lengths():
+def test_path_lengths_sum_their_certificates():
     y = y_graph()
     for p in (
         contraction_path(figure1_left(), 4),
         join_via_contractions(y, cycle(), 2),
         linear_path(y, {"b": F("1.05"), "c": F("1.95")}, 4),
     ):
-        chk = check_path(p, "p")
         db, fd = path_length(p, "bottleneck"), path_length(p, "fd_upper")
-        assert (chk.bottleneck_total, chk.fd_upper_total) == (db.total, fd.total)
-        assert [(s.bottleneck, s.fd_upper) for s in chk.segments] == list(
-            zip(db.per_step, fd.per_step)
-        )
+        assert db.per_step == tuple(2 * c.lower for c in p.certificates)
+        assert fd.per_step == tuple(c.upper for c in p.certificates)
+        assert (db.total, fd.total) == (sum(db.per_step), sum(fd.per_step))
+
+
+def constructed_paths() -> list[GraphPath]:
+    """Paths from every constructor in `paths`, on small graphs."""
+    y, seg = y_graph(), segment()
+    perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})
+    rng = random.Random(31)
+    randoms = [random_graph(rng, n_critical=rng.randint(4, 8)) for _ in range(4)]
+    direct = direct_linear_path(y, perturbed, 4)
+    join = join_via_contractions(y, cycle(), 2)
+    sampled = GraphPath(
+        ((F(0), y), (F(1), seg)),
+        (certify_fd_upper(y, seg, projection_correspondence(y, seg)),),
+    )
+    return [
+        constant_path(y),
+        linear_path(y, {"b": F("1.05"), "c": F("1.95")}, 4),
+        linear_path(segment(0, 3), {"top": 5}, 2),
+        direct,
+        join,
+        join_via_contractions(figure1_left(), figure1_right(), 2),
+        reverse_path(join),
+        reverse_path(sampled),
+        concatenate([direct, reverse_path(direct)]),
+        concatenate([sampled, contraction_path(seg, 2)]),
+        *(contraction_path(g, 2) for g in (y, cycle(), figure1_left(), *randoms)),
+    ]
+
+
+def test_bottleneck_lengths_are_the_recomputed_distances():
+    for p in constructed_paths():
+        db = path_length(p, "bottleneck")
+        assert db.per_step == reference_bottleneck_lengths(p)
+        assert db.total == sum(db.per_step)
 
 
 def test_admissibility_surrogate_step_bounds_vanish_under_refinement():
@@ -291,9 +342,10 @@ def test_linear_path_bottleneck_total_bounded_by_sup_norm():
     assert all(step <= sup / 16 for step in path_length(p, "bottleneck").per_step)
 
 
-def test_check_strong_equivalence_identical_graphs():
+def test_direct_path_identical_graphs_bottleneck_zero():
     y = y_graph()
-    report = check_strong_equivalence(y, y, 2)
-    assert report.ok
-    direct = [c for c in report.checks if c.label == "direct-linear"]
-    assert direct and direct[0].bottleneck_total == 0
+    direct = direct_linear_path(y, y, 2)
+    assert direct is not None
+    assert path_length(direct, "bottleneck").total == 0
+    assert reference_bottleneck_lengths(direct) == (0, 0)
+    assert_two_sided(join_via_contractions(y, y, 2))
