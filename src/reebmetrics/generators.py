@@ -122,19 +122,31 @@ def _sample_values(
     min_gap: Fraction,
     denominator: int = 1000,
 ) -> list[Fraction]:
-    """Distinct values in [lo, hi] with pairwise gaps >= min_gap (rejection)."""
+    """Distinct values in [lo, hi] with pairwise gaps >= min_gap.
+
+    Values lie on the grid lo + (k / denominator) * span. Up to 10 000
+    rejection draws come first; if all fail (many values, tight gap), the
+    values are placed by construction: `count` sorted picks from the grid
+    shortened by the gaps' total, the i-th moved up by i gaps.
+    """
     if count < 2:
         raise ValueError("need at least two critical values")
     span = hi - lo
     if span <= 0 or min_gap * (count - 1) >= span:
         raise ValueError("value range too small for requested gap")
-    # draw k on the grid lo + (k / denominator) * span; gaps are tested on k
+    # gaps are tested on k, in whole grid steps
     min_steps = math.ceil(min_gap * denominator / span)
+    room = denominator - (count - 1) * min_steps
+    if room < 0:
+        raise ValueError("value grid too coarse for requested gap")
     for _ in range(10_000):
         picks = sorted(rng.randint(0, denominator) for _ in range(count))
         if all(b - a >= min_steps for a, b in zip(picks, picks[1:])):
-            return [lo + Fraction(k, denominator) * span for k in picks]
-    raise RuntimeError("could not sample well-separated values")
+            break
+    else:
+        picks = sorted(rng.randint(0, room) for _ in range(count))
+        picks = [k + i * min_steps for i, k in enumerate(picks)]
+    return [lo + Fraction(k, denominator) * span for k in picks]
 
 
 def random_graph(

@@ -9,6 +9,7 @@ in this module is a pure function.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -458,16 +459,21 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
     the preimage of [lo, hi] (Bauer-Ge-Wang): the least value span of a path
     joining them. Each arc is subdivided at the given edge-interior points,
     which leaves d_f unchanged and makes every point a node (equal locations
-    share one). For each distinct node value lo, taken as the window floor,
-    the nodes of value >= lo join one union-find in increasing value order,
-    each linked to its neighbours already present, until the points above
-    the floor are all joined. When two components meet at value t, every
-    pair of points across them gets span t - lo, and each entry keeps its
-    least span over all floors. A pair joins at most once per floor, so the
-    cost is O(L (V' alpha + P^2)) for L distinct node values, V' nodes and P
-    distinct points. Exact: node values are swept as ints over the lcm of
-    their denominators, every span is a difference of two of them, and the
-    entries become `Fraction`s only on return.
+    share one). One sweep per distinct vertex value v covers every window
+    floor lo in (u, v], where u is the next lower vertex value. The nodes
+    valued in (u, v) lie inside arcs whose lower ends are at most u, so each
+    arc piece below lo hangs from its part above lo and joins nothing: the
+    sweep that adds every node valued above u, in increasing value order,
+    joins a pair x, y at the same value t as the window with any such floor
+    lo <= min(f(x), f(y)), and the best of those floors is
+    min(v, f(x), f(y)). So when two components meet at t, each pair across
+    them gets span t - min(v, f(x), f(y)), each entry keeps its least span
+    over all sweeps, and a sweep stops once its points are all joined. A pair
+    joins at most once per sweep, so the cost is O(L (V' alpha + P^2)) for L
+    distinct vertex values, V' nodes and P distinct points. Exact: node
+    values are swept as ints over the lcm of their denominators, every span
+    is a difference of two of them, and the entries become `Fraction`s only
+    on return.
 
     Raises ValueError for a point not on the graph and InvalidGraphError
     when two points lie in different components.
@@ -483,7 +489,7 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
 
 
 def _travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale: int) -> list[list[int]]:
-    """`travel_distances` times `scale`, as ints.
+    """`travel_distances` times `scale`, as ints: one sweep per vertex value.
 
     Every point must be on the graph (callers check `contains_point`), and
     `scale` must be a multiple of the denominators of every vertex value and
@@ -492,6 +498,7 @@ def _travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale: int) -> 
     # nodes: the vertices, then one per distinct edge-interior point
     node_of = {("v", vid): i for i, vid in enumerate(g.vertex_ids)}
     value = [on_lattice(g.value(vid), scale) for vid in g.vertex_ids]
+    floors = sorted(set(value))  # the distinct vertex values
     inside: dict[int, list[int]] = {}  # edge index -> its interior nodes
     column: dict[int, int] = {}  # point node -> its row in the distinct matrix
     slots = []
@@ -515,41 +522,61 @@ def _travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale: int) -> 
     dist = [[unset] * size for _ in range(size)]
     for k in range(size):
         dist[k][k] = 0
+    row_value = [0] * size
+    for node, k in column.items():
+        row_value[k] = value[node]
     order = sorted(range(len(value)), key=value.__getitem__)
-    for start, first in enumerate(order):
-        lo = value[first]
-        if start and value[order[start - 1]] == lo:
-            continue  # one sweep per distinct floor
-        pending = sum(value[node] >= lo for node in column) - 1  # joins to come
+    ranked = [value[node] for node in order]
+    # below: the next lower vertex value; no node lies under the lowest one
+    for below, floor in zip([floors[0] - 1, *floors], floors):
+        pending = sum(f > below for f in row_value) - 1  # joins to come
         if pending < 1:
             break  # no pair left above this floor, nor above higher ones
         sets = UnionFind()
-        members: dict[int, list[int]] = {}  # root -> rows of its points
-        for node in order[start:]:
+        # root -> rows of its points at or above the floor, and below it
+        members: dict[int, tuple[list[int], list[int]]] = {}
+        for node in order[bisect_right(ranked, below):]:
             sets.add(node)
-            members[node] = [column[node]] if node in column else []
+            rows = [column[node]] if node in column else []
+            members[node] = (rows, []) if value[node] >= floor else ([], rows)
             for other in adjacent[node]:
                 if other not in sets:
                     continue
                 a, b = sets.find(node), sets.find(other)
                 if a == b:
                     continue
-                joined, into = members.pop(a), members[b]
-                if joined and into:
-                    span = value[node] - lo
-                    for i in joined:
-                        row = dist[i]
-                        for j in into:
+                (over_a, hung_a), (over_b, hung_b) = members.pop(a), members[b]
+                if (over_a or hung_a) and (over_b or hung_b):
+                    # a pair's best floor is min(floor, f(x), f(y)): the
+                    # rows hanging below the floor span from their own value
+                    t = value[node]
+                    _keep_least(dist, over_a, over_b, t - floor)
+                    for i in hung_a:
+                        _keep_least(dist, (i,), over_b, t - row_value[i])
+                    for i in chain(over_a, hung_a):
+                        row, low = dist[i], min(floor, row_value[i])
+                        for j in hung_b:
+                            span = t - min(low, row_value[j])
                             if span < row[j]:
                                 row[j] = dist[j][i] = span
                     pending -= 1
-                into.extend(joined)
+                over_b.extend(over_a)
+                hung_b.extend(hung_a)
                 sets.union(a, b)
             if not pending:
-                break  # every point above the floor is joined
+                break  # every point of this sweep is joined
     if any(unset in row for row in dist):
         raise InvalidGraphError("points are not connected in the graph")
     return [[dist[i][j] for j in slots] for i in slots]
+
+
+def _keep_least(dist: list[list[int]], rows, others, span: int) -> None:
+    """Lower to `span` each entry of `dist` between `rows` and `others` above it."""
+    for i in rows:
+        row = dist[i]
+        for j in others:
+            if span < row[j]:
+                row[j] = dist[j][i] = span
 
 
 def travel_distance(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> Fraction:

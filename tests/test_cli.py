@@ -385,3 +385,17 @@ def test_fdbound_reports_gap_and_remainder(runner, tmp_path):
     result = runner.invoke(main, ["fdbound", a, c])
     assert result.exit_code == 0, result.output
     assert result.output == "lower 0.025\nupper 0.05 (natural)\ngap 0.025\n"
+
+
+def test_fdbound_collapse_at_the_default_resolution_is_pinned(runner, tmp_path):
+    # a 14-vertex random graph collapsed onto the segment: the witness
+    # samples both graphs at the default resolution, 1/8 of the smallest
+    # critical gap. Captured while the travel-distance matrix still swept
+    # once per sample value.
+    g, seg = tmp_path / "random.txt", tmp_path / "segment.txt"
+    for args in (["random", "--seed", "5", "--n", "14", "-o", str(g)], ["segment", "-o", str(seg)]):
+        result = runner.invoke(main, ["gen", *args])
+        assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["fdbound", str(g), str(seg), "--witness", "collapse"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "lower 2.3125\nupper 6.4275 (collapse)\ngap 4.115\nremainder 0.0475\n"

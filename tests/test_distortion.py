@@ -265,6 +265,23 @@ def test_distortion_matches_fraction_reference():
     assert checked == 32
 
 
+def test_default_resolution_certificate_is_pinned():
+    # a 9-vertex, 10-edge random graph and a jittered copy, sampled at the
+    # default resolution (578 and 575 samples). Captured while the
+    # travel-distance matrix still swept once per sample value.
+    rng = random.Random(5)
+    g = random_graph(rng, n_critical=9)
+    gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+    jitter = g.with_values(
+        {v: g.value(v) + gap / 4 * F(rng.randint(-21, 21), 21) for v in g.vertex_ids}
+    )
+    c = natural_correspondence(g, jitter, {v: v for v in g.vertex_ids})
+    assert (len(g.vertex_ids), len(g.edges), len(c.phi), len(c.psi)) == (9, 10, 578, 575)
+    assert c.resolution == min(default_resolution(g), default_resolution(jitter))
+    cert = certify_fd_upper(g, jitter, c)
+    assert (cert.lower, cert.upper, cert.remainder) == (F(9, 160), F(129, 700), F(201, 2800))
+
+
 def reference_natural_correspondence(g1, g2, vertex_map, resolution=None):
     """The two-pass edge matching that `natural_correspondence` replaced:
     each direction greedily takes, for every edge in index order, the first

@@ -1,7 +1,9 @@
+import math
 import random
 import sys
 from collections import deque
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from reebmetrics import (
     cycle,
     is_level_isomorphic,
     min_critical_gap,
+    natural_correspondence,
+    projection_correspondence,
     random_graph,
     sample_net,
     segment,
@@ -27,8 +31,10 @@ from reebmetrics import (
     validate,
     y_graph,
 )
-from reebmetrics.graph import ValidationReport
+from reebmetrics.generators import _sample_values
+from reebmetrics.graph import UnionFind, ValidationReport, _travel_matrix
 from reebmetrics.persistence import extended_diagram, reduce_extended_filtration
+from reebmetrics.rationals import common_denominator, on_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +542,145 @@ def reference_travel_distance(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> F:
     return best
 
 
+def reference_travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale: int) -> list[list[int]]:
+    """The sweep that `_travel_matrix` replaced: one sweep from every distinct
+    node value, vertices and points alike, each recording t - lo for the
+    pairs it joins at value t above its floor lo."""
+    # nodes: the vertices, then one per distinct edge-interior point
+    node_of = {("v", vid): i for i, vid in enumerate(g.vertex_ids)}
+    value = [on_lattice(g.value(vid), scale) for vid in g.vertex_ids]
+    inside: dict[int, list[int]] = {}  # edge index -> its interior nodes
+    column: dict[int, int] = {}  # point node -> its row in the distinct matrix
+    slots = []
+    for p in points:
+        key = p.location_key()
+        if key not in node_of:
+            node_of[key] = len(value)
+            value.append(on_lattice(p.value, scale))
+            inside.setdefault(p.edge, []).append(node_of[key])  # type: ignore[arg-type]
+        slots.append(column.setdefault(node_of[key], len(column)))
+    adjacent: list[list[int]] = [[] for _ in value]
+    for idx, (u, v) in enumerate(g.edges):
+        between = sorted(inside.get(idx, ()), key=value.__getitem__)
+        arc = [node_of["v", u], *between, node_of["v", v]]
+        for a, b in zip(arc, arc[1:]):
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+
+    size = len(column)
+    unset = max(value) - min(value) + 1  # above every span
+    dist = [[unset] * size for _ in range(size)]
+    for k in range(size):
+        dist[k][k] = 0
+    order = sorted(range(len(value)), key=value.__getitem__)
+    for start, first in enumerate(order):
+        lo = value[first]
+        if start and value[order[start - 1]] == lo:
+            continue  # one sweep per distinct floor
+        pending = sum(value[node] >= lo for node in column) - 1  # joins to come
+        if pending < 1:
+            break  # no pair left above this floor, nor above higher ones
+        sets = UnionFind()
+        members: dict[int, list[int]] = {}  # root -> rows of its points
+        for node in order[start:]:
+            sets.add(node)
+            members[node] = [column[node]] if node in column else []
+            for other in adjacent[node]:
+                if other not in sets:
+                    continue
+                a, b = sets.find(node), sets.find(other)
+                if a == b:
+                    continue
+                joined, into = members.pop(a), members[b]
+                if joined and into:
+                    span = value[node] - lo
+                    for i in joined:
+                        row = dist[i]
+                        for j in into:
+                            if span < row[j]:
+                                row[j] = dist[j][i] = span
+                    pending -= 1
+                into.extend(joined)
+                sets.union(a, b)
+            if not pending:
+                break  # every point above the floor is joined
+    if any(unset in row for row in dist):
+        raise InvalidGraphError("points are not connected in the graph")
+    return [[dist[i][j] for j in slots] for i in slots]
+
+
+def assert_matrix_matches_reference(g: ReebGraph, points) -> None:
+    """`_travel_matrix` and `reference_travel_matrix` agree entry for entry."""
+    points = tuple(points)
+    scale = common_denominator(chain(g._values.values(), (p.value for p in points)))
+    assert _travel_matrix(g, points, scale) == reference_travel_matrix(g, points, scale)
+
+
+def shuffled_with_repeats(rng: random.Random, points) -> list[GraphPoint]:
+    """The points in random order, a few of them twice (one copy rebuilt)."""
+    out = list(points)
+    for p in rng.sample(out, min(len(out), rng.randint(0, 4))):
+        out.append(GraphPoint(value=p.value, vertex=p.vertex, edge=p.edge))
+    rng.shuffle(out)
+    return out
+
+
+def test_travel_matrix_matches_reference_on_seeded_sample_nets():
+    # 100 graphs, each at three resolutions: the nets put points on vertex
+    # values of other arcs, and every sweep floor has points dangling below it
+    rng = random.Random(1111)
+    cases = 0
+    for _ in range(100):
+        g = random_graph(rng, n_critical=rng.randint(3, 8))
+        for parts in (3, rng.randint(5, 10), rng.randint(12, 24)):
+            net = sample_net(g, g.span() / parts)
+            assert_matrix_matches_reference(g, shuffled_with_repeats(rng, net))
+            cases += 1
+    assert cases == 300
+
+
+def test_travel_matrix_matches_reference_on_correspondence_points():
+    # the point lists `distortion` hands to the sweep: both sides of the
+    # natural correspondence to a jittered copy, and of the collapse onto
+    # the graph's segment
+    rng = random.Random(2222)
+    for _ in range(12):
+        g = random_graph(rng, n_critical=rng.randint(4, 7))
+        gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+        jitter = g.with_values(
+            {v: g.value(v) + gap / 4 * F(rng.randint(-7, 7), 7) for v in g.vertex_ids}
+        )
+        seg = segment(g.min_value(), g.max_value())
+        resolution = g.span() / rng.randint(4, 9)
+        for c, other in (
+            (natural_correspondence(g, jitter, {v: v for v in g.vertex_ids}, resolution), jitter),
+            (projection_correspondence(g, seg, resolution), seg),
+        ):
+            pairs = list(c.phi.items()) + [(x, y) for y, x in c.psi.items()]
+            assert_matrix_matches_reference(g, [x for x, _ in pairs])
+            assert_matrix_matches_reference(other, [y for _, y in pairs])
+
+
+def test_travel_matrix_matches_reference_on_tied_combs_and_ladders():
+    # rounding comb values up to integers and ladder values up to multiples
+    # of 4 makes teeth and rungs end at values of other vertices: several
+    # vertices share each sweep floor
+    rng = random.Random(3333)
+    tied = 0
+    for case in range(40):
+        if case % 2:
+            vertices, edges = comb_parts(rng, rng.randint(1, 6))
+            vertices = [(vid, -(-value // 1)) for vid, value in vertices]
+        else:
+            vertices, edges = ladder_parts(rng, rng.randint(1, 4))
+            vertices = [(vid, -(-value // 4) * 4) for vid, value in vertices]
+        g = ReebGraph(vertices, edges)
+        tied += len({g.value(v) for v in g.vertex_ids}) < len(g.vertex_ids)
+        net = sample_net(g, F(rng.randint(1, 4), 2))
+        assert_matrix_matches_reference(g, shuffled_with_repeats(rng, net))
+    assert tied >= 30
+
+
 def test_travel_segment_interior_points():
     s = segment()
     assert travel_distance(s, s.edge_point(0, 1), s.edge_point(0, 2)) == 1
@@ -628,32 +773,52 @@ def test_travel_distances_match_reference_on_coprime_denominators():
 
 @st.composite
 def small_graphs_with_points(draw):
-    """A connected graph on 1-7 vertices (level and parallel edges allowed)
-    and 1-7 points on it, vertices and edge-interior points, repeats allowed."""
+    """A connected graph on 1-7 vertices and 1-7 points on it, repeats allowed.
+
+    Values are ints or, for some graphs, fractions over coprime denominators.
+    The graph may have level arcs (an arc to a new vertex of the same value)
+    and parallel arcs. Points are vertices, edge-interior points at a drawn
+    fraction of their arc, or edge-interior points at another vertex's value.
+    """
     n = draw(st.integers(min_value=1, max_value=7))
-    values = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    denominators = draw(st.sampled_from(((1,), (1, 2), (2, 3, 5), (3, 7, 11))))
+    values = [
+        F(draw(st.integers(0, 8 * max(denominators))), draw(st.sampled_from(denominators)))
+        for _ in range(n)
+    ]
     pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []  # parallel
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):  # level arcs
+        values.append(values[i])
+        pairs.append((i, len(values) - 1))
     g = ReebGraph(
-        [(f"v{i}", values[i]) for i in range(n)],
+        [(f"v{i}", value) for i, value in enumerate(values)],
         [(f"v{a}", f"v{b}") for a, b in pairs if a != b],
     )
     points = []
     for _ in range(draw(st.integers(min_value=1, max_value=7))):
-        if not g.edges or draw(st.booleans()):
+        kind = draw(st.integers(0, 2)) if g.edges else 0
+        if kind == 0:
             points.append(g.vertex_point(draw(st.sampled_from(g.vertex_ids))))
+            continue
+        idx = draw(st.integers(0, len(g.edges) - 1))
+        lo, hi = g.edge_values(idx)
+        inner = [g.value(v) for v in g.vertex_ids if lo < g.value(v) < hi]
+        if kind == 2 and inner:
+            points.append(g.edge_point(idx, draw(st.sampled_from(inner))))
         else:
-            idx = draw(st.integers(0, len(g.edges) - 1))
-            lo, hi = g.edge_values(idx)
-            points.append(g.edge_point(idx, lo + (hi - lo) * F(draw(st.integers(0, 8)), 8)))
+            cut = draw(st.sampled_from((2, 3, 5, 8)))
+            points.append(g.edge_point(idx, lo + (hi - lo) * F(draw(st.integers(0, cut)), cut)))
     return g, points
 
 
 @given(small_graphs_with_points())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_travel_distances_is_a_pseudometric_within_value_bounds(case):
     g, points = case
     d = travel_distances(g, points)
+    assert_matrix_matches_reference(g, points)
     n = len(points)
     for i in range(n):
         assert d[i][i] == 0
@@ -753,6 +918,66 @@ def test_graph_point_needs_exactly_one_location():
 def test_random_generator_output_is_valid(seed):
     g = random_graph(seed, n_critical=6)
     assert validate(g).ok
+
+
+def reference_sample_values(rng, count, lo, hi, min_gap, denominator=1000):
+    """The rejection sampler before it placed values by construction: it
+    gave up with a RuntimeError after 10 000 draws."""
+    if count < 2:
+        raise ValueError("need at least two critical values")
+    span = hi - lo
+    if span <= 0 or min_gap * (count - 1) >= span:
+        raise ValueError("value range too small for requested gap")
+    min_steps = math.ceil(min_gap * denominator / span)
+    for _ in range(10_000):
+        picks = sorted(rng.randint(0, denominator) for _ in range(count))
+        if all(b - a >= min_steps for a, b in zip(picks, picks[1:])):
+            return [lo + F(k, denominator) * span for k in picks]
+    raise RuntimeError("could not sample well-separated values")
+
+
+def test_sample_values_match_the_rejection_sampler_where_it_succeeds():
+    # same values and the same generator state afterwards, so every seeded
+    # graph the rejection sampler could draw stays as it was
+    params = random.Random(8080)
+    matched = 0
+    for _ in range(420):
+        count = params.randint(2, 12)
+        lo = F(params.randint(-20, 20), params.choice((1, 3, 4)))
+        hi = lo + F(params.randint(1, 40), params.choice((1, 2, 7)))
+        min_gap = (hi - lo) / (count - 1) * F(params.randint(1, 12), 24)
+        seed = params.randrange(2**32)
+        old, new = random.Random(seed), random.Random(seed)
+        try:
+            want = reference_sample_values(old, count, lo, hi, min_gap)
+        except RuntimeError:
+            continue
+        assert _sample_values(new, count, lo, hi, min_gap) == want
+        assert new.getstate() == old.getstate()
+        matched += 1
+    assert matched >= 400
+
+
+@pytest.mark.parametrize("n_critical", [50, 100])
+def test_random_generator_many_critical_values(n_critical):
+    # the rejection sampler gave up on these (50 values five grid steps
+    # apart on a 1/1000 grid are too rare to draw), so the values are placed
+    if n_critical == 50:
+        with pytest.raises(RuntimeError):
+            reference_sample_values(random.Random(1), 50, F(0), F(10), F(10, 200))
+    g = random_graph(1, n_critical=n_critical)
+    assert validate(g).ok
+    assert len(critical_values(g)) == n_critical
+    assert min_critical_gap(g) >= F(10, 4 * n_critical)
+
+
+def test_sample_values_rejects_a_gap_the_grid_cannot_hold():
+    # 219 gaps of 0.0401 fit in 10, but each takes 5 steps of the 1/100 grid
+    # spacing, and 219 * 5 steps overrun its 1000
+    rng = random.Random(3)
+    with pytest.raises(ValueError, match="grid"):
+        _sample_values(rng, 220, F(0), F(10), F(401, 10_000))
+    assert rng.getstate() == random.Random(3).getstate()  # no draw was made
 
 
 def test_random_generator_deterministic():
