@@ -27,7 +27,7 @@ from .fileio import (
     parse_graph_text,
 )
 from .generators import _GENERATORS, generate
-from .graph import ReebGraph, canonicalize, critical_values, stats, validate
+from .graph import InvalidGraphError, ReebGraph, canonicalize, critical_values, stats, validate
 from .isomorphism import level_isomorphism
 from .operators import MergeParams, TransformParams, full_transform, merge, simplify
 from .paths import GraphPath, intrinsic_upper, path_length
@@ -64,7 +64,21 @@ def _emit_graph(g: ReebGraph, output: Optional[str], as_json: bool = False) -> N
         click.echo(text, nl=False)
 
 
-@click.group()
+class _ReebGroup(click.Group):
+    """Reports a graph that breaks an invariant as a one-line error (exit 1)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InvalidGraphError as exc:
+            details = "; ".join(str(exc).splitlines())
+            raise click.ClickException(
+                f"invalid graph: {details} (`reeb convert --to canonical` removes "
+                "pass-through vertices)"
+            ) from exc
+
+
+@click.group(cls=_ReebGroup)
 @click.version_option(version=__version__, prog_name="reeb")
 def main() -> None:
     """Reeb graph metrics: diagrams, distances, operators, experiments."""
@@ -112,10 +126,11 @@ def _diagram_delta(before: Diagram, after: Diagram) -> str:
 def merge_cmd(path: str, a: str, b: str, output: Optional[str]) -> None:
     """Contract the band [a, b] of a graph."""
     g = _load_graph(path)
+    before = extended_diagram(g)  # an invalid graph fails before any output
     merged = merge(g, MergeParams(parse_value(a), parse_value(b)))
     _emit_graph(merged, output)
     click.echo("# diagram delta")
-    click.echo(_diagram_delta(extended_diagram(g), extended_diagram(merged)))
+    click.echo(_diagram_delta(before, extended_diagram(merged)))
 
 
 @main.command(name="simplify")

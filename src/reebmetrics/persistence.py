@@ -1,28 +1,53 @@
 """Extended persistence of a Reeb graph's induced map.
 
-Two independent computations are provided and used as mutual oracles:
+`extended_diagram` assembles the diagram from one elder-rule union-find
+sweep (`_elder_sweep`) run twice: up the sublevel sets, and down the
+superlevel sets as the same sweep over negated levels with every edge's ends
+swapped. A sweep adds the edges in order; an edge whose ends are already
+connected closes a loop, and any other edge joins two components, the one
+born later dying there.
 
-* `reduce_extended_filtration` runs Z2 column reduction over the boundary
-  matrix of the extended filtration, realized on the cone of the graph
-  complex. It produces all four point classes.
-* `ord0_unionfind` sweeps sublevel sets with a union-find under the elder
-  rule and yields the degree-0 ordinary part; run on the value-negated graph
-  it yields the relative one-dimensional part.
+* Ord0 is the upward sweep's deaths and Rel1 the downward sweep's.
+* Ext0 pairs each component's first vertex upward, its minimum, with its
+  first vertex downward, its maximum.
+* Ext1 pairs the two sweeps' loop-closing edges. A downward loop-closing
+  edge f closes the cycle f + (its path in the downward spanning forest).
+  That cycle is written as a bit column over the upward loop-closing edges
+  it contains: its coordinates in the fundamental-cycle basis of the upward
+  forest. The columns are reduced over Z2 in downward order by their
+  highest set bit, one owner column per low; a column that keeps low e
+  gives Ext1(value of e's upper end, value of f's lower end).
+
+Why Ext1 is exact: cycles of the sublevel set at b and of the superlevel set
+at d meet in the cycle space of f^-1[d, b], so the Ext1 points are the
+unique pairing of those two flags. In sublevel order the latest edge of a
+cycle closes a loop, and it is the cycle's highest coordinate, so a column's
+highest bit is the low that the coned reduction finds.
+
+Cost: sorting the edges, two near-linear sweeps, the total length of the
+downward forest paths, and at most b1^2 column XORs of b1 bits each.
+
+`reduce_extended_filtration`, Z2 column reduction of the coned extended
+filtration, is the oracle the tests compare the sweeps against;
+`ord0_unionfind` and `rel1_unionfind` are views of the swept diagram for
+those comparisons.
 
 Cells at equal value are ordered by (dimension ascending, stable input
-index); both computations use the same total order, so their pairings agree
-exactly even at ties. The order is a sort of plain int triples: vertex
-values enter scaled to integers over the lcm of their denominators, which
-keeps every comparison and tie, and a cell's exact value is always that of
-one vertex, so diagram points reuse the graph's own `Fraction`s.
+index); the sweeps and the reduction use the same total order, so their
+pairings agree exactly even at ties. The order is a sort of plain int
+tuples: vertex values enter scaled to integers over the lcm of their
+denominators, which keeps every comparison and tie, and a cell's exact value
+is always that of one vertex, so diagram points reuse the graph's own
+`Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import EXT0, EXT1, ORD0, REL1, Diagram, DiagramPoint
-from .graph import ReebGraph, UnionFind, require_canonical
+from .graph import ReebGraph, require_canonical
 from .rationals import common_denominator, on_lattice
 
 
@@ -129,45 +154,112 @@ def reduce_extended_filtration(g: ReebGraph) -> Diagram:
     return Diagram(points)
 
 
-def ord0_unionfind(g: ReebGraph) -> tuple[DiagramPoint, ...]:
-    """Degree-0 ordinary points by sublevel sweep with the elder rule.
+class _Sweep(NamedTuple):
+    """What one elder-rule sweep found, in vertex and edge indices."""
 
-    On merging two components the one born earlier (by cell position, hence
-    by value with stable tie-breaking) survives; the younger one dies at the
-    current edge value. Zero-persistence pairs are dropped.
+    deaths: list[tuple[int, int]]  # (younger vertex, merging edge's later end)
+    loops: list[int]  # loop-closing edges, in sweep order
+    forest: list[int]  # spanning-forest edges
+    roots: list[int]  # each component's first vertex
+
+
+def _elder_sweep(level: list[int], ends: list[tuple[int, int]]) -> _Sweep:
+    """Sweep the sublevel sets with a union-find under the elder rule.
+
+    Edges enter by (value, index), their order in `_sublevel_order`, and a
+    vertex is born before every edge at its value. On merging two components
+    the one whose first vertex came earlier, by (value, index), survives;
+    the younger one dies at the current edge value. Zero-persistence deaths
+    are dropped.
     """
+    n = len(level)
+    parent = list(range(n))  # union-find forest; each root is its component's elder
+    deaths: list[tuple[int, int]] = []
+    loops: list[int] = []
+    forest: list[int] = []
+    for e in sorted(range(len(ends)), key=lambda e: (level[ends[e][1]], e)):
+        ru, rv = ends[e]
+        upper = rv  # the edge enters at its upper end's value
+        while parent[ru] != ru:
+            parent[ru] = parent[parent[ru]]  # path halving
+            ru = parent[ru]
+        while parent[rv] != rv:
+            parent[rv] = parent[parent[rv]]
+            rv = parent[rv]
+        if ru == rv:
+            loops.append(e)
+            continue
+        forest.append(e)
+        elder, younger = (ru, rv) if (level[ru], ru) < (level[rv], rv) else (rv, ru)
+        if level[younger] < level[upper]:
+            deaths.append((younger, upper))
+        parent[younger] = elder
+    roots = [i for i in range(n) if parent[i] == i]
+    return _Sweep(deaths, loops, forest, roots)
+
+
+def _diagram_from_sweeps(g: ReebGraph) -> Diagram:
+    """The extended diagram of any graph, from an upward and a downward sweep."""
     values, level, ends = _cells(g)
     n = len(level)
-    order = _sublevel_order(level, ends)
-    birth_rank = [0] * n
-    for rank, cell in enumerate(order):
-        if cell < n:
-            birth_rank[cell] = rank
-    sets = UnionFind()
-    points: list[DiagramPoint] = []
-    for cell in order:
-        if cell < n:
-            sets.add(cell)
-            continue
-        u, v = ends[cell - n]
-        ru, rv = sets.find(u), sets.find(v)
-        if ru == rv:
-            continue
-        elder, younger = (ru, rv) if birth_rank[ru] < birth_rank[rv] else (rv, ru)
-        if level[younger] < level[v]:
-            points.append(DiagramPoint(ORD0, values[younger], values[v]))
-        sets.union(younger, elder)
-    return tuple(sorted(points, key=DiagramPoint.sort_key))
+    up = _elder_sweep(level, ends)
+    down = _elder_sweep([-value for value in level], [(v, u) for u, v in ends])
+    points = [DiagramPoint(ORD0, values[b], values[d]) for b, d in up.deaths]
+    points += [DiagramPoint(REL1, values[b], values[d]) for b, d in down.deaths]
+
+    # the downward forest, rooted at each component's maximum
+    top, parent, parent_edge, depth = list(range(n)), [0] * n, [-1] * n, [0] * n
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in down.forest:
+        u, v = ends[e]
+        adjacent[u].append((v, e))
+        adjacent[v].append((u, e))
+    stack = list(down.roots)
+    while stack:
+        x = stack.pop()
+        for y, e in adjacent[x]:
+            if e != parent_edge[x]:
+                parent[y], parent_edge[y], depth[y], top[y] = x, e, depth[x] + 1, top[x]
+                stack.append(y)
+    points += [DiagramPoint(EXT0, values[r], values[top[r]]) for r in up.roots]
+
+    bit = [0] * len(ends)  # 1 << row for each upward loop-closing edge
+    for row, e in enumerate(up.loops):
+        bit[e] = 1 << row
+    owner: dict[int, int] = {}
+    for f in down.loops:
+        u, v = ends[f]
+        col = bit[f]
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            col ^= bit[parent_edge[u]]
+            u = parent[u]
+        while col:
+            low = col.bit_length() - 1
+            kept = owner.get(low)
+            if kept is None:
+                owner[low] = col
+                birth = values[ends[up.loops[low]][1]]  # the upper end of e
+                points.append(DiagramPoint(EXT1, birth, values[ends[f][0]]))
+                break
+            col ^= kept
+    return Diagram(points)
+
+
+def ord0_unionfind(g: ReebGraph) -> tuple[DiagramPoint, ...]:
+    """Degree-0 ordinary points of the upward sweep, for comparison with
+    `reduce_extended_filtration`."""
+    return _diagram_from_sweeps(g).of_kind(ORD0)
 
 
 def rel1_unionfind(g: ReebGraph) -> tuple[DiagramPoint, ...]:
-    """Rel1 points obtained by the symmetry f -> -f (flip, sweep, flip back)."""
-    flipped = ord0_unionfind(g.negated())
-    points = [DiagramPoint(REL1, -p.birth, -p.death) for p in flipped]
-    return tuple(sorted(points, key=DiagramPoint.sort_key))
+    """Rel1 points of the downward sweep, for comparison with
+    `reduce_extended_filtration`."""
+    return _diagram_from_sweeps(g).of_kind(REL1)
 
 
 def extended_diagram(g: ReebGraph) -> Diagram:
     """The typed extended persistence diagram of a valid connected graph."""
     require_canonical(g)
-    return reduce_extended_filtration(g)
+    return _diagram_from_sweeps(g)

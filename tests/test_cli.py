@@ -196,6 +196,40 @@ def test_gen_unknown_name(runner):
     assert "Invalid value" in result.output
 
 
+PASS_THROUGH = "v a 0\nv b 1\nv c 2\ne a b\ne b c\n"
+DISCONNECTED = "v a 0\nv b 1\nv c 2\nv d 3\ne a b\ne c d\n"
+
+
+@pytest.mark.parametrize(
+    "text, violation",
+    [(PASS_THROUGH, "pass-through at vertex b"), (DISCONNECTED, "2 connected components")],
+    ids=["pass-through", "disconnected"],
+)
+@pytest.mark.parametrize(
+    "command", ["diagram", "bottleneck", "simplify", "merge", "transform", "intrinsic"]
+)
+def test_invalid_graph_is_a_one_line_error(runner, tmp_path, command, text, violation):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    good = write(tmp_path / "y.txt", y_graph())
+    args = {
+        "diagram": [bad],
+        "bottleneck": [bad, good],
+        "simplify": [bad, "1"],
+        "merge": [bad, "1/2", "3/2"],
+        "transform": [bad, "--anchors", good, "--alpha", "1/10"],
+        "intrinsic": [bad, good],
+    }[command]
+    result = runner.invoke(main, [command, *map(str, args)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    [error] = result.output.splitlines()  # and nothing printed before it
+    assert error.startswith("Error: invalid graph: ")
+    assert violation in error
+    assert "reeb convert --to canonical" in error
+
+
 def test_fdbound_witness_file(runner, tmp_path):
     from reebmetrics.distortion import projection_correspondence
     from reebmetrics.fileio import correspondence_to_json

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from reebmetrics import (
     Diagram,
     DiagramPoint,
+    canonicalize,
     validate,
     InvalidGraphError,
     ReebGraph,
@@ -22,7 +23,7 @@ from reebmetrics import (
     segment,
     y_graph,
 )
-from reebmetrics.persistence import ord0_unionfind, rel1_unionfind
+from reebmetrics.persistence import _diagram_from_sweeps, ord0_unionfind, rel1_unionfind
 
 
 def point(kind, b, d):
@@ -338,7 +339,7 @@ def test_tie_rich_graph_cross_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the integer cell order against the Fraction-keyed reduction
+# the integer cell order and the sweeps against the Fraction-keyed reduction
 # ---------------------------------------------------------------------------
 
 
@@ -371,8 +372,9 @@ def test_reduction_matches_fraction_reference():
     for k, g in enumerate(graphs):
         d = reduce_extended_filtration(g)
         assert d == reference_reduce_extended_filtration(g), k
-        assert d.of_kind("Ord0") == ord0_unionfind(g), k
-        assert d.of_kind("Rel1") == rel1_unionfind(g), k
+        assert _diagram_from_sweeps(g) == d, k
+        if validate(g).ok:
+            assert extended_diagram(g) == d, k
 
 
 @st.composite
@@ -398,3 +400,98 @@ def small_graphs(draw):
 def test_reduction_matches_fraction_reference_on_small_graphs(g):
     assert reduce_extended_filtration(g) == reference_reduce_extended_filtration(g)
     assert ord0_unionfind(g) == reference_reduce_extended_filtration(g).of_kind("Ord0")
+
+
+@given(small_graphs())
+@settings(max_examples=300, deadline=None)
+def test_sweeps_match_the_reduction_on_small_graphs(g):
+    d = reduce_extended_filtration(g)
+    assert _diagram_from_sweeps(g) == d
+    if validate(g).ok:
+        assert extended_diagram(g) == d
+
+
+# ---------------------------------------------------------------------------
+# the sweeps against the reduction at scale
+# ---------------------------------------------------------------------------
+
+
+def trunk(rng: random.Random, slots: int, kinds=("down", "up", "loop")) -> ReebGraph:
+    """A trunk of `slots` features drawn from `kinds`: a tooth hanging down,
+    a tooth standing up, or a loop of two parallel arcs. Trunk values wander
+    around 2k at slot k, so features overlap and many vertices tie."""
+    level = {"bot": 0}
+    edges = []
+    below = "bot"
+    for k in range(1, slots + 1):
+        base = level[below]
+        while base == level[below]:
+            base = 2 * k + rng.randint(-3, 3)
+        kind = rng.choice(kinds)
+        if kind == "loop":
+            split, join = f"s{k}", f"j{k}"
+            level[split], level[join] = base, base + rng.randint(1, 4)
+            edges += [(below, split), (split, join), (split, join)]
+            below = join
+        else:
+            fork, tip = f"f{k}", f"t{k}"
+            level[fork] = base
+            level[tip] = base + rng.randint(1, 4) * (1 if kind == "up" else -1)
+            edges += [(below, fork), (fork, tip)]
+            below = fork
+    level["top"] = level[below] + 1
+    edges.append((below, "top"))
+    return ReebGraph(level.items(), edges)
+
+
+@pytest.mark.parametrize(
+    "family, vertices",
+    [("ladder", 1000), ("ladder", 3000), ("comb", 1000), ("comb", 5000), ("mixed", 1000), ("mixed", 5000)],
+)
+def test_sweeps_match_the_reduction_on_large_graphs(family, vertices):
+    rng = random.Random(vertices + len(family))
+    if family == "ladder":
+        g = canonicalize(ladder(rng, vertices // 2 - 1))  # two rail ends pass through
+    else:
+        g = trunk(rng, vertices // 2 - 1, ("down",) if family == "comb" else ("down", "up", "loop"))
+    assert vertices - 2 <= len(g.vertex_ids) <= vertices
+    assert validate(g).ok
+    assert extended_diagram(g) == reduce_extended_filtration(g)
+
+
+def theta(arcs: int) -> ReebGraph:
+    return ReebGraph([("bot", 0), ("top", 1)], [("bot", "top")] * arcs)
+
+
+def fan_to_the_top(spokes: int) -> ReebGraph:
+    """A chain s0 < s1 < ... with an arc from each of s1, s2, ... to the top."""
+    vertices = [(f"s{i}", i) for i in range(spokes)] + [("top", spokes)]
+    edges = [(f"s{i}", f"s{i + 1}") for i in range(spokes - 1)] + [(f"s{spokes - 1}", "top")]
+    edges += [(f"s{i}", "top") for i in range(1, spokes)]
+    return ReebGraph(vertices, edges)
+
+
+def nested_arcs(arcs: int) -> ReebGraph:
+    """A chain s0 < ... < s(2k+1) with arcs s_i -- s_(2k+1-i): each arc spans
+    the next one, so the cycles' forest paths are long."""
+    vertices = [(f"s{i}", i) for i in range(2 * arcs + 2)]
+    edges = [(f"s{i}", f"s{i + 1}") for i in range(2 * arcs + 1)]
+    edges += [(f"s{i}", f"s{2 * arcs + 1 - i}") for i in range(1, arcs + 1)]
+    return ReebGraph(vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        theta(3000),
+        fan_to_the_top(1000),
+        fan_to_the_top(1000).negated(),
+        nested_arcs(1000),
+        nested_arcs(1000).negated(),
+    ],
+    ids=["theta", "fan-to-the-top", "fan-from-the-bottom", "nested", "nested-negated"],
+)
+def test_sweeps_match_the_reduction_on_many_cycles(g):
+    d = extended_diagram(g)
+    assert len(d.of_kind("Ext1")) == g.first_betti()
+    assert d == reduce_extended_filtration(g)
