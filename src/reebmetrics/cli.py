@@ -138,13 +138,22 @@ def merge_cmd(path: str, a: str, b: str, output: Optional[str]) -> None:
 @click.argument("alpha")
 @click.option("-o", "--output", default=None, help="write the simplified graph here")
 def simplify_cmd(path: str, alpha: str, output: Optional[str]) -> None:
-    """Remove all diagram points within alpha/2 of the diagonal."""
+    """Remove all diagram points within alpha/2 of the diagonal.
+
+    Prints the simplified graph, its distortion certificate and diagram
+    delta, then the certified lower/upper bounds on the functional
+    distortion distance to the input and their gap, as `fdbound` does.
+    """
     g = _load_graph(path)
     result = simplify(g, parse_value(alpha))
     _emit_graph(result.graph, output)
     click.echo(f"# distortion certificate {format_value(result.certificate)}")
     click.echo("# diagram delta")
     click.echo(_diagram_delta(extended_diagram(g), extended_diagram(result.graph)))
+    cert = certify_fd_upper(g, result.graph, "simplification moves", result.certificate)
+    click.echo(f"lower {format_value(cert.lower)}")
+    click.echo(f"upper {format_value(cert.upper)} (simplification moves)")
+    click.echo(f"gap {format_value(cert.upper - cert.lower)}")
 
 
 @main.command(name="transform")

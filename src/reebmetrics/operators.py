@@ -14,19 +14,30 @@ pass per band. A new vertex is named by a prefix and the least free number
 `simplify` removes every diagram point within the stated offset of the
 diagonal by merging bands around the near features' spans, widened so that
 snapping cannot drag a surviving point into the cleared zone, and recomputes
-the diagram between passes. `move_certificate` is the one rule that costs
-band merges, for `simplify` and `merge_sequence` alike: a pass of disjoint
-bands costs its widest band, and passes and stretches add, so the emitted
-certificate stays proportional to the clearance parameter.
+the diagram between passes. The widening is a closure: each round visits
+every band, and of the surviving features the band would drag, the last in
+diagram order sets both of the band's ends. A visit finds its candidates by
+bisection, so a closure round costs O(k log P + c) for k bands, P surviving
+features and c features with exactly one end in a band, not O(k P).
+`move_certificate` is the one rule that costs band merges, for `simplify`
+and `merge_sequence` alike: a pass of disjoint bands costs its widest band,
+and passes and stretches add, so the emitted certificate stays proportional
+to the clearance parameter.
+
+Both hot loops compare ints, not `Fraction`s: the closure puts the diagram's
+coordinates and alpha on one lattice (`rationals.common_denominator`), and
+the band merge puts the vertex values and band ends on another. Only their
+results, band ends and midpoints, are `Fraction`s.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .diagram import EXT0, Diagram, DiagramPoint
@@ -38,7 +49,7 @@ from .graph import (
     require_canonical,
 )
 from .persistence import extended_diagram
-from .rationals import ValueLike, to_fraction
+from .rationals import ValueLike, common_denominator, on_lattice, to_fraction
 
 
 @dataclass(frozen=True)
@@ -80,11 +91,17 @@ def _merge_bands(
     """
     if not bands:
         return g
-    starts = [band.a for band in bands]
+    values = g.vertices()
+    scale = common_denominator(
+        chain((val for _, val in values), (band.a for band in bands), (band.b for band in bands))
+    )
+    starts = [on_lattice(band.a, scale) for band in bands]
+    ends = [on_lattice(band.b, scale) for band in bands]
     band_of: dict[str, int] = {}
-    for vid, val in g.vertices():
-        i = bisect_right(starts, val) - 1
-        if i >= 0 and val <= bands[i].b:
+    for vid, val in values:
+        x = on_lattice(val, scale)
+        i = bisect_right(starts, x) - 1
+        if i >= 0 and x <= ends[i]:
             band_of[vid] = i
 
     sets = UnionFind()
@@ -96,15 +113,18 @@ def _merge_bands(
     root_of = {vid: sets.find(vid) for vid in band_of}
     sizes = Counter(root_of.values())
 
-    vertices = [(vid, val) for vid, val in g.vertices() if vid not in band_of]
+    vertices = [(vid, val) for vid, val in values if vid not in band_of]
     taken = set(g.vertex_ids)
     counter = 0
     name_of: dict[str, str] = {}  # component root -> its new vertex
+    mids: dict[int, Fraction] = {}  # band -> its midpoint, once per call
     for vid, root in root_of.items():
         if root in name_of:
             continue
-        mid = bands[band_of[vid]].mid
-        if sizes[root] == 1 and g.value(vid) == mid:
+        i = band_of[vid]
+        if i not in mids:
+            mids[i] = bands[i].mid
+        if sizes[root] == 1 and g.value(vid) == mids[i]:
             name = vid  # a lone vertex already at the midpoint keeps its id
         else:
             while f"{prefix}{counter}" in taken:
@@ -112,7 +132,7 @@ def _merge_bands(
             name = f"{prefix}{counter}"
             taken.add(name)
         name_of[root] = name
-        vertices.append((name, mid))
+        vertices.append((name, mids[i]))
 
     def moved(vid: str) -> str:
         return name_of[root_of[vid]] if vid in band_of else vid
@@ -194,6 +214,17 @@ def _stretched_segment(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, Move]:
     return seg, Move("stretch", (mid - half, mid + half), cost)
 
 
+def _overlap_merge(bands: list[list[int]]) -> list[list[int]]:
+    """Sort bands and join every pair that shares a point."""
+    out: list[list[int]] = []
+    for lo, hi in sorted(bands):
+        if out and lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return out
+
+
 def _near_bands(diagram: Diagram, alpha: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Merge bands clearing every near-diagonal feature, with cascade closure.
 
@@ -202,50 +233,66 @@ def _near_bands(diagram: Diagram, alpha: Fraction) -> list[tuple[Fraction, Fract
     surviving point's persistence below alpha (typically a taller feature
     sharing a coordinate with a cleared one); the closure widens each band by
     the spans of the points it would drag into nearness, so one pass leaves
-    no near feature behind.
+    no near feature behind. A band visit reads the band as it was when the
+    visit began, and of the surviving features it drags, the last in diagram
+    order sets both of its ends.
+
+    Every coordinate and alpha are ints on one lattice, and a survivor s is
+    dragged when |lo + hi - 2s| <= 2 alpha, so the midpoint stays an int. Only
+    a feature with exactly one end in [lo, hi] can be dragged; bisection in
+    the survivors sorted by low end and by high end finds them, so a band
+    visit costs O(log P + c) for P survivors and c candidates, not O(P).
     """
-    spans = sorted(
-        (min(p.birth, p.death), max(p.birth, p.death))
-        for p in diagram
-        if p.kind != EXT0 and p.persistence <= alpha
+    points = [p for p in diagram if p.kind != EXT0]
+    scale = common_denominator(
+        chain((alpha,), (p.birth for p in points), (p.death for p in points))
     )
-    if not spans:
+    reach = on_lattice(alpha, scale)
+    exact: dict[int, Fraction] = {}  # lattice point -> the diagram's value
+    near: list[list[int]] = []
+    others: list[tuple[int, int]] = []  # the survivors, in diagram order
+    for p in points:
+        b, d = on_lattice(p.birth, scale), on_lattice(p.death, scale)
+        exact[b], exact[d] = p.birth, p.death
+        lo, hi = (b, d) if b <= d else (d, b)
+        if hi - lo <= reach:
+            near.append([lo, hi])
+        else:
+            others.append((lo, hi))
+    if not near:
         return []
 
-    def overlap_merge(bands: list[list[Fraction]]) -> list[list[Fraction]]:
-        bands = sorted(bands)
-        out: list[list[Fraction]] = []
-        for lo, hi in bands:
-            if out and lo <= out[-1][1]:
-                out[-1][1] = max(out[-1][1], hi)
-            else:
-                out.append([lo, hi])
-        return out
-
-    bands = overlap_merge([[lo, hi] for lo, hi in spans])
-    others = [
-        (min(p.birth, p.death), max(p.birth, p.death))
-        for p in diagram
-        if p.kind != EXT0 and p.persistence > alpha
-    ]
+    by_low = sorted(range(len(others)), key=lambda i: others[i][0])
+    lows = [others[i][0] for i in by_low]
+    by_high = sorted(range(len(others)), key=lambda i: others[i][1])
+    highs = [others[i][1] for i in by_high]
+    bands = _overlap_merge(near)
     changed = True
     while changed:
         changed = False
         for band in bands:
             lo, hi = band
-            mid = (lo + hi) / 2
-            for a, b in others:
-                inside_a, inside_b = lo <= a <= hi, lo <= b <= hi
-                if inside_a == inside_b:
-                    continue
-                survivor = b if inside_a else a
-                if abs(mid - survivor) <= alpha:
-                    band[0] = min(lo, a)
-                    band[1] = max(hi, b)
-                    changed = True
+            twice_mid = lo + hi
+            last = -1  # the last dragged survivor, in diagram order
+            # low end inside, high end above: the high end survives
+            for i in by_low[bisect_left(lows, lo) : bisect_right(lows, hi)]:
+                if i > last:
+                    b = others[i][1]
+                    if b > hi and 2 * b - twice_mid <= 2 * reach:
+                        last = i
+            # high end inside, low end below: the low end survives
+            for i in by_high[bisect_left(highs, lo) : bisect_right(highs, hi)]:
+                if i > last:
+                    a = others[i][0]
+                    if a < lo and twice_mid - 2 * a <= 2 * reach:
+                        last = i
+            if last >= 0:
+                a, b = others[last]
+                band[0], band[1] = min(lo, a), max(hi, b)
+                changed = True
         if changed:
-            bands = overlap_merge(bands)
-    return [(lo, hi) for lo, hi in bands]
+            bands = _overlap_merge(bands)
+    return [(exact[lo], exact[hi]) for lo, hi in bands]
 
 
 def clear_features(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, tuple[Move, ...]]:

@@ -5,12 +5,13 @@ rejected at every entry point because a single rounding error would corrupt
 exact diagram equality and matching types downstream.
 
 The hot loops of the read path (the persistence cell sort, the bottleneck
-candidates, the travel-distance sweep) do not compare `Fraction`s. Each
-computation takes the lcm of the denominators of the values it reads
-(`common_denominator`) and works on each value times that lcm, an exact
-`int` (`on_lattice`). Scaling by a positive constant keeps every order, tie
-and difference, so those loops compare and subtract plain ints, and only
-the results they return become `Fraction`s again.
+candidates, the travel-distance sweep) and of the band-merge write path (the
+band closure of `simplify` and the band lookup of a merge) do not compare
+`Fraction`s. Each computation takes the lcm of the denominators of the
+values it reads (`common_denominator`) and works on each value times that
+lcm, an exact `int` (`on_lattice`). Scaling by a positive constant keeps
+every order, tie and difference, so those loops compare and subtract plain
+ints, and only the results they return become `Fraction`s again.
 """
 
 from __future__ import annotations

@@ -75,6 +75,51 @@ def test_simplify_command(runner, tmp_path):
     assert len(g.vertex_ids) == 2
 
 
+def test_simplify_prints_its_certificate_interval(runner, tmp_path):
+    # the lines before `lower` are the command's output before it printed
+    # the interval, byte for byte
+    a = write(tmp_path / "y.txt", y_graph())
+    result = runner.invoke(main, ["simplify", a, "1.5"])
+    assert result.exit_code == 0
+    assert result.output == (
+        "v a 0\n"
+        "v d 3\n"
+        "e a d\n"
+        "# distortion certificate 1\n"
+        "# diagram delta\n"
+        "- Ord0 1 2\n"
+        "lower 0.25\n"
+        "upper 1 (simplification moves)\n"
+        "gap 0.75\n"
+    )
+    result = runner.invoke(main, ["simplify", a, "0.5"])
+    assert result.exit_code == 0
+    assert result.output.endswith(
+        "# distortion certificate 0\n"
+        "# diagram delta\n"
+        "(diagram unchanged)\n"
+        "lower 0\n"
+        "upper 0 (simplification moves)\n"
+        "gap 0\n"
+    )
+    # the graph CI simplifies at 1
+    g = tmp_path / "random.txt"
+    result = runner.invoke(main, ["gen", "random", "--seed", "5", "--n", "14", "-o", str(g)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["simplify", str(g), "1"])
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith(
+        "# distortion certificate 0.82\n"
+        "# diagram delta\n"
+        "- Ord0 2.21 2.55\n"
+        "- Rel1 1.86 1.04\n"
+        "- Rel1 7.84 7.48\n"
+        "lower 0.205\n"
+        "upper 0.82 (simplification moves)\n"
+        "gap 0.615\n"
+    )
+
+
 def test_transform_command(runner, tmp_path):
     y = y_graph()
     perturbed = y.with_values({"b": "1.05", "c": "1.95"})

@@ -172,11 +172,67 @@ def reference_merge_bands(g, bands, prefix="m"):
     return g
 
 
+def reference_near_bands(diagram, alpha, seen=None):
+    """The band closure scanning every survivor against every band, on
+    `Fraction`s. `seen` counts the calls that widen a band ("widening call")
+    and the band visits dragging two or more survivors ("two triggers")."""
+    spans = sorted(
+        (min(p.birth, p.death), max(p.birth, p.death))
+        for p in diagram
+        if p.kind != "Ext0" and p.persistence <= alpha
+    )
+    if not spans:
+        return []
+
+    def overlap_merge(bands):
+        bands = sorted(bands)
+        out = []
+        for lo, hi in bands:
+            if out and lo <= out[-1][1]:
+                out[-1][1] = max(out[-1][1], hi)
+            else:
+                out.append([lo, hi])
+        return out
+
+    bands = overlap_merge([[lo, hi] for lo, hi in spans])
+    others = [
+        (min(p.birth, p.death), max(p.birth, p.death))
+        for p in diagram
+        if p.kind != "Ext0" and p.persistence > alpha
+    ]
+    widened = False
+    changed = True
+    while changed:
+        changed = False
+        for band in bands:
+            lo, hi = band
+            mid = (lo + hi) / 2
+            triggers = 0
+            for a, b in others:
+                inside_a, inside_b = lo <= a <= hi, lo <= b <= hi
+                if inside_a == inside_b:
+                    continue
+                survivor = b if inside_a else a
+                if abs(mid - survivor) <= alpha:
+                    band[0] = min(lo, a)
+                    band[1] = max(hi, b)
+                    changed = True
+                    triggers += 1
+            if seen is not None and triggers >= 2:
+                seen["two triggers"] += 1
+        widened |= changed
+        if changed:
+            bands = overlap_merge(bands)
+    if seen is not None and widened:
+        seen["widening call"] += 1
+    return [(lo, hi) for lo, hi in bands]
+
+
 def reference_clear_features(g, alpha):
     """`clear_features` with one merge and one canonicalize per band."""
     work, moves = g, []
     for step in range(len(extended_diagram(g)) + 2):
-        bands = _near_bands(extended_diagram(work), alpha)
+        bands = reference_near_bands(extended_diagram(work), alpha)
         if not bands:
             return work, tuple(moves)
         for lo, hi in bands:
@@ -308,6 +364,20 @@ def band_features(g, bands):
     return features
 
 
+def assert_merge_matches_fold(g, bands):
+    fast = _merge_bands(g, [MergeParams(a, b) for a, b in bands])
+    ref = reference_merge_bands(g, bands)
+    assert is_level_isomorphic(fast, ref)
+    assert extended_diagram(fast) == extended_diagram(ref)
+    for vid in g.vertex_ids:
+        if not any(a <= g.value(vid) <= b for a, b in bands):
+            assert fast.value(vid) == ref.value(vid) == g.value(vid)
+    # the same input ids survive: a lone vertex at its midpoint keeps its id
+    kept = set(g.vertex_ids)
+    assert kept & set(fast.vertex_ids) == kept & set(ref.vertex_ids)
+    return fast
+
+
 def test_merge_bands_matches_per_band_fold():
     rng = random.Random(5150)
     seen = Counter()
@@ -315,17 +385,55 @@ def test_merge_bands_matches_per_band_fold():
         g = family_graph(rng)
         bands = random_bands(rng, g)
         seen.update(band_features(g, bands))
-        fast = _merge_bands(g, [MergeParams(a, b) for a, b in bands])
-        ref = reference_merge_bands(g, bands)
-        assert is_level_isomorphic(fast, ref)
-        assert extended_diagram(fast) == extended_diagram(ref)
-        for vid in g.vertex_ids:
-            if not any(a <= g.value(vid) <= b for a, b in bands):
-                assert fast.value(vid) == ref.value(vid) == g.value(vid)
-        # the same input ids survive: a lone vertex at its midpoint keeps its id
-        kept = set(g.vertex_ids)
-        assert kept & set(fast.vertex_ids) == kept & set(ref.vertex_ids)
+        assert_merge_matches_fold(g, bands)
     assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+
+def test_merge_bands_matches_per_band_fold_on_lattice_edges():
+    # every graph's values are dyadic (combs, ladders) or hundredths (random)
+    rng = random.Random(5155)
+    seen = Counter()
+    for _ in range(100):
+        g = family_graph(rng)
+        values = sorted({g.value(v) for v in g.vertex_ids})
+        lo, hi = values[0], values[-1]
+
+        # ends in thirds and sevenths, coprime to the values' denominators
+        den = rng.choice((3, 7, 21))
+        cuts = sorted(
+            {F(rng.randint(int(lo * den) - den, int(hi * den) + den), den) for _ in range(8)}
+        )
+        cuts = [c for c in cuts if c.denominator != 1]
+        off_lattice = list(zip(cuts[::2], cuts[1::2]))
+
+        # both closed ends on vertex values, and degenerate bands [v, v]
+        picks = sorted(rng.sample(values, min(len(values), rng.randint(1, 6))))
+        on_values = list(zip(picks[::2], picks[1::2])) or [(picks[0], picks[0])]
+        if rng.random() < 0.5:
+            on_values = [(v, v) for v in picks]
+
+        # a band of ends in thirds around a lone vertex at its midpoint
+        around = []
+        for i in range(rng.randrange(2), len(values), 2):
+            gaps = [values[j] - values[i] for j in (i - 1, i + 1) if 0 <= j < len(values)]
+            half = min(abs(gap) for gap in gaps) / 3
+            around.append((values[i] - half, values[i] + half))
+
+        for case, bands in (
+            ("ends off the values' lattice", off_lattice),
+            ("ends on vertex values", on_values),
+            ("lone vertices at midpoints", around),
+        ):
+            if not bands:
+                continue
+            seen[case] += 1
+            seen.update(band_features(g, bands))
+            fast = assert_merge_matches_fold(g, bands)
+            if case == "lone vertices at midpoints":
+                assert fast == g  # every vertex keeps its id and value
+    cases = ("ends off the values' lattice", "ends on vertex values", "lone vertices at midpoints")
+    assert min(seen[case] for case in cases) >= 50, seen
+    assert seen["lone vertex at the midpoint"] >= 100, seen
 
 
 def test_merge_sequence_matches_per_band_fold():
@@ -365,6 +473,64 @@ def test_clear_features_matches_per_band_fold():
             assert move_certificate(fast[1]) <= reference_move_certificate(fast[1])
     assert moves > 100
     assert runs[1] > 50, runs
+
+
+# non-dyadic alphas put alpha's own denominator into the lattice's lcm
+NEAR_ALPHAS = (F(1, 3), F(5, 7), F(7, 3), F(3), F(4), F(5), F(17, 3))
+
+
+def test_near_bands_matches_the_fraction_scan():
+    rng = random.Random(8180)
+    seen = Counter()
+    for _ in range(1200):
+        d = extended_diagram(random_graph(rng, n_critical=rng.randint(4, 9)))
+        for alpha in NEAR_ALPHAS:
+            assert _near_bands(d, alpha) == reference_near_bands(d, alpha, seen)
+    assert seen["widening call"] >= 100 and seen["two triggers"] >= 1, seen
+
+
+def test_near_bands_last_trigger_sets_both_ends():
+    # the band [0, 1] of the near point drags both survivors: (-1/2, 3/4) by
+    # its low end and (1/4, 3/2) by its high end. The later one in diagram
+    # order sets the band from the band as the visit found it, and the
+    # widened band drags neither survivor again.
+    d = Diagram(
+        [
+            point("Ext0", -1, 3),
+            point("Ord0", 0, 1),
+            point("Ord0", F(-1, 2), F(3, 4)),
+            point("Ord0", F(1, 4), F(3, 2)),
+        ]
+    )
+    assert _near_bands(d, F(1)) == reference_near_bands(d, F(1)) == [(0, F(3, 2))]
+    # as Rel1 points the survivors swap places in diagram order
+    d = Diagram(
+        [
+            point("Ext0", -1, 3),
+            point("Ord0", 0, 1),
+            point("Ord0", F(1, 4), F(3, 2)),
+            point("Rel1", F(3, 4), F(-1, 2)),
+        ]
+    )
+    assert _near_bands(d, F(1)) == reference_near_bands(d, F(1)) == [(F(-1, 2), 1)]
+
+
+def test_near_bands_and_simplify_on_a_1000_tooth_comb():
+    g = comb_graph(random.Random(1001), 1000)
+    d = extended_diagram(g)
+    teeth = [p for p in d if p.kind != "Ext0"]
+    assert len(teeth) == 1000
+    # tooth depths are k/4 for k in 1..12, so these alphas clear a third,
+    # two thirds and all of the teeth
+    for alpha, share in ((F(1), F(1, 3)), (F(2), F(2, 3)), (F(3), F(1))):
+        near = sum(p.persistence <= alpha for p in teeth)
+        assert abs(F(near, 1000) - share) < F(1, 20)
+        bands = _near_bands(d, alpha)
+        assert bands == reference_near_bands(d, alpha)
+        assert all(type(x) is F for band in bands for x in band)
+        result = simplify(g, alpha)
+        assert all(p.diagonal_distance > alpha / 2 for p in extended_diagram(result.graph))
+        assert result.certificate <= 2 * alpha
 
 
 @given(st.integers(0, 2**32), st.integers(0, 2**32))
