@@ -89,7 +89,6 @@ from .paths import (
     concatenate,
     constant_path,
     contraction_path,
-    direct_linear_path,
     intrinsic_upper,
     join_via_contractions,
     linear_path,

@@ -281,9 +281,12 @@ def pathlen_cmd(manifest: str, metric: str) -> None:
 @click.argument("file_a")
 @click.argument("file_b")
 def intrinsic_cmd(file_a: str, file_b: str) -> None:
-    """Certified upper bound on the intrinsic distortion metric."""
+    """Certified bounds on the intrinsic distortion metric (at least d_FD)."""
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
-    click.echo(f"upper bound {format_value(intrinsic_upper(g1, g2))}")
+    cert = certify_fd_upper(g1, g2, "intrinsic path", intrinsic_upper(g1, g2))
+    click.echo(f"lower {format_value(cert.lower)}")
+    click.echo(f"upper bound {format_value(cert.upper)}")
+    click.echo(f"gap {format_value(cert.upper - cert.lower)}")
 
 
 @main.command(name="gen")

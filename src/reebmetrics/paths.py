@@ -5,16 +5,21 @@ pair carries a certified interval [d_B/2, upper] around its functional
 distortion distance. The path's two lengths are read from those intervals:
 the summed upper bounds in the distortion metric, and the summed bottleneck
 distances (twice each lower bound) in the bottleneck metric.
+
+`_contraction_stages` alone decides how a graph contracts to a point.
+`contraction_path` certifies its stages; `intrinsic_upper` only sums their
+analytic bounds, and `join_via_contractions` certifies the same stages as
+that bound's witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .distortion import FDBoundCertificate, best_structure_shift, certify_fd_upper
-from .graph import InvalidGraphError, ReebGraph, require_canonical, validate
+from .graph import InvalidGraphError, ReebGraph, require_canonical
 from .operators import clear_features, move_certificate
 from .persistence import extended_diagram
 from .rationals import ValueLike, format_value, to_fraction
@@ -59,13 +64,6 @@ class GraphPath:
 def constant_path(g: ReebGraph) -> GraphPath:
     cert = FDBoundCertificate(Fraction(0), Fraction(0), "constant")
     return GraphPath(((Fraction(0), g), (Fraction(1), g)), (cert,))
-
-
-def _step(a: ReebGraph, b: ReebGraph, witness: str, upper: Fraction) -> GraphPath:
-    """A one-segment path from a to b, certified by an analytic witness."""
-    return GraphPath(
-        ((Fraction(0), a), (Fraction(1), b)), (certify_fd_upper(a, b, witness, upper),)
-    )
 
 
 def concatenate(paths: Sequence[GraphPath]) -> GraphPath:
@@ -121,6 +119,39 @@ def path_length(p: GraphPath, metric: str = "bottleneck") -> PathLengthResult:
 # built-in path families
 # ---------------------------------------------------------------------------
 
+# A stage is a graph a path visits, with the witness and analytic upper
+# bound of the step into it.
+_Stage = tuple[ReebGraph, str, Fraction]
+
+
+def _stage_path(g: ReebGraph, stages: Sequence[_Stage]) -> GraphPath:
+    """From g through the stages at uniform times, one certificate a step."""
+    graphs = [g, *(h for h, _, _ in stages)]
+    certs = tuple(
+        certify_fd_upper(a, b, witness, upper)
+        for a, (b, witness, upper) in zip(graphs, stages)
+    )
+    n = len(stages)
+    return GraphPath(tuple((Fraction(k, n), h) for k, h in enumerate(graphs)), certs)
+
+
+def _interpolation(g: ReebGraph, target: dict[str, Fraction], n: int) -> list[_Stage]:
+    """Steps 1..n of the linear interpolation from g to `target`, after
+    testing steps 0..n for a level edge (see `linear_path`)."""
+    per_step = max(abs(target[v] - g.value(v)) for v in g.vertex_ids) / n
+    stages: list[_Stage] = []
+    for k in range(n + 1):
+        s = Fraction(k, n)
+        step = g.with_values({v: x + s * (target[v] - x) for v, x in g.vertices()})
+        for u, v in step.edges:
+            if step.value(u) == step.value(v):
+                raise InvalidGraphError(
+                    f"interpolation step {k}/{n} breaks monotonicity: edge joins"
+                    f" two vertices at value {format_value(step.value(u))}"
+                )
+        stages.append((step, "identity maps on a fixed graph", per_step))
+    return stages[1:]
+
 
 def linear_path(
     g: ReebGraph,
@@ -129,10 +160,10 @@ def linear_path(
 ) -> GraphPath:
     """Linearly interpolate vertex values over n equal steps.
 
-    Every intermediate assignment must keep edges monotone; since the
-    interpolation is linear per vertex, it suffices that no edge flips its
-    orientation between source and target. Each step is certified by the
-    identity-maps witness at the per-step sup-norm.
+    No grid step may put an edge's two ends at one value. An edge may flip
+    its order between two grid steps: the identity maps on the fixed
+    underlying graph certify each step at the per-step sup-norm whatever
+    the edge order.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -141,97 +172,70 @@ def linear_path(
     if unknown:
         raise ValueError(f"unknown vertices in target assignment: {sorted(unknown)}")
     full_target = {v: target.get(v, g.value(v)) for v in g.vertex_ids}
-
-    graphs: list[ReebGraph] = []
-    for k in range(n + 1):
-        s = Fraction(k, n)
-        vals = {
-            v: g.value(v) + s * (full_target[v] - g.value(v)) for v in g.vertex_ids
-        }
-        step_graph = g.with_values(vals)
-        report = validate(step_graph)
-        bad = [v for v in report.violations if v.code == "level-edge"]
-        if bad:
-            raise InvalidGraphError(
-                f"interpolation step {k}/{n} breaks monotonicity: {bad[0].message}"
-            )
-        graphs.append(step_graph)
-
-    sup = max(
-        (abs(full_target[v] - g.value(v)) for v in g.vertex_ids), default=Fraction(0)
-    )
-    per_step = sup / n
-    certs = tuple(
-        certify_fd_upper(a, b, "identity maps on a fixed graph", per_step)
-        for a, b in zip(graphs, graphs[1:])
-    )
-    steps = tuple((Fraction(k, n), graphs[k]) for k in range(n + 1))
-    return GraphPath(steps, certs)
+    return _stage_path(g, _interpolation(g, full_target, n))
 
 
-def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
-    """Deform g to a segment by simplification, then shrink to a point.
+def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
+    """The stages that deform g to a single vertex; empty when g is one.
 
-    Feature scales are visited in ascending order of diagonal distance; each
-    stage carries its constructive certificate. The terminal single-vertex
-    graph stands in for the empty graph, reached by shrinking the trunk in n
-    linear steps and collapsing the final short segment.
+    Feature scales are cleared in ascending order of diagonal distance, each
+    clearing bounded by its move certificate. The remaining trunk shrinks
+    toward its midpoint in n linear steps, and the final short segment
+    collapses to that midpoint, a single vertex standing in for the empty
+    graph.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     require_canonical(g)
+    stages: list[_Stage] = []
 
-    pieces: list[GraphPath] = []
-    current = g
-
-    def clearing_stage(graph: ReebGraph, scale: Fraction) -> ReebGraph:
+    def clear(graph: ReebGraph, scale: Fraction) -> ReebGraph:
         cleared, moves = clear_features(graph, scale)
         if cleared == graph:
             return graph
         witness = f"feature clearing at alpha={format_value(scale)}"
-        pieces.append(_step(graph, cleared, witness, move_certificate(moves)))
+        stages.append((cleared, witness, move_certificate(moves)))
         return cleared
 
+    current = g
     for scale in sorted(
         {p.persistence for p in extended_diagram(g) if p.kind != "Ext0"}
     ):
-        current = clearing_stage(current, scale)
+        current = clear(current, scale)
     # snapping during a stage can nudge a residual feature past the largest
     # original scale; clear leftovers at their own scales until only the
     # trunk remains
     while True:
         residual = [
-            p.persistence
-            for p in extended_diagram(current)
-            if p.kind != "Ext0"
+            p.persistence for p in extended_diagram(current) if p.kind != "Ext0"
         ]
         if not residual:
             break
-        current = clearing_stage(current, max(residual))
+        current = clear(current, max(residual))
 
-    # shrink the remaining trunk toward its midpoint
     lo, hi = current.min_value(), current.max_value()
     if lo != hi:
         mid = (lo + hi) / 2
         delta = (hi - lo) / 2 ** (n + 1)
-        target = {}
-        for v in current.vertex_ids:
-            target[v] = mid - delta if current.value(v) < mid else (
-                mid + delta if current.value(v) > mid else current.value(v)
-            )
-        pieces.append(linear_path(current, target, n))
-        current = pieces[-1].steps[-1][1]
+        target = {
+            v: mid - delta if x < mid else mid + delta if x > mid else x
+            for v, x in current.vertices()
+        }
+        stages += _interpolation(current, target, n)
+        current = stages[-1][0]
 
-    # terminal collapse to a single vertex
     mid = (current.min_value() + current.max_value()) / 2
     terminal = ReebGraph([("pt", mid)], name="point")
     if current != terminal:
         witness = "collapse of a short segment to its midpoint"
-        pieces.append(_step(current, terminal, witness, current.span() / 2))
+        stages.append((terminal, witness, current.span() / 2))
+    return stages
 
-    if not pieces:
-        return constant_path(g)
-    return concatenate(pieces)
+
+def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
+    """Deform g to a point through its certified contraction stages."""
+    stages = _contraction_stages(g, n)
+    return _stage_path(g, stages) if stages else constant_path(g)
 
 
 # ---------------------------------------------------------------------------
@@ -246,41 +250,24 @@ def join_via_contractions(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> GraphPath
     end1 = down.steps[-1][1]
     end2 = up.steps[-1][1]
     shift = abs(end1.min_value() - end2.min_value())
-    bridge = _step(end1, end2, "point-to-point shift", shift)
+    bridge = _stage_path(end1, [(end2, "point-to-point shift", shift)])
     return concatenate([down, bridge, reverse_path(up)])
 
 
-def direct_linear_path(g1: ReebGraph, g2: ReebGraph, n: int = 1) -> Optional[GraphPath]:
-    """Linear value interpolation along a structure isomorphism, if one exists.
-
-    A structure isomorphism keeps every edge's strict value order, so the
-    interpolation along the first one fails only when g1 itself has a level
-    edge, and then it fails along every one.
-    """
-    from .isomorphism import structure_isomorphisms
-
-    found = structure_isomorphisms(g1, g2, limit=1)
-    if not found:
-        return None
-    target = {v: g2.value(found[0][v]) for v in g1.vertex_ids}
-    try:
-        return linear_path(g1, target, n)
-    except InvalidGraphError:
-        return None
-
-
 def intrinsic_upper(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> Fraction:
-    """Certified upper bound on the intrinsic functional-distortion metric.
+    """Upper bound on the intrinsic functional-distortion metric.
 
-    Minimum over the built-in path families: a direct linear interpolation
-    when the graphs share a combinatorial form, and contraction of both
-    graphs to points joined at the bottom. The true infimum ranges over all
-    admissible paths, so values are upper bounds only.
+    The better of a direct value shift, when the graphs share a
+    combinatorial form, and the uncertified length of the path that
+    `join_via_contractions` certifies: both graphs' contraction stage
+    bounds plus the shift between their end points.
     """
-    candidates: list[Fraction] = []
     direct = best_structure_shift(g1, g2)
-    if direct is not None:
-        candidates.append(direct)
-    join = join_via_contractions(g1, g2, n)
-    candidates.append(path_length(join, "fd_upper").total)
-    return min(candidates)
+    join = Fraction(0)
+    ends = []
+    for g in (g1, g2):
+        stages = _contraction_stages(g, n)
+        join += sum((upper for _, _, upper in stages), Fraction(0))
+        ends.append(stages[-1][0] if stages else g)
+    join += abs(ends[0].min_value() - ends[1].min_value())
+    return join if direct is None else min(direct, join)

@@ -157,7 +157,15 @@ def test_intrinsic_command(runner, tmp_path):
     b = write(tmp_path / "b.txt", figure1_right())
     result = runner.invoke(main, ["intrinsic", a, b])
     assert result.exit_code == 0
-    assert "upper bound" in result.output
+    assert result.output.splitlines() == ["lower 0", "upper bound 20", "gap 20"]
+    y = y_graph()
+    a = write(tmp_path / "y.txt", y)
+    b = write(tmp_path / "y2.txt", y.with_values({"b": "1.05", "c": "1.95"}))
+    result = runner.invoke(main, ["intrinsic", a, b])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "lower 0.025", "upper bound 0.05", "gap 0.025"
+    ]
 
 
 def test_pathlen_command(runner, tmp_path):

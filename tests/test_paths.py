@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -10,9 +11,9 @@ from reebmetrics import (
     constant_path,
     contraction_path,
     cycle,
-    direct_linear_path,
     figure1_left,
     figure1_right,
+    figure5,
     graph_bottleneck,
     intrinsic_upper,
     join_via_contractions,
@@ -24,7 +25,11 @@ from reebmetrics import (
     structure_isomorphisms,
     y_graph,
 )
-from reebmetrics.distortion import certify_fd_upper, projection_correspondence
+from reebmetrics.distortion import (
+    best_structure_shift,
+    certify_fd_upper,
+    projection_correspondence,
+)
 from reebmetrics.paths import GraphPath
 
 
@@ -35,6 +40,12 @@ def reference_bottleneck_lengths(p: GraphPath) -> tuple[F, ...]:
     lower bounds instead.
     """
     return tuple(graph_bottleneck(a, b) for a, b, _ in p.segments())
+
+
+def direct_path(g1: ReebGraph, g2: ReebGraph, n: int) -> GraphPath:
+    """Linear value interpolation along the first structure isomorphism."""
+    sigma = structure_isomorphisms(g1, g2, limit=1)[0]
+    return linear_path(g1, {v: g2.value(sigma[v]) for v in g1.vertex_ids}, n)
 
 
 def assert_two_sided(p: GraphPath) -> None:
@@ -72,6 +83,19 @@ def test_linear_path_rejects_orientation_flip():
     s = segment(0, 3)
     with pytest.raises(InvalidGraphError):
         linear_path(s, {"top": -1, "bot": 2}, 4)
+
+
+def test_linear_path_checks_grid_steps_only():
+    # top and bot cross at value 1 when s = 1/2: a grid step of n=4, not of n=3
+    s = segment(0, 3)
+    target = {"top": -1, "bot": 2}
+    p = linear_path(s, target, 3)
+    assert [c.upper for c in p.certificates] == [F(4, 3)] * 3
+    with pytest.raises(InvalidGraphError) as err:
+        linear_path(s, target, 4)
+    assert str(err.value) == (
+        "interpolation step 2/4 breaks monotonicity: edge joins two vertices at value 1"
+    )
 
 
 def test_linear_path_reports_level_collision():
@@ -166,6 +190,43 @@ def test_intrinsic_upper_figure1_positive_finite():
     assert bound > 0
 
 
+def test_intrinsic_upper_makes_no_bottleneck_call(monkeypatch):
+    # the package exports a function named `distortion`, so load the module
+    distortion = importlib.import_module("reebmetrics.distortion")
+    calls = []
+
+    def counted(g1, g2):
+        calls.append(1)
+        return graph_bottleneck(g1, g2)
+
+    monkeypatch.setattr(distortion, "graph_bottleneck", counted)
+    assert intrinsic_upper(figure1_left(), figure1_right()) == 20
+    assert calls == []
+    join_via_contractions(figure1_left(), figure1_right())  # the certified witness
+    assert calls
+
+
+def test_intrinsic_upper_is_the_certified_join_or_the_direct_shift():
+    rng = random.Random(1414)
+    pairs = [
+        (figure1_left(), figure1_right()),
+        (y_graph(), cycle()),
+        (y_graph(), segment()),
+        (figure5(3), figure5(4)),
+    ]
+    pairs += [
+        (random_graph(rng, n_critical=rng.randint(3, 7)),
+         random_graph(rng, n_critical=rng.randint(3, 7)))
+        for _ in range(6)
+    ]
+    for g1, g2 in pairs:
+        direct = best_structure_shift(g1, g2)
+        for n in (2, 4):
+            join = path_length(join_via_contractions(g1, g2, n), "fd_upper").total
+            expected = join if direct is None else min(direct, join)
+            assert intrinsic_upper(g1, g2, n) == expected
+
+
 def test_join_path_endpoints():
     y, s = y_graph(), segment(0, 5)
     p = join_via_contractions(y, s, 2)
@@ -176,16 +237,15 @@ def test_join_path_endpoints():
 def test_direct_linear_path_found_for_shared_structure():
     y = y_graph()
     stretched = y.with_values({"b": F("0.8"), "d": F("3.5")})
-    p = direct_linear_path(y, stretched, 4)
-    assert p is not None
+    p = direct_path(y, stretched, 4)
     assert p.steps[-1][1] == stretched
 
 
 def test_direct_linear_path_none_for_different_structure():
-    assert direct_linear_path(y_graph(), cycle(), 2) is None
+    assert structure_isomorphisms(y_graph(), cycle(), limit=1) == []
 
 
-def test_direct_linear_path_follows_the_first_witness():
+def test_linear_path_interpolates_along_every_structure_isomorphism():
     rng = random.Random(4242)
     y = y_graph()
     pairs = [(y, y.with_values({"b": F("0.8"), "d": F("3.5")})), (cycle(), cycle(1, 2))]
@@ -200,15 +260,19 @@ def test_direct_linear_path_follows_the_first_witness():
             linear_path(g1, {v: g2.value(sigma[v]) for v in g1.vertex_ids}, 3)
             for sigma in witnesses
         ]  # every witness interpolates when g1 has no level edge
-        assert direct_linear_path(g1, g2, 3) == paths[0]
+        assert direct_path(g1, g2, 3) == paths[0]
 
 
-def test_direct_linear_path_none_when_g1_has_a_level_edge():
+def test_linear_path_rejects_a_level_edge_along_every_structure_isomorphism():
     level = ReebGraph(
         [("a", 0), ("b", 1), ("c", 1), ("d", 2)], [("a", "b"), ("b", "c"), ("c", "d")]
     )
-    assert structure_isomorphisms(level, level)
-    assert direct_linear_path(level, level, 2) is None
+    witnesses = structure_isomorphisms(level, level)
+    assert witnesses
+    for sigma in witnesses:
+        target = {v: level.value(sigma[v]) for v in level.vertex_ids}
+        with pytest.raises(InvalidGraphError, match="step 0/2"):
+            linear_path(level, target, 2)
 
 
 def test_reverse_path_keeps_bounds_and_remainders():
@@ -234,15 +298,13 @@ def test_direct_path_two_sided_on_perturbation():
     y = y_graph()
     perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})
     for n in (2, 4, 8, 16):
-        direct = direct_linear_path(y, perturbed, n)
-        assert direct is not None
-        assert_two_sided(direct)
+        assert_two_sided(direct_path(y, perturbed, n))
         assert_two_sided(join_via_contractions(y, perturbed, n))
 
 
 def test_figure1_paths_two_sided_per_segment():
     left, right = figure1_left(), figure1_right()
-    assert direct_linear_path(left, right, 4) is None
+    assert structure_isomorphisms(left, right, limit=1) == []
     assert_two_sided(join_via_contractions(left, right, 4))
 
 
@@ -289,7 +351,7 @@ def constructed_paths() -> list[GraphPath]:
     perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})
     rng = random.Random(31)
     randoms = [random_graph(rng, n_critical=rng.randint(4, 8)) for _ in range(4)]
-    direct = direct_linear_path(y, perturbed, 4)
+    direct = direct_path(y, perturbed, 4)
     join = join_via_contractions(y, cycle(), 2)
     sampled = GraphPath(
         ((F(0), y), (F(1), seg)),
@@ -344,8 +406,7 @@ def test_linear_path_bottleneck_total_bounded_by_sup_norm():
 
 def test_direct_path_identical_graphs_bottleneck_zero():
     y = y_graph()
-    direct = direct_linear_path(y, y, 2)
-    assert direct is not None
+    direct = direct_path(y, y, 2)
     assert path_length(direct, "bottleneck").total == 0
     assert reference_bottleneck_lengths(direct) == (0, 0)
     assert_two_sided(join_via_contractions(y, y, 2))
