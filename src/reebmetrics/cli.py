@@ -30,7 +30,7 @@ from .generators import _GENERATORS, generate
 from .graph import InvalidGraphError, ReebGraph, canonicalize, critical_values, stats, validate
 from .isomorphism import level_isomorphism
 from .operators import MergeParams, TransformParams, full_transform, merge, simplify
-from .paths import GraphPath, intrinsic_upper, path_length
+from .paths import GraphPath, _join_upper, intrinsic_upper, path_length
 from .persistence import extended_diagram
 from .rationals import format_value, parse_value
 
@@ -194,7 +194,7 @@ def _natural_upper(g1: ReebGraph, g2: ReebGraph) -> tuple[Fraction, str]:
     upper = best_structure_shift(g1, g2)
     if upper is not None:
         return upper, "natural"
-    return intrinsic_upper(g1, g2), "contraction-join"
+    return _join_upper(g1, g2), "contraction-join"
 
 
 def _segment_or_point(g: ReebGraph) -> bool:
@@ -237,8 +237,11 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
     else:
         if witness_file is None:
             raise click.ClickException("--witness file needs --witness-file <path>")
-        c = correspondence_from_json(g1, g2, _read(witness_file))
-        cert = certify_fd_upper(g1, g2, c)
+        try:
+            c = correspondence_from_json(g1, g2, _read(witness_file))
+            cert = certify_fd_upper(g1, g2, c)
+        except ValueError as exc:
+            raise click.ClickException(f"bad witness file {witness_file}: {exc}") from exc
     click.echo(f"lower {format_value(cert.lower)}")
     click.echo(f"upper {format_value(cert.upper)} ({source})")
     click.echo(f"gap {format_value(cert.upper - cert.lower)}")

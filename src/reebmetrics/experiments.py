@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .bottleneck import graph_bottleneck
 from .distortion import value_shift_upper
-from .generators import figure1_left, figure1_right, figure5, random_graph
+from .generators import _VALUE_RANGE, figure1_left, figure1_right, figure5, random_graph
 from .graph import ReebGraph, critical_values, min_critical_gap, validate
 from .isomorphism import is_level_isomorphic
 from .operators import (
@@ -30,6 +30,8 @@ from .paths import GraphPath, contraction_path, intrinsic_upper, linear_path, pa
 from .persistence import extended_diagram
 from .rationals import format_value, to_fraction
 
+_CRITICAL_COUNTS = (4, 8)  # a random instance has 4 to 8 critical values
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -37,9 +39,6 @@ class ExperimentConfig:
     trials: int = 100
     K: Fraction = Fraction(1, 22)
     epsilon_fraction: Fraction = Fraction(1, 2)
-    min_critical: int = 4
-    max_critical: int = 8
-    value_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(10))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "K", to_fraction(self.K))
@@ -50,8 +49,6 @@ class ExperimentConfig:
             raise ValueError("epsilon_fraction must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if not 2 <= self.min_critical <= self.max_critical:
-            raise ValueError("need 2 <= min_critical <= max_critical")
 
 
 @dataclass(frozen=True)
@@ -109,9 +106,8 @@ def _fmt(values: dict[str, object]) -> dict[str, str]:
     return out
 
 
-def _random_instance(rng: random.Random, config: ExperimentConfig) -> ReebGraph:
-    n = rng.randint(config.min_critical, config.max_critical)
-    return random_graph(rng, n_critical=n, value_range=config.value_range)
+def _random_instance(rng: random.Random) -> ReebGraph:
+    return random_graph(rng, n_critical=rng.randint(*_CRITICAL_COUNTS))
 
 
 def _min_edge_gap(g: ReebGraph) -> Fraction:
@@ -140,7 +136,7 @@ def _run_stability(config: ExperimentConfig) -> list[TrialRecord]:
     rng = random.Random(config.seed)
     records = []
     for i in range(config.trials):
-        g = _random_instance(rng, config)
+        g = _random_instance(rng)
         delta = _min_edge_gap(g) / 4 * Fraction(rng.randint(1, 64), 64)
         perturbed = _jitter(g, rng, delta)
         db = graph_bottleneck(g, perturbed)
@@ -157,10 +153,10 @@ def _run_stability(config: ExperimentConfig) -> list[TrialRecord]:
 
 def _run_snapping(config: ExperimentConfig) -> list[TrialRecord]:
     rng = random.Random(config.seed)
-    lo, hi = config.value_range
+    lo, hi = _VALUE_RANGE
     records = []
     for i in range(config.trials):
-        g = _random_instance(rng, config)
+        g = _random_instance(rng)
         a = lo - 1 + Fraction(rng.randint(0, 1000), 1000) * (hi - lo + 2)
         b = a + Fraction(rng.randint(0, 1000), 1000) * (hi - a + 1)
         params = MergeParams(a, b)
@@ -182,7 +178,7 @@ def _run_simplify_contract(config: ExperimentConfig) -> list[TrialRecord]:
     rng = random.Random(config.seed)
     records = []
     for i in range(config.trials):
-        g = _random_instance(rng, config)
+        g = _random_instance(rng)
         alpha = g.span() / 3 * Fraction(rng.randint(1, 100), 100)
         result = simplify(g, alpha)
         out_diagram = extended_diagram(result.graph)
@@ -216,7 +212,7 @@ def _run_recovery(config: ExperimentConfig) -> list[TrialRecord]:
     records = []
     K = config.K
     for i in range(config.trials):
-        f = _random_instance(rng, config)
+        f = _random_instance(rng)
         a_f = min_critical_gap(f)
         eps = config.epsilon_fraction * a_f / (8 * (1 + 22 * K))
         # jitter at half the bottleneck threshold keeps every trial applicable
@@ -328,7 +324,7 @@ def _run_lowerbound(config: ExperimentConfig) -> list[TrialRecord]:
         )
 
     for i in range(config.trials):
-        g = _random_instance(rng, config)
+        g = _random_instance(rng)
         mode = i % 3
         if mode == 0:
             bound = _min_edge_gap(g) / 4 * Fraction(rng.randint(1, 64), 64)
@@ -340,11 +336,11 @@ def _run_lowerbound(config: ExperimentConfig) -> list[TrialRecord]:
             result = simplify(g, alpha)
             check(i, "simplify", g, result.graph, result.certificate)
         else:
-            lo, hi = config.value_range
+            lo, hi = _VALUE_RANGE
             a = lo + Fraction(rng.randint(0, 1000), 1000) * (hi - lo)
             width = (hi - lo) / 5 * Fraction(rng.randint(0, 100), 100)
             params = MergeParams(a, a + width)
-            check(i, "merge", g, merge(g, params), params.width)
+            check(i, "merge", g, merge(g, params), width)
 
     from .distortion import certify_fd_upper, projection_correspondence
     from .generators import cycle, segment, y_graph
@@ -388,7 +384,7 @@ def _run_path_equivalence(config: ExperimentConfig) -> list[TrialRecord]:
 
     pair_count = max(2, config.trials // 20)
     for _ in range(pair_count):
-        g = _random_instance(rng, config)
+        g = _random_instance(rng)
         bound = _min_edge_gap(g) / 4
         target_graph = _jitter(g, rng, bound)
         target = {v: target_graph.value(v) for v in g.vertex_ids}
@@ -400,7 +396,7 @@ def _run_path_equivalence(config: ExperimentConfig) -> list[TrialRecord]:
         monotone = all(a <= b for a, b in zip(sums, sums[1:]))
         record(monotone, {"check": "linear-refinement", "sums": [format_value(s) for s in sums]})
 
-    for label, graph in (("figure1_left", figure1_left()), ("random", _random_instance(rng, config))):
+    for label, graph in (("figure1_left", figure1_left()), ("random", _random_instance(rng))):
         sums = []
         for n in refinements:
             db, fd, ok = lengths(contraction_path(graph, n))

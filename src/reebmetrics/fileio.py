@@ -144,7 +144,6 @@ def correspondence_to_json(c) -> str:
     """Serialize a map pair; points are {'vertex': id} or {'edge': i, 'value': v}."""
     payload = {
         "resolution": format_value(c.resolution),
-        "exact": c.exact,
         "phi": [[_point_to_obj(x), _point_to_obj(y)] for x, y in c.phi.items()],
         "psi": [[_point_to_obj(y), _point_to_obj(x)] for y, x in c.psi.items()],
     }
@@ -152,23 +151,32 @@ def correspondence_to_json(c) -> str:
 
 
 def correspondence_from_json(g1: ReebGraph, g2: ReebGraph, text: str):
-    from .distortion import Correspondence
+    """Read a sampled map pair; a file that certifies no bound is a ValueError.
+
+    Its bound is the sampled distortion plus the 2 * resolution remainder, so
+    phi must map all of `sample_net(g1, resolution)`, psi all of
+    `sample_net(g2, resolution)`, and the file is never exact.
+    """
+    from .distortion import Correspondence, sample_net
 
     payload = json.loads(text)
-    phi = {
-        _point_from_obj(g1, a): _point_from_obj(g2, b) for a, b in payload["phi"]
-    }
-    psi = {
-        _point_from_obj(g2, a): _point_from_obj(g1, b) for a, b in payload["psi"]
-    }
-    c = Correspondence(
-        g1,
-        g2,
-        phi,
-        psi,
-        parse_value(payload["resolution"]),
-        exact=bool(payload.get("exact", False)),
-    )
+    try:
+        if payload.get("exact"):
+            raise ValueError("a witness file is never exact: its bound keeps the sampling remainder")
+        resolution = parse_value(payload["resolution"])
+        phi = {_point_from_obj(g1, a): _point_from_obj(g2, b) for a, b in payload["phi"]}
+        psi = {_point_from_obj(g2, a): _point_from_obj(g1, b) for a, b in payload["psi"]}
+    except (AttributeError, KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"no such point or field: {exc}") from exc
+    for name, g, mapping in (("phi", g1, phi), ("psi", g2, psi)):
+        net = sample_net(g, resolution)
+        covered = sum(p in mapping for p in net)
+        if covered < len(net):
+            raise ValueError(
+                f"{name} maps {covered} of the {len(net)} samples at resolution "
+                f"{format_value(resolution)}; a witness file must map them all"
+            )
+    c = Correspondence(g1, g2, phi, psi, resolution)
     c.validate()
     return c
 

@@ -113,6 +113,10 @@ def figure5(n: int, name: Optional[str] = None) -> ReebGraph:
 # random graphs
 # ---------------------------------------------------------------------------
 
+_VALUE_RANGE = (Fraction(0), Fraction(10))  # every random graph's values lie here
+_GRID = 1000  # sampled values lie on lo + (k / _GRID) * span
+_LOOP_BIAS = 0.35  # how often a pair of values becomes a loop rather than a branch
+
 
 def _sample_values(
     rng: random.Random,
@@ -120,11 +124,10 @@ def _sample_values(
     lo: Fraction,
     hi: Fraction,
     min_gap: Fraction,
-    denominator: int = 1000,
 ) -> list[Fraction]:
     """Distinct values in [lo, hi] with pairwise gaps >= min_gap.
 
-    Values lie on the grid lo + (k / denominator) * span. Up to 10 000
+    Values lie on the grid lo + (k / _GRID) * span. Up to 10 000
     rejection draws come first; if all fail (many values, tight gap), the
     values are placed by construction: `count` sorted picks from the grid
     shortened by the gaps' total, the i-th moved up by i gaps.
@@ -135,42 +138,36 @@ def _sample_values(
     if span <= 0 or min_gap * (count - 1) >= span:
         raise ValueError("value range too small for requested gap")
     # gaps are tested on k, in whole grid steps
-    min_steps = math.ceil(min_gap * denominator / span)
-    room = denominator - (count - 1) * min_steps
+    min_steps = math.ceil(min_gap * _GRID / span)
+    room = _GRID - (count - 1) * min_steps
     if room < 0:
         raise ValueError("value grid too coarse for requested gap")
     for _ in range(10_000):
-        picks = sorted(rng.randint(0, denominator) for _ in range(count))
+        picks = sorted(rng.randint(0, _GRID) for _ in range(count))
         if all(b - a >= min_steps for a, b in zip(picks, picks[1:])):
             break
     else:
         picks = sorted(rng.randint(0, room) for _ in range(count))
         picks = [k + i * min_steps for i, k in enumerate(picks)]
-    return [lo + Fraction(k, denominator) * span for k in picks]
+    return [lo + Fraction(k, _GRID) * span for k in picks]
 
 
 def random_graph(
     seed: int | random.Random,
     n_critical: int = 6,
-    value_range: tuple[ValueLike, ValueLike] = (0, 10),
-    min_gap: Optional[ValueLike] = None,
-    loop_bias: float = 0.35,
     name: Optional[str] = None,
 ) -> ReebGraph:
     """A valid canonical connected graph with ~n_critical critical values.
 
-    Construction: sample separated values, span a trunk between the extremes,
+    Construction: sample values in `_VALUE_RANGE` at least a quarter of
+    span / n_critical apart, span a trunk between the extremes,
     then realize intermediate values by attaching branches and loops onto
     existing arcs. Every vertex gets a distinct value, so jitter experiments
     can perturb values without order collisions.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    lo, hi = to_fraction(value_range[0]), to_fraction(value_range[1])
-    if min_gap is None:
-        gap = (hi - lo) / (4 * n_critical)
-    else:
-        gap = to_fraction(min_gap)
-    values = _sample_values(rng, n_critical, lo, hi, gap)
+    lo, hi = _VALUE_RANGE
+    values = _sample_values(rng, n_critical, lo, hi, (hi - lo) / (4 * n_critical))
 
     bot, top = values[0], values[-1]
     vertices: dict[str, Fraction] = {"v0": bot, "v1": top}
@@ -230,7 +227,7 @@ def random_graph(
             b = pending[idx + 1]
             spanning_both = edges_spanning(a, b)
             roll = rng.random()
-            if spanning_both and roll < loop_bias:
+            if spanning_both and roll < _LOOP_BIAS:
                 first = subdivide(rng.choice(spanning_both), a)
                 upper_index = next(
                     i
@@ -239,7 +236,7 @@ def random_graph(
                 )
                 second = subdivide(upper_index, b)
                 edges.append((first, second))
-            elif edges_spanning(b, b) and roll < 0.5 + loop_bias / 2:
+            elif edges_spanning(b, b) and roll < 0.5 + _LOOP_BIAS / 2:
                 # downward branch: fork at b, tip at a
                 fork = subdivide(rng.choice(edges_spanning(b, b)), b)
                 edges.append((new_vertex(a), fork))

@@ -3,11 +3,14 @@
 `merge` contracts every connected component of the preimage of a closed band
 [a, b] to a vertex at the band midpoint; on diagrams this acts by snapping
 coordinates inside the band to the midpoint (`snap_diagram`), which is the
-testable contract pairing the two. Every caller goes through one private
-function that contracts a sorted list of pairwise-disjoint bands in a single
-pass and canonicalizes once, so `merge_sequence` on disjoint anchors and each
-pass of `clear_features` cost one O((V + E) log k) pass for k bands, not one
-pass per band. A new vertex is named by a prefix and the least free number
+testable contract pairing the two. `MergeParams` is the validated input of
+`merge` and `snap_diagram` only; inside the write path a band is a plain
+`(lo, hi)` pair of `Fraction`s, as `_near_bands` returns it and `Move.band`
+stores it. Every caller goes through one private function that contracts a
+sorted list of pairwise-disjoint pairs in a single pass and canonicalizes
+once, so `merge_sequence` on disjoint anchors and each pass of
+`clear_features` cost one O((V + E) log k) pass for k bands, not one pass
+per band. A new vertex is named by a prefix and the least free number
 (`m0`, `m1`, ... for `merge` and `merge_sequence`, `s<pass>_0`, ... for
 `clear_features`); a lone vertex already at its band's midpoint keeps its id.
 
@@ -38,16 +41,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .diagram import EXT0, Diagram, DiagramPoint
-from .graph import (
-    CriticalValues,
-    ReebGraph,
-    UnionFind,
-    canonicalize,
-    require_canonical,
-)
+from .graph import CriticalValues, ReebGraph, UnionFind, canonicalize
 from .persistence import extended_diagram
 from .rationals import ValueLike, common_denominator, on_lattice, to_fraction
 
@@ -63,26 +60,18 @@ class MergeParams:
         if self.a > self.b:
             raise ValueError("merge band needs a <= b")
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.a + self.b) / 2
-
-    @property
-    def width(self) -> Fraction:
-        return self.b - self.a
-
 
 def _merge_bands(
-    g: ReebGraph, bands: Sequence[MergeParams], prefix: str = "m"
+    g: ReebGraph, bands: Sequence[tuple[Fraction, Fraction]], prefix: str = "m"
 ) -> ReebGraph:
     """Contract the preimage of every band in one pass; output is canonical.
 
-    `bands` are sorted and pairwise disjoint (b_i < a_{i+1}), so a vertex
-    lies in at most one band, found by bisection. The components of a band's
-    preimage are the classes of its vertices joined by edges with both ends
-    in that band; each becomes one vertex at the band midpoint, named
-    `<prefix><n>` with the least n free, except that a lone vertex already at
-    the midpoint keeps its id. Edges inside one band are dropped; every other
+    `bands` are sorted, pairwise disjoint `(lo, hi)` pairs (hi_i < lo_{i+1}),
+    so a vertex lies in at most one band, found by bisection. The components
+    of a band's preimage are the classes of its vertices joined by edges with
+    both ends in that band; each becomes one vertex at the band midpoint,
+    named `<prefix><n>` with the least n free, except that a lone vertex
+    already at the midpoint keeps its id. Edges inside one band are dropped; every other
     edge keeps its ends, each moved to its component's vertex. An edge that
     crosses a band with neither end inside stays whole: the vertex a merge
     would put on it is pass-through. One O((V + E) log k) pass for k bands,
@@ -92,11 +81,9 @@ def _merge_bands(
     if not bands:
         return g
     values = g.vertices()
-    scale = common_denominator(
-        chain((val for _, val in values), (band.a for band in bands), (band.b for band in bands))
-    )
-    starts = [on_lattice(band.a, scale) for band in bands]
-    ends = [on_lattice(band.b, scale) for band in bands]
+    scale = common_denominator(chain((val for _, val in values), chain.from_iterable(bands)))
+    starts = [on_lattice(lo, scale) for lo, _ in bands]
+    ends = [on_lattice(hi, scale) for _, hi in bands]
     band_of: dict[str, int] = {}
     for vid, val in values:
         x = on_lattice(val, scale)
@@ -123,7 +110,7 @@ def _merge_bands(
             continue
         i = band_of[vid]
         if i not in mids:
-            mids[i] = bands[i].mid
+            mids[i] = (bands[i][0] + bands[i][1]) / 2
         if sizes[root] == 1 and g.value(vid) == mids[i]:
             name = vid  # a lone vertex already at the midpoint keeps its id
         else:
@@ -151,7 +138,7 @@ def merge(g: ReebGraph, params: MergeParams) -> ReebGraph:
     Post-contract, pass-through vertices left by arcs that crossed the whole
     band are removed, so merging a band free of critical values is a no-op.
     """
-    return _merge_bands(g, [params])
+    return _merge_bands(g, [(params.a, params.b)])
 
 
 def snap_diagram(d: Diagram, params: MergeParams) -> Diagram:
@@ -161,7 +148,8 @@ def snap_diagram(d: Diagram, params: MergeParams) -> Diagram:
     admits diagonal membership (Ext0); snapped-flat Ord0/Rel1/Ext1 features
     are destroyed by the merge and leave the multiset.
     """
-    a, b, mid = params.a, params.b, params.mid
+    a, b = params.a, params.b
+    mid = (a + b) / 2
 
     def snap(x: Fraction) -> Fraction:
         return mid if a <= x <= b else x
@@ -314,9 +302,8 @@ def clear_features(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, tuple[Move
         bands = _near_bands(diagram, alpha)
         if not bands:
             break
-        merges = [MergeParams(lo, hi) for lo, hi in bands]
-        work = _merge_bands(work, merges, prefix=f"s{step}_")
-        moves.extend(Move("band-merge", (p.a, p.b), p.width, step) for p in merges)
+        work = _merge_bands(work, bands, prefix=f"s{step}_")
+        moves.extend(Move("band-merge", (lo, hi), hi - lo, step) for lo, hi in bands)
         diagram = extended_diagram(work)
     else:  # pragma: no cover - termination is structural
         raise AssertionError("simplification failed to terminate")
@@ -356,7 +343,6 @@ def simplify(g: ReebGraph, alpha: ValueLike) -> SimplifyResult:
     alpha = to_fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    require_canonical(g)
 
     work, cleared = clear_features(g, alpha)
     moves = list(cleared)
@@ -395,34 +381,35 @@ class MergeSequenceResult:
 
 
 def merge_sequence(
-    g: ReebGraph, anchors: CriticalValues | Sequence[ValueLike], halfwidth: ValueLike
+    g: ReebGraph, anchors: Iterable[ValueLike], halfwidth: ValueLike
 ) -> MergeSequenceResult:
     """Merge a band around every anchor, lowest anchor first.
 
-    Disjoint bands are one pass, contracted together in one pass over the
-    graph, so by `move_certificate` they cost the widest band, 2*halfwidth.
-    Overlapping bands are contracted one pass per band in the same order
-    with a warning, and their costs add up to 2*halfwidth per anchor. New
-    vertices are named `m<n>`.
+    `anchors` is any iterable of values, sorted here; a negative halfwidth
+    is a ValueError. Disjoint bands are one pass, contracted together in one
+    pass over the graph, so by `move_certificate` they cost the widest band,
+    2*halfwidth. Overlapping bands are contracted one pass per band in the
+    same order with a warning, and their costs add up to 2*halfwidth per
+    anchor. New vertices are named `m<n>`.
     """
     halfwidth = to_fraction(halfwidth)
-    if isinstance(anchors, CriticalValues):
-        values = list(anchors.values)
-    else:
-        values = sorted(to_fraction(v) for v in anchors)
-    disjoint = all(b - a > 2 * halfwidth for a, b in zip(values, values[1:]))
+    if halfwidth < 0:
+        raise ValueError("merge half-width must be nonnegative")
+    width = 2 * halfwidth
+    values = sorted(to_fraction(v) for v in anchors)
+    disjoint = all(b - a > width for a, b in zip(values, values[1:]))
     if not disjoint:
         warnings.warn(
             "anchor bands overlap (18*alpha >= minimal critical gap); "
             "merging sequentially from the lowest anchor",
             stacklevel=2,
         )
-    bands = [MergeParams(c - halfwidth, c + halfwidth) for c in values]
+    bands = [(c - halfwidth, c + halfwidth) for c in values]
     work = g
     moves: list[Move] = []
     for step, group in enumerate([bands] if disjoint else [[band] for band in bands]):
         work = _merge_bands(work, group)
-        moves.extend(Move("band-merge", (p.a, p.b), p.width, step) for p in group)
+        moves.extend(Move("band-merge", band, width, step) for band in group)
     return MergeSequenceResult(work, move_certificate(moves), not disjoint)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .distortion import FDBoundCertificate, best_structure_shift, certify_fd_upper
-from .graph import InvalidGraphError, ReebGraph, require_canonical
+from .graph import InvalidGraphError, ReebGraph
 from .operators import clear_features, move_certificate
 from .persistence import extended_diagram
 from .rationals import ValueLike, format_value, to_fraction
@@ -186,7 +186,6 @@ def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    require_canonical(g)
     stages: list[_Stage] = []
 
     def clear(graph: ReebGraph, scale: Fraction) -> ReebGraph:
@@ -258,16 +257,21 @@ def intrinsic_upper(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> Fraction:
     """Upper bound on the intrinsic functional-distortion metric.
 
     The better of a direct value shift, when the graphs share a
-    combinatorial form, and the uncertified length of the path that
-    `join_via_contractions` certifies: both graphs' contraction stage
-    bounds plus the shift between their end points.
+    combinatorial form, and the contraction-join length `_join_upper`.
     """
     direct = best_structure_shift(g1, g2)
+    join = _join_upper(g1, g2, n)
+    return join if direct is None else min(direct, join)
+
+
+def _join_upper(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> Fraction:
+    """The uncertified length of the path that `join_via_contractions`
+    certifies: both graphs' contraction stage bounds plus the shift between
+    their end points."""
     join = Fraction(0)
     ends = []
     for g in (g1, g2):
         stages = _contraction_stages(g, n)
         join += sum((upper for _, _, upper in stages), Fraction(0))
         ends.append(stages[-1][0] if stages else g)
-    join += abs(ends[0].min_value() - ends[1].min_value())
-    return join if direct is None else min(direct, join)
+    return join + abs(ends[0].min_value() - ends[1].min_value())

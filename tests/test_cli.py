@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -293,6 +294,7 @@ def test_fdbound_witness_file(runner, tmp_path):
     c = projection_correspondence(y, seg, resolution=F(1, 4))
     wf = tmp_path / "witness.json"
     wf.write_text(correspondence_to_json(c))
+    assert "exact" not in json.loads(wf.read_text())  # a file is never exact
     result = runner.invoke(
         main, ["fdbound", a, b, "--witness", "file", "--witness-file", str(wf)]
     )
@@ -486,3 +488,188 @@ def test_fdbound_collapse_at_the_default_resolution_is_pinned(runner, tmp_path):
     result = runner.invoke(main, ["fdbound", str(g), str(seg), "--witness", "collapse"])
     assert result.exit_code == 0, result.output
     assert result.output == "lower 2.3125\nupper 6.4275 (collapse)\ngap 4.115\nremainder 0.0475\n"
+
+
+# `reeb merge` and `reeb transform` on the graph CI simplifies, captured
+# while every band of the write path was still a `MergeParams`. At alpha
+# 0.05 the 9 * alpha anchor bands overlap and merge one at a time.
+MERGE_2_3 = (
+    "v v0 0.13\n"
+    "v v2 1.04\n"
+    "v v3 1.86\n"
+    "v m0 2.5\n"
+    "v v7 3.98\n"
+    "v v8 4.17\n"
+    "v v9 5.56\n"
+    "v v10 5.87\n"
+    "v v11 7.48\n"
+    "v v12 7.84\n"
+    "v v13 8.88\n"
+    "v v1 9.38\n"
+    "e m0 v7\n"
+    "e m0 v8\n"
+    "e v0 v10\n"
+    "e v0 v13\n"
+    "e v0 v2\n"
+    "e v11 v1\n"
+    "e v11 v12\n"
+    "e v2 m0\n"
+    "e v2 v3\n"
+    "e v8 v11\n"
+    "e v8 v9\n"
+    "# diagram delta\n"
+    "- Ord0 2.21 2.55\n"
+    "- Rel1 3.98 2.86\n"
+    "+ Rel1 3.98 2.5\n"
+)
+TRANSFORM = {
+    "1/256": (
+        "v v0 0.13\n"
+        "v v2 1.04\n"
+        "v v3 1.86\n"
+        "v v5 2.21\n"
+        "v v4 2.55\n"
+        "v v6 2.86\n"
+        "v v7 3.98\n"
+        "v v8 4.17\n"
+        "v v9 5.56\n"
+        "v v10 5.87\n"
+        "v v11 7.48\n"
+        "v v12 7.84\n"
+        "v v13 8.88\n"
+        "v v1 9.38\n"
+        "e v0 v10\n"
+        "e v0 v13\n"
+        "e v0 v2\n"
+        "e v11 v1\n"
+        "e v11 v12\n"
+        "e v2 v3\n"
+        "e v2 v4\n"
+        "e v4 v6\n"
+        "e v5 v4\n"
+        "e v6 v7\n"
+        "e v6 v8\n"
+        "e v8 v11\n"
+        "e v8 v9\n"
+        "# distortion certificate 0.0703125\n"
+        "# diagram delta\n"
+        "(diagram unchanged)\n"
+    ),
+    "0.05": (
+        "v v0 0.13\n"
+        "v v2 1.04\n"
+        "v m2 2.86\n"
+        "v m3 2.86\n"
+        "v m1 4.17\n"
+        "v m4 4.17\n"
+        "v m5 5.87\n"
+        "v m6 5.87\n"
+        "v v13 8.88\n"
+        "v v1 9.38\n"
+        "e m1 m6\n"
+        "e m1 v1\n"
+        "e m3 m1\n"
+        "e m3 m4\n"
+        "e v0 m5\n"
+        "e v0 v13\n"
+        "e v0 v2\n"
+        "e v2 m2\n"
+        "e v2 m3\n"
+        "# distortion certificate 12.6\n"
+        "# diagram delta\n"
+        "- Ord0 2.21 2.55\n"
+        "- Rel1 1.86 1.04\n"
+        "- Rel1 3.98 2.86\n"
+        "- Rel1 5.56 4.17\n"
+        "- Rel1 7.84 7.48\n"
+        "+ Rel1 2.86 1.04\n"
+        "+ Rel1 4.17 2.86\n"
+        "+ Rel1 5.87 4.17\n"
+    ),
+}
+
+
+def test_merge_and_transform_outputs_are_pinned(runner, tmp_path):
+    g = tmp_path / "r.txt"
+    result = runner.invoke(main, ["gen", "random", "--seed", "5", "--n", "14", "-o", str(g)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["merge", str(g), "2", "3"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == MERGE_2_3
+    for alpha, expected in TRANSFORM.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args = ["transform", str(g), "--anchors", str(g), "--alpha", alpha]
+            result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == expected, alpha
+        assert [str(w.message)[:20] for w in caught] == (
+            ["anchor bands overlap"] if alpha == "0.05" else []
+        )
+
+
+def test_natural_upper_searches_structures_once(monkeypatch):
+    # with no shared structure the contraction join follows without a second search
+    import importlib
+
+    from reebmetrics.cli import _natural_upper
+
+    distortion = importlib.import_module("reebmetrics.distortion")
+    calls = []
+    search = distortion.structure_isomorphisms
+    monkeypatch.setattr(
+        distortion, "structure_isomorphisms", lambda *a, **k: calls.append(a) or search(*a, **k)
+    )
+    assert _natural_upper(figure1_left(), figure1_right()) == (20, "contraction-join")
+    assert len(calls) == 1
+
+
+def vertex_pairs(*ids):
+    return [[{"vertex": v}, {"vertex": v}] for v in ids]
+
+
+@pytest.mark.parametrize(
+    "pair, witness, message",
+    [
+        # a vertex-only map stated exact: the remainder would be dropped, and
+        # its upper bound 0 fell below the lower bound 3/4
+        (
+            ("cycle", "segment"),
+            {
+                "resolution": "1",
+                "exact": True,
+                "phi": vertex_pairs("bot", "top"),
+                "psi": vertex_pairs("bot", "top"),
+            },
+            "never exact",
+        ),
+        # one sample of 14 000 per graph once certified upper 0.002 for two
+        # graphs that are not isomorphic
+        (
+            ("figure1_left", "figure1_right"),
+            {"resolution": "1/1000", "phi": vertex_pairs("bot"), "psi": vertex_pairs("bot")},
+            "phi maps 1 of the 14000 samples",
+        ),
+        (
+            ("cycle", "segment"),
+            {"resolution": "1", "phi": vertex_pairs("zz"), "psi": vertex_pairs("bot")},
+            "zz",
+        ),
+    ],
+)
+def test_fdbound_rejects_a_witness_file_that_certifies_nothing(
+    runner, tmp_path, pair, witness, message
+):
+    a, b = (tmp_path / f"{name}.txt" for name in pair)
+    for name, path in zip(pair, (a, b)):
+        result = runner.invoke(main, ["gen", name, "-o", str(path)])
+        assert result.exit_code == 0, result.output
+    wf = tmp_path / "witness.json"
+    wf.write_text(json.dumps(witness))
+    args = ["fdbound", str(a), str(b), "--witness", "file", "--witness-file", str(wf)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    [error] = result.output.splitlines()
+    assert error.startswith("Error: bad witness file ")
+    assert message in error

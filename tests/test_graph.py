@@ -985,7 +985,7 @@ def test_random_generator_deterministic():
 
 
 def test_random_generator_spec_example():
-    g = random_graph(7, n_critical=6, value_range=(0, 10))
+    g = random_graph(7, n_critical=6)
     assert validate(g).ok
 
 

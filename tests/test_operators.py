@@ -365,7 +365,7 @@ def band_features(g, bands):
 
 
 def assert_merge_matches_fold(g, bands):
-    fast = _merge_bands(g, [MergeParams(a, b) for a, b in bands])
+    fast = _merge_bands(g, bands)
     ref = reference_merge_bands(g, bands)
     assert is_level_isomorphic(fast, ref)
     assert extended_diagram(fast) == extended_diagram(ref)
@@ -541,7 +541,7 @@ def test_merge_bands_snaps_the_diagram(graph_seed, band_seed):
     want = extended_diagram(g)
     for a, b in bands:
         want = snap_diagram(want, MergeParams(a, b))
-    assert extended_diagram(_merge_bands(g, [MergeParams(a, b) for a, b in bands])) == want
+    assert extended_diagram(_merge_bands(g, bands)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +597,17 @@ def test_simplify_segment_identity():
 def test_simplify_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         simplify(y_graph(), 0)
+
+
+def test_simplify_checks_its_input_once(monkeypatch):
+    # extended_diagram checks the input graph; simplify adds no second check
+    import reebmetrics.graph as graph_module
+
+    calls = []
+    validate = graph_module.validate
+    monkeypatch.setattr(graph_module, "validate", lambda g: calls.append(g) or validate(g))
+    simplify(y_graph(), F(1, 2))
+    assert len(calls) == 1
 
 
 def test_simplify_tiny_trunk_stretches():
@@ -721,8 +732,27 @@ def test_merge_sequence_overlap_warns():
 
 def test_merge_sequence_rejects_negative_halfwidth():
     y = y_graph()
-    with pytest.raises(ValueError):
-        merge_sequence(y, critical_values(y), F("-0.1"))
+    for anchors in (critical_values(y), []):
+        with pytest.raises(ValueError, match="half-width"):
+            merge_sequence(y, anchors, F("-0.1"))
+
+
+def test_merge_sequence_reads_every_anchor_form_alike():
+    # a CriticalValues, its sorted and reversed lists and a tuple give the
+    # same graph, certificate and overlap flag, for disjoint (1/8) and
+    # overlapping (9/10) bands
+    rng = random.Random(6170)
+    for g in [y_graph(), figure1_left()] + [family_graph(rng) for _ in range(6)]:
+        anchors = critical_values(g)
+        for halfwidth in (F(1, 8), F(9, 10)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                forms = (anchors, list(anchors), list(reversed(anchors.values)), tuple(anchors))
+                results = [merge_sequence(g, form, halfwidth) for form in forms]
+            first = results[0]
+            for other in results[1:]:
+                assert other.graph == first.graph
+                assert (other.certificate, other.overlap) == (first.certificate, first.overlap)
 
 
 # ---------------------------------------------------------------------------
