@@ -25,7 +25,6 @@ from .distortion import (
     distortion,
     fd_lower,
     fd_upper,
-    identity_correspondence,
     natural_correspondence,
     projection_correspondence,
     sample_net,
@@ -53,18 +52,15 @@ from .generators import (
     y_graph,
 )
 from .graph import (
-    Arc,
     CriticalValues,
     GraphPoint,
     GraphStats,
     InvalidGraphError,
     ReebGraph,
     ValidationReport,
-    arcs_in_interval,
     canonicalize,
     critical_values,
     min_critical_gap,
-    split_components,
     stats,
     travel_distance,
     travel_distances,
@@ -76,7 +72,6 @@ from .operators import (
     SimplifyResult,
     TransformParams,
     TransformResult,
-    crit_ball_check,
     full_transform,
     merge,
     merge_sequence,

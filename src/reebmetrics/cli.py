@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -20,6 +21,8 @@ from .diagram import Diagram
 from .distortion import best_structure_shift, certify_fd_upper, projection_correspondence
 from .experiments import _SUITES, EXPERIMENTS, ExperimentConfig, run_experiment
 from .fileio import (
+    ParseError,
+    correspondence_from_json,
     diagram_to_text,
     graph_to_json,
     graph_to_text,
@@ -35,19 +38,19 @@ from .persistence import extended_diagram
 from .rationals import format_value, parse_value
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _load(path: str, parse=load_graph_or_diagram):
+    """Parse one input file; one that cannot be read or parsed is a one-line error."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"cannot read {path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> ReebGraph:
-    obj = load_graph_or_diagram(_read(path))
+    obj = _load(path)
     if not isinstance(obj, ReebGraph):
         raise click.ClickException(f"{path} is a diagram, expected a graph")
     return obj
-
-
-def _load_any(path: str):
-    return load_graph_or_diagram(_read(path))
 
 
 def _as_diagram(obj) -> Diagram:
@@ -98,8 +101,8 @@ def diagram(path: str) -> None:
 @click.option("--witness", is_flag=True, help="also print the optimal matching")
 def bottleneck_cmd(file_a: str, file_b: str, witness: bool) -> None:
     """Exact bottleneck distance between two graph or diagram files."""
-    d1 = _as_diagram(_load_any(file_a))
-    d2 = _as_diagram(_load_any(file_b))
+    d1 = _as_diagram(_load(file_a))
+    d2 = _as_diagram(_load(file_b))
     result = bottleneck(d1, d2)
     click.echo(format_value(result.value))
     if witness:
@@ -218,8 +221,6 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
     Prints the bounds, their gap (upper - lower) and, for the sampled
     witnesses (collapse, file), the sampling remainder inside the upper bound.
     """
-    from .fileio import correspondence_from_json
-
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
     source = witness
     if witness == "natural":
@@ -237,11 +238,16 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
     else:
         if witness_file is None:
             raise click.ClickException("--witness file needs --witness-file <path>")
-        try:
-            c = correspondence_from_json(g1, g2, _read(witness_file))
-            cert = certify_fd_upper(g1, g2, c)
-        except ValueError as exc:
-            raise click.ClickException(f"bad witness file {witness_file}: {exc}") from exc
+
+        def parse(text: str):
+            try:
+                return correspondence_from_json(g1, g2, text)
+            except ParseError:
+                raise  # not a witness file at all: `_load` reports it
+            except ValueError as exc:
+                raise click.ClickException(f"bad witness file {witness_file}: {exc}") from exc
+
+        cert = certify_fd_upper(g1, g2, _load(witness_file, parse))
     click.echo(f"lower {format_value(cert.lower)}")
     click.echo(f"upper {format_value(cert.upper)} ({source})")
     click.echo(f"gap {format_value(cert.upper - cert.lower)}")
@@ -249,23 +255,30 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
         click.echo(f"remainder {format_value(cert.remainder)}")
 
 
-@main.command(name="pathlen")
-@click.argument("manifest")
-@click.option("--metric", type=click.Choice(["db", "fd"]), default="db", show_default=True)
-def pathlen_cmd(manifest: str, metric: str) -> None:
-    """Length of a discretized path; manifest lines: '<t> <graph-file>'."""
+def _parse_manifest(text: str) -> list[tuple[Fraction, str]]:
+    """The `<t> <graph-file>` lines of a path manifest."""
     steps = []
-    base = Path(manifest).parent
-    for lineno, raw in enumerate(Path(manifest).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(maxsplit=1)
         if len(parts) != 2:
-            raise click.ClickException(f"manifest line {lineno}: expected '<t> <file>'")
-        t = parse_value(parts[0])
-        g = parse_graph_text(_read(str(base / parts[1])), name=parts[1])
-        steps.append((t, g))
+            raise ParseError(lineno, "expected '<t> <file>'")
+        steps.append((parse_value(parts[0]), parts[1]))
+    return steps
+
+
+@main.command(name="pathlen")
+@click.argument("manifest")
+@click.option("--metric", type=click.Choice(["db", "fd"]), default="db", show_default=True)
+def pathlen_cmd(manifest: str, metric: str) -> None:
+    """Length of a discretized path; manifest lines: '<t> <graph-file>'."""
+    base = Path(manifest).parent
+    steps = [
+        (t, _load(str(base / name), partial(parse_graph_text, name=name)))
+        for t, name in _load(manifest, _parse_manifest)
+    ]
     if len(steps) < 2:
         raise click.ClickException("manifest needs at least two steps")
 

@@ -65,7 +65,6 @@ class Correspondence:
     phi: dict[GraphPoint, GraphPoint]
     psi: dict[GraphPoint, GraphPoint]
     resolution: Fraction
-    exact: bool = False  # True when the maps are value-exact witnesses
 
     def validate(self) -> None:
         for x, y in self.phi.items():
@@ -76,13 +75,6 @@ class Correspondence:
                 raise ValueError("psi maps outside the graphs")
         if not self.phi or not self.psi:
             raise ValueError("correspondence must cover both sample sets")
-
-
-def identity_correspondence(g: ReebGraph, resolution: Optional[ValueLike] = None) -> Correspondence:
-    pts = sample_net(g, resolution)
-    h = to_fraction(resolution) if resolution is not None else default_resolution(g)
-    ident = {p: p for p in pts}
-    return Correspondence(g, g, dict(ident), dict(ident), h, exact=True)
 
 
 def _monotone_spine(g: ReebGraph) -> list[GraphPoint]:
@@ -302,13 +294,13 @@ def certify_fd_upper(
 ) -> FDBoundCertificate:
     """Build a certificate from a correspondence or a stated analytic bound.
 
-    Sampled correspondences contribute their sampling remainder to the upper
-    bound; analytic witnesses (operator moves, value shifts) do not.
+    A correspondence always adds its sampling remainder, twice its
+    resolution, to the upper bound; analytic witnesses (operator moves,
+    value shifts) add none.
     """
     if isinstance(witness, Correspondence):
-        value = fd_upper(g1, g2, witness)
-        remainder = Fraction(0) if witness.exact else 2 * witness.resolution
-        upper_total = value + remainder
+        remainder = 2 * witness.resolution
+        upper_total = fd_upper(g1, g2, witness) + remainder
     else:
         if upper is None:
             raise ValueError("an analytic witness needs an explicit bound")

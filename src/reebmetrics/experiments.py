@@ -439,7 +439,3 @@ def run_experiment(name: str, config: Optional[ExperimentConfig] = None) -> Expe
     config = config or ExperimentConfig()
     records = _SUITES[name][0](config)
     return ExperimentReport(name, config, tuple(records))
-
-
-def run_all(config: Optional[ExperimentConfig] = None) -> list[ExperimentReport]:
-    return [run_experiment(name, config) for name in EXPERIMENTS]

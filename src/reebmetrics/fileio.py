@@ -87,9 +87,13 @@ def graph_to_json(g: ReebGraph) -> str:
 
 
 def graph_from_json(text: str) -> ReebGraph:
+    """Read the JSON object format; a missing or malformed field is a ValueError."""
     payload = json.loads(text)
-    vertices = [(v["id"], parse_value(v["value"])) for v in payload["vertices"]]
-    edges = [(u, v) for u, v in payload["edges"]]
+    try:
+        vertices = [(v["id"], parse_value(v["value"])) for v in payload["vertices"]]
+        edges = [(u, v) for u, v in payload["edges"]]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed graph object: {exc!r}") from exc
     return ReebGraph(vertices, edges, name=payload.get("name"))
 
 
@@ -153,20 +157,26 @@ def correspondence_to_json(c) -> str:
 def correspondence_from_json(g1: ReebGraph, g2: ReebGraph, text: str):
     """Read a sampled map pair; a file that certifies no bound is a ValueError.
 
-    Its bound is the sampled distortion plus the 2 * resolution remainder, so
-    phi must map all of `sample_net(g1, resolution)`, psi all of
-    `sample_net(g2, resolution)`, and the file is never exact.
+    Text that is not a JSON object with `resolution`, `phi` and `psi` is a
+    ParseError. The bound is the sampled distortion plus the 2 * resolution
+    remainder, so phi must map all of `sample_net(g1, resolution)`, psi all
+    of `sample_net(g2, resolution)`, and the file is never exact.
     """
     from .distortion import Correspondence, sample_net
 
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.msg) from exc
+    if not isinstance(payload, dict) or not {"resolution", "phi", "psi"} <= payload.keys():
+        raise ParseError(0, "expected a JSON object with resolution, phi and psi")
     try:
         if payload.get("exact"):
             raise ValueError("a witness file is never exact: its bound keeps the sampling remainder")
         resolution = parse_value(payload["resolution"])
         phi = {_point_from_obj(g1, a): _point_from_obj(g2, b) for a, b in payload["phi"]}
         psi = {_point_from_obj(g2, a): _point_from_obj(g1, b) for a, b in payload["psi"]}
-    except (AttributeError, KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"no such point or field: {exc}") from exc
     for name, g, mapping in (("phi", g1, phi), ("psi", g2, psi)):
         net = sample_net(g, resolution)

@@ -420,33 +420,6 @@ def min_critical_gap(g: ReebGraph) -> Fraction:
     return critical_values(g).min_gap()
 
 
-@dataclass(frozen=True)
-class Arc:
-    """A topological arc of the preimage of an open band, on one edge."""
-
-    edge: int
-    lower: str
-    upper: str
-
-
-def arcs_in_interval(g: ReebGraph, lo: ValueLike, hi: ValueLike) -> tuple[Arc, ...]:
-    lo = to_fraction(lo)
-    hi = to_fraction(hi)
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
-    for val in critical_values(g):
-        if lo < val < hi:
-            raise InvalidGraphError(
-                f"interval ({format_value(lo)}, {format_value(hi)}) contains "
-                f"critical value {format_value(val)}"
-            )
-    arcs = []
-    for idx, (u, v) in enumerate(g.edges):
-        if g.value(u) <= lo and g.value(v) >= hi:
-            arcs.append(Arc(edge=idx, lower=u, upper=v))
-    return tuple(arcs)
-
-
 # ---------------------------------------------------------------------------
 # travel distance d_f
 # ---------------------------------------------------------------------------
@@ -586,23 +559,6 @@ def travel_distance(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> Fraction:
     call that once instead.
     """
     return travel_distances(g, (x, y))[0][1]
-
-
-# ---------------------------------------------------------------------------
-# components
-# ---------------------------------------------------------------------------
-
-
-def split_components(g: ReebGraph) -> tuple[ReebGraph, ...]:
-    """Connected components as separate graphs, in order of their minima."""
-    comps = g._component_ids()
-    out = []
-    for comp in comps:
-        verts = [(vid, g.value(vid)) for vid in g.vertex_ids if vid in comp]
-        edges = [(u, v) for u, v in g.edges if u in comp]
-        out.append(ReebGraph(verts, edges, name=g.name))
-    out.sort(key=lambda h: (h.min_value(), h.vertex_ids))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

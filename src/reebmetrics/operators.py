@@ -433,19 +433,3 @@ def full_transform(g: ReebGraph, params: TransformParams) -> TransformResult:
         merge_certificate=merged.certificate,
         overlap=merged.overlap,
     )
-
-
-def crit_ball_check(d_h: Diagram, d_f: Diagram, r: ValueLike) -> bool:
-    """Is every point of d_h within l-infinity distance r of a same-kind
-    point of d_f?"""
-    r = to_fraction(r)
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    for p in d_h:
-        targets = d_f.of_kind(p.kind)
-        if not any(
-            max(abs(p.birth - q.birth), abs(p.death - q.death)) <= r
-            for q in targets
-        ):
-            return False
-    return True

@@ -284,6 +284,51 @@ def test_invalid_graph_is_a_one_line_error(runner, tmp_path, command, text, viol
     assert "reeb convert --to canonical" in error
 
 
+# a missing path, and one file each that no reader parses
+BAD_FILES = {"missing": None, "v b x": "v b x\n", "json": '{"vertices": 3}\n', "x y": "x y\n"}
+
+
+@pytest.mark.parametrize("bad_file", BAD_FILES)
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("diagram", ["BAD"]),
+        ("bottleneck", ["Y", "BAD"]),
+        ("merge", ["BAD", "1/2", "3/2"]),
+        ("simplify", ["BAD", "1"]),
+        ("transform", ["BAD", "--anchors", "Y", "--alpha", "1/10"]),
+        ("transform", ["Y", "--anchors", "BAD", "--alpha", "1/10"]),
+        ("iso", ["Y", "BAD"]),
+        ("fdbound", ["BAD", "Y"]),
+        ("fdbound", ["Y", "Y", "--witness", "file", "--witness-file", "BAD"]),
+        ("pathlen", ["BAD"]),
+        ("pathlen", ["MANIFEST"]),
+        ("intrinsic", ["Y", "BAD"]),
+        ("stats", ["BAD"]),
+        ("convert", ["BAD"]),
+        ("validate", ["BAD"]),
+    ],
+    ids=[
+        "diagram", "bottleneck", "merge", "simplify", "transform", "transform-anchors",
+        "iso", "fdbound", "fdbound-witness-file", "pathlen-manifest", "pathlen-step",
+        "intrinsic", "stats", "convert", "validate",
+    ],
+)
+def test_unreadable_file_is_a_one_line_error(runner, tmp_path, command, args, bad_file):
+    bad = tmp_path / "bad.txt"
+    if BAD_FILES[bad_file] is not None:
+        bad.write_text(BAD_FILES[bad_file])
+    manifest = tmp_path / "path.txt"
+    manifest.write_text("0 y.txt\n1 bad.txt\n")
+    paths = {"BAD": bad, "Y": write(tmp_path / "y.txt", y_graph()), "MANIFEST": manifest}
+    result = runner.invoke(main, [command, *(str(paths.get(a, a)) for a in args)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    [error] = result.output.splitlines()  # and nothing printed before it
+    assert error.startswith(f"Error: cannot read {bad}: "), error
+
+
 def test_fdbound_witness_file(runner, tmp_path):
     from reebmetrics.distortion import projection_correspondence
     from reebmetrics.fileio import correspondence_to_json
@@ -474,6 +519,10 @@ def test_fdbound_reports_gap_and_remainder(runner, tmp_path):
     result = runner.invoke(main, ["fdbound", a, c])
     assert result.exit_code == 0, result.output
     assert result.output == "lower 0.025\nupper 0.05 (natural)\ngap 0.025\n"
+    # identical graphs: the identity structure shift is 0
+    result = runner.invoke(main, ["fdbound", a, a, "--witness", "natural"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "lower 0\nupper 0 (natural)\ngap 0\n"
 
 
 def test_fdbound_collapse_at_the_default_resolution_is_pinned(runner, tmp_path):

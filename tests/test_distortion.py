@@ -14,7 +14,6 @@ from reebmetrics import (
     fd_lower,
     fd_upper,
     graph_bottleneck,
-    identity_correspondence,
     natural_correspondence,
     projection_correspondence,
     random_graph,
@@ -71,16 +70,22 @@ def test_default_resolution_is_an_eighth_of_the_gap():
     assert default_resolution(y_graph()) == F(1, 8)
 
 
+def identity(g: ReebGraph) -> Correspondence:
+    """The correspondence of g with itself along the identity vertex map."""
+    return natural_correspondence(g, g, {v: v for v in g.vertex_ids})
+
+
 def test_identity_correspondence_costs_nothing():
     y = y_graph()
-    c = identity_correspondence(y)
+    c = identity(y)
     assert distortion(y, y, c) == 0
     assert fd_upper(y, y, c) == 0
 
 
 def test_level_matched_segments_cost_nothing():
     s = segment()
-    c = identity_correspondence(s)
+    c = identity(s)
+    assert distortion(s, s, c) == 0
     assert fd_upper(s, s, c) == 0
 
 
@@ -168,10 +173,13 @@ def test_sampled_certificate_carries_remainder():
     assert cert.upper == F(1, 2) + F(1, 2)
 
 
-def test_identity_witness_certificate_has_no_remainder():
-    y = y_graph()
-    cert = certify_fd_upper(y, y, identity_correspondence(y))
-    assert cert.upper == 0 and cert.remainder == 0
+@pytest.mark.parametrize("g", [y_graph(), segment()], ids=["Y", "segment"])
+def test_identity_witness_certificate_keeps_the_remainder(g):
+    # every sampled correspondence adds 2 * resolution, even one that costs nothing
+    c = identity(g)
+    cert = certify_fd_upper(g, g, c)
+    assert cert.remainder == 2 * c.resolution
+    assert cert.upper == 2 * c.resolution
 
 
 def test_lower_bounds_never_exceed_value_shift_uppers():

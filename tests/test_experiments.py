@@ -6,7 +6,6 @@ import pytest
 from reebmetrics.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
-    run_all,
     run_experiment,
 )
 
@@ -79,6 +78,7 @@ def test_records_are_json_lines():
 
 
 def test_run_all_covers_every_experiment():
-    reports = run_all(ExperimentConfig(seed=5, trials=6))
+    config = ExperimentConfig(seed=5, trials=6)
+    reports = [run_experiment(name, config) for name in EXPERIMENTS]
     assert [r.name for r in reports] == list(EXPERIMENTS)
     assert all(r.passed for r in reports)

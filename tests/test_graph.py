@@ -13,7 +13,6 @@ from reebmetrics import (
     GraphPoint,
     InvalidGraphError,
     ReebGraph,
-    arcs_in_interval,
     canonicalize,
     critical_values,
     cycle,
@@ -24,7 +23,6 @@ from reebmetrics import (
     random_graph,
     sample_net,
     segment,
-    split_components,
     stats,
     travel_distance,
     travel_distances,
@@ -366,34 +364,6 @@ def test_min_gap():
 def test_min_gap_needs_two_values():
     with pytest.raises(InvalidGraphError):
         min_critical_gap(ReebGraph([("a", 1)], []))
-
-
-def test_arcs_in_interval_y():
-    y = y_graph()
-    low_band = arcs_in_interval(y, F("0.25"), F("0.75"))
-    assert len(low_band) == 1
-    assert y.edges[low_band[0].edge] == ("a", "c")
-    mid_band = arcs_in_interval(y, F("1.25"), F("1.75"))
-    assert len(mid_band) == 2
-
-
-def test_arcs_in_interval_cycle():
-    assert len(arcs_in_interval(cycle(), 1, 2)) == 2
-
-
-def test_arcs_in_interval_rejects_critical_value_inside():
-    with pytest.raises(InvalidGraphError):
-        arcs_in_interval(y_graph(), F("0.5"), F("1.5"))
-
-
-def test_arc_count_constant_between_consecutive_critical_values():
-    g = random_graph(11, n_critical=7)
-    crit = list(critical_values(g))
-    for lo, hi in zip(crit, crit[1:]):
-        third = (hi - lo) / 3
-        first = arcs_in_interval(g, lo + third, lo + 2 * third)
-        second = arcs_in_interval(g, lo + third / 2, hi - third / 2)
-        assert len(first) == len(second)
 
 
 # ---------------------------------------------------------------------------
@@ -867,18 +837,8 @@ def test_travel_distances_errors():
 
 
 # ---------------------------------------------------------------------------
-# components, stats, points
+# stats, points
 # ---------------------------------------------------------------------------
-
-
-def test_split_components():
-    g = ReebGraph(
-        [("a", 0), ("b", 1), ("c", 2), ("d", 3)],
-        [("a", "b"), ("c", "d")],
-    )
-    parts = split_components(g)
-    assert len(parts) == 2
-    assert all(validate(p).ok for p in parts)
 
 
 def test_stats_y():

@@ -15,7 +15,6 @@ from reebmetrics import (
     ReebGraph,
     TransformParams,
     canonicalize,
-    crit_ball_check,
     critical_values,
     cycle,
     extended_diagram,
@@ -754,31 +753,3 @@ def test_merge_sequence_reads_every_anchor_form_alike():
                 assert other.graph == first.graph
                 assert (other.certificate, other.overlap) == (first.certificate, first.overlap)
 
-
-# ---------------------------------------------------------------------------
-# crit_ball_check
-# ---------------------------------------------------------------------------
-
-
-def test_crit_ball_identity():
-    d = extended_diagram(y_graph())
-    assert crit_ball_check(d, d, 0)
-
-
-def test_crit_ball_perturbation():
-    y = y_graph()
-    perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})
-    assert crit_ball_check(
-        extended_diagram(perturbed), extended_diagram(y), F("0.05")
-    )
-
-
-def test_crit_ball_missing_target_kind():
-    assert not crit_ball_check(
-        extended_diagram(y_graph()), extended_diagram(segment()), F("0.4")
-    )
-
-
-def test_crit_ball_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        crit_ball_check(Diagram(), Diagram(), -1)
