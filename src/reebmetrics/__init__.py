@@ -81,14 +81,11 @@ from .operators import (
 from .paths import (
     GraphPath,
     PathLengthResult,
-    concatenate,
-    constant_path,
     contraction_path,
     intrinsic_upper,
     join_via_contractions,
     linear_path,
     path_length,
-    reverse_path,
 )
 from .persistence import (
     extended_diagram,

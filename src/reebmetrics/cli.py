@@ -68,7 +68,8 @@ def _emit_graph(g: ReebGraph, output: Optional[str], as_json: bool = False) -> N
 
 
 class _ReebGroup(click.Group):
-    """Reports a graph that breaks an invariant as a one-line error (exit 1)."""
+    """Reports a graph that breaks an invariant, or any other bad value a
+    command rejects, as a one-line error (exit 1)."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -79,6 +80,8 @@ class _ReebGroup(click.Group):
                 f"invalid graph: {details} (`reeb convert --to canonical` removes "
                 "pass-through vertices)"
             ) from exc
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 @click.group(cls=_ReebGroup)

@@ -6,15 +6,21 @@ distortion distance. The path's two lengths are read from those intervals:
 the summed upper bounds in the distortion metric, and the summed bottleneck
 distances (twice each lower bound) in the bottleneck metric.
 
-`_contraction_stages` alone decides how a graph contracts to a point.
-`contraction_path` certifies its stages; `intrinsic_upper` only sums their
-analytic bounds, and `join_via_contractions` certifies the same stages as
-that bound's witness.
+Every built-in path is a list of stages, each a graph with the witness and
+analytic upper bound of the step into it, and every certificate comes from
+`certify_fd_upper`. `_contraction_stages` alone decides how a graph
+contracts to a point, and `contraction_path` certifies its stages. The join
+of two graphs is one stage list, `_join_stages`: the first graph's
+contraction, a shift between the two end points, and the second graph's
+contraction walked backwards. `join_via_contractions` certifies that list;
+`intrinsic_upper` only sums its bounds, so the bound is the length of its
+witness by construction. That sum does not depend on the number of shrink
+steps, so `intrinsic_upper` takes no `n`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,9 +36,8 @@ class GraphPath:
     """Time-stamped graphs from t=0 to t=1 with one certificate per segment.
 
     Invariant: `certificates[i]` certifies the segment from step i to step
-    i + 1 and comes from `certify_fd_upper` on that pair (in either order,
-    since d_B is symmetric), or is the constant path's [0, 0]. Its lower
-    bound is therefore half the segment's bottleneck distance, which
+    i + 1 and comes from `certify_fd_upper` on that pair. Its lower bound
+    is therefore half the segment's bottleneck distance, which
     `path_length` reads back instead of recomputing.
     """
 
@@ -53,42 +58,6 @@ class GraphPath:
     @property
     def graphs(self) -> tuple[ReebGraph, ...]:
         return tuple(g for _, g in self.steps)
-
-    def segments(self) -> tuple[tuple[ReebGraph, ReebGraph, FDBoundCertificate], ...]:
-        return tuple(
-            (self.steps[i][1], self.steps[i + 1][1], self.certificates[i])
-            for i in range(len(self.certificates))
-        )
-
-
-def constant_path(g: ReebGraph) -> GraphPath:
-    cert = FDBoundCertificate(Fraction(0), Fraction(0), "constant")
-    return GraphPath(((Fraction(0), g), (Fraction(1), g)), (cert,))
-
-
-def concatenate(paths: Sequence[GraphPath]) -> GraphPath:
-    """Join paths end to end, reparameterizing time uniformly per segment."""
-    segs: list[tuple[ReebGraph, ReebGraph, FDBoundCertificate]] = []
-    for p in paths:
-        segs.extend(p.segments())
-    if not segs:
-        raise ValueError("nothing to concatenate")
-    for (_, end, _), (start, _, _) in zip(segs, segs[1:]):
-        if end != start:
-            raise ValueError("paths do not chain: endpoint mismatch")
-    n = len(segs)
-    steps = [(Fraction(0), segs[0][0])]
-    steps += [(Fraction(i + 1, n), segs[i][1]) for i in range(n)]
-    return GraphPath(tuple(steps), tuple(c for _, _, c in segs))
-
-
-def reverse_path(p: GraphPath) -> GraphPath:
-    segs = list(reversed(p.segments()))
-    n = len(segs)
-    steps = [(Fraction(0), segs[0][1])]
-    steps += [(Fraction(i + 1, n), segs[i][0]) for i in range(n)]
-    certs = tuple(replace(c, upper_witness="reversed segment") for _, _, c in segs)
-    return GraphPath(tuple(steps), certs)
 
 
 @dataclass(frozen=True)
@@ -232,9 +201,9 @@ def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
 
 
 def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
-    """Deform g to a point through its certified contraction stages."""
-    stages = _contraction_stages(g, n)
-    return _stage_path(g, stages) if stages else constant_path(g)
+    """Deform g to a point through its certified contraction stages; a graph
+    that is already the terminal point stays put for one [0, 0] step."""
+    return _stage_path(g, _contraction_stages(g, n) or [(g, "constant", Fraction(0))])
 
 
 # ---------------------------------------------------------------------------
@@ -242,36 +211,40 @@ def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
 # ---------------------------------------------------------------------------
 
 
+def _join_stages(g1: ReebGraph, g2: ReebGraph, n: int) -> list[_Stage]:
+    """g1's contraction stages, the shift between the two end points, then
+    g2's stages walked backwards: each backward stage is the graph before
+    it, with the same witness and bound."""
+    down = _contraction_stages(g1, n)
+    up = _contraction_stages(g2, n)
+    end1 = down[-1][0] if down else g1
+    end2 = up[-1][0] if up else g2
+    bridge = (end2, "point-to-point shift", abs(end1.min_value() - end2.min_value()))
+    before = [g2, *(h for h, _, _ in up)]
+    back = [(h, witness, upper) for h, (_, witness, upper) in zip(before, up)]
+    return [*down, bridge, *reversed(back)]
+
+
 def join_via_contractions(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> GraphPath:
     """Contract both graphs to points and bridge the midpoints."""
-    down = contraction_path(g1, n)
-    up = contraction_path(g2, n)
-    end1 = down.steps[-1][1]
-    end2 = up.steps[-1][1]
-    shift = abs(end1.min_value() - end2.min_value())
-    bridge = _stage_path(end1, [(end2, "point-to-point shift", shift)])
-    return concatenate([down, bridge, reverse_path(up)])
+    return _stage_path(g1, _join_stages(g1, g2, n))
 
 
-def intrinsic_upper(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> Fraction:
+def intrinsic_upper(g1: ReebGraph, g2: ReebGraph) -> Fraction:
     """Upper bound on the intrinsic functional-distortion metric.
 
     The better of a direct value shift, when the graphs share a
     combinatorial form, and the contraction-join length `_join_upper`.
     """
     direct = best_structure_shift(g1, g2)
-    join = _join_upper(g1, g2, n)
+    join = _join_upper(g1, g2)
     return join if direct is None else min(direct, join)
 
 
-def _join_upper(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> Fraction:
-    """The uncertified length of the path that `join_via_contractions`
-    certifies: both graphs' contraction stage bounds plus the shift between
-    their end points."""
-    join = Fraction(0)
-    ends = []
-    for g in (g1, g2):
-        stages = _contraction_stages(g, n)
-        join += sum((upper for _, _, upper in stages), Fraction(0))
-        ends.append(stages[-1][0] if stages else g)
-    return join + abs(ends[0].min_value() - ends[1].min_value())
+def _join_upper(g1: ReebGraph, g2: ReebGraph) -> Fraction:
+    """The uncertified length of the join that `join_via_contractions`
+    certifies. The n shrink steps of a trunk [lo, hi] add up to
+    (hi - lo)/2 - delta, where delta is the half-width they leave, and the
+    terminal collapse adds delta; the sum does not depend on n, so one
+    shrink step gives it with the fewest graphs."""
+    return sum((upper for _, _, upper in _join_stages(g1, g2, 1)), Fraction(0))

@@ -329,6 +329,44 @@ def test_unreadable_file_is_a_one_line_error(runner, tmp_path, command, args, ba
     assert error.startswith(f"Error: cannot read {bad}: "), error
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["merge", "Y", "3", "2"], "merge band needs a <= b"),
+        (["simplify", "Y", "--", "-1"], "alpha must be positive"),
+        (["simplify", "Y", "x"], "not a decimal or ratio value: 'x'"),
+        (["transform", "Y", "--anchors", "Y", "--alpha", "0"], "alpha must be positive"),
+        (["transform", "Y", "--anchors", "Y", "--alpha", "x"], "not a decimal"),
+        (["experiment", "stability", "--K", "1"], "K must lie in (0, 1/22]"),
+        (["experiment", "stability", "--trials", "0"], "trials must be positive"),
+        (["experiment", "stability", "--eps-frac", "2"], "epsilon_fraction must lie in"),
+        (["gen", "random", "--n", "1"], "need at least two critical values"),
+        (["gen", "figure5", "--n", "-1"], "n must be nonnegative"),
+        (["pathlen", "HALF"], "path must start at t=0 and end at t=1"),
+        (["pathlen", "REPEAT"], "time stamps must strictly increase"),
+    ],
+    ids=[
+        "merge-band", "simplify-negative", "simplify-x", "transform-zero", "transform-x",
+        "experiment-K", "experiment-trials", "experiment-eps-frac", "gen-random",
+        "gen-figure5", "pathlen-half", "pathlen-repeat",
+    ],
+)
+def test_bad_number_is_a_one_line_error(runner, tmp_path, args, message):
+    (tmp_path / "half.txt").write_text("0 y.txt\n1/2 y.txt\n")
+    (tmp_path / "repeat.txt").write_text("0 y.txt\n1 y.txt\n1 y.txt\n")
+    paths = {
+        "Y": write(tmp_path / "y.txt", y_graph()),
+        "HALF": tmp_path / "half.txt",
+        "REPEAT": tmp_path / "repeat.txt",
+    }
+    result = runner.invoke(main, [str(paths.get(a, a)) for a in args])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    [error] = result.output.splitlines()  # and nothing printed before it
+    assert error.startswith("Error: ") and message in error, error
+
+
 def test_fdbound_witness_file(runner, tmp_path):
     from reebmetrics.distortion import projection_correspondence
     from reebmetrics.fileio import correspondence_to_json

@@ -7,8 +7,6 @@ import pytest
 from reebmetrics import (
     InvalidGraphError,
     ReebGraph,
-    concatenate,
-    constant_path,
     contraction_path,
     cycle,
     figure1_left,
@@ -20,12 +18,12 @@ from reebmetrics import (
     linear_path,
     path_length,
     random_graph,
-    reverse_path,
     segment,
     structure_isomorphisms,
     y_graph,
 )
 from reebmetrics.distortion import (
+    FDBoundCertificate,
     best_structure_shift,
     certify_fd_upper,
     projection_correspondence,
@@ -39,7 +37,7 @@ def reference_bottleneck_lengths(p: GraphPath) -> tuple[F, ...]:
     `path_length(p, "bottleneck")` reads these from the certificates'
     lower bounds instead.
     """
-    return tuple(graph_bottleneck(a, b) for a, b, _ in p.segments())
+    return tuple(graph_bottleneck(a, b) for a, b in zip(p.graphs, p.graphs[1:]))
 
 
 def direct_path(g1: ReebGraph, g2: ReebGraph, n: int) -> GraphPath:
@@ -57,8 +55,15 @@ def assert_two_sided(p: GraphPath) -> None:
     assert sum(db) <= 2 * sum(uppers)
 
 
-def test_constant_path_length_zero():
-    p = constant_path(y_graph())
+def point() -> ReebGraph:
+    """The terminal point of every contraction at value 0."""
+    return ReebGraph([("pt", 0)])
+
+
+def test_contraction_of_the_terminal_point_is_one_constant_step():
+    p = contraction_path(point())
+    assert p.graphs == (point(), point())
+    assert p.certificates == (FDBoundCertificate(F(0), F(0), "constant"),)
     assert path_length(p, "bottleneck").total == 0
     assert path_length(p, "fd_upper").total == 0
 
@@ -106,7 +111,7 @@ def test_linear_path_reports_level_collision():
 
 
 def test_path_length_needs_metric():
-    p = constant_path(segment())
+    p = contraction_path(point())
     with pytest.raises(ValueError):
         path_length(p, "hausdorff")
     with pytest.raises(ValueError):
@@ -221,10 +226,10 @@ def test_intrinsic_upper_is_the_certified_join_or_the_direct_shift():
     ]
     for g1, g2 in pairs:
         direct = best_structure_shift(g1, g2)
-        for n in (2, 4):
+        bound = intrinsic_upper(g1, g2)
+        for n in (1, 2, 4, 8):
             join = path_length(join_via_contractions(g1, g2, n), "fd_upper").total
-            expected = join if direct is None else min(direct, join)
-            assert intrinsic_upper(g1, g2, n) == expected
+            assert bound == (join if direct is None else min(direct, join))
 
 
 def test_join_path_endpoints():
@@ -275,18 +280,21 @@ def test_linear_path_rejects_a_level_edge_along_every_structure_isomorphism():
             linear_path(level, target, 2)
 
 
-def test_reverse_path_keeps_bounds_and_remainders():
-    y, seg = y_graph(), segment()
-    sampled = certify_fd_upper(y, seg, projection_correspondence(y, seg))
-    assert sampled.remainder > 0
-    p = concatenate(
-        [GraphPath(((F(0), y), (F(1), seg)), (sampled,)), contraction_path(seg, 2)]
-    )
-    back = reverse_path(p)
-    assert back.graphs == p.graphs[::-1]
-    for c, r in zip(p.certificates[::-1], back.certificates):
-        assert (r.lower, r.upper, r.remainder) == (c.lower, c.upper, c.remainder)
-        assert r.upper_witness == "reversed segment"
+def test_join_is_one_contraction_the_bridge_and_the_other_reversed():
+    pairs = [(y_graph(), cycle()), (figure1_left(), segment(0, 5)), (cycle(), y_graph())]
+    for g1, g2 in pairs:
+        for n in (1, 2, 4):
+            down, up = contraction_path(g1, n), contraction_path(g2, n)
+            join = join_via_contractions(g1, g2, n)
+            assert join.graphs == down.graphs + up.graphs[::-1]
+            end1, end2 = down.graphs[-1], up.graphs[-1]
+            bridge = certify_fd_upper(
+                end1, end2, "point-to-point shift", abs(end1.min_value() - end2.min_value())
+            )
+            certs = [*down.certificates, bridge, *up.certificates[::-1]]
+            assert [(c.lower, c.upper, c.upper_witness) for c in join.certificates] == [
+                (c.lower, c.upper, c.upper_witness) for c in certs
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +366,13 @@ def constructed_paths() -> list[GraphPath]:
         (certify_fd_upper(y, seg, projection_correspondence(y, seg)),),
     )
     return [
-        constant_path(y),
+        contraction_path(point()),
+        sampled,
         linear_path(y, {"b": F("1.05"), "c": F("1.95")}, 4),
         linear_path(segment(0, 3), {"top": 5}, 2),
         direct,
         join,
         join_via_contractions(figure1_left(), figure1_right(), 2),
-        reverse_path(join),
-        reverse_path(sampled),
-        concatenate([direct, reverse_path(direct)]),
-        concatenate([sampled, contraction_path(seg, 2)]),
         *(contraction_path(g, 2) for g in (y, cycle(), figure1_left(), *randoms)),
     ]
 
