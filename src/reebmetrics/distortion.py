@@ -9,6 +9,7 @@ witnesses such as value reassignments on a fixed graph.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,8 +222,8 @@ def distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
     The pairs are phi's (x, phi(x)) and psi's (psi(y), y). Their points on
     each graph get one `travel_distances` matrix, and the distortion is the
     largest |D1[i][j] - D2[i][j]| over i < j. Both matrices are computed as
-    ints over one lattice, the lcm of the denominators of both graphs'
-    values and all sampled points, so the gaps are int differences. The
+    ints over one lattice, the lcm of both graphs' scales and the
+    denominators of all sampled points, so the gaps are int differences. The
     sampling remainder (twice the resolution) is reported separately by
     `certify_fd_upper`.
     """
@@ -230,13 +231,7 @@ def distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
     pairs = [(x, y) for x, y in c.phi.items()] + [(x, y) for y, x in c.psi.items()]
     xs = tuple(x for x, _ in pairs)
     ys = tuple(y for _, y in pairs)
-    scale = common_denominator(
-        chain(
-            (g1.value(v) for v in g1.vertex_ids),
-            (g2.value(v) for v in g2.vertex_ids),
-            (p.value for p in chain(xs, ys)),
-        )
-    )
+    scale = math.lcm(g1.scale, g2.scale, common_denominator(p.value for p in chain(xs, ys)))
     d1 = _travel_matrix(g1, xs, scale)
     d2 = _travel_matrix(g2, ys, scale)
     worst = 0

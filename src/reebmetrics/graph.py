@@ -8,6 +8,7 @@ in this module is a pure function.
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_right
 from collections import Counter, deque
@@ -106,6 +107,12 @@ class ReebGraph:
     `vertices` is an iterable of (id, value) pairs; ids are strings, values
     anything `to_fraction` accepts. `edges` is an iterable of id pairs;
     parallel edges are allowed and kept as distinct arcs.
+
+    The graph carries its integer lattice: `scale`, the lcm of the
+    denominators of its values, and `level(vid)`, a vertex's value times
+    `scale` as an int. Levels keep every order and tie of the values, so
+    the graph orders and compares its own values as ints; two graphs' levels
+    are comparable only when their scales agree.
     """
 
     def __init__(
@@ -127,6 +134,9 @@ class ReebGraph:
         if not values:
             raise ValueError("vertex set must be nonempty")
 
+        self.scale = common_denominator(values.values())
+        levels = {vid: on_lattice(value, self.scale) for vid, value in values.items()}
+
         edge_list: list[tuple[str, str]] = []
         for u, v in edges:
             u, v = sys.intern(str(u)), sys.intern(str(v))
@@ -134,12 +144,14 @@ class ReebGraph:
                 raise ValueError(f"edge ({u}, {v}) references unknown vertex")
             if u == v:
                 raise ValueError(f"self-loop at {u} is a level edge")
-            # orient lower endpoint first when values differ
-            if (values[u], u) > (values[v], v):
+            # orient lower endpoint first by (value, id)
+            lu, lv = levels[u], levels[v]
+            if lu > lv or (lu == lv and u > v):
                 u, v = v, u
             edge_list.append((u, v))
 
         self._values = values
+        self._levels = levels
         self._order = tuple(order)
         self.edges: tuple[tuple[str, str], ...] = tuple(edge_list)
         self.name = name
@@ -159,6 +171,10 @@ class ReebGraph:
     def value(self, vid: str) -> Fraction:
         return self._values[vid]
 
+    def level(self, vid: str) -> int:
+        """`value(vid)` times `scale`, an exact int."""
+        return self._levels[vid]
+
     def vertices(self) -> tuple[tuple[str, Fraction], ...]:
         return tuple((vid, self._values[vid]) for vid in self._order)
 
@@ -170,17 +186,25 @@ class ReebGraph:
 
     def up_degree(self, vid: str) -> int:
         """Arcs to strictly higher neighbours; a level edge counts on neither side."""
-        fv = self._values[vid]
-        return sum(1 for _, w in self._adj[vid] if self._values[w] > fv)
+        levels = self._levels
+        lv = levels[vid]
+        return sum(1 for _, w in self._adj[vid] if levels[w] > lv)
 
     def down_degree(self, vid: str) -> int:
         """Arcs to strictly lower neighbours; a level edge counts on neither side."""
-        fv = self._values[vid]
-        return sum(1 for _, w in self._adj[vid] if self._values[w] < fv)
+        levels = self._levels
+        lv = levels[vid]
+        return sum(1 for _, w in self._adj[vid] if levels[w] < lv)
 
     def is_pass_through(self, vid: str) -> bool:
         """True for a removable regular vertex: one arc down, one arc up."""
-        return self.degree(vid) == 2 and self.up_degree(vid) == self.down_degree(vid) == 1
+        arcs = self._adj[vid]
+        if len(arcs) != 2:
+            return False
+        levels = self._levels
+        (_, a), (_, b) = arcs
+        la, lv, lb = levels[a], levels[vid], levels[b]
+        return la < lv < lb or lb < lv < la
 
     def is_critical(self, vid: str) -> bool:
         return not self.is_pass_through(vid)
@@ -305,7 +329,7 @@ def _structural_violations(g: ReebGraph) -> list[Violation]:
     """Level edges and disconnection: what `canonicalize` cannot repair."""
     violations: list[Violation] = []
     for idx, (u, v) in enumerate(g.edges):
-        if g.value(u) == g.value(v):
+        if g.level(u) == g.level(v):
             violations.append(
                 Violation(
                     "level-edge",
@@ -350,7 +374,8 @@ def canonicalize(g: ReebGraph) -> ReebGraph:
     each chain becomes one edge from its lowest to its highest
     non-pass-through vertex, kept in the slot of the chain's smallest edge
     index, and edges keep their relative order. The output vertices are
-    sorted by (value, id). One O(V + E) pass, plus that O(V log V) sort.
+    sorted by (value, id), read as (level, id). One O(V + E) pass, plus that
+    O(V log V) sort.
     """
     hard = _structural_violations(g)
     if hard:
@@ -372,11 +397,11 @@ def canonicalize(g: ReebGraph) -> ReebGraph:
             v = edges[nxt][1]
         slots[slot] = (u, v)
     kept = [e for e in slots if e is not None]
-    vertices = sorted(
-        ((vid, val) for vid, val in g._values.items() if vid not in through),
-        key=lambda item: (item[1], item[0]),
+    levels = g._levels
+    kept_ids = sorted(
+        (vid for vid in g.vertex_ids if vid not in through), key=lambda v: (levels[v], v)
     )
-    return ReebGraph(vertices, kept, name=g.name)
+    return ReebGraph([(vid, g._values[vid]) for vid in kept_ids], kept, name=g.name)
 
 
 def require_canonical(g: ReebGraph) -> None:
@@ -444,9 +469,9 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
     over all sweeps, and a sweep stops once its points are all joined. A pair
     joins at most once per sweep, so the cost is O(L (V' alpha + P^2)) for L
     distinct vertex values, V' nodes and P distinct points. Exact: node
-    values are swept as ints over the lcm of their denominators, every span
-    is a difference of two of them, and the entries become `Fraction`s only
-    on return.
+    values are swept as ints over the lcm of the graph's scale and the
+    points' denominators, every span is a difference of two of them, and the
+    entries become `Fraction`s only on return.
 
     Raises ValueError for a point not on the graph and InvalidGraphError
     when two points lie in different components.
@@ -455,7 +480,7 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
     for p in points:
         if not g.contains_point(p):
             raise ValueError(f"point {p} is not on the graph")
-    scale = common_denominator(chain(g._values.values(), (p.value for p in points)))
+    scale = math.lcm(g.scale, common_denominator(p.value for p in points))
     matrix = _travel_matrix(g, points, scale)
     exact = {d: Fraction(d, scale) for d in set(chain.from_iterable(matrix))}
     return [[exact[d] for d in row] for row in matrix]
@@ -465,12 +490,14 @@ def _travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale: int) -> 
     """`travel_distances` times `scale`, as ints: one sweep per vertex value.
 
     Every point must be on the graph (callers check `contains_point`), and
-    `scale` must be a multiple of the denominators of every vertex value and
-    point value, so that each node value is an int on its lattice.
+    `scale` must be a multiple of `g.scale` and of the denominators of every
+    point value, so that each node value is an int on its lattice: a vertex's
+    level lifted by `scale // g.scale`.
     """
     # nodes: the vertices, then one per distinct edge-interior point
     node_of = {("v", vid): i for i, vid in enumerate(g.vertex_ids)}
-    value = [on_lattice(g.value(vid), scale) for vid in g.vertex_ids]
+    lift = scale // g.scale
+    value = [g.level(vid) * lift for vid in g.vertex_ids]
     floors = sorted(set(value))  # the distinct vertex values
     inside: dict[int, list[int]] = {}  # edge index -> its interior nodes
     column: dict[int, int] = {}  # point node -> its row in the distinct matrix

@@ -33,9 +33,10 @@ def _isomorphisms(
     """Up to `limit` vertex bijections g1 -> g2 that keep `key`, edge
     multiplicities and the value order on every edge.
 
-    g1's vertices are visited in (value, id) order; each is tried against
-    the unused vertices of g2 with its key, in `g2.vertex_ids` order, so
-    the witnesses come in a fixed order.
+    g1's vertices are visited in (value, id) order, read as (level, id);
+    each is tried against the unused vertices of g2 with its key, in
+    `g2.vertex_ids` order, so the witnesses come in a fixed order. Edge
+    orientation is tested on each graph's own levels.
     """
     if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
         return []
@@ -45,7 +46,7 @@ def _isomorphisms(
         by_key.setdefault(key(g2, w), []).append(w)
     if Counter(keys1.values()) != Counter({k: len(ws) for k, ws in by_key.items()}):
         return []
-    order1 = sorted(g1.vertex_ids, key=lambda v: (g1.value(v), v))
+    order1 = sorted(g1.vertex_ids, key=lambda v: (g1.level(v), v))
     edges1, edges2 = _edge_counts(g1), _edge_counts(g2)
     nbrs1 = {v: {w for _, w in g1.neighbors(v)} for v in g1.vertex_ids}
     nbrs2 = {v: {w for _, w in g2.neighbors(v)} for v in g2.vertex_ids}
@@ -66,9 +67,9 @@ def _isomorphisms(
         # the same edges, with the same orientation, between sigma(u) and a
         # candidate w, and then w has no other mapped neighbour iff the
         # counts of mapped neighbours agree.
-        fv = g1.value(v)
+        lv = g1.level(v)
         mapped = [
-            (mapping[u], edges1[_unordered(u, v)], g1.value(u) < fv)
+            (mapping[u], edges1[_unordered(u, v)], g1.level(u) < lv)
             for u in nbrs1[v]
             if u in mapping
         ]
@@ -77,9 +78,9 @@ def _isomorphisms(
             w = candidates[idx]
             if w in used or len(mapped) != sum(1 for x in nbrs2[w] if x in used):
                 continue
-            fw = g2.value(w)
+            lw = g2.level(w)
             if any(
-                edges2[_unordered(sigma_u, w)] != count or (g2.value(sigma_u) < fw) != below
+                edges2[_unordered(sigma_u, w)] != count or (g2.level(sigma_u) < lw) != below
                 for sigma_u, count, below in mapped
             ):
                 continue
@@ -95,9 +96,15 @@ def _isomorphisms(
 
 
 def level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> Optional[dict[str, str]]:
-    """A vertex bijection preserving values and edge multiplicities, or None."""
+    """A vertex bijection preserving values and edge multiplicities, or None.
+
+    Graphs of different scales have different value multisets, so only
+    graphs of one scale are searched, keyed on their int levels.
+    """
+    if g1.scale != g2.scale:
+        return None
     found = _isomorphisms(
-        g1, g2, lambda g, v: (g.value(v), g.down_degree(v), g.up_degree(v)), limit=1
+        g1, g2, lambda g, v: (g.level(v), g.down_degree(v), g.up_degree(v)), limit=1
     )
     return found[0] if found else None
 

@@ -29,12 +29,13 @@ to the clearance parameter.
 
 Both hot loops compare ints, not `Fraction`s: the closure puts the diagram's
 coordinates and alpha on one lattice (`rationals.common_denominator`), and
-the band merge puts the vertex values and band ends on another. Only their
-results, band ends and midpoints, are `Fraction`s.
+the band merge lifts the graph's own lattice to one that also holds the band
+ends. Only their results, band ends and midpoints, are `Fraction`s.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -81,12 +82,13 @@ def _merge_bands(
     if not bands:
         return g
     values = g.vertices()
-    scale = common_denominator(chain((val for _, val in values), chain.from_iterable(bands)))
+    scale = math.lcm(g.scale, common_denominator(chain.from_iterable(bands)))
+    lift = scale // g.scale
     starts = [on_lattice(lo, scale) for lo, _ in bands]
     ends = [on_lattice(hi, scale) for _, hi in bands]
     band_of: dict[str, int] = {}
-    for vid, val in values:
-        x = on_lattice(val, scale)
+    for vid in g.vertex_ids:
+        x = g.level(vid) * lift
         i = bisect_right(starts, x) - 1
         if i >= 0 and x <= ends[i]:
             band_of[vid] = i

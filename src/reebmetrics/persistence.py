@@ -35,10 +35,10 @@ those comparisons.
 Cells at equal value are ordered by (dimension ascending, stable input
 index); the sweeps and the reduction use the same total order, so their
 pairings agree exactly even at ties. The order is a sort of plain int
-tuples: vertex values enter scaled to integers over the lcm of their
-denominators, which keeps every comparison and tie, and a cell's exact value
-is always that of one vertex, so diagram points reuse the graph's own
-`Fraction`s.
+tuples: vertex values enter as the graph's int levels (each value times the
+lcm of their denominators), which keep every comparison and tie, and a
+cell's exact value is always that of one vertex, so diagram points reuse the
+graph's own `Fraction`s.
 """
 
 from __future__ import annotations
@@ -48,23 +48,20 @@ from typing import NamedTuple
 
 from .diagram import EXT0, EXT1, ORD0, REL1, Diagram, DiagramPoint
 from .graph import ReebGraph, require_canonical
-from .rationals import common_denominator, on_lattice
 
 
 def _cells(g: ReebGraph) -> tuple[list[Fraction], list[int], list[tuple[int, int]]]:
-    """Vertex values, the same values as ints on one lattice, and edges as
-    vertex index pairs.
+    """Vertex values, the graph's int levels of the same values, and edges
+    as vertex index pairs.
 
     Edges run lower end first (`ReebGraph` orients them so), so an edge
     enters the sublevel sets at its upper end's value and the superlevel sets
     at its lower end's.
     """
-    values = [g.value(vid) for vid in g.vertex_ids]
-    scale = common_denominator(values)
     index = {vid: i for i, vid in enumerate(g.vertex_ids)}
     return (
-        values,
-        [on_lattice(value, scale) for value in values],
+        [g.value(vid) for vid in g.vertex_ids],
+        [g.level(vid) for vid in g.vertex_ids],
         [(index[u], index[v]) for u, v in g.edges],
     )
 

@@ -12,6 +12,14 @@ values it reads (`common_denominator`) and works on each value times that
 lcm, an exact `int` (`on_lattice`). Scaling by a positive constant keeps
 every order, tie and difference, so those loops compare and subtract plain
 ints, and only the results they return become `Fraction`s again.
+
+A `ReebGraph` carries its own lattice, computed once on construction: its
+`scale` and each vertex's `level`, which its edge orientation, degrees,
+validation, canonicalization and level isomorphism compare. A computation
+that also reads values the graph does not hold (sample points, merge bands)
+takes the lcm of `g.scale` and the denominators of those extra values only,
+and lifts each level by `scale // g.scale`. Diagram points and bottleneck
+candidates are not a graph's values and get their own lattice.
 """
 
 from __future__ import annotations

@@ -200,6 +200,26 @@ def test_validate_command(runner, tmp_path):
     assert runner.invoke(main, ["validate", good]).exit_code == 0
 
 
+def test_validate_and_convert_outputs_on_mixed_denominators(runner, tmp_path):
+    # "0.5" and "1/2" are one value, so the graph's lattice puts a and b on
+    # one level; pinned byte for byte
+    level = tmp_path / "level.txt"
+    level.write_text("v a 0.5\nv b 1/2\nv c 2\ne a b\ne b c\n")
+    result = runner.invoke(main, ["validate", str(level)])
+    assert result.exit_code == 1
+    assert result.output == "level-edge at edge 0 (a, b): edge joins two vertices at value 0.5\n"
+
+    # p and q pass through; the kept vertices print by value, 1.5 before 5/3
+    chain = tmp_path / "chain.txt"
+    chain.write_text(
+        "v a -1/3\nv p 1/7\nv q 0.25\nv b 2/3\nv c 5/3\nv d 1.5\n"
+        "e a p\ne p q\ne q b\ne b c\ne b d\n"
+    )
+    result = runner.invoke(main, ["convert", str(chain), "--to", "canonical"])
+    assert result.exit_code == 0
+    assert result.output == "v a -1/3\nv b 2/3\nv d 1.5\nv c 5/3\ne a b\ne b c\ne b d\n"
+
+
 def test_convert_round_trip(runner, tmp_path):
     a = write(tmp_path / "y.txt", y_graph())
     as_json = runner.invoke(main, ["convert", a, "--to", "json"])

@@ -33,6 +33,13 @@ from reebmetrics.generators import _sample_values
 from reebmetrics.graph import UnionFind, ValidationReport, _travel_matrix
 from reebmetrics.persistence import extended_diagram, reduce_extended_filtration
 from reebmetrics.rationals import common_denominator, on_lattice
+from value_reference import (
+    coprime_cases,
+    hard_violations,
+    on_primes,
+    reference_validate,
+    subdivided_at_thirds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +102,9 @@ def test_single_vertex_graph_is_valid():
 
 def reference_canonicalize(g: ReebGraph) -> ReebGraph:
     """The original quadratic loop: splice one pass-through vertex at a time,
-    rebuilding the adjacency and re-sorting the vertices after each."""
-    report = validate(g)
-    hard = [v for v in report.violations if v.code != "pass-through"]
+    rebuilding the adjacency and re-sorting the vertices after each, with
+    every value comparison made on `Fraction`s."""
+    hard = hard_violations(g)
     if hard:
         raise InvalidGraphError(str(ValidationReport(tuple(hard))))
 
@@ -230,6 +237,8 @@ def canonicalize_cases(seed: int, count: int):
 def test_canonicalize_matches_reference_loop():
     removed = 0
     for g in canonicalize_cases(4242, 240):
+        # each edge runs from its (value, id)-lesser end
+        assert all((g.value(u), u) < (g.value(v), v) for u, v in g.edges)
         want = reference_canonicalize(g)
         got = canonicalize(g)
         assert got.vertices() == want.vertices()
@@ -269,19 +278,26 @@ def test_canonicalize_removes_subdivision():
     # vertices in, the comb out, at the default recursion limit
     assert sys.getrecursionlimit() <= 1000
     comb = ReebGraph(*comb_parts(random.Random(5), 500, up_share=0))
-    sub_vertices, sub_edges = list(comb.vertices()), []
-    for k, (u, v) in enumerate(comb.edges):
-        lo, hi = comb.edge_values(k)
-        inner = [(f"s{k}_{j}", lo + (hi - lo) * j / 3) for j in (1, 2)]
-        sub_vertices += inner
-        chain = [u] + [vid for vid, _ in inner] + [v]
-        sub_edges += zip(chain, chain[1:])
-    subdivided = ReebGraph(sub_vertices, sub_edges)
+    subdivided = subdivided_at_thirds(comb)
     assert len(subdivided.vertex_ids) >= 3000
     out = canonicalize(subdivided)
     assert out == comb
     assert out.edges == comb.edges
     assert reduce_extended_filtration(subdivided) == extended_diagram(out)
+
+
+def test_validate_and_canonicalize_match_fraction_references_on_large_lattices():
+    for g, sub in coprime_cases(6011, 4):
+        assert len(str(sub.scale)) > 24
+        assert validate(g).ok
+        report = validate(sub)
+        assert report == reference_validate(sub)
+        assert report.codes() == ("pass-through",) * 2 * len(g.edges)
+        out = canonicalize(sub)
+        want = reference_canonicalize(sub)
+        assert out.vertices() == want.vertices()
+        assert out.edges == want.edges
+        assert out == g
 
 
 def test_canonicalize_idempotent_on_y():
@@ -725,13 +741,9 @@ def test_travel_distances_match_reference_on_coprime_denominators():
     # the r-th smallest value becomes r + 1/p_r for the r-th prime, and the
     # points sit at thirds of their arcs: the sweep's lattice is the lcm of
     # every one of those denominators
-    primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
     rng = random.Random(6007)
     for _ in range(4):
-        g = random_graph(rng, n_critical=rng.randint(4, 7))
-        levels = sorted({g.value(v) for v in g.vertex_ids})
-        new = {value: r + F(1, primes[r]) for r, value in enumerate(levels)}
-        g = g.with_values({v: new[g.value(v)] for v in g.vertex_ids})
+        g = on_primes(random_graph(rng, n_critical=rng.randint(4, 7)))
         points = [g.vertex_point(v) for v in g.vertex_ids]
         points += [g.point_at_parameter(idx, F(1, 3)) for idx in range(len(g.edges))]
         rng.shuffle(points)

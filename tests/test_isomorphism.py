@@ -18,6 +18,7 @@ from reebmetrics import (
     y_graph,
 )
 from reebmetrics.persistence import extended_diagram
+from value_reference import coprime_cases, value_reading
 
 
 def relabeled(g: ReebGraph, suffix: str) -> ReebGraph:
@@ -156,9 +157,11 @@ def test_level_isomorphism_at_scale_within_recursion_limit():
 def reference_structure_isomorphisms(
     g1: ReebGraph, g2: ReebGraph, limit: int = 32
 ) -> list[dict[str, str]]:
-    """The recursive search that `structure_isomorphisms` replaced."""
+    """The recursive search that `structure_isomorphisms` replaced, with
+    every value comparison made on `Fraction`s."""
     if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
         return []
+    profile1, profile2 = value_reading(g1).profile, value_reading(g2).profile
     order1 = sorted(g1.vertex_ids, key=lambda v: (g1.value(v), v))
     verts2 = list(g2.vertex_ids)
     found: list[dict[str, str]] = []
@@ -168,7 +171,7 @@ def reference_structure_isomorphisms(
     edges2 = Counter(tuple(sorted(e)) for e in g2.edges)
 
     def compatible(v: str, w: str) -> bool:
-        if (g1.down_degree(v), g1.up_degree(v)) != (g2.down_degree(w), g2.up_degree(w)):
+        if profile1[v] != profile2[w]:
             return False
         for u, sigma_u in mapping.items():
             m1 = edges1[tuple(sorted((u, v)))]
@@ -281,16 +284,15 @@ def test_structure_isomorphisms_below_vertex_count_recursion_limit():
 def reference_level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> dict[str, str] | None:
     """The value-class search that `level_isomorphism` replaced: g1's
     vertices level by level in `vertex_ids` order, each matched on degree
-    profile and on the images of its down-neighbours."""
-
-    def profile(g: ReebGraph, v: str) -> tuple[int, int]:
-        return (g.down_degree(v), g.up_degree(v))
+    profile and on the images of its down-neighbours, with every value
+    comparison made on `Fraction`s."""
 
     def down_multiset(g: ReebGraph, v: str) -> Counter:
         return Counter(w for _, w in g.neighbors(v) if g.value(w) < g.value(v))
 
     if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
         return None
+    profile1, profile2 = value_reading(g1).profile, value_reading(g2).profile
     classes1: dict = {}
     classes2: dict = {}
     for v in g1.vertex_ids:
@@ -301,8 +303,8 @@ def reference_level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> dict[str, str] 
         return None
     levels = sorted(classes1)
     for lvl in levels:
-        prof1 = sorted(profile(g1, v) for v in classes1[lvl])
-        if prof1 != sorted(profile(g2, v) for v in classes2[lvl]):
+        prof1 = sorted(profile1[v] for v in classes1[lvl])
+        if prof1 != sorted(profile2[v] for v in classes2[lvl]):
             return None
 
     mapping: dict[str, str] = {}
@@ -318,7 +320,7 @@ def reference_level_isomorphism(g1: ReebGraph, g2: ReebGraph) -> dict[str, str] 
         candidates = classes2[levels[level_idx]]
         for idx in range(start, len(candidates)):
             w = candidates[idx]
-            if w in used or profile(g2, w) != profile(g1, v):
+            if w in used or profile2[w] != profile1[v]:
                 continue
             if down_multiset(g2, w) != want:
                 continue
@@ -360,6 +362,22 @@ def level_cases(seed: int, count: int):
     yield comb, permuted_copy(rng, comb, "_p")
     yield comb, swapped
     yield swapped, comb
+
+
+def test_level_isomorphism_matches_reference_search_on_large_lattices():
+    rng = random.Random(6011)
+    for g, sub in coprime_cases(6011, 4):
+        assert len(str(sub.scale)) > 24
+        top = max(sub.vertex_ids, key=sub.value)
+        moved = sub.with_values({top: sub.value(top) + F(1, 127)})  # another scale
+        for g1 in (g, sub):
+            g2 = permuted_copy(rng, g1, "_p")
+            got = level_isomorphism(g1, g2)
+            assert got is not None and reference_level_isomorphism(g1, g2) is not None
+            assert_level_witness(g1, g2, got)
+        assert moved.scale != sub.scale
+        assert level_isomorphism(sub, moved) is None
+        assert reference_level_isomorphism(sub, moved) is None
 
 
 def assert_level_witness(g1: ReebGraph, g2: ReebGraph, sigma: dict[str, str]) -> None:

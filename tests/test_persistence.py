@@ -24,6 +24,7 @@ from reebmetrics import (
     y_graph,
 )
 from reebmetrics.persistence import _diagram_from_sweeps, ord0_unionfind, rel1_unionfind
+from value_reference import coprime_cases, on_primes
 
 
 def point(kind, b, d):
@@ -127,18 +128,6 @@ def ladder(rng: random.Random, rungs: int) -> ReebGraph:
         if level[a] != level[b]:
             edges.append((a, b))
     return ReebGraph(level.items(), edges)
-
-
-PRIMES = [p for p in range(2, 114) if all(p % q for q in range(2, p))]  # the first 30
-
-
-def on_primes(g: ReebGraph) -> ReebGraph:
-    """The same order of values, moved onto pairwise coprime denominators:
-    the r-th smallest distinct value becomes r + 1/p_r."""
-    levels = sorted({g.value(v) for v in g.vertex_ids})
-    assert len(levels) <= len(PRIMES)
-    new = {value: r + F(1, PRIMES[r]) for r, value in enumerate(levels)}
-    return g.with_values({v: new[g.value(v)] for v in g.vertex_ids})
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +364,15 @@ def test_reduction_matches_fraction_reference():
         assert _diagram_from_sweeps(g) == d, k
         if validate(g).ok:
             assert extended_diagram(g) == d, k
+
+
+def test_extended_diagram_matches_fraction_reference_on_large_lattices():
+    for g, sub in coprime_cases(6011, 4):
+        assert len(str(sub.scale)) > 24
+        want = reference_reduce_extended_filtration(sub)
+        assert reduce_extended_filtration(sub) == want
+        assert extended_diagram(canonicalize(sub)) == want
+        assert extended_diagram(g) == want
 
 
 @st.composite

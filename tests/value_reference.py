@@ -1,0 +1,102 @@
+"""A graph's local structure read from `Fraction` value comparisons only,
+and graphs whose lattice is large.
+
+`ReebGraph` orders and compares its own values as ints on its lattice
+(`scale`, `level`). The test oracles read the same facts here, by comparing
+`g.value` directly, so that a reference never runs the int path it checks.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+from typing import NamedTuple
+
+from reebmetrics import ReebGraph, random_graph
+from reebmetrics.graph import ValidationReport, Violation
+from reebmetrics.rationals import format_value
+
+
+class ValueReading(NamedTuple):
+    profile: dict[str, tuple[int, int]]  # vertex -> (down degree, up degree)
+    through: frozenset[str]  # pass-through vertices: degree 2, one arc down, one up
+    level_edges: tuple[Violation, ...]  # `validate`'s level-edge report
+
+
+def value_reading(g: ReebGraph) -> ValueReading:
+    profile = {}
+    for v in g.vertex_ids:
+        fv = g.value(v)
+        others = [g.value(w) for _, w in g.neighbors(v)]
+        profile[v] = (sum(1 for fw in others if fw < fv), sum(1 for fw in others if fw > fv))
+    through = frozenset(v for v in g.vertex_ids if g.degree(v) == 2 and profile[v] == (1, 1))
+    level_edges = tuple(
+        Violation(
+            "level-edge",
+            f"edge joins two vertices at value {format_value(g.value(u))}",
+            f"edge {idx} ({u}, {v})",
+        )
+        for idx, (u, v) in enumerate(g.edges)
+        if g.value(u) == g.value(v)
+    )
+    return ValueReading(profile, through, level_edges)
+
+
+def hard_violations(g: ReebGraph) -> list[Violation]:
+    """Level edges and disconnection, as `validate` reports them."""
+    violations = list(value_reading(g).level_edges)
+    count = len(g._component_ids())  # connectivity compares no values
+    if count > 1:
+        violations.append(
+            Violation("disconnected", f"graph has {count} connected components", "graph")
+        )
+    return violations
+
+
+def reference_validate(g: ReebGraph) -> ValidationReport:
+    """`validate`, with every value comparison made on `Fraction`s."""
+    through = value_reading(g).through
+    pass_through = [
+        Violation(
+            "pass-through",
+            "non-critical degree-2 vertex (one arc down, one arc up)",
+            f"vertex {v}",
+        )
+        for v in g.vertex_ids
+        if v in through
+    ]
+    return ValidationReport(tuple(hard_violations(g) + pass_through))
+
+
+PRIMES = [p for p in range(2, 114) if all(p % q for q in range(2, p))]  # the first 30
+
+
+def on_primes(g: ReebGraph) -> ReebGraph:
+    """The same order of values, moved onto pairwise coprime denominators:
+    the r-th smallest distinct value becomes r + 1/p_r."""
+    levels = sorted({g.value(v) for v in g.vertex_ids})
+    assert len(levels) <= len(PRIMES)
+    new = {value: r + F(1, PRIMES[r]) for r, value in enumerate(levels)}
+    return g.with_values({v: new[g.value(v)] for v in g.vertex_ids})
+
+
+def subdivided_at_thirds(g: ReebGraph) -> ReebGraph:
+    """g with two pass-through vertices on every arc, at its thirds."""
+    vertices, edges = list(g.vertices()), []
+    for k, (u, v) in enumerate(g.edges):
+        lo, hi = g.edge_values(k)
+        inner = [(f"s{k}_{j}", lo + (hi - lo) * j / 3) for j in (1, 2)]
+        vertices += inner
+        chain = [u] + [vid for vid, _ in inner] + [v]
+        edges += zip(chain, chain[1:])
+    return ReebGraph(vertices, edges, name=g.name)
+
+
+def coprime_cases(seed: int, count: int):
+    """Seeded canonical graphs on 16-24 values moved `on_primes`, each with
+    its subdivision at thirds: the subdivision's scale runs to dozens of
+    digits."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = on_primes(random_graph(rng, n_critical=rng.randint(16, 24)))
+        yield g, subdivided_at_thirds(g)
