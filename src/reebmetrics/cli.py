@@ -18,7 +18,7 @@ import click
 from . import __version__
 from .bottleneck import bottleneck
 from .diagram import Diagram
-from .distortion import best_structure_shift, certify_fd_upper, projection_correspondence
+from .distortion import certify_fd_upper, projection_correspondence
 from .experiments import _SUITES, EXPERIMENTS, ExperimentConfig, run_experiment
 from .fileio import (
     ParseError,
@@ -33,7 +33,7 @@ from .generators import _GENERATORS, generate
 from .graph import InvalidGraphError, ReebGraph, canonicalize, critical_values, stats, validate
 from .isomorphism import level_isomorphism
 from .operators import MergeParams, TransformParams, full_transform, merge, simplify
-from .paths import GraphPath, _join_upper, intrinsic_upper, path_length
+from .paths import GraphPath, _intrinsic_bound, path_length
 from .persistence import extended_diagram
 from .rationals import format_value, parse_value
 
@@ -194,15 +194,6 @@ def iso_cmd(file_a: str, file_b: str) -> None:
         click.echo(f"{v} -> {w}")
 
 
-def _natural_upper(g1: ReebGraph, g2: ReebGraph) -> tuple[Fraction, str]:
-    """The best value shift along a structure isomorphism, else the
-    contraction-join bound, with the name of the witness that gave it."""
-    upper = best_structure_shift(g1, g2)
-    if upper is not None:
-        return upper, "natural"
-    return _join_upper(g1, g2), "contraction-join"
-
-
 def _segment_or_point(g: ReebGraph) -> bool:
     """True for a graph of one edge or of one vertex."""
     return len(g.edges) <= 1 and len(g.vertex_ids) == len(g.edges) + 1
@@ -227,7 +218,7 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
     source = witness
     if witness == "natural":
-        upper, source = _natural_upper(g1, g2)
+        upper, source = _intrinsic_bound(g1, g2)
         cert = certify_fd_upper(g1, g2, source, upper)
     elif witness == "collapse":
         if _segment_or_point(g2):
@@ -286,7 +277,7 @@ def pathlen_cmd(manifest: str, metric: str) -> None:
         raise click.ClickException("manifest needs at least two steps")
 
     certs = [
-        certify_fd_upper(a, b, "manifest step", _natural_upper(a, b)[0])
+        certify_fd_upper(a, b, "manifest step", _intrinsic_bound(a, b)[0])
         for (_, a), (_, b) in zip(steps, steps[1:])
     ]
     path = GraphPath(tuple(steps), tuple(certs))
@@ -302,7 +293,7 @@ def pathlen_cmd(manifest: str, metric: str) -> None:
 def intrinsic_cmd(file_a: str, file_b: str) -> None:
     """Certified bounds on the intrinsic distortion metric (at least d_FD)."""
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
-    cert = certify_fd_upper(g1, g2, "intrinsic path", intrinsic_upper(g1, g2))
+    cert = certify_fd_upper(g1, g2, "intrinsic path", _intrinsic_bound(g1, g2)[0])
     click.echo(f"lower {format_value(cert.lower)}")
     click.echo(f"upper bound {format_value(cert.upper)}")
     click.echo(f"gap {format_value(cert.upper - cert.lower)}")

@@ -200,8 +200,7 @@ def _stretched_segment(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, Move]:
         [("bot", "top")],
         name=g.name,
     )
-    cost = max(alpha, half)
-    return seg, Move("stretch", (mid - half, mid + half), cost)
+    return seg, Move("stretch", (mid - half, mid + half), half)
 
 
 def _overlap_merge(bands: list[list[int]]) -> list[list[int]]:
@@ -354,8 +353,6 @@ def simplify(g: ReebGraph, alpha: ValueLike) -> SimplifyResult:
         work, stretch = _stretched_segment(work, alpha)
         moves.append(stretch)
 
-    if not moves:
-        return SimplifyResult(g, alpha, Fraction(0), ())
     return SimplifyResult(work, alpha, move_certificate(moves), tuple(moves))
 
 

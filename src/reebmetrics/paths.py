@@ -12,10 +12,11 @@ analytic upper bound of the step into it, and every certificate comes from
 contracts to a point, and `contraction_path` certifies its stages. The join
 of two graphs is one stage list, `_join_stages`: the first graph's
 contraction, a shift between the two end points, and the second graph's
-contraction walked backwards. `join_via_contractions` certifies that list;
-`intrinsic_upper` only sums its bounds, so the bound is the length of its
-witness by construction. That sum does not depend on the number of shrink
-steps, so `intrinsic_upper` takes no `n`.
+contraction walked backwards. `join_via_contractions` certifies that list.
+The intrinsic bound, `_intrinsic_bound`, is the best structure shift when
+the graphs share a structure, else the join's summed bounds: no contraction
+stage moves a value by more than its bound, so the shift never loses to the
+join.
 """
 
 from __future__ import annotations
@@ -231,20 +232,28 @@ def join_via_contractions(g1: ReebGraph, g2: ReebGraph, n: int = 4) -> GraphPath
 
 
 def intrinsic_upper(g1: ReebGraph, g2: ReebGraph) -> Fraction:
-    """Upper bound on the intrinsic functional-distortion metric.
+    """Upper bound on the intrinsic functional-distortion metric: the best
+    structure shift when the graphs share a structure, else the join length."""
+    return _intrinsic_bound(g1, g2)[0]
 
-    The better of a direct value shift, when the graphs share a
-    combinatorial form, and the contraction-join length `_join_upper`.
+
+def _intrinsic_bound(g1: ReebGraph, g2: ReebGraph) -> tuple[Fraction, str]:
+    """The intrinsic bound and its witness: the best structure shift
+    ("natural") when the graphs share a structure, else the length of the
+    join that `join_via_contractions` certifies ("contraction-join").
+
+    The shift is never above the join, so the join is built only without
+    one. Each contraction stage moves every value by at most its bound: a
+    band-merge pass by half its widest band, a shrink step by its per-step
+    sup, the collapse by half the span. So every vertex of g_i lies within
+    C_i, the sum of its stage bounds, of its end value m_i, and a structure
+    isomorphism s has |f1(v) - f2(s v)| <= C1 + |m1 - m2| + C2, the join.
+    The shrink steps of a trunk add up to half its span less the half-width
+    delta they leave, which the collapse adds back; the sum does not depend
+    on their number, so one step gives it with the fewest graphs.
     """
-    direct = best_structure_shift(g1, g2)
-    join = _join_upper(g1, g2)
-    return join if direct is None else min(direct, join)
-
-
-def _join_upper(g1: ReebGraph, g2: ReebGraph) -> Fraction:
-    """The uncertified length of the join that `join_via_contractions`
-    certifies. The n shrink steps of a trunk [lo, hi] add up to
-    (hi - lo)/2 - delta, where delta is the half-width they leave, and the
-    terminal collapse adds delta; the sum does not depend on n, so one
-    shrink step gives it with the fewest graphs."""
-    return sum((upper for _, _, upper in _join_stages(g1, g2, 1)), Fraction(0))
+    shift = best_structure_shift(g1, g2)
+    if shift is not None:
+        return shift, "natural"
+    join = sum((upper for _, _, upper in _join_stages(g1, g2, 1)), Fraction(0))
+    return join, "contraction-join"

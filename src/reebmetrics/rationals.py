@@ -63,12 +63,11 @@ def on_lattice(value: Fraction, scale: int) -> int:
 
 
 def parse_value(text: str) -> Fraction:
-    """Parse a decimal string like '1.25' or a ratio like '5/11'."""
-    text = text.strip()
-    if _DECIMAL_RE.match(text):
-        return Fraction(text)
-    if _RATIO_RE.match(text):
-        return Fraction(text)
+    """Parse a decimal string like '1.25' or a ratio like '5/11', nothing else."""
+    if isinstance(text, str):
+        text = text.strip()
+        if _DECIMAL_RE.match(text) or _RATIO_RE.match(text):
+            return Fraction(text)
     raise ValueError(f"not a decimal or ratio value: {text!r}")
 
 

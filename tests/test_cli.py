@@ -305,7 +305,15 @@ def test_invalid_graph_is_a_one_line_error(runner, tmp_path, command, text, viol
 
 
 # a missing path, and one file each that no reader parses
-BAD_FILES = {"missing": None, "v b x": "v b x\n", "json": '{"vertices": 3}\n', "x y": "x y\n"}
+BAD_FILES = {
+    "missing": None,
+    "v b x": "v b x\n",
+    "json": '{"vertices": 3}\n',
+    "x y": "x y\n",
+    # a JSON number is not an exact value: only strings parse
+    "json number": '{"vertices": [{"id": "a", "value": 1}, {"id": "b", "value": 2}],'
+    ' "edges": [["a", "b"]]}\n',
+}
 
 
 @pytest.mark.parametrize("bad_file", BAD_FILES)
@@ -715,22 +723,6 @@ def test_merge_and_transform_outputs_are_pinned(runner, tmp_path):
         )
 
 
-def test_natural_upper_searches_structures_once(monkeypatch):
-    # with no shared structure the contraction join follows without a second search
-    import importlib
-
-    from reebmetrics.cli import _natural_upper
-
-    distortion = importlib.import_module("reebmetrics.distortion")
-    calls = []
-    search = distortion.structure_isomorphisms
-    monkeypatch.setattr(
-        distortion, "structure_isomorphisms", lambda *a, **k: calls.append(a) or search(*a, **k)
-    )
-    assert _natural_upper(figure1_left(), figure1_right()) == (20, "contraction-join")
-    assert len(calls) == 1
-
-
 def vertex_pairs(*ids):
     return [[{"vertex": v}, {"vertex": v}] for v in ids]
 
@@ -761,6 +753,12 @@ def vertex_pairs(*ids):
             ("cycle", "segment"),
             {"resolution": "1", "phi": vertex_pairs("zz"), "psi": vertex_pairs("bot")},
             "zz",
+        ),
+        # a JSON number is not an exact value, and a float would not be exact
+        (
+            ("cycle", "segment"),
+            {"resolution": 1, "phi": vertex_pairs("bot"), "psi": vertex_pairs("bot")},
+            "not a decimal or ratio value: 1",
         ),
     ],
 )

@@ -54,6 +54,11 @@ def test_parse_value_rejects_garbage():
         parse_value("1.2.3")
     with pytest.raises(ValueError):
         parse_value("abc")
+    # numbers read from JSON are not exact values: an int is rejected, and
+    # a float is not coerced
+    for number in (1, 0.5):
+        with pytest.raises(ValueError, match="not a decimal or ratio value"):
+            parse_value(number)
 
 
 # ---------------------------------------------------------------------------

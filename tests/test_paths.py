@@ -28,7 +28,7 @@ from reebmetrics.distortion import (
     certify_fd_upper,
     projection_correspondence,
 )
-from reebmetrics.paths import GraphPath
+from reebmetrics.paths import GraphPath, _intrinsic_bound
 
 
 def reference_bottleneck_lengths(p: GraphPath) -> tuple[F, ...]:
@@ -211,6 +211,15 @@ def test_intrinsic_upper_makes_no_bottleneck_call(monkeypatch):
     assert calls
 
 
+def jittered(rng: random.Random, g: ReebGraph) -> ReebGraph:
+    """g with every value moved by at most a quarter of its closest edge gap,
+    so no edge turns level and the structure is shared."""
+    gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+    return g.with_values(
+        {v: g.value(v) + gap / 4 * F(rng.randint(-8, 8), 8) for v in g.vertex_ids}
+    )
+
+
 def test_intrinsic_upper_is_the_certified_join_or_the_direct_shift():
     rng = random.Random(1414)
     pairs = [
@@ -224,12 +233,57 @@ def test_intrinsic_upper_is_the_certified_join_or_the_direct_shift():
          random_graph(rng, n_critical=rng.randint(3, 7)))
         for _ in range(6)
     ]
-    for g1, g2 in pairs:
+    # pairs that share a structure: jittered copies, order-preserving
+    # rescalings, and two unit segments far apart
+    shared = [
+        (y_graph(), y_graph().with_values({"b": F("1.05"), "c": F("1.95")})),
+        (figure1_left(), jittered(rng, figure1_left())),
+        (segment(0, 1), segment(100, 101)),
+    ]
+    for _ in range(4):
+        g = random_graph(rng, n_critical=rng.randint(3, 7))
+        shared += [
+            (g, jittered(rng, g)),
+            (g, g.with_values({v: 3 * x + 2 for v, x in g.vertices()})),
+            (g, g.with_values({v: x / 5 - 7 for v, x in g.vertices()})),
+        ]
+    for k, (g1, g2) in enumerate(pairs + shared):
         direct = best_structure_shift(g1, g2)
+        assert direct is not None or k < len(pairs)
         bound = intrinsic_upper(g1, g2)
         for n in (1, 2, 4, 8):
             join = path_length(join_via_contractions(g1, g2, n), "fd_upper").total
             assert bound == (join if direct is None else min(direct, join))
+            assert direct is None or direct <= join
+    assert intrinsic_upper(segment(0, 1), segment(100, 101)) == 100
+    join = join_via_contractions(segment(0, 1), segment(100, 101))
+    assert path_length(join, "fd_upper").total == 101
+
+
+def test_intrinsic_bound_searches_structures_once(monkeypatch):
+    # with no shared structure the contraction join follows without a second search
+    distortion = importlib.import_module("reebmetrics.distortion")
+    calls = []
+    search = distortion.structure_isomorphisms
+    monkeypatch.setattr(
+        distortion, "structure_isomorphisms", lambda *a, **k: calls.append(a) or search(*a, **k)
+    )
+    assert _intrinsic_bound(figure1_left(), figure1_right()) == (20, "contraction-join")
+    assert len(calls) == 1
+
+
+def test_intrinsic_bound_builds_no_join_when_the_graphs_share_a_structure(monkeypatch):
+    paths = importlib.import_module("reebmetrics.paths")
+    calls = []
+    stages = paths._contraction_stages
+    monkeypatch.setattr(
+        paths, "_contraction_stages", lambda *a: calls.append(a) or stages(*a)
+    )
+    y = y_graph()
+    perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})
+    assert intrinsic_upper(y, perturbed) == F("0.05")
+    assert _intrinsic_bound(y, perturbed) == (F("0.05"), "natural")
+    assert calls == []
 
 
 def test_join_path_endpoints():
@@ -256,9 +310,7 @@ def test_linear_path_interpolates_along_every_structure_isomorphism():
     pairs = [(y, y.with_values({"b": F("0.8"), "d": F("3.5")})), (cycle(), cycle(1, 2))]
     for _ in range(6):
         g = random_graph(rng, n_critical=rng.randint(4, 7))
-        gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
-        moved = {v: g.value(v) + gap / 4 * F(rng.randint(-8, 8), 8) for v in g.vertex_ids}
-        pairs.append((g, g.with_values(moved)))
+        pairs.append((g, jittered(rng, g)))
     for g1, g2 in pairs:
         witnesses = structure_isomorphisms(g1, g2)
         paths = [
