@@ -8,12 +8,11 @@ by the kind tag.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rationals import ValueLike, format_value, to_fraction
+from .rationals import format_value, to_fraction
 
 ORD0 = "Ord0"
 REL1 = "Rel1"
@@ -60,10 +59,6 @@ class DiagramPoint:
         return f"{self.kind} {format_value(self.birth)} {format_value(self.death)}"
 
 
-def point(kind: str, birth: ValueLike, death: ValueLike) -> DiagramPoint:
-    return DiagramPoint(kind, to_fraction(birth), to_fraction(death))
-
-
 def linf(p: DiagramPoint, q: DiagramPoint) -> Fraction:
     return max(abs(p.birth - q.birth), abs(p.death - q.death))
 
@@ -78,10 +73,6 @@ class Diagram:
 
     def of_kind(self, kind: str) -> tuple[DiagramPoint, ...]:
         return tuple(p for p in self.points if p.kind == kind)
-
-    def kind_counts(self) -> dict[str, int]:
-        counts = Counter(p.kind for p in self.points)
-        return {kind: counts.get(kind, 0) for kind in KINDS}
 
     def __len__(self) -> int:
         return len(self.points)

@@ -5,12 +5,15 @@ outputs here are certified intervals. Lower bounds come from half the
 bottleneck distance; upper bounds come from evaluating the distortion
 functional on an explicit pair of maps (a correspondence) or from analytic
 witnesses such as value reassignments on a fixed graph.
+
+A correspondence checks its points when it is built. One vertex-map rule,
+`_edge_map`, serves the natural correspondence and the value shift. The
+projection witness collapses a graph onto a segment or onto a point.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -24,7 +27,7 @@ from .graph import (
     _travel_matrix,
     critical_values,
 )
-from .isomorphism import _edge_counts, _unordered, structure_isomorphisms
+from .isomorphism import _unordered, structure_isomorphisms
 from .rationals import ValueLike, common_denominator, to_fraction
 
 
@@ -67,18 +70,23 @@ class Correspondence:
     psi: dict[GraphPoint, GraphPoint]
     resolution: Fraction
 
-    def validate(self) -> None:
-        for x, y in self.phi.items():
-            if not self.g1.contains_point(x) or not self.g2.contains_point(y):
-                raise ValueError("phi maps outside the graphs")
-        for y, x in self.psi.items():
-            if not self.g2.contains_point(y) or not self.g1.contains_point(x):
-                raise ValueError("psi maps outside the graphs")
+    def __post_init__(self) -> None:
         if not self.phi or not self.psi:
             raise ValueError("correspondence must cover both sample sets")
+        for name, src, dst, mapping in (
+            ("phi", self.g1, self.g2, self.phi),
+            ("psi", self.g2, self.g1, self.psi),
+        ):
+            for x, y in mapping.items():
+                if not (src.contains_point(x) and dst.contains_point(y)):
+                    raise ValueError(f"{name} maps outside the graphs")
 
 
-def _monotone_spine(g: ReebGraph) -> list[GraphPoint]:
+# a spine: each vertex with the edge it was climbed to by (None for the first)
+_Spine = list[tuple[str, Optional[int]]]
+
+
+def _monotone_spine(g: ReebGraph) -> _Spine:
     """A value-monotone vertex path from a global min to a global max.
 
     Not every connected graph has one (a bridge can force a descent); callers
@@ -86,47 +94,37 @@ def _monotone_spine(g: ReebGraph) -> list[GraphPoint]:
     """
     bottom = min(g.vertex_ids, key=lambda v: (g.value(v), v))
     target_value = g.max_value()
-    stack = [(bottom, [bottom])]
+    stack: list[tuple[str, _Spine]] = [(bottom, [(bottom, None)])]
     seen = {bottom}
     while stack:
         v, path = stack.pop()
         if g.value(v) == target_value:
-            return [g.vertex_point(u) for u in path]
-        for _, w in sorted(g.neighbors(v), key=lambda t: (g.value(t[1]), t[1])):
+            return path
+        for idx, w in sorted(g.neighbors(v), key=lambda t: (g.value(t[1]), t[1])):
             if w not in seen and g.value(w) > g.value(v):
                 seen.add(w)
-                stack.append((w, path + [w]))
+                stack.append((w, path + [(w, idx)]))
     raise InvalidGraphError("no ascending path from a minimum to a maximum")
 
 
-def _point_on_spine(g: ReebGraph, spine: list[GraphPoint], value: Fraction) -> GraphPoint:
+def _point_on_spine(g: ReebGraph, spine: _Spine, value: Fraction) -> GraphPoint:
+    """The spine's point at `value`, clamped to the value range of g."""
     value = max(g.min_value(), min(g.max_value(), value))
-    prev = spine[0]
-    if value <= prev.value:
-        return prev
-    for nxt in spine[1:]:
-        if value <= nxt.value:
-            if value == nxt.value:
-                return nxt
-            # locate the edge between prev and nxt
-            for idx, w in g.neighbors(prev.vertex):  # type: ignore[arg-type]
-                if w == nxt.vertex:
-                    lo, hi = g.edge_values(idx)
-                    if lo <= value <= hi:
-                        return g.edge_point(idx, value)
-            raise AssertionError("spine edge not found")
-        prev = nxt
-    return spine[-1]
+    for w, idx in spine[1:]:
+        if value <= g.value(w):
+            return g.edge_point(idx, value)  # type: ignore[arg-type]
+    return g.vertex_point(spine[0][0])
 
 
 def projection_correspondence(
     g: ReebGraph, seg: ReebGraph, resolution: Optional[ValueLike] = None
 ) -> Correspondence:
-    """Collapse g onto a segment value-preservingly; include the segment back.
+    """Collapse g onto a segment or a point; include the target back.
 
-    phi sends a point of g to the segment point at the same (clamped) value;
-    psi follows a monotone spine of g. Used as the constructive witness when
-    comparing a graph with its fully simplified trunk.
+    phi sends a point of g to the target's point at the same value, clamped
+    to the target's range; psi follows a monotone spine of g. Used as the
+    constructive witness when comparing a graph with its fully simplified
+    trunk.
     """
     if len(seg.vertex_ids) == 1:
         seg_point: Callable[[Fraction], GraphPoint] = lambda _v: seg.vertex_point(
@@ -150,6 +148,33 @@ def projection_correspondence(
     return Correspondence(g, seg, phi, psi, h1)
 
 
+def _edge_map(g1: ReebGraph, g2: ReebGraph, vertex_map: dict[str, str]) -> list[int]:
+    """The edge of g2 that each edge of g1 goes to under `vertex_map`.
+
+    The map must be a bijection between the vertex sets that carries the
+    edge multiset of g1 onto that of g2; anything else is a ValueError. Each
+    edge takes the free edge of g2 with the smallest index between the
+    images of its ends, so parallel arcs keep their index order.
+    """
+    images = sorted(vertex_map.values())
+    if set(vertex_map) != set(g1.vertex_ids) or images != sorted(g2.vertex_ids):
+        raise ValueError("vertex map must be a bijection between the vertex sets")
+    if len(g1.edges) != len(g2.edges):
+        raise ValueError("vertex map does not carry edges to edges")
+    # each end pair lists its free edges of g2 in descending index order,
+    # so pop() takes the smallest
+    free: dict[tuple[str, str], list[int]] = {}
+    for jdx in reversed(range(len(g2.edges))):
+        free.setdefault(_unordered(*g2.edges[jdx]), []).append(jdx)
+    out = []
+    for u, v in g1.edges:
+        slots = free.get(_unordered(vertex_map[u], vertex_map[v]))
+        if not slots:
+            raise ValueError("vertex map does not carry edges to edges")
+        out.append(slots.pop())
+    return out
+
+
 def natural_correspondence(
     g1: ReebGraph,
     g2: ReebGraph,
@@ -158,52 +183,33 @@ def natural_correspondence(
 ) -> Correspondence:
     """Correspondence induced by a structure isomorphism (values may differ).
 
-    Edge samples map by linear reparameterization along matched arcs. Each
-    edge of g1 takes the free edge of g2 with the smallest index between the
-    images of its ends, so parallel arcs keep their index order; the map
-    back is the inverse of that edge matching.
+    Edge samples map by linear reparameterization along the arcs `_edge_map`
+    matches; the map back is the inverse of that matching.
     """
+    fwd_edges = _edge_map(g1, g2, vertex_map)
+    bwd_edges = [0] * len(fwd_edges)
+    for idx, jdx in enumerate(fwd_edges):
+        bwd_edges[jdx] = idx
     inverse = {w: v for v, w in vertex_map.items()}
-    if len(inverse) != len(vertex_map):
-        raise ValueError("vertex map is not a bijection")
-
-    # each end pair lists its free edges of g2 in descending index order,
-    # so pop() takes the smallest
-    free: dict[tuple[str, str], list[int]] = {}
-    for jdx in reversed(range(len(g2.edges))):
-        free.setdefault(_unordered(*g2.edges[jdx]), []).append(jdx)
-    fwd_edges: dict[int, int] = {}
-    for idx, (u, v) in enumerate(g1.edges):
-        slots = free.get(_unordered(vertex_map[u], vertex_map[v]))
-        if not slots:
-            raise ValueError("vertex map does not carry edges to edges")
-        fwd_edges[idx] = slots.pop()
-    if any(free.values()):
-        raise ValueError("vertex map does not carry edges to edges")
-    bwd_edges = {jdx: idx for idx, jdx in fwd_edges.items()}
 
     h = to_fraction(resolution) if resolution is not None else min(
         default_resolution(g1), default_resolution(g2)
     )
 
     def transport(
-        src: ReebGraph, dst: ReebGraph, vmap: dict[str, str], emap: dict[int, int]
+        src: ReebGraph, dst: ReebGraph, vmap: dict[str, str], emap: list[int]
     ) -> dict[GraphPoint, GraphPoint]:
         out: dict[GraphPoint, GraphPoint] = {}
         for p in sample_net(src, h):
             if p.vertex is not None:
                 out[p] = dst.vertex_point(vmap[p.vertex])
             else:
+                # x and y are the values of the images of the edge's lower
+                # and upper ends, whichever way the matched edge runs
                 lo, hi = src.edge_values(p.edge)  # type: ignore[arg-type]
+                x, y = (dst.value(vmap[end]) for end in src.edges[p.edge])  # type: ignore[index]
                 t = (p.value - lo) / (hi - lo)
-                jdx = emap[p.edge]  # type: ignore[index]
-                # matched edge may be traversed in either vertical order
-                a, b = src.edges[p.edge]  # type: ignore[index]
-                la, lb = dst.edges[jdx]
-                if vmap[a] == la:
-                    out[p] = dst.point_at_parameter(jdx, t)
-                else:
-                    out[p] = dst.point_at_parameter(jdx, 1 - t)
+                out[p] = dst.edge_point(emap[p.edge], x + t * (y - x))  # type: ignore[index]
         return out
 
     phi = transport(g1, g2, vertex_map, fwd_edges)
@@ -227,7 +233,6 @@ def distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
     sampling remainder (twice the resolution) is reported separately by
     `certify_fd_upper`.
     """
-    c.validate()
     pairs = [(x, y) for x, y in c.phi.items()] + [(x, y) for y, x in c.psi.items()]
     xs = tuple(x for x, _ in pairs)
     ys = tuple(y for _, y in pairs)
@@ -244,20 +249,10 @@ def distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
     return Fraction(worst, scale)
 
 
-def value_defect(c: Correspondence, side: str = "phi") -> Fraction:
-    mapping = c.phi if side == "phi" else c.psi
-    return max(
-        (abs(x.value - y.value) for x, y in mapping.items()), default=Fraction(0)
-    )
-
-
 def fd_upper(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
-    """max of half the distortion and the two value defects, on the samples."""
-    return max(
-        distortion(g1, g2, c) / 2,
-        value_defect(c, "phi"),
-        value_defect(c, "psi"),
-    )
+    """max of half the distortion and the value defect of both maps, on the samples."""
+    defect = max(abs(x.value - y.value) for x, y in chain(c.phi.items(), c.psi.items()))
+    return max(distortion(g1, g2, c) / 2, defect)
 
 
 def fd_lower(g1: ReebGraph, g2: ReebGraph) -> Fraction:
@@ -316,13 +311,7 @@ def value_shift_upper(g1: ReebGraph, g2: ReebGraph, vertex_map: dict[str, str]) 
     largest vertex displacement and the distortion is at most twice it, so
     the displacement itself bounds the functional distortion distance.
     """
-    if set(vertex_map) != set(g1.vertex_ids) or set(vertex_map.values()) != set(
-        g2.vertex_ids
-    ):
-        raise ValueError("vertex map must be a bijection between the vertex sets")
-    mapped = Counter(_unordered(vertex_map[u], vertex_map[v]) for u, v in g1.edges)
-    if mapped != _edge_counts(g2):
-        raise ValueError("vertex map must carry the edge multiset exactly")
+    _edge_map(g1, g2, vertex_map)
     return max(abs(g1.value(v) - g2.value(vertex_map[v])) for v in g1.vertex_ids)
 
 

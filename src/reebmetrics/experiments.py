@@ -14,8 +14,17 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .bottleneck import graph_bottleneck
-from .distortion import value_shift_upper
-from .generators import _VALUE_RANGE, figure1_left, figure1_right, figure5, random_graph
+from .distortion import certify_fd_upper, projection_correspondence, value_shift_upper
+from .generators import (
+    _VALUE_RANGE,
+    cycle,
+    figure1_left,
+    figure1_right,
+    figure5,
+    random_graph,
+    segment,
+    y_graph,
+)
 from .graph import ReebGraph, critical_values, min_critical_gap, validate
 from .isomorphism import is_level_isomorphic
 from .operators import (
@@ -341,9 +350,6 @@ def _run_lowerbound(config: ExperimentConfig) -> list[TrialRecord]:
             width = (hi - lo) / 5 * Fraction(rng.randint(0, 100), 100)
             params = MergeParams(a, a + width)
             check(i, "merge", g, merge(g, params), width)
-
-    from .distortion import certify_fd_upper, projection_correspondence
-    from .generators import cycle, segment, y_graph
 
     left, right = figure1_left(), figure1_right()
     check(config.trials, "figure1", left, right, intrinsic_upper(left, right))

@@ -141,7 +141,10 @@ def _point_to_obj(p) -> dict:
 def _point_from_obj(g: ReebGraph, obj: dict):
     if "vertex" in obj:
         return g.vertex_point(obj["vertex"])
-    return g.edge_point(int(obj["edge"]), parse_value(obj["value"]))
+    edge = obj["edge"]
+    if isinstance(edge, bool) or not isinstance(edge, int):
+        raise ValueError(f"an edge index is a JSON integer, not {json.dumps(edge)}")
+    return g.edge_point(edge, parse_value(obj["value"]))
 
 
 def correspondence_to_json(c) -> str:
@@ -186,9 +189,7 @@ def correspondence_from_json(g1: ReebGraph, g2: ReebGraph, text: str):
                 f"{name} maps {covered} of the {len(net)} samples at resolution "
                 f"{format_value(resolution)}; a witness file must map them all"
             )
-    c = Correspondence(g1, g2, phi, psi, resolution)
-    c.validate()
-    return c
+    return Correspondence(g1, g2, phi, psi, resolution)
 
 
 # ---------------------------------------------------------------------------

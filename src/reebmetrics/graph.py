@@ -244,13 +244,6 @@ class ReebGraph:
             return self.vertex_point(self.edges[index][1])
         return GraphPoint(value=val, edge=index)
 
-    def point_at_parameter(self, index: int, t: ValueLike) -> GraphPoint:
-        t = to_fraction(t)
-        if not (0 <= t <= 1):
-            raise ValueError("edge parameter t must lie in [0, 1]")
-        lo, hi = self.edge_values(index)
-        return self.edge_point(index, lo + t * (hi - lo))
-
     def contains_point(self, p: GraphPoint) -> bool:
         if p.vertex is not None:
             return p.vertex in self._values and self._values[p.vertex] == p.value

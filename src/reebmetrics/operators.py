@@ -416,8 +416,6 @@ def merge_sequence(
 class TransformResult:
     graph: ReebGraph
     certificate: Fraction
-    simplification: SimplifyResult
-    merge_certificate: Fraction
     overlap: bool
 
 
@@ -428,7 +426,5 @@ def full_transform(g: ReebGraph, params: TransformParams) -> TransformResult:
     return TransformResult(
         graph=merged.graph,
         certificate=simplified.certificate + merged.certificate,
-        simplification=simplified,
-        merge_certificate=merged.certificate,
         overlap=merged.overlap,
     )

@@ -591,6 +591,23 @@ def test_fdbound_reports_gap_and_remainder(runner, tmp_path):
     assert result.output == "lower 0\nupper 0 (natural)\ngap 0\n"
 
 
+def test_fdbound_collapses_onto_a_point(runner, tmp_path):
+    # a one-vertex graph has fewer than two critical values and no span:
+    # its default resolution is 1
+    y = write(tmp_path / "y.txt", y_graph())
+    pt = tmp_path / "pt.txt"
+    pt.write_text("v pt 1\n")
+    onto_point = "lower 0.75\nupper 2.25 (collapse)\ngap 1.5\nremainder 0.25\n"
+    for args, expected in (
+        ([y, str(pt)], onto_point),
+        ([str(pt), y], onto_point),
+        ([str(pt), str(pt)], "lower 0\nupper 2 (collapse)\ngap 2\nremainder 2\n"),
+    ):
+        result = runner.invoke(main, ["fdbound", *args, "--witness", "collapse"])
+        assert result.exit_code == 0, result.output
+        assert result.output == expected, args
+
+
 def test_fdbound_collapse_at_the_default_resolution_is_pinned(runner, tmp_path):
     # a 14-vertex random graph collapsed onto the segment: the witness
     # samples both graphs at the default resolution, 1/8 of the smallest
@@ -778,3 +795,26 @@ def test_fdbound_rejects_a_witness_file_that_certifies_nothing(
     [error] = result.output.splitlines()
     assert error.startswith("Error: bad witness file ")
     assert message in error
+
+
+@pytest.mark.parametrize("edge", ["1.9", "1.0", "true", '"1"'])
+def test_fdbound_witness_edge_index_is_a_json_integer(runner, tmp_path, edge):
+    # an edge index once went through int(): 1.9 read as edge 1, and 1.0,
+    # true and "1" were taken alike
+    from reebmetrics.distortion import projection_correspondence
+    from reebmetrics.fileio import correspondence_to_json
+
+    y, seg = y_graph(), segment()
+    a = write(tmp_path / "y.txt", y)
+    b = write(tmp_path / "seg.txt", seg)
+    text = correspondence_to_json(projection_correspondence(y, seg, resolution=F(1, 4)))
+    assert '"edge": 1,' in text
+    wf = tmp_path / "witness.json"
+    wf.write_text(text.replace('"edge": 1,', f'"edge": {edge},', 1))
+    args = ["fdbound", a, b, "--witness", "file", "--witness-file", str(wf)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    [error] = result.output.splitlines()
+    assert error.startswith("Error: bad witness file ")
+    assert f"an edge index is a JSON integer, not {edge}" in error

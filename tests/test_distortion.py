@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
@@ -24,13 +25,12 @@ from reebmetrics import (
     value_shift_upper,
     y_graph,
 )
-from reebmetrics.distortion import default_resolution, value_defect
+from reebmetrics.distortion import default_resolution
 
 
 def reference_distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> F:
     """The distortion loop before it moved onto one integer lattice: one
     `Fraction` matrix per graph, and the gaps subtracted as fractions."""
-    c.validate()
     pairs = [(x, y) for x, y in c.phi.items()] + [(x, y) for y, x in c.psi.items()]
     d1 = travel_distances(g1, [x for x, _ in pairs])
     d2 = travel_distances(g2, [y for _, y in pairs])
@@ -92,8 +92,8 @@ def test_level_matched_segments_cost_nothing():
 def test_collapse_y_onto_segment():
     y, seg = y_graph(), segment()
     c = projection_correspondence(y, seg, resolution=F(1, 4))
-    assert value_defect(c, "phi") == 0
-    assert value_defect(c, "psi") == 0
+    # both maps keep every sample's value: no value defect
+    assert all(p.value == q.value for p, q in chain(c.phi.items(), c.psi.items()))
     assert distortion(y, seg, c) == 1
     assert fd_upper(y, seg, c) == F(1, 2)
 
@@ -107,15 +107,14 @@ def test_natural_correspondence_on_perturbed_y():
 
 def test_correspondence_validation_rejects_foreign_points():
     y, seg = y_graph(), segment()
-    c = Correspondence(
-        y,
-        seg,
-        phi={y.vertex_point("a"): y.vertex_point("a")},  # wrong target graph point
-        psi={seg.vertex_point("bot"): y.vertex_point("a")},
-        resolution=F(1, 4),
-    )
-    with pytest.raises(ValueError):
-        distortion(y, seg, c)
+    with pytest.raises(ValueError, match="phi maps outside the graphs"):
+        Correspondence(
+            y,
+            seg,
+            phi={y.vertex_point("a"): y.vertex_point("a")},  # wrong target graph point
+            psi={seg.vertex_point("bot"): y.vertex_point("a")},
+            resolution=F(1, 4),
+        )
 
 
 def test_distortion_rejects_off_graph_points():
@@ -129,9 +128,8 @@ def test_distortion_rejects_off_graph_points():
         ({on_y: on_seg}, {off_seg: on_y}),
         ({on_y: on_seg}, {on_seg: off_y}),
     ):
-        c = Correspondence(y, seg, phi, psi, resolution=F(1, 4))
-        with pytest.raises(ValueError):
-            distortion(y, seg, c)
+        with pytest.raises(ValueError, match="maps outside the graphs"):
+            Correspondence(y, seg, phi, psi, resolution=F(1, 4))
 
 
 def test_fd_lower_examples():
@@ -330,7 +328,8 @@ def reference_natural_correspondence(g1, g2, vertex_map, resolution=None):
             t = (p.value - lo) / (hi - lo)
             jdx = emap[p.edge]
             same = vmap[src.edges[p.edge][0]] == dst.edges[jdx][0]
-            out[p] = dst.point_at_parameter(jdx, t if same else 1 - t)
+            dlo, dhi = dst.edge_values(jdx)
+            out[p] = dst.edge_point(jdx, dlo + (t if same else 1 - t) * (dhi - dlo))
         return out
 
     return Correspondence(
@@ -358,18 +357,28 @@ def test_natural_correspondence_matches_two_pass_reference():
     theta = ReebGraph([("a", 0), ("b", 1), ("c", 2)], [("a", "b")] * 3 + [("b", "c")])
     graphs = [cycle(), theta, y_graph()]
     graphs += [random_graph(rng, n_critical=rng.randint(3, 7)) for _ in range(12)]
-    checked = 0
+    jitter_rng = random.Random(4242)
+    checked = flipped = 0
     for g in graphs:
+        # the identity onto a copy with fresh distinct values: every edge
+        # whose ends change order runs the other way in the copy
+        levels = jitter_rng.sample(range(1, 8 * len(g.vertex_ids)), len(g.vertex_ids))
+        jitter = g.with_values({v: F(k, 4) for v, k in zip(g.vertex_ids, levels)})
+        flipped += sum(a != b for a, b in zip(g.edges, jitter.edges))
+        pairs = [(jitter, [{v: v for v in g.vertex_ids}])]
         for _ in range(3):
             h = shuffled_copy(g, rng)
-            for sigma in structure_isomorphisms(g, h, limit=4):
+            pairs.append((h, structure_isomorphisms(g, h, limit=4)))
+        for h, sigmas in pairs:
+            for sigma in sigmas:
                 for resolution in (None, g.span() / 5):
                     got = natural_correspondence(g, h, sigma, resolution)
                     want = reference_natural_correspondence(g, h, sigma, resolution)
                     assert got.phi == want.phi and got.psi == want.psi
                     assert got.resolution == want.resolution
                     checked += 1
-    assert checked >= 90
+    assert checked >= 120
+    assert flipped >= 20
 
 
 def test_natural_correspondence_errors_match_reference():
@@ -383,3 +392,18 @@ def test_natural_correspondence_errors_match_reference():
         for build in (natural_correspondence, reference_natural_correspondence):
             with pytest.raises(ValueError, match="does not carry edges to edges"):
                 build(g1, g2, vmap)
+
+
+def test_a_vertex_map_that_is_no_bijection_is_one_error():
+    # a map that missed a vertex once ended in a KeyError in the edge matching
+    y = y_graph()
+    path = ReebGraph([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    cases = (
+        (y, {"a": "a"}),
+        (y, {"a": "a", "b": "b", "c": "c", "d": "zz"}),
+        (path, {"a": "a", "b": "b", "c": "c", "d": "c"}),
+    )
+    for g2, vmap in cases:
+        for build in (natural_correspondence, value_shift_upper):
+            with pytest.raises(ValueError, match="bijection between the vertex sets"):
+                build(y, g2, vmap)

@@ -745,7 +745,9 @@ def test_travel_distances_match_reference_on_coprime_denominators():
     for _ in range(4):
         g = on_primes(random_graph(rng, n_critical=rng.randint(4, 7)))
         points = [g.vertex_point(v) for v in g.vertex_ids]
-        points += [g.point_at_parameter(idx, F(1, 3)) for idx in range(len(g.edges))]
+        for idx in range(len(g.edges)):
+            lo, hi = g.edge_values(idx)
+            points.append(g.edge_point(idx, lo + (hi - lo) / 3))
         rng.shuffle(points)
         d = travel_distances(g, points)
         for i, x in enumerate(points):
