@@ -5,20 +5,19 @@ maximum of per-kind optima. Each per-kind optimum is one of finitely many
 candidates: the pairwise l-infinity distances and the diagonal costs. Per
 kind, every coordinate is scaled to an int over the lcm L of the kind's
 denominators; over 2L each pair distance is 2 max(|db|, |dd|) and each
-diagonal cost |b - d|, all ints. They are sorted, and every distance is
-replaced by its integer rank in that order. A binary search then tests
-O(log nk) rank thresholds; feasibility at a threshold is a perfect matching
-in the graph doubled by diagonal slots, found by an iterative Hopcroft-Karp
-that compares only integers. Only the optimal candidate becomes a
-`Fraction` again, and the witness matching is checked against it in exact
-`Fraction` arithmetic before it is returned. Among optimal matchings, which
-one is the witness is an implementation detail; its cost always equals the
-value.
+diagonal cost |b - d|, all ints. A binary search over the sorted distinct
+candidates then tests O(log nk) of them as thresholds; feasibility at a
+threshold is a perfect matching in the graph doubled by diagonal slots,
+found by an iterative Hopcroft-Karp that compares only integers. Only the
+optimal candidate becomes a `Fraction` again, and the witness matching is
+checked against it in exact `Fraction` arithmetic before it is returned.
+Among optimal matchings, which one is the witness is an implementation
+detail; its cost always equals the value.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -73,14 +72,13 @@ def matching_cost(d1: Diagram, d2: Diagram, m: PartialMatching) -> Fraction:
 
 
 @dataclass(frozen=True)
-class _KindRanks:
-    """The distances of one kind, each replaced by its rank among them.
+class _KindDistances:
+    """The distances of one kind, as ints in units of 1/`scale`.
 
     `candidates` holds every distinct pair distance and diagonal cost, and 0,
-    in increasing order, as ints in units of 1/`scale`; `pairs[a][j]` is the
-    rank of `linf(left[a], right[j])` and `diag_left` / `diag_right` the
-    ranks of the diagonal costs. A threshold is a rank, and every test
-    against it compares integers.
+    in increasing order; `pairs[a][j]` is `linf(left[a], right[j])` and
+    `diag_left` / `diag_right` the diagonal costs. A threshold is an int on
+    the same lattice, and every test against it compares integers.
     """
 
     candidates: list[int]
@@ -90,9 +88,9 @@ class _KindRanks:
     diag_right: list[int]
 
 
-def _kind_ranks(
+def _kind_distances(
     left: Sequence[DiagramPoint], right: Sequence[DiagramPoint]
-) -> _KindRanks:
+) -> _KindDistances:
     lattice = common_denominator(
         chain.from_iterable((p.birth, p.death) for p in chain(left, right))
     )
@@ -108,25 +106,18 @@ def _kind_ranks(
     diag_left = [abs(b - d) for b, d in lefts]
     diag_right = [abs(b - d) for b, d in rights]
     candidates = sorted({0, *diag_left, *diag_right, *chain.from_iterable(dist)})
-    rank = {c: r for r, c in enumerate(candidates)}
-    return _KindRanks(
-        candidates,
-        2 * lattice,
-        [[rank[d] for d in row] for row in dist],
-        [rank[d] for d in diag_left],
-        [rank[d] for d in diag_right],
-    )
+    return _KindDistances(candidates, 2 * lattice, dist, diag_left, diag_right)
 
 
 def _threshold_matching(
-    ranks: _KindRanks, threshold: int
+    dists: _KindDistances, threshold: int
 ) -> Optional[list[Optional[int]]]:
-    """Perfect matching in the doubled graph at a rank threshold, or None.
+    """Perfect matching in the doubled graph at an int threshold, or None.
 
     Left nodes are the n left points, then a diagonal slot n + j per right
     point; right nodes are the k right points, then a diagonal slot k + a per
-    left point. Point a meets point j when their distance ranks at most the
-    threshold, and its own slot k + a when its diagonal cost does; slot n + j
+    left point. Point a meets point j when their distance is at most the
+    threshold, and its own slot k + a when its diagonal cost is; slot n + j
     meets point j the same way, and every slot meets every slot, since
     diagonal-to-diagonal is free. Returns, for each left point, the matched
     right index or None for its diagonal slot.
@@ -137,13 +128,13 @@ def _threshold_matching(
     listed: only the slots of the layer where the BFS first enters it can
     use it on a shortest path, and they share one cursor over it.
     """
-    n, k = len(ranks.diag_left), len(ranks.diag_right)
+    n, k = len(dists.diag_left), len(dists.diag_right)
     size = n + k
-    adj = [[j for j, r in enumerate(row) if r <= threshold] for row in ranks.pairs]
-    for a, r in enumerate(ranks.diag_left):
+    adj = [[j for j, r in enumerate(row) if r <= threshold] for row in dists.pairs]
+    for a, r in enumerate(dists.diag_left):
         if r <= threshold:
             adj[a].append(k + a)
-    adj.extend([j] if r <= threshold else [] for j, r in enumerate(ranks.diag_right))
+    adj.extend([j] if r <= threshold else [] for j, r in enumerate(dists.diag_right))
     block = range(k, size)
     unreached = size + 1
     match_left = [-1] * size
@@ -220,35 +211,35 @@ def _threshold_matching(
     return [v if v < k else None for v in match_left[:n]]
 
 
-def _kind_assignment(ranks: _KindRanks) -> tuple[Fraction, list[Optional[int]]]:
+def _kind_assignment(dists: _KindDistances) -> tuple[Fraction, list[Optional[int]]]:
     """The smallest feasible candidate of one kind and a matching attaining it."""
-    lo, hi = 0, len(ranks.candidates) - 1
+    candidates = dists.candidates
+    lo, hi = 0, len(candidates) - 1
     best, assignment = hi, None
     while lo <= hi:  # the largest candidate is always feasible
         mid = (lo + hi) // 2
-        found = _threshold_matching(ranks, mid)
+        found = _threshold_matching(dists, candidates[mid])
         if found is None:
             lo = mid + 1
         else:
             best, assignment, hi = mid, found, mid - 1
     assert assignment is not None
-    return Fraction(ranks.candidates[best], ranks.scale), assignment
+    return Fraction(candidates[best], dists.scale), assignment
 
 
 def feasible(d1: Diagram, d2: Diagram, delta: ValueLike) -> bool:
     """Does some valid partial matching have cost <= delta?
 
-    Feasibility only changes at candidate values, so the threshold is the
-    rank of the largest candidate not above delta. On a kind's lattice delta
-    may fall between two candidates; it is compared with them exactly.
+    Every distance is an int on its kind's lattice, so a distance is at
+    most delta exactly when it is at most floor(delta * scale), even when
+    delta falls between two candidates or off the lattice.
     """
     delta = to_fraction(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     for kind in KINDS:
-        ranks = _kind_ranks(d1.of_kind(kind), d2.of_kind(kind))
-        threshold = bisect_right(ranks.candidates, delta * ranks.scale) - 1
-        if _threshold_matching(ranks, threshold) is None:
+        dists = _kind_distances(d1.of_kind(kind), d2.of_kind(kind))
+        if _threshold_matching(dists, math.floor(delta * dists.scale)) is None:
             return False
     return True
 
@@ -257,7 +248,7 @@ def bottleneck(d1: Diagram, d2: Diagram) -> BottleneckResult:
     """Exact optimum over partial matchings, with a witness attaining it.
 
     The optimum is one of finitely many candidate values; per kind we binary
-    search the ranks of the sorted candidates for the smallest feasible one.
+    search the sorted candidates for the smallest feasible one.
     """
     kind_indices_1 = {kind: [] for kind in KINDS}
     kind_indices_2 = {kind: [] for kind in KINDS}
@@ -276,7 +267,7 @@ def bottleneck(d1: Diagram, d2: Diagram) -> BottleneckResult:
         right = [d2.points[j] for j in kind_indices_2[kind]]
         if not left and not right:
             continue
-        best, assignment = _kind_assignment(_kind_ranks(left, right))
+        best, assignment = _kind_assignment(_kind_distances(left, right))
         value = max(value, best)
         for a, b in enumerate(assignment):
             if b is None:

@@ -28,7 +28,7 @@ from .graph import (
     critical_values,
 )
 from .isomorphism import _unordered, structure_isomorphisms
-from .rationals import ValueLike, common_denominator, to_fraction
+from .rationals import ValueLike, common_denominator, format_value, to_fraction
 
 
 def default_resolution(g: ReebGraph) -> Fraction:
@@ -49,9 +49,10 @@ def sample_net(g: ReebGraph, resolution: Optional[ValueLike] = None) -> tuple[Gr
     for idx in range(len(g.edges)):
         lo, hi = g.edge_values(idx)
         span = hi - lo
-        pieces = -(-span // h)  # ceil(span / h)
-        for k in range(1, int(pieces)):
-            points.append(g.edge_point(idx, lo + span * Fraction(k, int(pieces))))
+        pieces = int(-(-span // h))  # ceil(span / h)
+        # k / pieces lies strictly inside (0, 1): every point is interior
+        for k in range(1, pieces):
+            points.append(GraphPoint(lo + span * Fraction(k, pieces), edge=idx))
     return tuple(points)
 
 
@@ -61,7 +62,10 @@ class Correspondence:
 
     phi sends every sample of g1 to a point of g2 and psi every sample of g2
     to a point of g1; samples include all vertices and arc-interior points at
-    the stated resolution.
+    the stated resolution. A map pair that misses a sample of
+    `sample_net(g1, resolution)` or `sample_net(g2, resolution)`, or maps a
+    point off either graph, is a ValueError: the sampling remainder of
+    `certify_fd_upper` holds only for a map of the whole net.
     """
 
     g1: ReebGraph
@@ -71,12 +75,17 @@ class Correspondence:
     resolution: Fraction
 
     def __post_init__(self) -> None:
-        if not self.phi or not self.psi:
-            raise ValueError("correspondence must cover both sample sets")
         for name, src, dst, mapping in (
             ("phi", self.g1, self.g2, self.phi),
             ("psi", self.g2, self.g1, self.psi),
         ):
+            net = sample_net(src, self.resolution)
+            covered = sum(p in mapping for p in net)
+            if covered < len(net):
+                raise ValueError(
+                    f"{name} maps {covered} of the {len(net)} samples at resolution "
+                    f"{format_value(self.resolution)}; a correspondence must map them all"
+                )
             for x, y in mapping.items():
                 if not (src.contains_point(x) and dst.contains_point(y)):
                     raise ValueError(f"{name} maps outside the graphs")

@@ -3,15 +3,20 @@
 Every experiment draws exact rational instances from a seeded generator,
 checks its statement with exact arithmetic, and reports one record per
 trial. Reports are deterministic functions of (seed, config).
+
+A runner yields one `(index, passed, values)` triple per trial and knows
+nothing of records; `run_experiment` names each trial after its suite's
+key in `_SUITES` and formats its values into a `TrialRecord`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .bottleneck import graph_bottleneck
 from .distortion import certify_fd_upper, projection_correspondence, value_shift_upper
@@ -40,6 +45,8 @@ from .persistence import extended_diagram
 from .rationals import format_value, to_fraction
 
 _CRITICAL_COUNTS = (4, 8)  # a random instance has 4 to 8 critical values
+
+_Trial = tuple[int, bool, dict[str, object]]  # (index, passed, values)
 
 
 @dataclass(frozen=True)
@@ -137,33 +144,23 @@ def _jitter(g: ReebGraph, rng: random.Random, bound: Fraction) -> ReebGraph:
 
 
 # ---------------------------------------------------------------------------
-# individual experiments
+# individual experiments: each runner yields (index, passed, values)
 # ---------------------------------------------------------------------------
 
 
-def _run_stability(config: ExperimentConfig) -> list[TrialRecord]:
+def _run_stability(config: ExperimentConfig) -> Iterator[_Trial]:
     rng = random.Random(config.seed)
-    records = []
     for i in range(config.trials):
         g = _random_instance(rng)
         delta = _min_edge_gap(g) / 4 * Fraction(rng.randint(1, 64), 64)
         perturbed = _jitter(g, rng, delta)
         db = graph_bottleneck(g, perturbed)
-        records.append(
-            TrialRecord(
-                "stability",
-                i,
-                db <= delta,
-                _fmt({"delta": delta, "bottleneck": db}),
-            )
-        )
-    return records
+        yield i, db <= delta, {"delta": delta, "bottleneck": db}
 
 
-def _run_snapping(config: ExperimentConfig) -> list[TrialRecord]:
+def _run_snapping(config: ExperimentConfig) -> Iterator[_Trial]:
     rng = random.Random(config.seed)
     lo, hi = _VALUE_RANGE
-    records = []
     for i in range(config.trials):
         g = _random_instance(rng)
         a = lo - 1 + Fraction(rng.randint(0, 1000), 1000) * (hi - lo + 2)
@@ -172,20 +169,11 @@ def _run_snapping(config: ExperimentConfig) -> list[TrialRecord]:
         merged = merge(g, params)
         left = extended_diagram(merged)
         right = snap_diagram(extended_diagram(g), params)
-        records.append(
-            TrialRecord(
-                "snapping",
-                i,
-                left == right,
-                _fmt({"a": a, "b": b, "points": len(left)}),
-            )
-        )
-    return records
+        yield i, left == right, {"a": a, "b": b, "points": len(left)}
 
 
-def _run_simplify_contract(config: ExperimentConfig) -> list[TrialRecord]:
+def _run_simplify_contract(config: ExperimentConfig) -> Iterator[_Trial]:
     rng = random.Random(config.seed)
-    records = []
     for i in range(config.trials):
         g = _random_instance(rng)
         alpha = g.span() / 3 * Fraction(rng.randint(1, 100), 100)
@@ -195,30 +183,19 @@ def _run_simplify_contract(config: ExperimentConfig) -> list[TrialRecord]:
         db = graph_bottleneck(g, result.graph)
         stable = db <= 4 * alpha
         certified = result.certificate <= 2 * alpha
-        records.append(
-            TrialRecord(
-                "simplify-contract",
-                i,
-                clearance and stable and certified,
-                _fmt(
-                    {
-                        "alpha": alpha,
-                        "bottleneck": db,
-                        "certificate": result.certificate,
-                        "moves": len(result.moves),
-                        "clearance": clearance,
-                        "stable": stable,
-                        "certified": certified,
-                    }
-                ),
-            )
-        )
-    return records
+        yield i, clearance and stable and certified, {
+            "alpha": alpha,
+            "bottleneck": db,
+            "certificate": result.certificate,
+            "moves": len(result.moves),
+            "clearance": clearance,
+            "stable": stable,
+            "certified": certified,
+        }
 
 
-def _run_recovery(config: ExperimentConfig) -> list[TrialRecord]:
+def _run_recovery(config: ExperimentConfig) -> Iterator[_Trial]:
     rng = random.Random(config.seed)
-    records = []
     K = config.K
     for i in range(config.trials):
         f = _random_instance(rng)
@@ -236,26 +213,16 @@ def _run_recovery(config: ExperimentConfig) -> list[TrialRecord]:
         else:  # pragma: no cover - jitter scale rules this out
             recovered = False
             passed = True
-        records.append(
-            TrialRecord(
-                "recovery",
-                i,
-                passed,
-                _fmt(
-                    {
-                        "epsilon": eps,
-                        "fd_hypothesis": hypothesis,
-                        "bottleneck": db,
-                        "applicable": applicable,
-                        "recovered": recovered,
-                    }
-                ),
-            )
-        )
-    return records
+        yield i, passed, {
+            "epsilon": eps,
+            "fd_hypothesis": hypothesis,
+            "bottleneck": db,
+            "applicable": applicable,
+            "recovered": recovered,
+        }
 
 
-def _run_figure1(config: ExperimentConfig) -> list[TrialRecord]:
+def _run_figure1(config: ExperimentConfig) -> Iterator[_Trial]:
     left = figure1_left()
     right = figure1_right()
     same_diagram = extended_diagram(left) == extended_diagram(right)
@@ -263,74 +230,41 @@ def _run_figure1(config: ExperimentConfig) -> list[TrialRecord]:
     iso = is_level_isomorphic(left, right)
     upper = intrinsic_upper(left, right)
     passed = same_diagram and db == 0 and not iso and upper > 0
-    return [
-        TrialRecord(
-            "figure1",
-            0,
-            passed,
-            _fmt(
-                {
-                    "diagram_equal": same_diagram,
-                    "bottleneck": db,
-                    "isomorphic": iso,
-                    "intrinsic_upper": upper,
-                }
-            ),
-        )
-    ]
+    yield 0, passed, {
+        "diagram_equal": same_diagram,
+        "bottleneck": db,
+        "isomorphic": iso,
+        "intrinsic_upper": upper,
+    }
 
 
-def _run_figure5(config: ExperimentConfig) -> list[TrialRecord]:
-    records = []
+def _run_figure5(config: ExperimentConfig) -> Iterator[_Trial]:
     graphs = {n: figure5(n) for n in range(1, 10)}
     for n in range(1, 9):
         count = len(critical_values(graphs[n]))
-        records.append(
-            TrialRecord(
-                "figure5",
-                n,
-                count == n + 2,
-                _fmt({"check": "critical-count", "n": n, "count": count}),
-            )
-        )
+        yield n, count == n + 2, {"check": "critical-count", "n": n, "count": count}
     previous: Optional[Fraction] = None
     for n in range(1, 8):
         db = graph_bottleneck(graphs[n], graphs[n + 1])
         height = Fraction(1, 2 ** (n + 1))
         ok = db <= height / 2 and (previous is None or db < previous)
-        records.append(
-            TrialRecord(
-                "figure5",
-                8 + n,
-                ok,
-                _fmt(
-                    {
-                        "check": "consecutive-bottleneck",
-                        "n": n,
-                        "bottleneck": db,
-                        "feature_height": height,
-                    }
-                ),
-            )
-        )
+        yield 8 + n, ok, {
+            "check": "consecutive-bottleneck",
+            "n": n,
+            "bottleneck": db,
+            "feature_height": height,
+        }
         previous = db
-    return records
 
 
-def _run_lowerbound(config: ExperimentConfig) -> list[TrialRecord]:
+def _run_lowerbound(config: ExperimentConfig) -> Iterator[_Trial]:
     rng = random.Random(config.seed)
-    records = []
 
-    def check(i: int, kind: str, g1: ReebGraph, g2: ReebGraph, upper: Fraction) -> None:
+    def check(
+        kind: str, g1: ReebGraph, g2: ReebGraph, upper: Fraction
+    ) -> tuple[bool, dict[str, object]]:
         db = graph_bottleneck(g1, g2)
-        records.append(
-            TrialRecord(
-                "lowerbound-consistency",
-                i,
-                db <= 2 * upper,
-                _fmt({"pair": kind, "bottleneck": db, "fd_upper": upper}),
-            )
-        )
+        return db <= 2 * upper, {"pair": kind, "bottleneck": db, "fd_upper": upper}
 
     for i in range(config.trials):
         g = _random_instance(rng)
@@ -339,24 +273,23 @@ def _run_lowerbound(config: ExperimentConfig) -> list[TrialRecord]:
             bound = _min_edge_gap(g) / 4 * Fraction(rng.randint(1, 64), 64)
             other = _jitter(g, rng, bound)
             upper = value_shift_upper(g, other, {v: v for v in g.vertex_ids})
-            check(i, "jitter", g, other, upper)
+            yield i, *check("jitter", g, other, upper)
         elif mode == 1:
             alpha = g.span() / 4 * Fraction(rng.randint(1, 100), 100)
             result = simplify(g, alpha)
-            check(i, "simplify", g, result.graph, result.certificate)
+            yield i, *check("simplify", g, result.graph, result.certificate)
         else:
             lo, hi = _VALUE_RANGE
             a = lo + Fraction(rng.randint(0, 1000), 1000) * (hi - lo)
             width = (hi - lo) / 5 * Fraction(rng.randint(0, 100), 100)
             params = MergeParams(a, a + width)
-            check(i, "merge", g, merge(g, params), width)
+            yield i, *check("merge", g, merge(g, params), width)
 
     left, right = figure1_left(), figure1_right()
-    check(config.trials, "figure1", left, right, intrinsic_upper(left, right))
+    yield config.trials, *check("figure1", left, right, intrinsic_upper(left, right))
     y = y_graph()
     perturbed = y.with_values({"b": Fraction("1.05"), "c": Fraction("1.95")})
-    check(
-        config.trials + 1,
+    yield config.trials + 1, *check(
         "y-perturbed",
         y,
         perturbed,
@@ -365,22 +298,13 @@ def _run_lowerbound(config: ExperimentConfig) -> list[TrialRecord]:
     for offset, (name, graph) in enumerate((("y", y), ("cycle", cycle()))):
         seg = segment()
         cert = certify_fd_upper(graph, seg, projection_correspondence(graph, seg))
-        check(config.trials + 2 + offset, f"{name}-collapse", graph, seg, cert.upper)
-    return records
+        yield config.trials + 2 + offset, *check(f"{name}-collapse", graph, seg, cert.upper)
 
 
-def _run_path_equivalence(config: ExperimentConfig) -> list[TrialRecord]:
+def _run_path_equivalence(config: ExperimentConfig) -> Iterator[_Trial]:
     rng = random.Random(config.seed)
     refinements = (2, 4, 8, 16)
-    records = []
-    index = 0
-
-    def record(passed: bool, values: dict[str, object]) -> None:
-        nonlocal index
-        records.append(
-            TrialRecord("path-equivalence", index, passed, _fmt(values))
-        )
-        index += 1
+    index = itertools.count()
 
     def lengths(path: GraphPath) -> tuple[Fraction, Fraction, bool]:
         """Both totals, and whether every segment has d_B <= 2 * upper."""
@@ -398,35 +322,35 @@ def _run_path_equivalence(config: ExperimentConfig) -> list[TrialRecord]:
         for n in refinements:
             db, _, ok = lengths(linear_path(g, target, n))
             sums.append(db)
-            record(ok, {"check": "linear-segments", "n": n, "bottleneck_sum": db})
+            yield next(index), ok, {"check": "linear-segments", "n": n, "bottleneck_sum": db}
         monotone = all(a <= b for a, b in zip(sums, sums[1:]))
-        record(monotone, {"check": "linear-refinement", "sums": [format_value(s) for s in sums]})
+        yield next(index), monotone, {
+            "check": "linear-refinement",
+            "sums": [format_value(s) for s in sums],
+        }
 
     for label, graph in (("figure1_left", figure1_left()), ("random", _random_instance(rng))):
         sums = []
         for n in refinements:
             db, fd, ok = lengths(contraction_path(graph, n))
             sums.append(db)
-            record(
-                ok and db <= 2 * fd,
-                {
-                    "check": "contraction-segments",
-                    "graph": label,
-                    "n": n,
-                    "bottleneck_sum": db,
-                    "fd_sum": fd,
-                },
-            )
+            yield next(index), ok and db <= 2 * fd, {
+                "check": "contraction-segments",
+                "graph": label,
+                "n": n,
+                "bottleneck_sum": db,
+                "fd_sum": fd,
+            }
         monotone = all(a <= b for a, b in zip(sums, sums[1:]))
-        record(
-            monotone,
-            {"check": "contraction-refinement", "graph": label, "sums": [format_value(s) for s in sums]},
-        )
-    return records
+        yield next(index), monotone, {
+            "check": "contraction-refinement",
+            "graph": label,
+            "sums": [format_value(s) for s in sums],
+        }
 
 
 # suite name -> (runner, trial count of `reeb experiment`), in run order
-_SUITES: dict[str, tuple[Callable[[ExperimentConfig], list[TrialRecord]], int]] = {
+_SUITES: dict[str, tuple[Callable[[ExperimentConfig], Iterator[_Trial]], int]] = {
     "stability": (_run_stability, 200),
     "snapping": (_run_snapping, 100),
     "simplify-contract": (_run_simplify_contract, 100),
@@ -443,5 +367,8 @@ def run_experiment(name: str, config: Optional[ExperimentConfig] = None) -> Expe
     if name not in _SUITES:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     config = config or ExperimentConfig()
-    records = _SUITES[name][0](config)
+    records = (
+        TrialRecord(name, index, passed, _fmt(values))
+        for index, passed, values in _SUITES[name][0](config)
+    )
     return ExperimentReport(name, config, tuple(records))

@@ -254,9 +254,6 @@ class ReebGraph:
 
     # ---- structural helpers ----
 
-    def is_connected(self) -> bool:
-        return len(self._component_ids()) == 1
-
     def _component_ids(self) -> list[set[str]]:
         seen: set[str] = set()
         comps: list[set[str]] = []
@@ -330,11 +327,12 @@ def _structural_violations(g: ReebGraph) -> list[Violation]:
                     f"edge {idx} ({u}, {v})",
                 )
             )
-    if not g.is_connected():
+    components = len(g._component_ids())
+    if components > 1:
         violations.append(
             Violation(
                 "disconnected",
-                f"graph has {len(g._component_ids())} connected components",
+                f"graph has {components} connected components",
                 "graph",
             )
         )

@@ -181,7 +181,6 @@ class Move:
 @dataclass(frozen=True)
 class SimplifyResult:
     graph: ReebGraph
-    alpha: Fraction
     certificate: Fraction  # upper bound on the functional distortion distance
     moves: tuple[Move, ...]
 
@@ -353,7 +352,7 @@ def simplify(g: ReebGraph, alpha: ValueLike) -> SimplifyResult:
         work, stretch = _stretched_segment(work, alpha)
         moves.append(stretch)
 
-    return SimplifyResult(work, alpha, move_certificate(moves), tuple(moves))
+    return SimplifyResult(work, move_certificate(moves), tuple(moves))
 
 
 # ---------------------------------------------------------------------------

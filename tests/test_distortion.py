@@ -106,30 +106,51 @@ def test_natural_correspondence_on_perturbed_y():
 
 
 def test_correspondence_validation_rejects_foreign_points():
+    # both maps cover their whole sample nets, so only the foreign point is wrong
     y, seg = y_graph(), segment()
+    c = projection_correspondence(y, seg, F(1, 4))
     with pytest.raises(ValueError, match="phi maps outside the graphs"):
         Correspondence(
             y,
             seg,
-            phi={y.vertex_point("a"): y.vertex_point("a")},  # wrong target graph point
-            psi={seg.vertex_point("bot"): y.vertex_point("a")},
+            phi={**c.phi, y.vertex_point("a"): y.vertex_point("a")},  # wrong target graph point
+            psi=c.psi,
             resolution=F(1, 4),
         )
 
 
 def test_distortion_rejects_off_graph_points():
     y, seg = y_graph(), segment()
+    c = projection_correspondence(y, seg, F(1, 4))
     off_y = GraphPoint(value=F(9), edge=0)  # past the top of y's first edge
     off_seg = GraphPoint(value=F(-1), edge=0)
     on_y, on_seg = y.vertex_point("a"), seg.vertex_point("bot")
     for phi, psi in (
-        ({off_y: on_seg}, {on_seg: on_y}),
-        ({on_y: off_seg}, {on_seg: on_y}),
-        ({on_y: on_seg}, {off_seg: on_y}),
-        ({on_y: on_seg}, {on_seg: off_y}),
+        ({**c.phi, off_y: on_seg}, c.psi),
+        ({**c.phi, on_y: off_seg}, c.psi),
+        (c.phi, {**c.psi, off_seg: on_y}),
+        (c.phi, {**c.psi, on_seg: off_y}),
     ):
         with pytest.raises(ValueError, match="maps outside the graphs"):
             Correspondence(y, seg, phi, psi, resolution=F(1, 4))
+
+
+def test_correspondence_must_map_its_whole_sample_nets():
+    # each map pair once certified a bound it does not hold: a sampled fd
+    # upper bound is sound only on a map of the whole net at a positive
+    # resolution
+    from reebmetrics import figure1_left, figure1_right
+
+    left, right = figure1_left(), figure1_right()
+    bot = {left.vertex_point("bot"): right.vertex_point("bot")}
+    with pytest.raises(ValueError, match="phi maps 1 of the 14000 samples at resolution 0.001"):
+        Correspondence(left, right, bot, {v: k for k, v in bot.items()}, F(1, 1000))
+    y, seg = y_graph(), segment()
+    c = projection_correspondence(y, seg, F(1, 8))
+    assert fd_upper(y, seg, c) == F(1, 2)
+    for resolution in (F(-1, 100), F(0)):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            Correspondence(y, seg, c.phi, c.psi, resolution)
 
 
 def test_fd_lower_examples():
