@@ -5,14 +5,22 @@ maximum of per-kind optima. Each per-kind optimum is one of finitely many
 candidates: the pairwise l-infinity distances and the diagonal costs. Per
 kind, every coordinate is scaled to an int over the lcm L of the kind's
 denominators; over 2L each pair distance is 2 max(|db|, |dd|) and each
-diagonal cost |b - d|, all ints. A binary search over the sorted distinct
-candidates then tests O(log nk) of them as thresholds; feasibility at a
-threshold is a perfect matching in the graph doubled by diagonal slots,
-found by an iterative Hopcroft-Karp that compares only integers. Only the
-optimal candidate becomes a `Fraction` again, and the witness matching is
-checked against it in exact `Fraction` arithmetic before it is returned.
-Among optimal matchings, which one is the witness is an implementation
-detail; its cost always equals the value.
+diagonal cost |b - d|, all ints. Feasibility at a threshold is a perfect
+matching in the graph doubled by diagonal slots, found by an iterative
+Hopcroft-Karp that compares only integers.
+
+The search probes the nearest-neighbour floor first: every point pays at
+least the distance to its nearest partner of the other side or to the
+diagonal, so the largest such distance bounds every matching from below,
+and it is itself a candidate. On nearby diagrams, the common call, the
+floor is feasible and one matching settles the kind. Only when it is not
+are the distinct candidates above it sorted and binary-searched, which
+tests O(log nk) of them. Either way the witness is the matching found at
+the optimal candidate, so it does not depend on which search found it.
+Only the optimal candidate becomes a `Fraction` again, and the witness
+matching is checked against it in exact `Fraction` arithmetic before it is
+returned. Among optimal matchings, which one is the witness is an
+implementation detail; its cost always equals the value.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .diagram import KINDS, Diagram, DiagramPoint, linf
@@ -75,13 +83,12 @@ def matching_cost(d1: Diagram, d2: Diagram, m: PartialMatching) -> Fraction:
 class _KindDistances:
     """The distances of one kind, as ints in units of 1/`scale`.
 
-    `candidates` holds every distinct pair distance and diagonal cost, and 0,
-    in increasing order; `pairs[a][j]` is `linf(left[a], right[j])` and
-    `diag_left` / `diag_right` the diagonal costs. A threshold is an int on
-    the same lattice, and every test against it compares integers.
+    `pairs[a][j]` is `linf(left[a], right[j])` and `diag_left` /
+    `diag_right` the diagonal costs; together they are the kind's
+    candidates. A threshold is an int on the same lattice, and every test
+    against it compares integers.
     """
 
-    candidates: list[int]
     scale: int
     pairs: list[list[int]]
     diag_left: list[int]
@@ -105,8 +112,7 @@ def _kind_distances(
     ]
     diag_left = [abs(b - d) for b, d in lefts]
     diag_right = [abs(b - d) for b, d in rights]
-    candidates = sorted({0, *diag_left, *diag_right, *chain.from_iterable(dist)})
-    return _KindDistances(candidates, 2 * lattice, dist, diag_left, diag_right)
+    return _KindDistances(2 * lattice, dist, diag_left, diag_right)
 
 
 def _threshold_matching(
@@ -211,12 +217,34 @@ def _threshold_matching(
     return [v if v < k else None for v in match_left[:n]]
 
 
+def _floor(dists: _KindDistances) -> int:
+    """The largest, over every point of either side, of the distance to its
+    nearest partner on the other side or to the diagonal, whichever is less.
+
+    A point with no partner (the other side is empty) pays its diagonal cost.
+    """
+    columns = zip(*dists.pairs) if dists.pairs else repeat(())
+    near = chain(zip(dists.diag_left, dists.pairs), zip(dists.diag_right, columns))
+    return max((min((cost, *row)) for cost, row in near), default=0)
+
+
 def _kind_assignment(dists: _KindDistances) -> tuple[Fraction, list[Optional[int]]]:
-    """The smallest feasible candidate of one kind and a matching attaining it."""
-    candidates = dists.candidates
+    """The smallest feasible candidate of one kind and a matching attaining it.
+
+    Every matching pays at least the floor, and the floor is a candidate, so
+    when the floor is feasible it is the optimum. Otherwise every candidate
+    up to it is infeasible, and the binary search runs over the distinct
+    candidates above it, the largest of which is always feasible.
+    """
+    floor = _floor(dists)
+    assignment = _threshold_matching(dists, floor)
+    if assignment is not None:
+        return Fraction(floor, dists.scale), assignment
+    everything = chain(dists.diag_left, dists.diag_right, chain.from_iterable(dists.pairs))
+    candidates = sorted({c for c in everything if c > floor})
     lo, hi = 0, len(candidates) - 1
-    best, assignment = hi, None
-    while lo <= hi:  # the largest candidate is always feasible
+    best = hi
+    while lo <= hi:
         mid = (lo + hi) // 2
         found = _threshold_matching(dists, candidates[mid])
         if found is None:
@@ -247,8 +275,9 @@ def feasible(d1: Diagram, d2: Diagram, delta: ValueLike) -> bool:
 def bottleneck(d1: Diagram, d2: Diagram) -> BottleneckResult:
     """Exact optimum over partial matchings, with a witness attaining it.
 
-    The optimum is one of finitely many candidate values; per kind we binary
-    search the sorted candidates for the smallest feasible one.
+    The optimum is one of finitely many candidate values; per kind it is the
+    nearest-neighbour floor when that is feasible, and otherwise the
+    smallest feasible candidate above it, found by binary search.
     """
     kind_indices_1 = {kind: [] for kind in KINDS}
     kind_indices_2 = {kind: [] for kind in KINDS}

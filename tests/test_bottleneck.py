@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import sys
@@ -21,7 +22,17 @@ from reebmetrics import (
     extended_diagram,
     y_graph,
 )
+from reebmetrics.bottleneck import (
+    _floor,
+    _kind_assignment,
+    _kind_distances,
+    _KindDistances,
+    _threshold_matching,
+)
 from reebmetrics.diagram import linf
+
+# the package exports the function `bottleneck` under the module's name
+bottleneck_module = importlib.import_module("reebmetrics.bottleneck")
 
 
 def point(kind, b, d):
@@ -74,7 +85,7 @@ def reference_kind_matching(
 ) -> Optional[list[Optional[int]]]:
     """Perfect matching in the doubled graph at threshold delta, or None.
 
-    The matcher the library used before its rank-based Hopcroft-Karp: a
+    The matcher the library used before its integer Hopcroft-Karp: a
     recursive augmenting-path search that recomputes every distance as a
     fraction. Nodes: every left point and a diagonal slot per right point;
     targets: every right point and a diagonal slot per left point.
@@ -320,8 +331,9 @@ def test_bottleneck_matches_reference_matcher():
         assert matching_cost(d1, d2, result.witness) == result.value
 
 
-def test_bottleneck_at_scale_within_recursion_limit():
-    assert sys.getrecursionlimit() <= 1000
+def nearby_ord0_pair() -> tuple[Diagram, Diagram, F]:
+    """201 seeded Ord0 points and a copy with every coordinate moved by at
+    most 1/16, and the largest move."""
     rng = random.Random(201)
     left, right = [], []
     largest_jitter = F(0)
@@ -332,7 +344,12 @@ def test_bottleneck_at_scale_within_recursion_limit():
         largest_jitter = max(largest_jitter, abs(db), abs(dd))
         left.append(p)
         right.append(DiagramPoint("Ord0", p.birth + db, p.death + dd))
-    d1, d2 = Diagram(left), Diagram(right)
+    return Diagram(left), Diagram(right), largest_jitter
+
+
+def test_bottleneck_at_scale_within_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    d1, d2, largest_jitter = nearby_ord0_pair()
     result = bottleneck(d1, d2)
     assert matching_cost(d1, d2, result.witness) == result.value
     assert 0 < result.value <= largest_jitter
@@ -414,3 +431,105 @@ def test_bottleneck_with_pairwise_coprime_denominators():
         result = bottleneck(d1, d2)
         assert result.value == reference_bottleneck(d1, d2), trial
         assert matching_cost(d1, d2, result.witness) == result.value
+
+
+# ---------------------------------------------------------------------------
+# the nearest-neighbour floor
+# ---------------------------------------------------------------------------
+
+
+def sorted_candidate_search(dists: _KindDistances) -> tuple[F, list[Optional[int]]]:
+    """The per-kind search without the floor probe: a binary search over
+    every distinct candidate, and 0, in increasing order."""
+    candidates = sorted(
+        {0, *dists.diag_left, *dists.diag_right, *itertools.chain.from_iterable(dists.pairs)}
+    )
+    lo, hi = 0, len(candidates) - 1
+    best, assignment = hi, None
+    while lo <= hi:  # the largest candidate is always feasible
+        mid = (lo + hi) // 2
+        found = _threshold_matching(dists, candidates[mid])
+        if found is None:
+            lo = mid + 1
+        else:
+            best, assignment, hi = mid, found, mid - 1
+    return F(candidates[best], dists.scale), assignment
+
+
+def kind_distances_of(d1: Diagram, d2: Diagram) -> list[_KindDistances]:
+    """The distances of every kind present on either side."""
+    return [
+        _kind_distances(d1.of_kind(kind), d2.of_kind(kind))
+        for kind in KINDS
+        if d1.of_kind(kind) or d2.of_kind(kind)
+    ]
+
+
+def test_floor_probe_matches_sorted_candidate_search():
+    rng = random.Random(2017)
+    at_floor = above_floor = 0
+    for trial in range(120):
+        d1, d2 = random_pair(rng, most=10)
+        for dists in kind_distances_of(d1, d2):
+            value, assignment = sorted_candidate_search(dists)
+            assert _kind_assignment(dists) == (value, assignment), trial
+            if value == F(_floor(dists), dists.scale):
+                at_floor += 1
+            else:
+                assert value > F(_floor(dists), dists.scale)
+                above_floor += 1
+    # the sample reaches both the probe and the fallback search
+    assert at_floor > 0 and above_floor > 0, (at_floor, above_floor)
+
+
+def test_floor_of_a_kind_with_one_empty_side_is_its_largest_diagonal_cost():
+    points = [point("Ord0", 0, 3), point("Ord0", 1, 2)]
+    for left, right in ((points, []), ([], points)):
+        dists = _kind_distances(left, right)
+        assert F(_floor(dists), dists.scale) == F(3, 2)
+        assert _kind_assignment(dists)[0] == F(3, 2)
+
+
+@pytest.fixture
+def matching_calls(monkeypatch):
+    """Counts the calls of `_threshold_matching` made by `bottleneck`."""
+    calls = []
+    original = bottleneck_module._threshold_matching
+
+    def counted(dists, threshold):
+        calls.append(threshold)
+        return original(dists, threshold)
+
+    monkeypatch.setattr(bottleneck_module, "_threshold_matching", counted)
+    return calls
+
+
+def test_nearby_diagrams_take_one_matching_per_kind(matching_calls):
+    d1, d2, _ = nearby_ord0_pair()
+    bottleneck(d1, d2)
+    assert len(matching_calls) == 1
+    # extended diagrams of a graph and a copy with every value moved by at
+    # most a quarter of its smallest edge span
+    rng = random.Random(23)
+    g = random_graph(rng, n_critical=30)
+    gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+    moved = g.with_values(
+        {v: g.value(v) + gap / 4 * F(rng.randint(-21, 21), 21) for v in g.vertex_ids}
+    )
+    e1, e2 = extended_diagram(g), extended_diagram(moved)
+    matching_calls.clear()
+    result = bottleneck(e1, e2)
+    assert 0 < result.value <= gap / 4
+    assert len(matching_calls) == len(kind_distances_of(e1, e2)) > 1
+
+
+def test_infeasible_floor_falls_back_to_the_sorted_search(matching_calls):
+    d1 = Diagram([point("Ord0", 0, 10), point("Ord0", 1, 11)])
+    d2 = Diagram([point("Ord0", 0, 10), point("Ord0", 20, 21)])
+    # Ord0 1 11 is 1 from Ord0 0 10, which Ord0 0 10 needs too
+    [dists] = kind_distances_of(d1, d2)
+    assert F(_floor(dists), dists.scale) == 1
+    result = bottleneck(d1, d2)
+    assert result.value == 5
+    assert result.witness == PartialMatching(((0, 0),), (1,), (1,))
+    assert len(matching_calls) > 1

@@ -58,6 +58,29 @@ def test_bottleneck_mixed_graph_and_diagram(runner, tmp_path):
     assert any(line.startswith("match") for line in lines[1:])
 
 
+def test_bottleneck_outputs_are_pinned(runner, tmp_path):
+    # a graph against a copy with two values moved: the nearest-neighbour
+    # floor is the optimum
+    a = write(tmp_path / "y.txt", y_graph())
+    b = write(tmp_path / "y-perturbed.txt", y_graph().with_values({"b": F("1.05"), "c": F("1.95")}))
+    result = runner.invoke(main, ["bottleneck", a, b])
+    assert result.exit_code == 0, result.output
+    assert result.output == "0.05\n"
+    # Ord0 1 11 is 1 from Ord0 0 10, which Ord0 0 10 needs too: the floor
+    # (1) is infeasible and the search above it finds 5
+    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+    left.write_text("Ord0 0 10\nOrd0 1 11\n")
+    right.write_text("Ord0 0 10\nOrd0 20 21\n")
+    result = runner.invoke(main, ["bottleneck", str(left), str(right), "--witness"])
+    assert result.exit_code == 0, result.output
+    assert result.output == (
+        "5\n"
+        "match Ord0 0 10 -- Ord0 0 10\n"
+        "diagonal left Ord0 1 11\n"
+        "diagonal right Ord0 20 21\n"
+    )
+
+
 def test_merge_command(runner, tmp_path):
     a = write(tmp_path / "y.txt", y_graph())
     result = runner.invoke(main, ["merge", a, "1.8", "2.6"])
