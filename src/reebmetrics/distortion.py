@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Optional, Union
+from operator import sub
+from typing import Callable, Iterator, Optional, Union
 
 from .bottleneck import graph_bottleneck
 from .graph import (
@@ -28,7 +29,7 @@ from .graph import (
     critical_values,
 )
 from .isomorphism import _unordered, structure_isomorphisms
-from .rationals import ValueLike, common_denominator, format_value, to_fraction
+from .rationals import ValueLike, common_denominator, format_value, on_lattice, to_fraction
 
 
 def default_resolution(g: ReebGraph) -> Fraction:
@@ -40,19 +41,33 @@ def default_resolution(g: ReebGraph) -> Fraction:
     return span / 8 if span > 0 else Fraction(1)
 
 
+def _interior_samples(g: ReebGraph, h: Fraction) -> Iterator[tuple[int, int, int, Fraction]]:
+    """Each interior sample of `sample_net(g, h)` as (edge, k, pieces, value).
+
+    An edge of value span s is cut into pieces = ceil(s / h) equal parts, and
+    its samples are the k / pieces points of it for 0 < k < pieces. The value
+    is built once from the edge's levels, as
+    (lo·pieces + span·k) / (scale·pieces) with lo and span its lower level and
+    level span on the graph's lattice. A resolution that is not positive is a
+    ValueError.
+    """
+    if h <= 0:
+        raise ValueError("resolution must be positive")
+    scale = g.scale
+    for idx, (u, v) in enumerate(g.edges):
+        lo = g.level(u)
+        span = g.level(v) - lo
+        pieces = -(-span * h.denominator // (h.numerator * scale))  # ceil(span / (h·scale))
+        base, unit = lo * pieces, scale * pieces
+        for k in range(1, pieces):
+            yield idx, k, pieces, Fraction(base + span * k, unit)
+
+
 def sample_net(g: ReebGraph, resolution: Optional[ValueLike] = None) -> tuple[GraphPoint, ...]:
     """All vertices plus interior points so value spacing stays <= resolution."""
     h = to_fraction(resolution) if resolution is not None else default_resolution(g)
-    if h <= 0:
-        raise ValueError("resolution must be positive")
     points = [g.vertex_point(v) for v in g.vertex_ids]
-    for idx in range(len(g.edges)):
-        lo, hi = g.edge_values(idx)
-        span = hi - lo
-        pieces = int(-(-span // h))  # ceil(span / h)
-        # k / pieces lies strictly inside (0, 1): every point is interior
-        for k in range(1, pieces):
-            points.append(GraphPoint(lo + span * Fraction(k, pieces), edge=idx))
+    points += (GraphPoint(value, edge=idx) for idx, _, _, value in _interior_samples(g, h))
     return tuple(points)
 
 
@@ -193,7 +208,10 @@ def natural_correspondence(
     """Correspondence induced by a structure isomorphism (values may differ).
 
     Edge samples map by linear reparameterization along the arcs `_edge_map`
-    matches; the map back is the inverse of that matching.
+    matches: sample k/pieces of an edge goes to x + k·(y - x)/pieces on its
+    matched edge, where x and y are the values of the images of its lower and
+    upper ends, built as ints on the target's lattice. The map back is the
+    inverse of that matching.
     """
     fwd_edges = _edge_map(g1, g2, vertex_map)
     bwd_edges = [0] * len(fwd_edges)
@@ -208,17 +226,18 @@ def natural_correspondence(
     def transport(
         src: ReebGraph, dst: ReebGraph, vmap: dict[str, str], emap: list[int]
     ) -> dict[GraphPoint, GraphPoint]:
-        out: dict[GraphPoint, GraphPoint] = {}
-        for p in sample_net(src, h):
-            if p.vertex is not None:
-                out[p] = dst.vertex_point(vmap[p.vertex])
-            else:
-                # x and y are the values of the images of the edge's lower
-                # and upper ends, whichever way the matched edge runs
-                lo, hi = src.edge_values(p.edge)  # type: ignore[arg-type]
-                x, y = (dst.value(vmap[end]) for end in src.edges[p.edge])  # type: ignore[index]
-                t = (p.value - lo) / (hi - lo)
-                out[p] = dst.edge_point(emap[p.edge], x + t * (y - x))  # type: ignore[index]
+        out = {src.vertex_point(v): dst.vertex_point(vmap[v]) for v in src.vertex_ids}
+        # the levels on dst of the images of each edge's lower and upper
+        # ends, whichever way the matched edge runs
+        ends = [(dst.level(vmap[u]), dst.level(vmap[v])) for u, v in src.edges]
+        for idx, k, pieces, value in _interior_samples(src, h):
+            x, y = ends[idx]
+            image = Fraction(x * pieces + k * (y - x), dst.scale * pieces)
+            # 0 < k < pieces puts the image strictly inside its edge, unless
+            # that edge is level and the image is its lower end
+            out[GraphPoint(value, edge=idx)] = (
+                GraphPoint(image, edge=emap[idx]) if x != y else dst.edge_point(emap[idx], image)
+            )
         return out
 
     phi = transport(g1, g2, vertex_map, fwd_edges)
@@ -231,37 +250,57 @@ def natural_correspondence(
 # ---------------------------------------------------------------------------
 
 
+def _sample_pairs(
+    g1: ReebGraph, g2: ReebGraph, c: Correspondence
+) -> tuple[list[tuple[GraphPoint, GraphPoint]], int]:
+    """phi's pairs (x, phi(x)) and psi's pairs (psi(y), y), and their lattice:
+    the lcm of both graphs' scales and the denominators of every sampled point."""
+    pairs = [*c.phi.items(), *((x, y) for y, x in c.psi.items())]
+    points = chain.from_iterable(pairs)
+    return pairs, math.lcm(g1.scale, g2.scale, common_denominator(p.value for p in points))
+
+
 def distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
     """Max over sampled correspondence pairs of |d_f - d_g|, exact on samples.
 
     The pairs are phi's (x, phi(x)) and psi's (psi(y), y). Their points on
-    each graph get one `travel_distances` matrix, and the distortion is the
-    largest |D1[i][j] - D2[i][j]| over i < j. Both matrices are computed as
-    ints over one lattice, the lcm of both graphs' scales and the
-    denominators of all sampled points, so the gaps are int differences. The
-    sampling remainder (twice the resolution) is reported separately by
-    `certify_fd_upper`.
+    each graph get one `_travel_matrix` over the distinct locations, and
+    each pair becomes its (slot on g1, slot on g2). Two pairs at the same
+    two locations have the same gaps to every other pair, so the distortion
+    is the largest |D1[a][a'] - D2[b][b']| over distinct slot pairs (a, b)
+    and (a', b'), and a pair that repeats another (as psi's pair of an
+    image repeats phi's pair of its sample in a natural map) is read once.
+    Both matrices are ints over one lattice, the lcm of both graphs' scales
+    and the denominators of all sampled points, so the gaps are int
+    differences. The sampling remainder (twice the resolution) is reported
+    separately by `certify_fd_upper`.
     """
-    pairs = [(x, y) for x, y in c.phi.items()] + [(x, y) for y, x in c.psi.items()]
-    xs = tuple(x for x, _ in pairs)
-    ys = tuple(y for _, y in pairs)
-    scale = math.lcm(g1.scale, g2.scale, common_denominator(p.value for p in chain(xs, ys)))
-    d1 = _travel_matrix(g1, xs, scale)
-    d2 = _travel_matrix(g2, ys, scale)
-    worst = 0
-    for i in range(len(pairs)):
-        row1, row2 = d1[i], d2[i]
-        for j in range(i + 1, len(pairs)):
-            gap = abs(row1[j] - row2[j])
-            if gap > worst:
-                worst = gap
-    return Fraction(worst, scale)
+    pairs, scale = _sample_pairs(g1, g2, c)
+    d1, slots1 = _travel_matrix(g1, tuple(x for x, _ in pairs), scale)
+    d2, slots2 = _travel_matrix(g2, tuple(y for _, y in pairs), scale)
+    distinct = set(zip(slots1, slots2))
+    cols1 = [a for a, _ in distinct]
+    cols2 = [b for _, b in distinct]
+    # each row holds the gaps of one slot pair to every slot pair, itself
+    # included at 0; the matrices are symmetric, so the full rows read each
+    # gap twice, which costs less than slicing them
+    return Fraction(
+        max(
+            max(map(abs, map(sub, map(d1[a].__getitem__, cols1), map(d2[b].__getitem__, cols2))))
+            for a, b in distinct
+        ),
+        scale,
+    )
 
 
 def fd_upper(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
-    """max of half the distortion and the value defect of both maps, on the samples."""
-    defect = max(abs(x.value - y.value) for x, y in chain(c.phi.items(), c.psi.items()))
-    return max(distortion(g1, g2, c) / 2, defect)
+    """max of half the distortion and the value defect of both maps, on the samples.
+
+    The defect is read as ints on the distortion's lattice.
+    """
+    pairs, scale = _sample_pairs(g1, g2, c)
+    defect = max(abs(on_lattice(x.value, scale) - on_lattice(y.value, scale)) for x, y in pairs)
+    return max(distortion(g1, g2, c) / 2, Fraction(defect, scale))
 
 
 def fd_lower(g1: ReebGraph, g2: ReebGraph) -> Fraction:

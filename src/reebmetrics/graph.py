@@ -472,13 +472,20 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
         if not g.contains_point(p):
             raise ValueError(f"point {p} is not on the graph")
     scale = math.lcm(g.scale, common_denominator(p.value for p in points))
-    matrix = _travel_matrix(g, points, scale)
+    matrix, slots = _travel_matrix(g, points, scale)
     exact = {d: Fraction(d, scale) for d in set(chain.from_iterable(matrix))}
-    return [[exact[d] for d in row] for row in matrix]
+    return [[exact[matrix[i][j]] for j in slots] for i in slots]
 
 
-def _travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale: int) -> list[list[int]]:
-    """`travel_distances` times `scale`, as ints: one sweep per vertex value.
+def _travel_matrix(
+    g: ReebGraph, points: tuple[GraphPoint, ...], scale: int
+) -> tuple[list[list[int]], list[int]]:
+    """`travel_distances` times `scale`, as ints, over distinct locations.
+
+    Returns the matrix over the distinct locations of `points`, in order of
+    first appearance, and the slot of each input point in it: d_f of points
+    i and j is `matrix[slots[i]][slots[j]]`. Points at one location share a
+    slot, so the matrix is never larger than the point list's locations.
 
     Every point must be on the graph (callers check `contains_point`), and
     `scale` must be a multiple of `g.scale` and of the denominators of every
@@ -558,7 +565,7 @@ def _travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale: int) -> 
                 break  # every point of this sweep is joined
     if any(unset in row for row in dist):
         raise InvalidGraphError("points are not connected in the graph")
-    return [[dist[i][j] for j in slots] for i in slots]
+    return dist, slots
 
 
 def _keep_least(dist: list[list[int]], rows, others, span: int) -> None:

@@ -15,11 +15,16 @@ ints, and only the results they return become `Fraction`s again.
 
 A `ReebGraph` carries its own lattice, computed once on construction: its
 `scale` and each vertex's `level`, which its edge orientation, degrees,
-validation, canonicalization and level isomorphism compare. A computation
-that also reads values the graph does not hold (sample points, merge bands)
-takes the lcm of `g.scale` and the denominators of those extra values only,
-and lifts each level by `scale // g.scale`. Diagram points and bottleneck
-candidates are not a graph's values and get their own lattice.
+validation, canonicalization and level isomorphism compare. A sample net
+and the natural map of a correspondence build each sample value and its
+image from levels, with one `Fraction` normalisation per point. A
+computation that also reads values the graph does not hold (sample points,
+merge bands) takes the lcm of `g.scale` and the denominators of those extra
+values only, and lifts each level by `scale // g.scale`: the travel-distance
+sweep, and the distortion and value defect of a sampled certificate, which
+read both graphs' sweeps and every sample on one such lattice. Diagram
+points and bottleneck candidates are not a graph's values and get their own
+lattice.
 """
 
 from __future__ import annotations

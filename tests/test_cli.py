@@ -461,7 +461,9 @@ def test_fdbound_collapse_picks_the_side_by_shape(runner, tmp_path):
         for args in ([loop, seg], [seg, loop])
     ]
     assert [r.exit_code for r in outputs] == [0, 0]
-    assert outputs[0].output == outputs[1].output
+    # the cycle's two parallel arcs collapse onto the one arc of the segment
+    cycle_onto_segment = "lower 0.75\nupper 1.5 (collapse)\ngap 0.75\nremainder 0.75\n"
+    assert [r.output for r in outputs] == [cycle_onto_segment] * 2
 
 
 # ---------------------------------------------------------------------------

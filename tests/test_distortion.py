@@ -26,6 +26,7 @@ from reebmetrics import (
     y_graph,
 )
 from reebmetrics.distortion import default_resolution
+from value_reference import coprime_cases
 
 
 def reference_distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> F:
@@ -64,6 +65,46 @@ def test_sample_net_contains_vertices_and_respects_resolution():
         lo, hi = y.edge_values(idx)
         ordered = [lo] + sorted(values) + [hi]
         assert all(b - a <= F(1, 2) for a, b in zip(ordered, ordered[1:]))
+
+
+def reference_sample_net(g: ReebGraph, resolution=None) -> tuple[GraphPoint, ...]:
+    """The sample net before it moved onto the graph's lattice: each value
+    built from the edge's `Fraction` values, lo + span·k/pieces."""
+    h = F(resolution) if resolution is not None else default_resolution(g)
+    if h <= 0:
+        raise ValueError("resolution must be positive")
+    points = [g.vertex_point(v) for v in g.vertex_ids]
+    for idx in range(len(g.edges)):
+        lo, hi = g.edge_values(idx)
+        span = hi - lo
+        pieces = int(-(-span // h))  # ceil(span / h)
+        for k in range(1, pieces):
+            points.append(GraphPoint(lo + span * F(k, pieces), edge=idx))
+    return tuple(points)
+
+
+def test_sample_net_matches_fraction_reference():
+    # point for point and in order: seeded graphs at the default resolution
+    # and at fractions of their span; graphs on pairwise coprime denominators
+    # and their subdivisions at thirds, whose scales run to dozens of digits;
+    # dyadic graphs at 1/3, which puts samples on thirds no vertex value has,
+    # and at 7/19, which divides none of their edge spans
+    rng = random.Random(6160)
+    cases = []
+    for _ in range(20):
+        g = random_graph(rng, n_critical=rng.randint(3, 9))
+        cases += [(g, None), (g, g.span() / rng.randint(3, 30))]
+    for g, thirds in coprime_cases(6161, 3):
+        cases += [(g, g.span() / 41), (thirds, thirds.span() / 53)]
+    off_grid = 0
+    for _ in range(12):
+        g = dyadic(random_graph(rng, n_critical=rng.randint(3, 8)), rng)
+        cases += [(g, F(1, 3)), (g, F(7, 19))]
+        spans = [hi - lo for lo, hi in map(g.edge_values, range(len(g.edges)))]
+        off_grid += all(span % F(7, 19) for span in spans)
+    assert off_grid == 12
+    for g, resolution in cases:
+        assert sample_net(g, resolution) == reference_sample_net(g, resolution)
 
 
 def test_default_resolution_is_an_eighth_of_the_gap():
@@ -151,6 +192,11 @@ def test_correspondence_must_map_its_whole_sample_nets():
     for resolution in (F(-1, 100), F(0)):
         with pytest.raises(ValueError, match="resolution must be positive"):
             Correspondence(y, seg, c.phi, c.psi, resolution)
+        for build in (natural_correspondence, reference_natural_correspondence):
+            with pytest.raises(ValueError, match="resolution must be positive"):
+                build(y, y, {v: v for v in y.vertex_ids}, resolution)
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            sample_net(ReebGraph([("pt", 1)]), resolution)
 
 
 def test_fd_lower_examples():
@@ -267,11 +313,21 @@ def test_correspondence_json_round_trip():
     assert fd_upper(y, seg, back) == fd_upper(y, seg, c)
 
 
+def reference_defect(c: Correspondence) -> F:
+    """The value defect of both maps, subtracted as fractions."""
+    return max(abs(x.value - y.value) for x, y in chain(c.phi.items(), c.psi.items()))
+
+
 def test_distortion_matches_fraction_reference():
     # resolution 1/3 on dyadic graphs puts sample points on thirds, which no
-    # vertex value has: the common lattice must cover the samples too
+    # vertex value has: the common lattice must cover the samples too. The
+    # natural map of a jittered copy repeats every phi pair among psi's when
+    # each arc keeps its number of samples, and `distortion` reads each such
+    # pair once; a projection onto a segment wider than the graph's range
+    # repeats none. A map pair whose psi sends every sample to the lowest
+    # vertex has its whole distortion and defect on psi's side
     rng = random.Random(5150)
-    checked = 0
+    checked = all_repeat = 0
     for trial in range(8):
         g = random_graph(rng, n_critical=rng.randint(4, 6))
         if trial % 2:
@@ -282,14 +338,33 @@ def test_distortion_matches_fraction_reference():
         )
         ident = {v: v for v in g.vertex_ids}
         seg = segment(g.min_value(), g.max_value())
+        wide = segment(g.min_value() - F(1, 5), g.max_value() + F(1, 7))
         for resolution in (F(1, 3), g.span() / 7):
-            for c, other in (
-                (natural_correspondence(g, jitter, ident, resolution), jitter),
+            natural = natural_correspondence(g, jitter, ident, resolution)
+            net = sample_net(g, resolution)
+            bottom = g.vertex_point(min(g.vertex_ids, key=g.value))
+            lopsided = Correspondence(
+                g, g, {p: p for p in net}, {p: bottom for p in net}, resolution
+            )
+            cases = (
+                (natural, jitter),
                 (projection_correspondence(g, seg, resolution), seg),
-            ):
-                assert distortion(g, other, c) == reference_distortion(g, other, c), trial
+                (projection_correspondence(g, wide, resolution), wide),
+                (lopsided, g),
+            )
+            for c, other in cases:
+                phi_pairs = set(c.phi.items())
+                repeats = sum((x, y) in phi_pairs for y, x in c.psi.items())
+                if other is wide:
+                    assert repeats == 0, trial
+                all_repeat += c is natural and repeats == len(c.psi) == len(c.phi)
+                want = reference_distortion(g, other, c)
+                assert distortion(g, other, c) == want, trial
+                assert fd_upper(g, other, c) == max(want / 2, reference_defect(c)), trial
                 checked += 1
-    assert checked == 32
+            assert fd_upper(g, g, lopsided) == g.span()
+    assert checked == 64
+    assert all_repeat >= 8
 
 
 def test_default_resolution_certificate_is_pinned():
@@ -341,7 +416,7 @@ def reference_natural_correspondence(g1, g2, vertex_map, resolution=None):
 
     def transport(src, dst, vmap, emap):
         out = {}
-        for p in sample_net(src, h):
+        for p in reference_sample_net(src, h):
             if p.vertex is not None:
                 out[p] = dst.vertex_point(vmap[p.vertex])
                 continue
@@ -378,9 +453,14 @@ def test_natural_correspondence_matches_two_pass_reference():
     theta = ReebGraph([("a", 0), ("b", 1), ("c", 2)], [("a", "b")] * 3 + [("b", "c")])
     graphs = [cycle(), theta, y_graph()]
     graphs += [random_graph(rng, n_critical=rng.randint(3, 7)) for _ in range(12)]
+    # dyadic copies, sampled at 1/3 as well: their samples and images land
+    # on thirds, off both graphs' lattices
+    dyadic_rng = random.Random(4343)
+    thirds = [dyadic(g, dyadic_rng) for g in graphs[3:9]]
     jitter_rng = random.Random(4242)
-    checked = flipped = 0
-    for g in graphs:
+    checked = flipped = at_thirds = 0
+    third = (F(1, 3),)
+    for g, extra in [(g, ()) for g in graphs] + [(g, third) for g in thirds]:
         # the identity onto a copy with fresh distinct values: every edge
         # whose ends change order runs the other way in the copy
         levels = jitter_rng.sample(range(1, 8 * len(g.vertex_ids)), len(g.vertex_ids))
@@ -392,14 +472,30 @@ def test_natural_correspondence_matches_two_pass_reference():
             pairs.append((h, structure_isomorphisms(g, h, limit=4)))
         for h, sigmas in pairs:
             for sigma in sigmas:
-                for resolution in (None, g.span() / 5):
+                for resolution in (None, g.span() / 5, *extra):
                     got = natural_correspondence(g, h, sigma, resolution)
                     want = reference_natural_correspondence(g, h, sigma, resolution)
-                    assert got.phi == want.phi and got.psi == want.psi
+                    assert list(got.phi.items()) == list(want.phi.items())
+                    assert list(got.psi.items()) == list(want.psi.items())
                     assert got.resolution == want.resolution
                     checked += 1
+                    at_thirds += resolution in extra
     assert checked >= 120
+    assert at_thirds >= 30
     assert flipped >= 20
+
+
+def test_natural_map_onto_a_level_edge_matches_reference():
+    # a graph with a level edge is not canonical, but it is a ReebGraph: an
+    # edge sample mapped onto that edge lands on the edge's lower end
+    seg = segment(0, 1)
+    flat = ReebGraph([("bot", 0), ("top", 0)], [("bot", "top")])
+    ident = {"bot": "bot", "top": "top"}
+    got = natural_correspondence(seg, flat, ident, F(1, 4))
+    want = reference_natural_correspondence(seg, flat, ident, F(1, 4))
+    assert list(got.phi.items()) == list(want.phi.items())
+    assert list(got.psi.items()) == list(want.psi.items())
+    assert set(got.phi.values()) == {flat.vertex_point("bot"), flat.vertex_point("top")}
 
 
 def test_natural_correspondence_errors_match_reference():

@@ -596,10 +596,17 @@ def reference_travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale:
 
 
 def assert_matrix_matches_reference(g: ReebGraph, points) -> None:
-    """`_travel_matrix` and `reference_travel_matrix` agree entry for entry."""
+    """`_travel_matrix`, expanded from its distinct locations to every input
+    point, and `reference_travel_matrix` agree entry for entry; points at one
+    location share a slot, and no location has two."""
     points = tuple(points)
     scale = common_denominator(chain(g._values.values(), (p.value for p in points)))
-    assert _travel_matrix(g, points, scale) == reference_travel_matrix(g, points, scale)
+    matrix, slots = _travel_matrix(g, points, scale)
+    locations = [p.location_key() for p in points]
+    assert len(set(zip(locations, slots))) == len(set(locations)) == len(matrix)
+    assert set(slots) == set(range(len(matrix)))
+    expanded = [[matrix[i][j] for j in slots] for i in slots]
+    assert expanded == reference_travel_matrix(g, points, scale)
 
 
 def shuffled_with_repeats(rng: random.Random, points) -> list[GraphPoint]:
