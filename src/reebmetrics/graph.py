@@ -448,21 +448,31 @@ def travel_distances(g: ReebGraph, points: Iterable[GraphPoint]) -> list[list[Fr
     the preimage of [lo, hi] (Bauer-Ge-Wang): the least value span of a path
     joining them. Each arc is subdivided at the given edge-interior points,
     which leaves d_f unchanged and makes every point a node (equal locations
-    share one). One sweep per distinct vertex value v covers every window
-    floor lo in (u, v], where u is the next lower vertex value. The nodes
-    valued in (u, v) lie inside arcs whose lower ends are at most u, so each
-    arc piece below lo hangs from its part above lo and joins nothing: the
-    sweep that adds every node valued above u, in increasing value order,
-    joins a pair x, y at the same value t as the window with any such floor
-    lo <= min(f(x), f(y)), and the best of those floors is
-    min(v, f(x), f(y)). So when two components meet at t, each pair across
-    them gets span t - min(v, f(x), f(y)), each entry keeps its least span
-    over all sweeps, and a sweep stops once its points are all joined. A pair
-    joins at most once per sweep, so the cost is O(L (V' alpha + P^2)) for L
-    distinct vertex values, V' nodes and P distinct points. Exact: node
-    values are swept as ints over the lcm of the graph's scale and the
-    points' denominators, every span is a difference of two of them, and the
-    entries become `Fraction`s only on return.
+    share one).
+
+    A simple path bottoms out at one of its ends or at a turn vertex: a
+    vertex with at least two incident arcs that do not go down from it (a
+    level edge counts at both of its ends, and parallel arcs count one
+    each). If it does not bottom out at an end, it comes from above where it
+    first reaches its lowest value, so that point is a vertex, and the path
+    enters and leaves it by two distinct such arcs. The sweep floors are the
+    distinct turn values and the top vertex value. The sweep of floor v
+    adds, in increasing value order, every node above the previous floor u
+    (the first sweep adds every node), and when two components meet at t,
+    each pair across them gets span t - min(v, f(x), f(y)). That is never
+    below d_f: a path joining them in the sweep has values in (u, t], and no
+    turn value lies in (u, v), so its lowest value is at least
+    min(v, f(x), f(y)). And some sweep records d_f: a least-span path that
+    bottoms out at a turn vertex joins its ends in the sweep of that
+    vertex's value, and one that bottoms out at an end x in the sweep whose
+    (u, v] holds f(x). Each entry keeps its least span over all sweeps, and
+    a sweep stops once its points are all joined. A pair joins at most once
+    per sweep, so the cost is O(T (V' alpha + P^2)) for T sweeps (the
+    distinct turn values, plus one), V' nodes and P distinct points. A graph
+    with no turn vertex, such as a comb whose teeth all hang down, takes one
+    sweep. Exact: node values are swept as ints over the lcm of the graph's
+    scale and the points' denominators, every span is a difference of two of
+    them, and the entries become `Fraction`s only on return.
 
     Raises ValueError for a point not on the graph and InvalidGraphError
     when two points lie in different components.
@@ -496,7 +506,13 @@ def _travel_matrix(
     node_of = {("v", vid): i for i, vid in enumerate(g.vertex_ids)}
     lift = scale // g.scale
     value = [g.level(vid) * lift for vid in g.vertex_ids]
-    floors = sorted(set(value))  # the distinct vertex values
+    # the floors: the turn values and the top value; a turn vertex has two
+    # arcs that do not go down from it (edges run from their lower end, and
+    # a level edge counts at both ends)
+    rising = Counter(u for u, _ in g.edges)
+    rising.update(v for u, v in g.edges if g.level(u) == g.level(v))
+    turns = {g.level(vid) * lift for vid, arcs in rising.items() if arcs >= 2}
+    floors = sorted(turns | {max(value)})
     inside: dict[int, list[int]] = {}  # edge index -> its interior nodes
     column: dict[int, int] = {}  # point node -> its row in the distinct matrix
     slots = []
@@ -525,11 +541,12 @@ def _travel_matrix(
         row_value[k] = value[node]
     order = sorted(range(len(value)), key=value.__getitem__)
     ranked = [value[node] for node in order]
-    # below: the next lower vertex value; no node lies under the lowest one
-    for below, floor in zip([floors[0] - 1, *floors], floors):
+    # below: the previous floor; the first sweep adds every node
+    for below, floor in zip([ranked[0] - 1, *floors], floors):
         pending = sum(f > below for f in row_value) - 1  # joins to come
         if pending < 1:
             break  # no pair left above this floor, nor above higher ones
+        low = [f if f < floor else floor for f in row_value]  # min(floor, f)
         sets = UnionFind()
         # root -> rows of its points at or above the floor, and below it
         members: dict[int, tuple[list[int], list[int]]] = {}
@@ -545,16 +562,23 @@ def _travel_matrix(
                     continue
                 (over_a, hung_a), (over_b, hung_b) = members.pop(a), members[b]
                 if (over_a or hung_a) and (over_b or hung_b):
-                    # a pair's best floor is min(floor, f(x), f(y)): the
-                    # rows hanging below the floor span from their own value
+                    # a pair joined at t spans t - min(low(x), low(y)), which
+                    # against a row at or above the floor is t - low(x)
                     t = value[node]
-                    _keep_least(dist, over_a, over_b, t - floor)
+                    for joined, over in ((chain(over_a, hung_a), over_b), (hung_b, over_a)):
+                        for i in joined:
+                            row, span = dist[i], t - low[i]
+                            for j in over:
+                                if span < row[j]:
+                                    row[j] = dist[j][i] = span
+                    # two hanging rows span the larger of their two spans to
+                    # t; each span is one int, shared by the entries it fills
+                    spans = [(j, t - low[j]) for j in hung_b] if hung_a else ()
                     for i in hung_a:
-                        _keep_least(dist, (i,), over_b, t - row_value[i])
-                    for i in chain(over_a, hung_a):
-                        row, low = dist[i], min(floor, row_value[i])
-                        for j in hung_b:
-                            span = t - min(low, row_value[j])
+                        row, own = dist[i], t - low[i]
+                        for j, span in spans:
+                            if own > span:
+                                span = own
                             if span < row[j]:
                                 row[j] = dist[j][i] = span
                     pending -= 1
@@ -566,15 +590,6 @@ def _travel_matrix(
     if any(unset in row for row in dist):
         raise InvalidGraphError("points are not connected in the graph")
     return dist, slots
-
-
-def _keep_least(dist: list[list[int]], rows, others, span: int) -> None:
-    """Lower to `span` each entry of `dist` between `rows` and `others` above it."""
-    for i in rows:
-        row = dist[i]
-        for j in others:
-            if span < row[j]:
-                row[j] = dist[j][i] = span
 
 
 def travel_distance(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> Fraction:

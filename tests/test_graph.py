@@ -1,7 +1,7 @@
 import math
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction as F
 from itertools import chain
 
@@ -29,6 +29,7 @@ from reebmetrics import (
     validate,
     y_graph,
 )
+from reebmetrics import graph as graph_module
 from reebmetrics.generators import _sample_values
 from reebmetrics.graph import UnionFind, ValidationReport, _travel_matrix
 from reebmetrics.persistence import extended_diagram, reduce_extended_filtration
@@ -672,6 +673,100 @@ def test_travel_matrix_matches_reference_on_tied_combs_and_ladders():
         net = sample_net(g, F(rng.randint(1, 4), 2))
         assert_matrix_matches_reference(g, shuffled_with_repeats(rng, net))
     assert tied >= 30
+
+
+def turn_vertices(g: ReebGraph) -> set[str]:
+    """Vertices with at least two incident arcs whose other end is not lower;
+    a level arc counts at both of its ends, and parallel arcs count one each."""
+    rising: Counter = Counter()
+    for u, v in g.edges:
+        rising[u] += g.value(v) >= g.value(u)
+        rising[v] += g.value(u) >= g.value(v)
+    return {vid for vid, arcs in rising.items() if arcs >= 2}
+
+
+def level_arc_parts(rng: random.Random, n: int):
+    """n vertices on a coarse grid, so that values tie: a random tree, a few
+    more arcs and a few parallel copies; arcs whose ends tie are level."""
+    vertices = [(f"w{i}", F(rng.randint(0, 8), 2)) for i in range(n)]
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3)) if n > 1]
+    pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 2)) if pairs]
+    return vertices, [(f"w{a}", f"w{b}") for a, b in pairs]
+
+
+def points_on_turns_and_arcs(rng: random.Random, g: ReebGraph) -> list[GraphPoint]:
+    """Every turn vertex, a few other vertices, and points inside arcs: on
+    level arcs, at other vertices' values and at eighths of a span."""
+    points = [g.vertex_point(v) for v in sorted(turn_vertices(g))]
+    points += [g.vertex_point(rng.choice(g.vertex_ids)) for _ in range(rng.randint(0, 3))]
+    values = sorted({g.value(v) for v in g.vertex_ids})
+    for idx in rng.sample(range(len(g.edges)), min(len(g.edges), rng.randint(1, 8))):
+        lo, hi = g.edge_values(idx)
+        inner = [value for value in values if lo < value < hi]
+        if lo == hi:
+            points.append(GraphPoint(value=lo, edge=idx))
+        elif inner and rng.random() < 0.5:
+            points.append(g.edge_point(idx, rng.choice(inner)))
+        else:
+            points.append(g.edge_point(idx, lo + (hi - lo) * F(rng.randint(1, 7), 8)))
+    return points
+
+
+def test_travel_matrix_matches_reference_on_level_arcs_and_turn_vertices():
+    # non-canonical graphs with level arcs, parallel arcs and pass-through
+    # vertices, and points on every turn vertex: a path can bottom out at a
+    # vertex whose second arc that does not go down is level, so a rule that
+    # counts strictly rising arcs alone misses sweeps these graphs need
+    rng = random.Random(7777)
+    level_turns = 0
+    for _ in range(200):
+        vertices, edges = level_arc_parts(rng, rng.randint(2, 9))
+        g = ReebGraph(*subdivided_parts(rng, vertices, edges, max_chain=rng.randint(0, 2)))
+        level_turns += any(g.up_degree(v) < 2 for v in turn_vertices(g))
+        points = points_on_turns_and_arcs(rng, g)
+        assert_matrix_matches_reference(g, shuffled_with_repeats(rng, points))
+    assert level_turns >= 50
+
+
+def merge_tree_parts(rng: random.Random, forks: int):
+    """A tree hanging from its top vertex r: each new vertex sits below one
+    already placed and joins it, so every fork merges downward."""
+    vertices = [("r", F(64))]
+    edges = []
+    for i in range(forks):
+        parent, value = rng.choice(vertices)
+        vertices.append((f"m{i}", value - F(rng.randint(1, 12), 4)))
+        edges.append((f"m{i}", parent))
+    return vertices, edges
+
+
+def test_travel_matrix_takes_one_sweep_without_turn_vertices(monkeypatch):
+    # with no turn vertex every simple path bottoms out at one of its ends,
+    # so the sweep from the top vertex value alone serves every pair
+    sweeps = []
+
+    class CountedUnionFind(UnionFind):
+        def __init__(self) -> None:
+            super().__init__()
+            sweeps.append(self)
+
+    monkeypatch.setattr(graph_module, "UnionFind", CountedUnionFind)
+    rng = random.Random(8888)
+    for case in range(24):
+        if case % 2:
+            g = ReebGraph(*comb_parts(rng, rng.randint(1, 7), up_share=0))
+        else:
+            g = ReebGraph(*merge_tree_parts(rng, rng.randint(1, 9)))
+        assert not turn_vertices(g)
+        points = shuffled_with_repeats(rng, sample_net(g, F(rng.randint(2, 6), 4)))
+        sweeps.clear()
+        assert_matrix_matches_reference(g, points)
+        assert len(sweeps) == 1
+        d = travel_distances(g, points)
+        for _ in range(10):
+            i, j = rng.randrange(len(points)), rng.randrange(len(points))
+            assert d[i][j] == brute_force_travel(g, points[i], points[j])
 
 
 def test_travel_segment_interior_points():
