@@ -156,7 +156,7 @@ def simplify_cmd(path: str, alpha: str, output: Optional[str]) -> None:
     click.echo(f"# distortion certificate {format_value(result.certificate)}")
     click.echo("# diagram delta")
     click.echo(_diagram_delta(extended_diagram(g), extended_diagram(result.graph)))
-    cert = certify_fd_upper(g, result.graph, "simplification moves", result.certificate)
+    cert = certify_fd_upper(g, result.graph, result.certificate)
     click.echo(f"lower {format_value(cert.lower)}")
     click.echo(f"upper {format_value(cert.upper)} (simplification moves)")
     click.echo(f"gap {format_value(cert.upper - cert.lower)}")
@@ -219,7 +219,7 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
     source = witness
     if witness == "natural":
         upper, source = _intrinsic_bound(g1, g2)
-        cert = certify_fd_upper(g1, g2, source, upper)
+        cert = certify_fd_upper(g1, g2, upper)
     elif witness == "collapse":
         if _segment_or_point(g2):
             cert = certify_fd_upper(g1, g2, projection_correspondence(g1, g2))
@@ -277,7 +277,7 @@ def pathlen_cmd(manifest: str, metric: str) -> None:
         raise click.ClickException("manifest needs at least two steps")
 
     certs = [
-        certify_fd_upper(a, b, "manifest step", _intrinsic_bound(a, b)[0])
+        certify_fd_upper(a, b, _intrinsic_bound(a, b)[0])
         for (_, a), (_, b) in zip(steps, steps[1:])
     ]
     path = GraphPath(tuple(steps), tuple(certs))
@@ -293,7 +293,7 @@ def pathlen_cmd(manifest: str, metric: str) -> None:
 def intrinsic_cmd(file_a: str, file_b: str) -> None:
     """Certified bounds on the intrinsic distortion metric (at least d_FD)."""
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
-    cert = certify_fd_upper(g1, g2, "intrinsic path", _intrinsic_bound(g1, g2)[0])
+    cert = certify_fd_upper(g1, g2, _intrinsic_bound(g1, g2)[0])
     click.echo(f"lower {format_value(cert.lower)}")
     click.echo(f"upper bound {format_value(cert.upper)}")
     click.echo(f"gap {format_value(cert.upper - cert.lower)}")

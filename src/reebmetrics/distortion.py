@@ -3,12 +3,13 @@
 The functional distortion distance itself has no known exact algorithm; all
 outputs here are certified intervals. Lower bounds come from half the
 bottleneck distance; upper bounds come from evaluating the distortion
-functional on an explicit pair of maps (a correspondence) or from analytic
-witnesses such as value reassignments on a fixed graph.
+functional on an explicit pair of maps (a correspondence) or from exact
+analytic bounds such as value reassignments on a fixed graph.
 
-A correspondence checks its points when it is built. One vertex-map rule,
-`_edge_map`, serves the natural correspondence and the value shift. The
-projection witness collapses a graph onto a segment or onto a point.
+A correspondence checks its points when it is built, and certifies only
+its own two graphs. One vertex-map rule, `_edge_map`, serves the natural
+correspondence and the value shift. The projection witness collapses a
+graph onto a segment or onto a point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import sub
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .bottleneck import graph_bottleneck
 from .graph import (
@@ -145,30 +146,17 @@ def projection_correspondence(
 ) -> Correspondence:
     """Collapse g onto a segment or a point; include the target back.
 
-    phi sends a point of g to the target's point at the same value, clamped
-    to the target's range; psi follows a monotone spine of g. Used as the
-    constructive witness when comparing a graph with its fully simplified
-    trunk.
+    Both maps send a sample to the point at its value, clamped to the other
+    graph's range, on a monotone spine of that graph; the target is its own
+    spine. Used as the constructive witness when comparing a graph with its
+    fully simplified trunk.
     """
-    if len(seg.vertex_ids) == 1:
-        seg_point: Callable[[Fraction], GraphPoint] = lambda _v: seg.vertex_point(
-            seg.vertex_ids[0]
-        )
-    else:
-        if len(seg.edges) != 1:
-            raise ValueError("projection target must be a segment or a point")
-
-        def seg_point(v: Fraction) -> GraphPoint:
-            lo, hi = seg.edge_values(0)
-            return seg.edge_point(0, max(lo, min(hi, v)))
-
+    if len(seg.vertex_ids) != 1 and len(seg.edges) != 1:
+        raise ValueError("projection target must be a segment or a point")
     h1 = to_fraction(resolution) if resolution is not None else default_resolution(g)
-    spine = _monotone_spine(g)
-    phi = {p: seg_point(p.value) for p in sample_net(g, h1)}
-    psi = {
-        q: _point_on_spine(g, spine, q.value)
-        for q in sample_net(seg, h1)
-    }
+    seg_spine, spine = _monotone_spine(seg), _monotone_spine(g)
+    phi = {p: _point_on_spine(seg, seg_spine, p.value) for p in sample_net(g, h1)}
+    psi = {q: _point_on_spine(g, spine, q.value) for q in sample_net(seg, h1)}
     return Correspondence(g, seg, phi, psi, h1)
 
 
@@ -254,7 +242,14 @@ def _sample_pairs(
     g1: ReebGraph, g2: ReebGraph, c: Correspondence
 ) -> tuple[list[tuple[GraphPoint, GraphPoint]], int]:
     """phi's pairs (x, phi(x)) and psi's pairs (psi(y), y), and their lattice:
-    the lcm of both graphs' scales and the denominators of every sampled point."""
+    the lcm of both graphs' scales and the denominators of every sampled point.
+
+    A correspondence between other graphs than g1 and g2 is a ValueError;
+    its edge points name edges by index, so the edge order must agree too.
+    """
+    for mine, given in ((c.g1, g1), (c.g2, g2)):
+        if not (mine is given or (mine == given and mine.edges == given.edges)):
+            raise ValueError("the correspondence maps between other graphs")
     pairs = [*c.phi.items(), *((x, y) for y, x in c.psi.items())]
     points = chain.from_iterable(pairs)
     return pairs, math.lcm(g1.scale, g2.scale, common_denominator(p.value for p in points))
@@ -314,7 +309,6 @@ class FDBoundCertificate:
 
     lower: Fraction
     upper: Fraction
-    upper_witness: Union[Correspondence, str]
     remainder: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
@@ -325,31 +319,21 @@ class FDBoundCertificate:
 
 
 def certify_fd_upper(
-    g1: ReebGraph,
-    g2: ReebGraph,
-    witness: Union[Correspondence, str],
-    upper: Optional[ValueLike] = None,
+    g1: ReebGraph, g2: ReebGraph, witness: Union[Correspondence, ValueLike]
 ) -> FDBoundCertificate:
-    """Build a certificate from a correspondence or a stated analytic bound.
+    """Build a certificate from a correspondence or an exact upper bound.
 
-    A correspondence always adds its sampling remainder, twice its
-    resolution, to the upper bound; analytic witnesses (operator moves,
-    value shifts) add none.
+    A correspondence adds its sampling remainder, twice its resolution, to
+    its sampled upper bound; a bound (an operator move, a value shift) is
+    the upper end itself, with no remainder.
     """
     if isinstance(witness, Correspondence):
         remainder = 2 * witness.resolution
-        upper_total = fd_upper(g1, g2, witness) + remainder
+        upper = fd_upper(g1, g2, witness) + remainder
     else:
-        if upper is None:
-            raise ValueError("an analytic witness needs an explicit bound")
-        upper_total = to_fraction(upper)
         remainder = Fraction(0)
-    return FDBoundCertificate(
-        lower=fd_lower(g1, g2),
-        upper=upper_total,
-        upper_witness=witness,
-        remainder=remainder,
-    )
+        upper = to_fraction(witness)
+    return FDBoundCertificate(fd_lower(g1, g2), upper, remainder)
 
 
 def value_shift_upper(g1: ReebGraph, g2: ReebGraph, vertex_map: dict[str, str]) -> Fraction:

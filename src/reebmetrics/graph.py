@@ -231,6 +231,8 @@ class ReebGraph:
         return GraphPoint(value=self._values[vid], vertex=vid)
 
     def edge_point(self, index: int, value: ValueLike) -> GraphPoint:
+        if not 0 <= index < len(self.edges):
+            raise ValueError(f"no edge {index}: the graph has {len(self.edges)} edges")
         lo, hi = self.edge_values(index)
         val = to_fraction(value)
         if not (lo <= val <= hi):

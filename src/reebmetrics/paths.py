@@ -6,11 +6,11 @@ distortion distance. The path's two lengths are read from those intervals:
 the summed upper bounds in the distortion metric, and the summed bottleneck
 distances (twice each lower bound) in the bottleneck metric.
 
-Every built-in path is a list of stages, each a graph with the witness and
-analytic upper bound of the step into it, and every certificate comes from
-`certify_fd_upper`. `_contraction_stages` alone decides how a graph
-contracts to a point, and `contraction_path` certifies its stages. The join
-of two graphs is one stage list, `_join_stages`: the first graph's
+Every built-in path is a list of stages, each a graph and the analytic
+upper bound of the step into it, and every certificate comes from
+`certify_fd_upper` on that bound. `_contraction_stages` alone decides how a
+graph contracts to a point, and `contraction_path` certifies its stages.
+The join of two graphs is one stage list, `_join_stages`: the first graph's
 contraction, a shift between the two end points, and the second graph's
 contraction walked backwards. `join_via_contractions` certifies that list.
 The intrinsic bound, `_intrinsic_bound`, is the best structure shift when
@@ -89,18 +89,15 @@ def path_length(p: GraphPath, metric: str = "bottleneck") -> PathLengthResult:
 # built-in path families
 # ---------------------------------------------------------------------------
 
-# A stage is a graph a path visits, with the witness and analytic upper
-# bound of the step into it.
-_Stage = tuple[ReebGraph, str, Fraction]
+# A stage is a graph a path visits, with the analytic upper bound of the
+# step into it.
+_Stage = tuple[ReebGraph, Fraction]
 
 
 def _stage_path(g: ReebGraph, stages: Sequence[_Stage]) -> GraphPath:
     """From g through the stages at uniform times, one certificate a step."""
-    graphs = [g, *(h for h, _, _ in stages)]
-    certs = tuple(
-        certify_fd_upper(a, b, witness, upper)
-        for a, (b, witness, upper) in zip(graphs, stages)
-    )
+    graphs = [g, *(h for h, _ in stages)]
+    certs = tuple(certify_fd_upper(a, b, upper) for a, (b, upper) in zip(graphs, stages))
     n = len(stages)
     return GraphPath(tuple((Fraction(k, n), h) for k, h in enumerate(graphs)), certs)
 
@@ -119,7 +116,7 @@ def _interpolation(g: ReebGraph, target: dict[str, Fraction], n: int) -> list[_S
                     f"interpolation step {k}/{n} breaks monotonicity: edge joins"
                     f" two vertices at value {format_value(step.value(u))}"
                 )
-        stages.append((step, "identity maps on a fixed graph", per_step))
+        stages.append((step, per_step))
     return stages[1:]
 
 
@@ -150,9 +147,9 @@ def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
 
     Feature scales are cleared in ascending order of diagonal distance, each
     clearing bounded by its move certificate. The remaining trunk shrinks
-    toward its midpoint in n linear steps, and the final short segment
-    collapses to that midpoint, a single vertex standing in for the empty
-    graph.
+    toward its midpoint in n linear steps, each bounded by its per-step
+    sup-norm, and the final short segment collapses to that midpoint, a
+    single vertex standing in for the empty graph, bounded by half its span.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -162,8 +159,7 @@ def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
         cleared, moves = clear_features(graph, scale)
         if cleared == graph:
             return graph
-        witness = f"feature clearing at alpha={format_value(scale)}"
-        stages.append((cleared, witness, move_certificate(moves)))
+        stages.append((cleared, move_certificate(moves)))
         return cleared
 
     current = g
@@ -196,15 +192,14 @@ def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
     mid = (current.min_value() + current.max_value()) / 2
     terminal = ReebGraph([("pt", mid)], name="point")
     if current != terminal:
-        witness = "collapse of a short segment to its midpoint"
-        stages.append((terminal, witness, current.span() / 2))
+        stages.append((terminal, current.span() / 2))
     return stages
 
 
 def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
     """Deform g to a point through its certified contraction stages; a graph
     that is already the terminal point stays put for one [0, 0] step."""
-    return _stage_path(g, _contraction_stages(g, n) or [(g, "constant", Fraction(0))])
+    return _stage_path(g, _contraction_stages(g, n) or [(g, Fraction(0))])
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +210,14 @@ def contraction_path(g: ReebGraph, n: int = 4) -> GraphPath:
 def _join_stages(g1: ReebGraph, g2: ReebGraph, n: int) -> list[_Stage]:
     """g1's contraction stages, the shift between the two end points, then
     g2's stages walked backwards: each backward stage is the graph before
-    it, with the same witness and bound."""
+    it, with the same bound."""
     down = _contraction_stages(g1, n)
     up = _contraction_stages(g2, n)
     end1 = down[-1][0] if down else g1
     end2 = up[-1][0] if up else g2
-    bridge = (end2, "point-to-point shift", abs(end1.min_value() - end2.min_value()))
-    before = [g2, *(h for h, _, _ in up)]
-    back = [(h, witness, upper) for h, (_, witness, upper) in zip(before, up)]
+    bridge = (end2, abs(end1.min_value() - end2.min_value()))
+    before = [g2, *(h for h, _ in up)]
+    back = [(h, upper) for h, (_, upper) in zip(before, up)]
     return [*down, bridge, *reversed(back)]
 
 
@@ -255,5 +250,5 @@ def _intrinsic_bound(g1: ReebGraph, g2: ReebGraph) -> tuple[Fraction, str]:
     shift = best_structure_shift(g1, g2)
     if shift is not None:
         return shift, "natural"
-    join = sum((upper for _, _, upper in _join_stages(g1, g2, 1)), Fraction(0))
+    join = sum((upper for _, upper in _join_stages(g1, g2, 1)), Fraction(0))
     return join, "contraction-join"

@@ -206,6 +206,22 @@ def test_pathlen_command(runner, tmp_path):
     assert "total 0.05" in result.output
 
 
+def test_pathlen_three_step_manifest_is_pinned(runner, tmp_path):
+    # Y to the segment to the cycle: the graphs share no structure, so both
+    # steps take the contraction join; the same manifest runs in CI
+    for name in ("Y", "segment", "cycle"):
+        result = runner.invoke(main, ["gen", name, "-o", str(tmp_path / f"{name}.txt")])
+        assert result.exit_code == 0, result.output
+    manifest = tmp_path / "path.txt"
+    manifest.write_text("0 Y.txt\n1/2 segment.txt\n1 cycle.txt\n")
+    for metric, want in (("db", ["0.5", "1.5", "2"]), ("fd", ["4", "4.5", "8.5"])):
+        result = runner.invoke(main, ["pathlen", str(manifest), "--metric", metric])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [
+            f"step 0: {want[0]}", f"step 1: {want[1]}", f"total {want[2]}"
+        ]
+
+
 def test_stats_command(runner, tmp_path):
     a = write(tmp_path / "y.txt", y_graph())
     result = runner.invoke(main, ["stats", a])
@@ -843,3 +859,29 @@ def test_fdbound_witness_edge_index_is_a_json_integer(runner, tmp_path, edge):
     [error] = result.output.splitlines()
     assert error.startswith("Error: bad witness file ")
     assert f"an edge index is a JSON integer, not {edge}" in error
+
+
+@pytest.mark.parametrize("edge, value", [(-1, "0"), (-1, "1/4"), (1, "0")])
+def test_fdbound_witness_edge_index_is_on_the_graph(runner, tmp_path, edge, value):
+    # Python wraps a negative index: edge -1 at value 0 once read as the
+    # segment's vertex bot and was accepted
+    from reebmetrics.distortion import projection_correspondence
+    from reebmetrics.fileio import correspondence_to_json
+
+    y, seg = y_graph(), segment()
+    a = write(tmp_path / "y.txt", y)
+    b = write(tmp_path / "seg.txt", seg)
+    payload = json.loads(
+        correspondence_to_json(projection_correspondence(y, seg, resolution=F(1, 4)))
+    )
+    pair = payload["phi"].index([{"vertex": "a"}, {"vertex": "bot"}])
+    payload["phi"][pair][1] = {"edge": edge, "value": value}
+    wf = tmp_path / "witness.json"
+    wf.write_text(json.dumps(payload))
+    args = ["fdbound", a, b, "--witness", "file", "--witness-file", str(wf)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    [error] = result.output.splitlines()
+    assert error.startswith("Error: bad witness file ")
+    assert f"no edge {edge}: the graph has 1 edges" in error

@@ -221,13 +221,74 @@ def test_value_shift_upper_bounds():
 def test_certificates_are_ordered_intervals():
     y = y_graph()
     perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})
-    cert = certify_fd_upper(
-        y, perturbed, "identity value shift", upper=value_shift_upper(y, perturbed, {v: v for v in y.vertex_ids})
-    )
+    shift = value_shift_upper(y, perturbed, {v: v for v in y.vertex_ids})
+    cert = certify_fd_upper(y, perturbed, shift)
     assert cert.lower <= cert.upper
-    assert cert.lower == F("0.025")
+    assert cert == FDBoundCertificate(F("0.025"), F("0.05"), F(0))
     with pytest.raises(ValueError):
-        FDBoundCertificate(F(1), F(0), "broken")
+        FDBoundCertificate(F(1), F(0))
+    # the witness is a correspondence or a bound; a label is neither
+    with pytest.raises(ValueError, match="not a decimal or ratio value"):
+        certify_fd_upper(y, perturbed, "identity value shift")
+
+
+def test_a_correspondence_certifies_only_its_own_graphs():
+    # a natural map onto one jittered copy once certified another copy,
+    # reading its sample points on that copy's edges; a map pair passed the
+    # wrong way round failed on an unrelated travel error
+    rng = random.Random(2525)
+    g = random_graph(rng, n_critical=6)
+    gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+    h1, h2 = (
+        g.with_values({v: g.value(v) + gap / 4 * F(rng.randint(-7, 7), 7) for v in g.vertex_ids})
+        for _ in range(2)
+    )
+    assert h1 != h2
+    c = natural_correspondence(g, h1, {v: v for v in g.vertex_ids}, g.span() / 5)
+    for call in (distortion, fd_upper, certify_fd_upper):
+        with pytest.raises(ValueError, match="other graphs"):
+            call(g, h2, c)
+    y, seg = y_graph(), segment()
+    collapse = projection_correspondence(y, seg)
+    with pytest.raises(ValueError, match="other graphs"):
+        certify_fd_upper(seg, y, collapse)
+    # an equal graph built apart is the same graph; with its edges in
+    # another order it is not, since edge points name edges by index
+    assert certify_fd_upper(y_graph(), segment(), collapse) == certify_fd_upper(y, seg, collapse)
+    reordered = ReebGraph(list(y.vertices()), y.edges[::-1])
+    assert reordered == y and reordered.edges != y.edges
+    with pytest.raises(ValueError, match="other graphs"):
+        certify_fd_upper(reordered, seg, collapse)
+
+
+def test_natural_map_costs_exactly_its_value_shift():
+    # why `reeb fdbound --witness natural` may take the value shift: along a
+    # map `_edge_map` accepts, the natural correspondence's sampled bound is
+    # the shift itself, whichever way the matched edges run. The maps are
+    # the structure isomorphisms of jittered copies and the identity onto
+    # copies with fresh values
+    rng = random.Random(7373)
+    checked = flipped = 0
+    for _ in range(25):
+        g = random_graph(rng, n_critical=rng.randint(3, 7))
+        gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+        jitter = g.with_values(
+            {v: g.value(v) + gap / 4 * F(rng.randint(-7, 7), 7) for v in g.vertex_ids}
+        )
+        levels = rng.sample(range(1, 8 * len(g.vertex_ids)), len(g.vertex_ids))
+        fresh = g.with_values({v: F(k, 4) for v, k in zip(g.vertex_ids, levels)})
+        maps = [(jitter, sigma) for sigma in structure_isomorphisms(g, jitter, limit=4)]
+        maps.append((fresh, {v: v for v in g.vertex_ids}))
+        for h, sigma in maps:
+            flipped += sum(
+                (g.value(u) < g.value(v)) != (h.value(sigma[u]) < h.value(sigma[v]))
+                for u, v in g.edges
+            )
+            c = natural_correspondence(g, h, sigma, g.span() / 6)
+            assert fd_upper(g, h, c) == value_shift_upper(g, h, sigma)
+            checked += 1
+    assert checked >= 60
+    assert flipped >= 40
 
 
 def test_sampled_certificate_carries_remainder():

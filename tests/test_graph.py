@@ -977,6 +977,14 @@ def test_edge_point_endpoints_normalize_to_vertices():
         s.edge_point(0, 4)
 
 
+def test_edge_point_takes_only_the_graphs_edge_indices():
+    # a negative index once wrapped: edge -1 of the segment read as edge 0
+    s = segment()
+    for index in (-1, -2, 1):
+        with pytest.raises(ValueError, match=f"no edge {index}: the graph has 1 edges"):
+            s.edge_point(index, 0)
+
+
 def test_graph_point_needs_exactly_one_location():
     with pytest.raises(ValueError):
         GraphPoint(value=F(1))

@@ -63,7 +63,7 @@ def point() -> ReebGraph:
 def test_contraction_of_the_terminal_point_is_one_constant_step():
     p = contraction_path(point())
     assert p.graphs == (point(), point())
-    assert p.certificates == (FDBoundCertificate(F(0), F(0), "constant"),)
+    assert p.certificates == (FDBoundCertificate(F(0), F(0)),)
     assert path_length(p, "bottleneck").total == 0
     assert path_length(p, "fd_upper").total == 0
 
@@ -340,12 +340,10 @@ def test_join_is_one_contraction_the_bridge_and_the_other_reversed():
             join = join_via_contractions(g1, g2, n)
             assert join.graphs == down.graphs + up.graphs[::-1]
             end1, end2 = down.graphs[-1], up.graphs[-1]
-            bridge = certify_fd_upper(
-                end1, end2, "point-to-point shift", abs(end1.min_value() - end2.min_value())
-            )
+            bridge = certify_fd_upper(end1, end2, abs(end1.min_value() - end2.min_value()))
             certs = [*down.certificates, bridge, *up.certificates[::-1]]
-            assert [(c.lower, c.upper, c.upper_witness) for c in join.certificates] == [
-                (c.lower, c.upper, c.upper_witness) for c in certs
+            assert [(c.lower, c.upper, c.remainder) for c in join.certificates] == [
+                (c.lower, c.upper, c.remainder) for c in certs
             ]
 
 
