@@ -87,11 +87,6 @@ from .paths import (
     linear_path,
     path_length,
 )
-from .persistence import (
-    extended_diagram,
-    ord0_unionfind,
-    reduce_extended_filtration,
-    rel1_unionfind,
-)
+from .persistence import extended_diagram, reduce_extended_filtration
 
 __all__ = [name for name in dir() if not name.startswith("_")]

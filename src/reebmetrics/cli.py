@@ -18,7 +18,7 @@ import click
 from . import __version__
 from .bottleneck import bottleneck
 from .diagram import Diagram
-from .distortion import certify_fd_upper, projection_correspondence
+from .distortion import _segment_or_point, certify_fd_upper, projection_correspondence
 from .experiments import _SUITES, EXPERIMENTS, ExperimentConfig, run_experiment
 from .fileio import (
     ParseError,
@@ -192,11 +192,6 @@ def iso_cmd(file_a: str, file_b: str) -> None:
     click.echo("isomorphic")
     for v, w in sorted(mapping.items()):
         click.echo(f"{v} -> {w}")
-
-
-def _segment_or_point(g: ReebGraph) -> bool:
-    """True for a graph of one edge or of one vertex."""
-    return len(g.edges) <= 1 and len(g.vertex_ids) == len(g.edges) + 1
 
 
 @main.command(name="fdbound")

@@ -22,13 +22,7 @@ from operator import sub
 from typing import Iterator, Optional, Union
 
 from .bottleneck import graph_bottleneck
-from .graph import (
-    GraphPoint,
-    InvalidGraphError,
-    ReebGraph,
-    _travel_matrix,
-    critical_values,
-)
+from .graph import GraphPoint, ReebGraph, _travel_matrix, critical_values
 from .isomorphism import _unordered, structure_isomorphisms
 from .rationals import ValueLike, common_denominator, format_value, on_lattice, to_fraction
 
@@ -111,11 +105,16 @@ class Correspondence:
 _Spine = list[tuple[str, Optional[int]]]
 
 
+def _segment_or_point(g: ReebGraph) -> bool:
+    """True for a graph of one edge or of one vertex: a collapse target."""
+    return len(g.edges) <= 1 and len(g.vertex_ids) == len(g.edges) + 1
+
+
 def _monotone_spine(g: ReebGraph) -> _Spine:
     """A value-monotone vertex path from a global min to a global max.
 
-    Not every connected graph has one (a bridge can force a descent); callers
-    get an InvalidGraphError in that case.
+    Not every valid graph has one (a bridge can force a descent); callers
+    get a ValueError in that case, since the graph itself is not at fault.
     """
     bottom = min(g.vertex_ids, key=lambda v: (g.value(v), v))
     target_value = g.max_value()
@@ -129,7 +128,9 @@ def _monotone_spine(g: ReebGraph) -> _Spine:
             if w not in seen and g.value(w) > g.value(v):
                 seen.add(w)
                 stack.append((w, path + [(w, idx)]))
-    raise InvalidGraphError("no ascending path from a minimum to a maximum")
+    raise ValueError(
+        "the collapse witness needs an ascending path from a minimum to a maximum"
+    )
 
 
 def _point_on_spine(g: ReebGraph, spine: _Spine, value: Fraction) -> GraphPoint:
@@ -151,7 +152,7 @@ def projection_correspondence(
     spine. Used as the constructive witness when comparing a graph with its
     fully simplified trunk.
     """
-    if len(seg.vertex_ids) != 1 and len(seg.edges) != 1:
+    if not _segment_or_point(seg):
         raise ValueError("projection target must be a segment or a point")
     h1 = to_fraction(resolution) if resolution is not None else default_resolution(g)
     seg_spine, spine = _monotone_spine(seg), _monotone_spine(g)

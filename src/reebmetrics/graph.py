@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -24,30 +24,16 @@ class InvalidGraphError(ValueError):
     """Raised when an operation requires invariants the input violates."""
 
 
-class UnionFind:
-    """Disjoint sets of hashable items, grown one `add` at a time."""
+def _find_root(parent: list[int], x: int) -> int:
+    """The root of slot x in a union-find forest over int slots.
 
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def __contains__(self, x: object) -> bool:
-        return x in self.parent
-
-    def add(self, x: object) -> None:
-        self.parent[x] = x
-
-    def find(self, x: object) -> object:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    def union(self, x: object, y: object) -> None:
-        """Link the root of x under the root of y."""
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+    A root is a slot with `parent[r] == r`; callers link two roots a and b
+    with `parent[a] = b`. The walk halves the path it takes.
+    """
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -256,23 +242,17 @@ class ReebGraph:
 
     # ---- structural helpers ----
 
-    def _component_ids(self) -> list[set[str]]:
-        seen: set[str] = set()
-        comps: list[set[str]] = []
-        for start in self._order:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for _, w in self._adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(comp)
-        return comps
+    def _component_count(self) -> int:
+        """The number of connected components: one union-find pass over the edges."""
+        index = {vid: i for i, vid in enumerate(self._order)}
+        parent = list(range(len(index)))
+        count = len(index)
+        for u, v in self.edges:
+            a, b = _find_root(parent, index[u]), _find_root(parent, index[v])
+            if a != b:
+                parent[a] = b
+                count -= 1
+        return count
 
     def with_values(self, values: dict[str, ValueLike], name: Optional[str] = None) -> "ReebGraph":
         """Same combinatorial structure with reassigned vertex values."""
@@ -329,7 +309,7 @@ def _structural_violations(g: ReebGraph) -> list[Violation]:
                     f"edge {idx} ({u}, {v})",
                 )
             )
-    components = len(g._component_ids())
+    components = g._component_count()
     if components > 1:
         violations.append(
             Violation(
@@ -549,17 +529,17 @@ def _travel_matrix(
         if pending < 1:
             break  # no pair left above this floor, nor above higher ones
         low = [f if f < floor else floor for f in row_value]  # min(floor, f)
-        sets = UnionFind()
+        parent = [-1] * len(value)  # -1: not yet added
         # root -> rows of its points at or above the floor, and below it
         members: dict[int, tuple[list[int], list[int]]] = {}
         for node in order[bisect_right(ranked, below):]:
-            sets.add(node)
+            parent[node] = node
             rows = [column[node]] if node in column else []
             members[node] = (rows, []) if value[node] >= floor else ([], rows)
             for other in adjacent[node]:
-                if other not in sets:
+                if parent[other] < 0:
                     continue
-                a, b = sets.find(node), sets.find(other)
+                a, b = _find_root(parent, node), _find_root(parent, other)
                 if a == b:
                     continue
                 (over_a, hung_a), (over_b, hung_b) = members.pop(a), members[b]
@@ -586,7 +566,7 @@ def _travel_matrix(
                     pending -= 1
                 over_b.extend(over_a)
                 hung_b.extend(hung_a)
-                sets.union(a, b)
+                parent[a] = b
             if not pending:
                 break  # every point of this sweep is joined
     if any(unset in row for row in dist):

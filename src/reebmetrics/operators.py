@@ -45,7 +45,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .diagram import EXT0, Diagram, DiagramPoint
-from .graph import CriticalValues, ReebGraph, UnionFind, canonicalize
+from .graph import CriticalValues, ReebGraph, _find_root, canonicalize
 from .persistence import extended_diagram
 from .rationals import ValueLike, common_denominator, on_lattice, to_fraction
 
@@ -93,13 +93,13 @@ def _merge_bands(
         if i >= 0 and x <= ends[i]:
             band_of[vid] = i
 
-    sets = UnionFind()
-    for vid in band_of:
-        sets.add(vid)
+    slot = {vid: k for k, vid in enumerate(band_of)}
+    parent = list(range(len(slot)))
     for u, v in g.edges:
         if u in band_of and band_of[u] == band_of.get(v):
-            sets.union(u, v)
-    root_of = {vid: sets.find(vid) for vid in band_of}
+            a, b = _find_root(parent, slot[u]), _find_root(parent, slot[v])
+            parent[a] = b
+    root_of = {vid: _find_root(parent, k) for vid, k in slot.items()}
     sizes = Counter(root_of.values())
 
     vertices = [(vid, val) for vid, val in values if vid not in band_of]

@@ -28,9 +28,8 @@ Cost: sorting the edges, two near-linear sweeps, the total length of the
 downward forest paths, and at most b1^2 column XORs of b1 bits each.
 
 `reduce_extended_filtration`, Z2 column reduction of the coned extended
-filtration, is the oracle the tests compare the sweeps against;
-`ord0_unionfind` and `rel1_unionfind` are views of the swept diagram for
-those comparisons.
+filtration, is the oracle the tests compare the sweeps against. The sweeps'
+union-find is `graph._find_root` over vertex indices.
 
 Cells at equal value are ordered by (dimension ascending, stable input
 index); the sweeps and the reduction use the same total order, so their
@@ -47,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .diagram import EXT0, EXT1, ORD0, REL1, Diagram, DiagramPoint
-from .graph import ReebGraph, require_canonical
+from .graph import ReebGraph, _find_root, require_canonical
 
 
 def _cells(g: ReebGraph) -> tuple[list[Fraction], list[int], list[tuple[int, int]]]:
@@ -175,14 +174,8 @@ def _elder_sweep(level: list[int], ends: list[tuple[int, int]]) -> _Sweep:
     loops: list[int] = []
     forest: list[int] = []
     for e in sorted(range(len(ends)), key=lambda e: (level[ends[e][1]], e)):
-        ru, rv = ends[e]
-        upper = rv  # the edge enters at its upper end's value
-        while parent[ru] != ru:
-            parent[ru] = parent[parent[ru]]  # path halving
-            ru = parent[ru]
-        while parent[rv] != rv:
-            parent[rv] = parent[parent[rv]]
-            rv = parent[rv]
+        lower, upper = ends[e]  # the edge enters at its upper end's value
+        ru, rv = _find_root(parent, lower), _find_root(parent, upper)
         if ru == rv:
             loops.append(e)
             continue
@@ -242,18 +235,6 @@ def _diagram_from_sweeps(g: ReebGraph) -> Diagram:
                 break
             col ^= kept
     return Diagram(points)
-
-
-def ord0_unionfind(g: ReebGraph) -> tuple[DiagramPoint, ...]:
-    """Degree-0 ordinary points of the upward sweep, for comparison with
-    `reduce_extended_filtration`."""
-    return _diagram_from_sweeps(g).of_kind(ORD0)
-
-
-def rel1_unionfind(g: ReebGraph) -> tuple[DiagramPoint, ...]:
-    """Rel1 points of the downward sweep, for comparison with
-    `reduce_extended_filtration`."""
-    return _diagram_from_sweeps(g).of_kind(REL1)
 
 
 def extended_diagram(g: ReebGraph) -> Diagram:

@@ -68,11 +68,17 @@ def on_lattice(value: Fraction, scale: int) -> int:
 
 
 def parse_value(text: str) -> Fraction:
-    """Parse a decimal string like '1.25' or a ratio like '5/11', nothing else."""
+    """Parse a decimal string like '1.25' or a ratio like '5/11', nothing else.
+
+    Anything else, a zero denominator included, is a ValueError.
+    """
     if isinstance(text, str):
         text = text.strip()
         if _DECIMAL_RE.match(text) or _RATIO_RE.match(text):
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in value {text!r}") from None
     raise ValueError(f"not a decimal or ratio value: {text!r}")
 
 

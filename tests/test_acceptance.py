@@ -18,7 +18,7 @@ from reebmetrics import (
     reduce_extended_filtration,
 )
 from reebmetrics.experiments import ExperimentConfig, run_experiment
-from reebmetrics.persistence import ord0_unionfind, rel1_unionfind
+from reebmetrics.persistence import _diagram_from_sweeps
 
 
 def report(line: str) -> None:
@@ -31,8 +31,9 @@ def test_criterion_1_oracle_equivalence():
     for trial in range(100):
         g = random_graph(rng, n_critical=rng.randint(4, 9))
         d = reduce_extended_filtration(g)
-        assert d.of_kind("Ord0") == ord0_unionfind(g), trial
-        assert d.of_kind("Rel1") == rel1_unionfind(g), trial
+        swept = _diagram_from_sweeps(g)
+        assert d.of_kind("Ord0") == swept.of_kind("Ord0"), trial
+        assert d.of_kind("Rel1") == swept.of_kind("Rel1"), trial
         ext0 = d.of_kind("Ext0")
         assert len(ext0) == 1
         assert (ext0[0].birth, ext0[0].death) == (g.min_value(), g.max_value())

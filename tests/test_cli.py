@@ -352,6 +352,9 @@ BAD_FILES = {
     # a JSON number is not an exact value: only strings parse
     "json number": '{"vertices": [{"id": "a", "value": 1}, {"id": "b", "value": 2}],'
     ' "edges": [["a", "b"]]}\n',
+    # a zero denominator is a bad value, in either format
+    "v b 1/0": "v b 1/0\n",
+    "json 0/0": '{"vertices": [{"id": "a", "value": "0/0"}], "edges": []}\n',
 }
 
 
@@ -411,20 +414,28 @@ def test_unreadable_file_is_a_one_line_error(runner, tmp_path, command, args, ba
         (["gen", "figure5", "--n", "-1"], "n must be nonnegative"),
         (["pathlen", "HALF"], "path must start at t=0 and end at t=1"),
         (["pathlen", "REPEAT"], "time stamps must strictly increase"),
+        (["simplify", "Y", "1/0"], "zero denominator in value '1/0'"),
+        (["merge", "Y", "0/0", "1"], "zero denominator in value '0/0'"),
+        (["experiment", "stability", "--K", "1/0"], "zero denominator in value '1/0'"),
+        (["pathlen", "ZERO"], "zero denominator in value '1/0'"),
     ],
     ids=[
         "merge-band", "simplify-negative", "simplify-x", "transform-zero", "transform-x",
         "experiment-K", "experiment-trials", "experiment-eps-frac", "gen-random",
-        "gen-figure5", "pathlen-half", "pathlen-repeat",
+        "gen-figure5", "pathlen-half", "pathlen-repeat", "simplify-zero-denominator",
+        "merge-zero-denominator", "experiment-K-zero-denominator",
+        "pathlen-zero-denominator",
     ],
 )
 def test_bad_number_is_a_one_line_error(runner, tmp_path, args, message):
     (tmp_path / "half.txt").write_text("0 y.txt\n1/2 y.txt\n")
     (tmp_path / "repeat.txt").write_text("0 y.txt\n1 y.txt\n1 y.txt\n")
+    (tmp_path / "zero.txt").write_text("0 y.txt\n1/0 y.txt\n")
     paths = {
         "Y": write(tmp_path / "y.txt", y_graph()),
         "HALF": tmp_path / "half.txt",
         "REPEAT": tmp_path / "repeat.txt",
+        "ZERO": tmp_path / "zero.txt",
     }
     result = runner.invoke(main, [str(paths.get(a, a)) for a in args])
     assert result.exit_code == 1, result.output
@@ -480,6 +491,31 @@ def test_fdbound_collapse_picks_the_side_by_shape(runner, tmp_path):
     # the cycle's two parallel arcs collapse onto the one arc of the segment
     cycle_onto_segment = "lower 0.75\nupper 1.5 (collapse)\ngap 0.75\nremainder 0.75\n"
     assert [r.output for r in outputs] == [cycle_onto_segment] * 2
+
+
+def test_fdbound_collapse_needs_an_ascending_spine(runner, tmp_path):
+    # a valid graph whose maximum no ascending path from its minimum reaches:
+    # the witness cannot be built, and the graph is not blamed for it
+    no_spine = tmp_path / "no-spine.txt"
+    no_spine.write_text("v a 0\nv b 2\nv c 1\nv d 3\ne a b\ne c b\ne c d\n")
+    assert runner.invoke(main, ["validate", str(no_spine)]).output == "valid\n"
+    seg = write(tmp_path / "seg.txt", segment())
+    result = runner.invoke(main, ["fdbound", str(no_spine), seg, "--witness", "collapse"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == (
+        "Error: the collapse witness needs an ascending path from a minimum to a maximum\n"
+    )
+
+
+def test_fdbound_collapse_target_with_an_isolated_vertex_is_no_segment(runner, tmp_path):
+    y = write(tmp_path / "y.txt", y_graph())
+    target = tmp_path / "seg-plus-vertex.txt"
+    target.write_text("v a 0\nv b 3\nv c 1\ne a b\n")
+    for args in ([y, str(target)], [str(target), y]):
+        result = runner.invoke(main, ["fdbound", *args, "--witness", "collapse"])
+        assert result.exit_code == 1
+        assert result.output == "Error: the collapse witness needs a segment on one side\n"
 
 
 # ---------------------------------------------------------------------------

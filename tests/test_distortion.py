@@ -139,6 +139,19 @@ def test_collapse_y_onto_segment():
     assert fd_upper(y, seg, c) == F(1, 2)
 
 
+def test_projection_target_is_a_segment_or_a_point():
+    y = y_graph()
+    point = ReebGraph([("p", F(3, 2))])
+    assert projection_correspondence(y, point).psi  # a point is a target
+    for target in (
+        ReebGraph([("a", 0), ("b", 3), ("c", 1)], [("a", "b")]),  # plus an isolated vertex
+        cycle(),  # two arcs between two vertices
+        y,
+    ):
+        with pytest.raises(ValueError, match="projection target must be a segment or a point"):
+            projection_correspondence(y, target)
+
+
 def test_natural_correspondence_on_perturbed_y():
     y = y_graph()
     perturbed = y.with_values({"b": F("1.05"), "c": F("1.95")})

@@ -44,8 +44,9 @@ def staircase_bridge() -> ReebGraph:
 def test_staircase_is_valid_but_has_no_spine():
     g = staircase_bridge()
     assert validate(g).ok
-    with pytest.raises(InvalidGraphError):
+    with pytest.raises(ValueError, match="needs an ascending path") as caught:
         _monotone_spine(g)
+    assert not isinstance(caught.value, InvalidGraphError)  # the graph is valid
 
 
 def test_staircase_diagram_and_simplify():

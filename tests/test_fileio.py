@@ -54,6 +54,10 @@ def test_parse_value_rejects_garbage():
         parse_value("1.2.3")
     with pytest.raises(ValueError):
         parse_value("abc")
+    # a zero denominator is a bad value, not a ZeroDivisionError
+    for text in ("1/0", "0/0", "-3/00"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_value(text)
     # numbers read from JSON are not exact values: an int is rejected, and
     # a float is not coerced
     for number in (1, 0.5):

@@ -31,10 +31,12 @@ from reebmetrics import (
 )
 from reebmetrics import graph as graph_module
 from reebmetrics.generators import _sample_values
-from reebmetrics.graph import UnionFind, ValidationReport, _travel_matrix
+from reebmetrics.graph import ValidationReport, _travel_matrix
 from reebmetrics.persistence import extended_diagram, reduce_extended_filtration
 from reebmetrics.rationals import common_denominator, on_lattice
 from value_reference import (
+    DisjointSets,
+    component_count,
     coprime_cases,
     hard_violations,
     on_primes,
@@ -65,6 +67,29 @@ def test_disconnected_is_reported():
         [("a", "b"), ("c", "d")],
     )
     assert "disconnected" in validate(g).codes()
+
+
+def test_component_count_matches_a_search_on_disjoint_unions():
+    # seeded disjoint unions of 1-6 random graphs, with isolated vertices and
+    # parallel edges, vertices and edges shuffled
+    rng = random.Random(2626)
+    for trial in range(60):
+        vertices, edges = [], []
+        parts = rng.randint(1, 6)
+        for k in range(parts):
+            part = random_graph(rng, n_critical=rng.randint(2, 6))
+            vertices += [(f"{k}.{vid}", value) for vid, value in part.vertices()]
+            edges += [(f"{k}.{u}", f"{k}.{v}") for u, v in part.edges]
+        lone = rng.randint(0, 2)
+        vertices += [(f"lone{i}", rng.randint(-3, 3)) for i in range(lone)]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))  # parallel arcs
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        g = ReebGraph(vertices, edges)
+        count = component_count(g)
+        assert count == parts + lone, trial
+        reported = [v.message for v in validate(g).violations if v.code == "disconnected"]
+        assert reported == ([f"graph has {count} connected components"] if count > 1 else [])
 
 
 def test_pass_through_is_reported():
@@ -567,7 +592,7 @@ def reference_travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale:
         pending = sum(value[node] >= lo for node in column) - 1  # joins to come
         if pending < 1:
             break  # no pair left above this floor, nor above higher ones
-        sets = UnionFind()
+        sets = DisjointSets()
         members: dict[int, list[int]] = {}  # root -> rows of its points
         for node in order[start:]:
             sets.add(node)
@@ -744,14 +769,15 @@ def merge_tree_parts(rng: random.Random, forks: int):
 def test_travel_matrix_takes_one_sweep_without_turn_vertices(monkeypatch):
     # with no turn vertex every simple path bottoms out at one of its ends,
     # so the sweep from the top vertex value alone serves every pair
+    # each sweep bisects once, for its first node above the previous floor
     sweeps = []
+    bisect_right = graph_module.bisect_right
 
-    class CountedUnionFind(UnionFind):
-        def __init__(self) -> None:
-            super().__init__()
-            sweeps.append(self)
+    def counted_bisect_right(*args):
+        sweeps.append(args)
+        return bisect_right(*args)
 
-    monkeypatch.setattr(graph_module, "UnionFind", CountedUnionFind)
+    monkeypatch.setattr(graph_module, "bisect_right", counted_bisect_right)
     rng = random.Random(8888)
     for case in range(24):
         if case % 2:

@@ -33,7 +33,6 @@ from reebmetrics import (
     snap_diagram,
     y_graph,
 )
-from reebmetrics.graph import UnionFind
 from reebmetrics.operators import (
     Move,
     _merge_bands,
@@ -41,6 +40,7 @@ from reebmetrics.operators import (
     clear_features,
     move_certificate,
 )
+from value_reference import DisjointSets
 
 
 def point(kind, b, d):
@@ -125,7 +125,7 @@ def _reference_merge_raw(g, a, b, prefix):
     overlapping = [
         idx for idx, (u, v) in enumerate(g.edges) if g.value(u) <= b and g.value(v) >= a
     ]
-    sets = UnionFind()
+    sets = DisjointSets()
     for v in in_band:
         sets.add(("v", v))
     for idx in overlapping:
@@ -341,7 +341,7 @@ def band_features(g, bands):
     for i, (a, b) in enumerate(bands):
         inside = [v for v in g.vertex_ids if a <= g.value(v) <= b]
         inner = [(u, v) for u, v in g.edges if a <= g.value(u) and g.value(v) <= b]
-        sets = UnionFind()
+        sets = DisjointSets()
         for v in inside:
             sets.add(v)
         for u, v in inner:

@@ -23,7 +23,7 @@ from reebmetrics import (
     segment,
     y_graph,
 )
-from reebmetrics.persistence import _diagram_from_sweeps, ord0_unionfind, rel1_unionfind
+from reebmetrics.persistence import _diagram_from_sweeps
 from value_reference import coprime_cases, on_primes
 
 
@@ -188,7 +188,7 @@ def test_upside_down_y_rel1():
         [("a", 3), ("b", 2), ("c", 1), ("d", 0)],
         [("a", "c"), ("b", "c"), ("c", "d")],
     )
-    assert rel1_unionfind(g) == (point("Rel1", 2, 1),)
+    assert _diagram_from_sweeps(g).of_kind("Rel1") == (point("Rel1", 2, 1),)
     assert extended_diagram(g).of_kind("Rel1") == (point("Rel1", 2, 1),)
 
 
@@ -198,8 +198,8 @@ def test_single_vertex_diagram():
 
 
 def test_unionfind_examples():
-    assert ord0_unionfind(y_graph()) == (point("Ord0", 1, 2),)
-    assert ord0_unionfind(segment()) == ()
+    assert _diagram_from_sweeps(y_graph()).of_kind("Ord0") == (point("Ord0", 1, 2),)
+    assert _diagram_from_sweeps(segment()).of_kind("Ord0") == ()
 
 
 def test_extended_diagram_rejects_invalid():
@@ -225,8 +225,9 @@ def test_matrix_reduction_matches_unionfind_on_random_graphs():
     for _ in range(100):
         g = random_graph(rng, n_critical=rng.randint(4, 9))
         d = reduce_extended_filtration(g)
-        assert d.of_kind("Ord0") == ord0_unionfind(g)
-        assert d.of_kind("Rel1") == rel1_unionfind(g)
+        swept = _diagram_from_sweeps(g)
+        assert d.of_kind("Ord0") == swept.of_kind("Ord0")
+        assert d.of_kind("Rel1") == swept.of_kind("Rel1")
 
 
 def test_extended_invariants_on_random_graphs():
@@ -267,7 +268,7 @@ def test_tie_handling_equal_values_across_branches():
         [("a", "s1"), ("t1", "s1"), ("s1", "s2"), ("t2", "s2"), ("s2", "top")],
     )
     d = reduce_extended_filtration(g)
-    assert d.of_kind("Ord0") == ord0_unionfind(g)
+    assert d.of_kind("Ord0") == _diagram_from_sweeps(g).of_kind("Ord0")
     assert d.of_kind("Ord0") == (point("Ord0", 1, 2), point("Ord0", 1, 3))
 
 
@@ -290,7 +291,7 @@ def test_tie_handling_rel1_mirror():
         [("a", "s1"), ("t1", "s1"), ("s1", "s2"), ("t2", "s2"), ("s2", "top")],
     )
     d = reduce_extended_filtration(g)
-    assert d.of_kind("Rel1") == rel1_unionfind(g)
+    assert d.of_kind("Rel1") == _diagram_from_sweeps(g).of_kind("Rel1")
     assert d.of_kind("Rel1") == (point("Rel1", 3, 1), point("Rel1", 3, 2))
 
 
@@ -320,8 +321,9 @@ def test_tie_rich_graph_cross_oracle():
     )
     assert validate(g).ok
     d = reduce_extended_filtration(g)
-    assert d.of_kind("Ord0") == ord0_unionfind(g)
-    assert d.of_kind("Rel1") == rel1_unionfind(g)
+    swept = _diagram_from_sweeps(g)
+    assert d.of_kind("Ord0") == swept.of_kind("Ord0")
+    assert d.of_kind("Rel1") == swept.of_kind("Rel1")
     assert len(d.of_kind("Ext1")) == g.first_betti()
     ext0 = d.of_kind("Ext0")
     assert ext0 == (point("Ext0", 0, 4),)
@@ -396,8 +398,9 @@ def small_graphs(draw):
 @given(small_graphs())
 @settings(max_examples=200, deadline=None)
 def test_reduction_matches_fraction_reference_on_small_graphs(g):
-    assert reduce_extended_filtration(g) == reference_reduce_extended_filtration(g)
-    assert ord0_unionfind(g) == reference_reduce_extended_filtration(g).of_kind("Ord0")
+    reference = reference_reduce_extended_filtration(g)
+    assert reduce_extended_filtration(g) == reference
+    assert _diagram_from_sweeps(g).of_kind("Ord0") == reference.of_kind("Ord0")
 
 
 @given(small_graphs())

@@ -4,11 +4,14 @@ and graphs whose lattice is large.
 `ReebGraph` orders and compares its own values as ints on its lattice
 (`scale`, `level`). The test oracles read the same facts here, by comparing
 `g.value` directly, so that a reference never runs the int path it checks.
+Connectivity is read the same way apart from the program: components by a
+breadth-first search, and `DisjointSets` for the references that union.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction as F
 from typing import NamedTuple
 
@@ -42,10 +45,52 @@ def value_reading(g: ReebGraph) -> ValueReading:
     return ValueReading(profile, through, level_edges)
 
 
+class DisjointSets:
+    """Disjoint sets of hashable items, grown one `add` at a time."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def __contains__(self, x: object) -> bool:
+        return x in self.parent
+
+    def add(self, x: object) -> None:
+        self.parent[x] = x
+
+    def find(self, x: object) -> object:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    def union(self, x: object, y: object) -> None:
+        """Link the root of x under the root of y."""
+        self.parent[self.find(x)] = self.find(y)
+
+
+def component_count(g: ReebGraph) -> int:
+    """The number of connected components, by breadth-first search."""
+    seen: set[str] = set()
+    count = 0
+    for start in g.vertex_ids:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for _, w in g.neighbors(queue.popleft()):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return count
+
+
 def hard_violations(g: ReebGraph) -> list[Violation]:
     """Level edges and disconnection, as `validate` reports them."""
     violations = list(value_reading(g).level_edges)
-    count = len(g._component_ids())  # connectivity compares no values
+    count = component_count(g)
     if count > 1:
         violations.append(
             Violation("disconnected", f"graph has {count} connected components", "graph")
