@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import sub
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .bottleneck import graph_bottleneck
 from .graph import GraphPoint, ReebGraph, _travel_matrix, critical_values
@@ -36,26 +36,64 @@ def default_resolution(g: ReebGraph) -> Fraction:
     return span / 8 if span > 0 else Fraction(1)
 
 
-def _interior_samples(g: ReebGraph, h: Fraction) -> Iterator[tuple[int, int, int, Fraction]]:
-    """Each interior sample of `sample_net(g, h)` as (edge, k, pieces, value).
+def _edge_pieces(g: ReebGraph, h: Fraction) -> list[tuple[int, int, int]]:
+    """Each edge's (lo, span, pieces) for the sample net of g at resolution h.
 
-    An edge of value span s is cut into pieces = ceil(s / h) equal parts, and
-    its samples are the k / pieces points of it for 0 < k < pieces. The value
-    is built once from the edge's levels, as
-    (lo·pieces + span·k) / (scale·pieces) with lo and span its lower level and
-    level span on the graph's lattice. A resolution that is not positive is a
-    ValueError.
+    lo and span are the edge's lower level and level span on the graph's
+    lattice, and pieces = ceil(span / (h·scale)) is the number of equal
+    parts the edge is cut into (0 for a level edge). A resolution that is
+    not positive is a ValueError.
     """
     if h <= 0:
         raise ValueError("resolution must be positive")
-    scale = g.scale
-    for idx, (u, v) in enumerate(g.edges):
+    step = h.numerator * g.scale
+    out = []
+    for u, v in g.edges:
         lo = g.level(u)
         span = g.level(v) - lo
-        pieces = -(-span * h.denominator // (h.numerator * scale))  # ceil(span / (h·scale))
+        out.append((lo, span, -(-span * h.denominator // step)))
+    return out
+
+
+def _interior_samples(g: ReebGraph, h: Fraction) -> Iterator[tuple[int, int, int, Fraction]]:
+    """Each interior sample of `sample_net(g, h)` as (edge, k, pieces, value).
+
+    The samples of an edge are the k / pieces points of it for
+    0 < k < pieces, with its pieces from `_edge_pieces`. The value is built
+    once from the edge's levels, as (lo·pieces + span·k) / (scale·pieces).
+    """
+    scale = g.scale
+    for idx, (lo, span, pieces) in enumerate(_edge_pieces(g, h)):
         base, unit = lo * pieces, scale * pieces
         for k in range(1, pieces):
             yield idx, k, pieces, Fraction(base + span * k, unit)
+
+
+def _net_cover(g: ReebGraph, h: Fraction, points: Iterable[GraphPoint]) -> tuple[int, int]:
+    """How many of `points` are samples of `sample_net(g, h)`, and the net's size.
+
+    Read on the graph's lattice, with no net built: a vertex point counts
+    when it is on g, and an edge point of value num/den on edge i when
+    k = (num·scale - lo·den)·pieces / (span·den) is an int with
+    0 < k < pieces, which makes its value the k-th sample of that edge. A
+    point off the graph never counts. Distinct points count distinct
+    samples, so the count is the net's size exactly when the points cover
+    the net.
+    """
+    cuts = _edge_pieces(g, h)
+    scale = g.scale
+    count = 0
+    for p in points:
+        if p.vertex is not None:
+            count += g.contains_point(p)
+        elif 0 <= p.edge < len(cuts):  # type: ignore[operator]
+            lo, span, pieces = cuts[p.edge]  # type: ignore[index]
+            if pieces > 1:
+                num, den = p.value.numerator, p.value.denominator
+                k, rest = divmod((num * scale - lo * den) * pieces, span * den)
+                count += not rest and 0 < k < pieces
+    size = len(g.vertex_ids) + sum(pieces - 1 for _, _, pieces in cuts if pieces)
+    return count, size
 
 
 def sample_net(g: ReebGraph, resolution: Optional[ValueLike] = None) -> tuple[GraphPoint, ...]:
@@ -75,7 +113,12 @@ class Correspondence:
     the stated resolution. A map pair that misses a sample of
     `sample_net(g1, resolution)` or `sample_net(g2, resolution)`, or maps a
     point off either graph, is a ValueError: the sampling remainder of
-    `certify_fd_upper` holds only for a map of the whole net.
+    `certify_fd_upper` holds only for a map of the whole net. The check
+    builds no net and hashes no point: it counts the keys of each map that
+    are samples of its net (`_net_cover`), then reads `contains_point` for
+    every pair, all on the graphs' lattices. The resolution is read with
+    `to_fraction`, so a string or an int is coerced and a float is a
+    TypeError.
     """
 
     g1: ReebGraph
@@ -85,15 +128,16 @@ class Correspondence:
     resolution: Fraction
 
     def __post_init__(self) -> None:
+        # a frozen dataclass: the coerced resolution replaces the given one
+        object.__setattr__(self, "resolution", to_fraction(self.resolution))
         for name, src, dst, mapping in (
             ("phi", self.g1, self.g2, self.phi),
             ("psi", self.g2, self.g1, self.psi),
         ):
-            net = sample_net(src, self.resolution)
-            covered = sum(p in mapping for p in net)
-            if covered < len(net):
+            covered, size = _net_cover(src, self.resolution, mapping)
+            if covered < size:
                 raise ValueError(
-                    f"{name} maps {covered} of the {len(net)} samples at resolution "
+                    f"{name} maps {covered} of the {size} samples at resolution "
                     f"{format_value(self.resolution)}; a correspondence must map them all"
                 )
             for x, y in mapping.items():

@@ -52,11 +52,6 @@ class GraphPoint:
         if (self.vertex is None) == (self.edge is None):
             raise ValueError("a GraphPoint is either a vertex or an edge point")
 
-    def location_key(self) -> tuple:
-        if self.vertex is not None:
-            return ("v", self.vertex)
-        return ("e", self.edge, self.value)
-
     def __str__(self) -> str:
         if self.vertex is not None:
             return f"{self.vertex}@{format_value(self.value)}"
@@ -233,12 +228,21 @@ class ReebGraph:
         return GraphPoint(value=val, edge=index)
 
     def contains_point(self, p: GraphPoint) -> bool:
+        """True when p is on the graph: a vertex of it at that vertex's value,
+        or a value within the span of one of its edges, ends included.
+
+        Compared as ints on the graph's lattice: a value num/den is a level
+        L exactly when num·scale == L·den, and lies between two levels when
+        num·scale does between them times den.
+        """
+        num, den = p.value.numerator, p.value.denominator
         if p.vertex is not None:
-            return p.vertex in self._values and self._values[p.vertex] == p.value
-        if p.edge is None or not (0 <= p.edge < len(self.edges)):
+            level = self._levels.get(p.vertex)
+            return level is not None and num * self.scale == level * den
+        if not 0 <= p.edge < len(self.edges):  # type: ignore[operator]
             return False
-        lo, hi = self.edge_values(p.edge)
-        return lo <= p.value <= hi
+        u, v = self.edges[p.edge]  # type: ignore[index]
+        return self._levels[u] * den <= num * self.scale <= self._levels[v] * den
 
     # ---- structural helpers ----
 
@@ -477,15 +481,18 @@ def _travel_matrix(
     Returns the matrix over the distinct locations of `points`, in order of
     first appearance, and the slot of each input point in it: d_f of points
     i and j is `matrix[slots[i]][slots[j]]`. Points at one location share a
-    slot, so the matrix is never larger than the point list's locations.
+    slot, so the matrix is never larger than the point list's locations. No
+    `Fraction` is hashed: a vertex location is keyed by its id, and an edge
+    point's by its edge and its value on the lattice.
 
     Every point must be on the graph (callers check `contains_point`), and
     `scale` must be a multiple of `g.scale` and of the denominators of every
     point value, so that each node value is an int on its lattice: a vertex's
     level lifted by `scale // g.scale`.
     """
-    # nodes: the vertices, then one per distinct edge-interior point
-    node_of = {("v", vid): i for i, vid in enumerate(g.vertex_ids)}
+    # nodes: the vertices, keyed by id, then one per distinct edge-interior
+    # point, keyed by (edge, value on the lattice)
+    node_of: dict[object, int] = {vid: i for i, vid in enumerate(g.vertex_ids)}
     lift = scale // g.scale
     value = [g.level(vid) * lift for vid in g.vertex_ids]
     # the floors: the turn values and the top value; a turn vertex has two
@@ -499,16 +506,21 @@ def _travel_matrix(
     column: dict[int, int] = {}  # point node -> its row in the distinct matrix
     slots = []
     for p in points:
-        key = p.location_key()
-        if key not in node_of:
-            node_of[key] = len(value)
-            value.append(on_lattice(p.value, scale))
-            inside.setdefault(p.edge, []).append(node_of[key])  # type: ignore[arg-type]
-        slots.append(column.setdefault(node_of[key], len(column)))
+        if p.vertex is not None:
+            node = node_of[p.vertex]
+        else:
+            level = on_lattice(p.value, scale)
+            key = (p.edge, level)
+            node = node_of.get(key, -1)
+            if node < 0:
+                node = node_of[key] = len(value)
+                value.append(level)
+                inside.setdefault(p.edge, []).append(node)  # type: ignore[arg-type]
+        slots.append(column.setdefault(node, len(column)))
     adjacent: list[list[int]] = [[] for _ in value]
     for idx, (u, v) in enumerate(g.edges):
         between = sorted(inside.get(idx, ()), key=value.__getitem__)
-        arc = [node_of["v", u], *between, node_of["v", v]]
+        arc = [node_of[u], *between, node_of[v]]
         for a, b in zip(arc, arc[1:]):
             adjacent[a].append(b)
             adjacent[b].append(a)

@@ -17,7 +17,8 @@ A `ReebGraph` carries its own lattice, computed once on construction: its
 `scale` and each vertex's `level`, which its edge orientation, degrees,
 validation, canonicalization and level isomorphism compare. A sample net
 and the natural map of a correspondence build each sample value and its
-image from levels, with one `Fraction` normalisation per point. A
+image from levels, with one `Fraction` normalisation per point, and the
+check of a correspondence tests its points against levels as ints. A
 computation that also reads values the graph does not hold (sample points,
 merge bands) takes the lcm of `g.scale` and the denominators of those extra
 values only, and lifts each level by `scale // g.scale`: the travel-distance

@@ -1,6 +1,9 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import chain
+from typing import Optional
 
 import pytest
 
@@ -25,8 +28,10 @@ from reebmetrics import (
     value_shift_upper,
     y_graph,
 )
-from reebmetrics.distortion import default_resolution
-from value_reference import coprime_cases
+from reebmetrics.distortion import _sample_pairs, default_resolution
+from reebmetrics.graph import _travel_matrix
+from reebmetrics.rationals import format_value
+from value_reference import coprime_cases, dyadic, reference_contains_point, reference_net_cover
 
 
 def reference_distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> F:
@@ -40,16 +45,6 @@ def reference_distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> F:
         for j in range(i + 1, len(pairs)):
             worst = max(worst, abs(d1[i][j] - d2[i][j]))
     return worst
-
-
-def dyadic(g: ReebGraph, rng: random.Random) -> ReebGraph:
-    """The same order of values, moved onto a 1/8 grid with random steps."""
-    levels = sorted({g.value(v) for v in g.vertex_ids})
-    new, at = {}, F(0)
-    for value in levels:
-        at += F(rng.randint(1, 12), 8)
-        new[value] = at
-    return g.with_values({v: new[g.value(v)] for v in g.vertex_ids})
 
 
 def test_sample_net_contains_vertices_and_respects_resolution():
@@ -210,6 +205,149 @@ def test_correspondence_must_map_its_whole_sample_nets():
                 build(y, y, {v: v for v in y.vertex_ids}, resolution)
         with pytest.raises(ValueError, match="resolution must be positive"):
             sample_net(ReebGraph([("pt", 1)]), resolution)
+
+
+def test_correspondence_reads_its_resolution_as_an_exact_value():
+    # the resolution "1/4" once built, and `certify_fd_upper` then raised a
+    # TypeError adding the string "1/41/4" to a Fraction; an int resolution
+    # gave an int remainder
+    y, seg = y_graph(), segment()
+    quarter = projection_correspondence(y, seg, F(1, 4))
+    c = Correspondence(y, seg, quarter.phi, quarter.psi, "1/4")
+    assert type(c.resolution) is F and c.resolution == F(1, 4)
+    cert = certify_fd_upper(y, seg, c)
+    assert (cert.lower, cert.upper, cert.remainder) == (F(1, 4), F(1), F(1, 2))
+    whole = projection_correspondence(y, seg, F(1))
+    c = Correspondence(y, seg, whole.phi, whole.psi, 1)
+    assert type(c.resolution) is F
+    cert = certify_fd_upper(y, seg, c)
+    assert type(cert.remainder) is F and cert.remainder == 2
+    assert cert == certify_fd_upper(y, seg, whole)
+    with pytest.raises(TypeError, match="float values are not accepted"):
+        Correspondence(y, seg, quarter.phi, quarter.psi, 0.25)
+
+
+def reference_check(g1, g2, phi, psi, resolution) -> Optional[str]:
+    """The error `Correspondence` raised before its check moved onto the
+    graphs' lattices, or None: each sample net built and looked up in its
+    map, and every mapped point compared as `Fraction`s."""
+    for name, src, dst, mapping in (("phi", g1, g2, phi), ("psi", g2, g1, psi)):
+        covered, size = reference_net_cover(src, resolution, mapping)
+        if covered < size:
+            return (
+                f"{name} maps {covered} of the {size} samples at resolution "
+                f"{format_value(resolution)}; a correspondence must map them all"
+            )
+        for x, y in mapping.items():
+            if not (reference_contains_point(src, x) and reference_contains_point(dst, y)):
+                return f"{name} maps outside the graphs"
+    return None
+
+
+def keys_that_are_no_samples(g: ReebGraph, resolution: F) -> list[GraphPoint]:
+    """Points next to the net of g that the check must not count: points on
+    an edge at its ends and between its lowest samples, then points off g. The points past the edge's ends and at the edge indices -1 and
+    len(edges) sit where a sample would be if the edge went on, or if the
+    index wrapped."""
+    cut = [math.ceil((hi - lo) / resolution) for lo, hi in map(g.edge_values, range(len(g.edges)))]
+    idx = max(range(len(g.edges)), key=cut.__getitem__)
+    lo, hi = g.edge_values(idx)
+    step = (hi - lo) / cut[idx]
+    last_lo, last_hi = g.edge_values(len(g.edges) - 1)
+    first_lo, first_hi = g.edge_values(0)
+    v = g.vertex_ids[-1]
+    return [
+        GraphPoint(value=lo, edge=idx),
+        GraphPoint(value=hi, edge=idx),
+        GraphPoint(value=lo + step / 2, edge=idx),
+        GraphPoint(value=lo + step * F(3, 2), edge=idx),
+        GraphPoint(value=hi + step, edge=idx),
+        GraphPoint(value=lo - step, edge=idx),
+        GraphPoint(value=last_lo + (last_hi - last_lo) / cut[-1], edge=-1),
+        GraphPoint(value=first_lo + (first_hi - first_lo) / cut[0], edge=len(g.edges)),
+        GraphPoint(value=g.value(v) + F(1, 3), vertex=v),
+        GraphPoint(value=g.value(v), vertex="nowhere"),
+    ]
+
+
+def test_correspondence_check_matches_fraction_reference():
+    # whole maps, maps short of one sample, and maps with one more key: a
+    # point between two samples (on the graph, but no sample) or a point off
+    # the graph, each also with one sample dropped, so a key the check
+    # wrongly counted would hide the gap. Every map must get the reference's
+    # verdict and message, "N of M" included
+    rng = random.Random(2727)
+    verdicts: Counter = Counter()
+    for trial in range(8):
+        g = random_graph(rng, n_critical=rng.randint(3, 6))
+        if trial % 2:
+            g = dyadic(g, rng)
+        gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+        jitter = g.with_values(
+            {v: g.value(v) + gap / 4 * F(rng.randint(-7, 7), 7) for v in g.vertex_ids}
+        )
+        ident = {v: v for v in g.vertex_ids}
+        seg = segment(g.min_value(), g.max_value())
+        for resolution in (F(1, 3), g.span() / 7):
+            for c in (
+                natural_correspondence(g, jitter, ident, resolution),
+                projection_correspondence(g, seg, resolution),
+            ):
+                g1, g2 = c.g1, c.g2
+                anywhere1, anywhere2 = g1.vertex_point(g1.vertex_ids[0]), g2.vertex_point(g2.vertex_ids[0])
+                moved = rng.choice(list(c.phi))
+                off_image = keys_that_are_no_samples(g2, resolution)[-1]
+                phis = [c.phi, {**c.phi, moved: off_image}]
+                phis += ({**c.phi, x: anywhere2} for x in keys_that_are_no_samples(g1, resolution))
+                psis = [{**c.psi, y: anywhere1} for y in keys_that_are_no_samples(g2, resolution)]
+                variants = [(phi, c.psi) for phi in phis] + [(c.phi, psi) for psi in psis]
+                for phi, psi in variants:
+                    for drop in (None, "phi", "psi"):
+                        if drop == "phi":
+                            phi = dict(phi)
+                            del phi[rng.choice([p for p in c.phi if p != moved])]
+                        elif drop == "psi":
+                            psi = dict(psi)
+                            del psi[rng.choice(list(c.psi))]
+                        want = reference_check(g1, g2, phi, psi, resolution)
+                        try:
+                            Correspondence(g1, g2, phi, psi, resolution)
+                            got = None
+                        except ValueError as exc:
+                            got = str(exc)
+                        assert got == want, (trial, want)
+                        verdicts[want and ("outside" if "outside" in want else "cover")] += 1
+    assert sorted(verdicts, key=str) == [None, "cover", "outside"]
+    assert min(verdicts.values()) >= 32, verdicts
+
+
+def test_building_a_correspondence_and_its_travel_matrices_hash_no_fraction(monkeypatch):
+    # the check once rebuilt both sample nets and looked each sample up in
+    # its map, and the travel matrices keyed edge points by `Fraction` value:
+    # 122 and 612 `Fraction.__hash__` calls on one pair of the benchmark's
+    # `certify` workload
+    rng = random.Random(1212)
+    g = random_graph(rng, n_critical=6)
+    gap = min(abs(g.value(u) - g.value(v)) for u, v in g.edges)
+    jitter = g.with_values({v: g.value(v) + gap / 5 for v in g.vertex_ids})
+    c = natural_correspondence(g, jitter, {v: v for v in g.vertex_ids}, F(1, 3))
+    calls = []
+    fraction_hash = F.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    assert reference_net_cover(g, c.resolution, c.phi)[0] == len(c.phi)
+    assert calls  # the counter sees the rule the check replaced
+    calls.clear()
+    again = Correspondence(g, jitter, c.phi, c.psi, c.resolution)
+    assert not calls
+    pairs, scale = _sample_pairs(g, jitter, again)
+    _travel_matrix(g, tuple(x for x, _ in pairs), scale)
+    _travel_matrix(jitter, tuple(y for _, y in pairs), scale)
+    assert not calls
 
 
 def test_fd_lower_examples():

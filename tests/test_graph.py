@@ -38,8 +38,11 @@ from value_reference import (
     DisjointSets,
     component_count,
     coprime_cases,
+    dyadic,
     hard_violations,
+    location,
     on_primes,
+    reference_contains_point,
     reference_validate,
     subdivided_at_thirds,
 )
@@ -486,7 +489,7 @@ def _window_connected(g: ReebGraph, x: GraphPoint, y: GraphPoint, lo: F, hi: F) 
 
     if not (lo <= x.value <= hi and lo <= y.value <= hi):
         return False
-    if x.location_key() == y.location_key():
+    if location(x) == location(y):
         return True
     # two interior points of the same edge reach each other along it
     if x.edge is not None and x.edge == y.edge:
@@ -519,9 +522,9 @@ def reference_travel_distance(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> F:
     BFS per window; feasibility is monotone in the floor.
     """
     for p in (x, y):
-        if not g.contains_point(p):
+        if not reference_contains_point(g, p):
             raise ValueError(f"point {p} is not on the graph")
-    if x.location_key() == y.location_key():
+    if location(x) == location(y):
         return F(0)
     if x.edge is not None and x.edge == y.edge:
         return abs(x.value - y.value)
@@ -565,7 +568,7 @@ def reference_travel_matrix(g: ReebGraph, points: tuple[GraphPoint, ...], scale:
     column: dict[int, int] = {}  # point node -> its row in the distinct matrix
     slots = []
     for p in points:
-        key = p.location_key()
+        key = location(p)
         if key not in node_of:
             node_of[key] = len(value)
             value.append(on_lattice(p.value, scale))
@@ -628,7 +631,7 @@ def assert_matrix_matches_reference(g: ReebGraph, points) -> None:
     points = tuple(points)
     scale = common_denominator(chain(g._values.values(), (p.value for p in points)))
     matrix, slots = _travel_matrix(g, points, scale)
-    locations = [p.location_key() for p in points]
+    locations = [location(p) for p in points]
     assert len(set(zip(locations, slots))) == len(set(locations)) == len(matrix)
     assert set(slots) == set(range(len(matrix)))
     expanded = [[matrix[i][j] for j in slots] for i in slots]
@@ -957,6 +960,41 @@ def test_travel_distances_repeated_points():
     assert d[0][2] == d[3][2] == F("1.5")
     assert travel_distances(y, []) == []
     assert travel_distances(y, [b]) == [[0]]
+
+
+def test_points_on_thirds_of_dyadic_graphs_match_fraction_references():
+    # values on eighths, points on thirds: a point's denominator is never the
+    # graph's scale. `contains_point` compares ints on the graph's lattice and
+    # must read every point as the `Fraction` rule does, on each edge and at
+    # its ends, at the indices just off the edge list, and at each vertex
+    # with its own value, another value, or an id the graph lacks.
+    # `travel_distances` keys edge points by their lattice value, so copies
+    # of one point, rebuilt or not, must share a location
+    rng = random.Random(2770)
+    verdicts = Counter()
+    for _ in range(10):
+        g = dyadic(random_graph(rng, n_critical=rng.randint(3, 7)), rng)
+        assert 8 % g.scale == 0
+        lo, hi = g.min_value(), g.max_value()
+        thirds = [F(k, 3) for k in range(math.floor(3 * lo) - 2, math.ceil(3 * hi) + 3)]
+        values = sorted(set(thirds) | {g.value(v) for v in g.vertex_ids})
+        points = [GraphPoint(value=x, vertex=v) for v in (*g.vertex_ids, "nowhere") for x in values]
+        for idx in range(-1, len(g.edges) + 1):
+            points += (GraphPoint(value=x, edge=idx) for x in values)
+        for p in points:
+            want = reference_contains_point(g, p)
+            assert g.contains_point(p) == want, p
+            verdicts[p.vertex is None, want] += 1
+        on = [p for p in points if p.edge is not None and reference_contains_point(g, p)]
+        picked = rng.sample(on, min(len(on), 8)) + [g.vertex_point(rng.choice(g.vertex_ids))]
+        picked += [GraphPoint(value=p.value, vertex=p.vertex, edge=p.edge) for p in picked[:3]]
+        picked += picked[3:5]
+        rng.shuffle(picked)
+        d = travel_distances(g, picked)
+        for i, x in enumerate(picked):
+            for j, y in enumerate(picked):
+                assert d[i][j] == reference_travel_distance(g, x, y)
+    assert all(verdicts[kind] for kind in ((True, True), (True, False), (False, True), (False, False)))
 
 
 def test_travel_distances_errors():

@@ -1,11 +1,13 @@
-"""A graph's local structure read from `Fraction` value comparisons only,
-and graphs whose lattice is large.
+"""A graph's local structure and its points read from `Fraction` value
+comparisons only, and graphs whose lattice is large.
 
 `ReebGraph` orders and compares its own values as ints on its lattice
 (`scale`, `level`). The test oracles read the same facts here, by comparing
-`g.value` directly, so that a reference never runs the int path it checks.
-Connectivity is read the same way apart from the program: components by a
-breadth-first search, and `DisjointSets` for the references that union.
+`g.value` directly, so that a reference never runs the int path it checks:
+which points lie on a graph, where a point is, and which points of a map
+are samples of a graph's net. Connectivity is read the same way apart from
+the program: components by a breadth-first search, and `DisjointSets` for
+the references that union.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import deque
 from fractions import Fraction as F
 from typing import NamedTuple
 
-from reebmetrics import ReebGraph, random_graph
+from reebmetrics import GraphPoint, ReebGraph, random_graph, sample_net
 from reebmetrics.graph import ValidationReport, Violation
 from reebmetrics.rationals import format_value
 
@@ -43,6 +45,31 @@ def value_reading(g: ReebGraph) -> ValueReading:
         if g.value(u) == g.value(v)
     )
     return ValueReading(profile, through, level_edges)
+
+
+def location(p: GraphPoint) -> tuple:
+    """Where p is on its graph: a vertex by its id, an edge point by its edge
+    and its `Fraction` value."""
+    if p.vertex is not None:
+        return ("v", p.vertex)
+    return ("e", p.edge, p.value)
+
+
+def reference_contains_point(g: ReebGraph, p: GraphPoint) -> bool:
+    """`contains_point`, with the values compared as `Fraction`s."""
+    if p.vertex is not None:
+        return p.vertex in g.vertex_ids and g.value(p.vertex) == p.value
+    if not 0 <= p.edge < len(g.edges):
+        return False
+    lo, hi = g.edge_values(p.edge)
+    return lo <= p.value <= hi
+
+
+def reference_net_cover(g: ReebGraph, resolution, mapping) -> tuple[int, int]:
+    """How many samples of `sample_net(g, resolution)` are keys of `mapping`,
+    and the net's size: the net built, and each sample looked up."""
+    net = sample_net(g, resolution)
+    return sum(p in mapping for p in net), len(net)
 
 
 class DisjointSets:
@@ -111,6 +138,16 @@ def reference_validate(g: ReebGraph) -> ValidationReport:
         if v in through
     ]
     return ValidationReport(tuple(hard_violations(g) + pass_through))
+
+
+def dyadic(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    """The same order of values, moved onto a 1/8 grid with random steps."""
+    levels = sorted({g.value(v) for v in g.vertex_ids})
+    new, at = {}, F(0)
+    for value in levels:
+        at += F(rng.randint(1, 12), 8)
+        new[value] = at
+    return g.with_values({v: new[g.value(v)] for v in g.vertex_ids})
 
 
 PRIMES = [p for p in range(2, 114) if all(p % q for q in range(2, p))]  # the first 30
