@@ -22,6 +22,7 @@ from .distortion import _segment_or_point, certify_fd_upper, projection_correspo
 from .experiments import _SUITES, EXPERIMENTS, ExperimentConfig, run_experiment
 from .fileio import (
     ParseError,
+    _data_lines,
     correspondence_from_json,
     diagram_to_text,
     graph_to_json,
@@ -247,10 +248,7 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
 def _parse_manifest(text: str) -> list[tuple[Fraction, str]]:
     """The `<t> <graph-file>` lines of a path manifest."""
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, _, line in _data_lines(text):
         parts = line.split(maxsplit=1)
         if len(parts) != 2:
             raise ParseError(lineno, "expected '<t> <file>'")

@@ -87,7 +87,6 @@ class TrialRecord:
 @dataclass(frozen=True)
 class ExperimentReport:
     name: str
-    config: ExperimentConfig
     records: tuple[TrialRecord, ...]
 
     @property
@@ -371,4 +370,4 @@ def run_experiment(name: str, config: Optional[ExperimentConfig] = None) -> Expe
         TrialRecord(name, index, passed, _fmt(values))
         for index, passed, values in _SUITES[name][0](config)
     )
-    return ExperimentReport(name, config, tuple(records))
+    return ExperimentReport(name, tuple(records))

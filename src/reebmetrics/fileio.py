@@ -19,9 +19,10 @@ for tooling.
 from __future__ import annotations
 
 import json
-from typing import Union
+from typing import Iterator, Union
 
 from .diagram import KINDS, Diagram, DiagramPoint
+from .distortion import Correspondence
 from .graph import ReebGraph
 from .rationals import format_value, parse_value
 
@@ -30,6 +31,14 @@ class ParseError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+def _data_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """`(lineno, raw, stripped)` for every line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +58,7 @@ def graph_to_text(g: ReebGraph) -> str:
 def parse_graph_text(text: str, name: str | None = None) -> ReebGraph:
     vertices: list[tuple[str, object]] = []
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, raw, line in _data_lines(text):
         parts = line.split()
         if parts[0] == "v":
             if len(parts) != 3:
@@ -111,10 +117,7 @@ def diagram_to_text(d: Diagram) -> str:
 
 def parse_diagram_text(text: str) -> Diagram:
     points = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, raw, line in _data_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] not in KINDS:
             raise ParseError(lineno, f"expected '<kind> <birth> <death>', got {raw!r}")
@@ -165,8 +168,6 @@ def correspondence_from_json(g1: ReebGraph, g2: ReebGraph, text: str):
     remainder, so the file is never exact, and `Correspondence` checks that
     phi and psi map their whole sample nets.
     """
-    from .distortion import Correspondence
-
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -194,10 +195,7 @@ def load_graph_or_diagram(text: str) -> Union[ReebGraph, Diagram]:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return graph_from_json(text)
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, _, line in _data_lines(text):
         head = line.split()[0]
         if head in ("v", "e"):
             return parse_graph_text(text)

@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 from .diagram import EXT0, Diagram, DiagramPoint
 from .graph import CriticalValues, ReebGraph, _find_root, canonicalize
 from .persistence import extended_diagram
-from .rationals import ValueLike, common_denominator, on_lattice, to_fraction
+from .rationals import ValueLike, common_denominator, format_value, on_lattice, to_fraction
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def _near_bands(diagram: Diagram, alpha: Fraction) -> list[tuple[Fraction, Fract
     return [(exact[lo], exact[hi]) for lo, hi in bands]
 
 
-def clear_features(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, tuple[Move, ...]]:
+def clear_features(g: ReebGraph, alpha: Fraction) -> SimplifyResult:
     """Remove every non-trunk feature of persistence <= alpha by band merges.
 
     Each pass merges closure-widened bands around the near features and
@@ -292,8 +292,8 @@ def clear_features(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, tuple[Move
     and the loop terminates. A pass's bands are sorted and disjoint, so they
     are contracted together in one pass over the graph; the vertices it
     creates are named `s<pass>_<n>`. Each band is one `band-merge` move,
-    costed at its width and tagged with its pass, which `move_certificate`
-    needs to cost the pass at its widest band.
+    costed at its width and tagged with its pass, and `move_certificate`
+    costs the moves into the result's certificate.
     """
     work = g
     moves: list[Move] = []
@@ -307,7 +307,7 @@ def clear_features(g: ReebGraph, alpha: Fraction) -> tuple[ReebGraph, tuple[Move
         diagram = extended_diagram(work)
     else:  # pragma: no cover - termination is structural
         raise AssertionError("simplification failed to terminate")
-    return work, tuple(moves)
+    return SimplifyResult(work, move_certificate(moves), tuple(moves))
 
 
 def move_certificate(moves: Sequence[Move]) -> Fraction:
@@ -344,15 +344,13 @@ def simplify(g: ReebGraph, alpha: ValueLike) -> SimplifyResult:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
 
-    work, cleared = clear_features(g, alpha)
-    moves = list(cleared)
-
+    cleared = clear_features(g, alpha)
     # a trunk of tiny span sits inside the diagonal offset; stretch it out
-    if work.span() <= alpha:
-        work, stretch = _stretched_segment(work, alpha)
-        moves.append(stretch)
-
-    return SimplifyResult(work, move_certificate(moves), tuple(moves))
+    if cleared.graph.span() > alpha:
+        return cleared
+    work, stretch = _stretched_segment(cleared.graph, alpha)
+    moves = (*cleared.moves, stretch)
+    return SimplifyResult(work, move_certificate(moves), moves)
 
 
 # ---------------------------------------------------------------------------
@@ -372,33 +370,35 @@ class TransformParams:
 
 
 @dataclass(frozen=True)
-class MergeSequenceResult:
+class TransformResult:
     graph: ReebGraph
-    certificate: Fraction
-    overlap: bool
+    certificate: Fraction  # upper bound on the functional distortion distance
 
 
 def merge_sequence(
     g: ReebGraph, anchors: Iterable[ValueLike], halfwidth: ValueLike
-) -> MergeSequenceResult:
+) -> TransformResult:
     """Merge a band around every anchor, lowest anchor first.
 
     `anchors` is any iterable of values, sorted here; a negative halfwidth
     is a ValueError. Disjoint bands are one pass, contracted together in one
     pass over the graph, so by `move_certificate` they cost the widest band,
-    2*halfwidth. Overlapping bands are contracted one pass per band in the
-    same order with a warning, and their costs add up to 2*halfwidth per
-    anchor. New vertices are named `m<n>`.
+    2*halfwidth. Bands overlap when some anchor gap is at most 2*halfwidth;
+    they are contracted one pass per band in the same order, their costs add
+    up to 2*halfwidth per anchor, and a warning naming both numbers is the
+    only report. New vertices are named `m<n>`.
     """
     halfwidth = to_fraction(halfwidth)
     if halfwidth < 0:
         raise ValueError("merge half-width must be nonnegative")
     width = 2 * halfwidth
     values = sorted(to_fraction(v) for v in anchors)
-    disjoint = all(b - a > width for a, b in zip(values, values[1:]))
+    gap = min((b - a for a, b in zip(values, values[1:])), default=None)
+    disjoint = gap is None or gap > width
     if not disjoint:
         warnings.warn(
-            "anchor bands overlap (18*alpha >= minimal critical gap); "
+            f"anchor bands overlap (twice the half-width, {format_value(width)}, "
+            f"is at least the least anchor gap, {format_value(gap)}); "
             "merging sequentially from the lowest anchor",
             stacklevel=2,
         )
@@ -408,22 +408,11 @@ def merge_sequence(
     for step, group in enumerate([bands] if disjoint else [[band] for band in bands]):
         work = _merge_bands(work, group)
         moves.extend(Move("band-merge", band, width, step) for band in group)
-    return MergeSequenceResult(work, move_certificate(moves), not disjoint)
-
-
-@dataclass(frozen=True)
-class TransformResult:
-    graph: ReebGraph
-    certificate: Fraction
-    overlap: bool
+    return TransformResult(work, move_certificate(moves))
 
 
 def full_transform(g: ReebGraph, params: TransformParams) -> TransformResult:
     """Simplify at 2*alpha, then merge 9*alpha-bands around the anchors."""
     simplified = simplify(g, 2 * params.alpha)
     merged = merge_sequence(simplified.graph, params.anchors, 9 * params.alpha)
-    return TransformResult(
-        graph=merged.graph,
-        certificate=simplified.certificate + merged.certificate,
-        overlap=merged.overlap,
-    )
+    return TransformResult(merged.graph, simplified.certificate + merged.certificate)

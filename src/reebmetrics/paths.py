@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .distortion import FDBoundCertificate, best_structure_shift, certify_fd_upper
 from .graph import InvalidGraphError, ReebGraph
-from .operators import clear_features, move_certificate
+from .operators import clear_features
 from .persistence import extended_diagram
 from .rationals import ValueLike, format_value, to_fraction
 
@@ -63,7 +63,6 @@ class GraphPath:
 
 @dataclass(frozen=True)
 class PathLengthResult:
-    metric: str
     total: Fraction
     per_step: tuple[Fraction, ...]
 
@@ -82,7 +81,7 @@ def path_length(p: GraphPath, metric: str = "bottleneck") -> PathLengthResult:
     else:
         raise ValueError("metric must be 'bottleneck' or 'fd_upper'")
     total = sum(values, Fraction(0))
-    return PathLengthResult(metric, total, values)
+    return PathLengthResult(total, values)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +155,11 @@ def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
     stages: list[_Stage] = []
 
     def clear(graph: ReebGraph, scale: Fraction) -> ReebGraph:
-        cleared, moves = clear_features(graph, scale)
-        if cleared == graph:
+        cleared = clear_features(graph, scale)
+        if cleared.graph == graph:
             return graph
-        stages.append((cleared, move_certificate(moves)))
-        return cleared
+        stages.append((cleared.graph, cleared.certificate))
+        return cleared.graph
 
     current = g
     for scale in sorted(

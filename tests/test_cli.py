@@ -921,3 +921,21 @@ def test_fdbound_witness_edge_index_is_on_the_graph(runner, tmp_path, edge, valu
     [error] = result.output.splitlines()
     assert error.startswith("Error: bad witness file ")
     assert f"no edge {edge}: the graph has 1 edges" in error
+
+
+@pytest.mark.parametrize(
+    "manifest, line",
+    [
+        ("# steps\r\n\r\n  \r\n\t# indented\r\n0 y.txt\r\n \r\n1\r\n", 7),
+        ("0 y.txt\n\n   # the end step\n1 y.txt\n  1/2  \n", 5),
+    ],
+)
+def test_manifest_reports_the_physical_line(runner, tmp_path, manifest, line):
+    # a step without a file name is named by its line in the file, counting
+    # comments, blank and whitespace-only lines alike
+    write(tmp_path / "y.txt", y_graph())
+    path = tmp_path / "path.txt"
+    path.write_bytes(manifest.encode())
+    result = runner.invoke(main, ["pathlen", str(path)])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: cannot read {path}: line {line}: expected '<t> <file>'\n"

@@ -173,3 +173,42 @@ def test_load_graph_or_diagram():
     assert isinstance(load_graph_or_diagram(diagram_to_text(d)), Diagram)
     with pytest.raises(ValueError):
         load_graph_or_diagram("nothing here\n")
+
+
+# comments, an indented comment, blank and whitespace-only lines, CRLF endings
+SKIPPED = "# header\r\n\r\n   \r\n\t# indented comment\r\n \t \r\n"
+GRAPH_LINES = SKIPPED + "v a 0\r\n  v b 1  \r\n\r\n  # between\r\ne a b\r\n"
+DIAGRAM_LINES = SKIPPED + "Ord0 0 1\r\n\r\n   # between\r\nExt0 0 3\r\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (GRAPH_LINES + "v c x\r\n", "line 11: "),
+        (GRAPH_LINES + "\r\n  v c  \r\n", "line 12: expected 'v <id> <value>', got '  v c  '"),
+        (GRAPH_LINES + "e a\r\n", "line 11: expected 'e <id1> <id2>', got 'e a'"),
+        (GRAPH_LINES + "  # last\r\nw a b\r\n", "line 12: unknown record type 'w'"),
+        (DIAGRAM_LINES + "Ord0 0\r\n", "line 10: expected '<kind> <birth> <death>', got 'Ord0 0'"),
+        (DIAGRAM_LINES + "\r\nOrd0 0 1/0\r\n", "line 11: "),
+    ],
+)
+def test_every_reader_skips_the_same_lines(text, message):
+    # the graph and diagram readers and the sniffing loader number lines
+    # alike: every physical line counts, skipped or not
+    parse = parse_graph_text if text.startswith(GRAPH_LINES) else parse_diagram_text
+    for read in (parse, load_graph_or_diagram):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert str(err.value).startswith(message)
+        assert err.value.line_number == int(message.split()[1].rstrip(":"))
+
+
+def test_readers_skip_comments_blanks_and_crlf():
+    g = parse_graph_text(GRAPH_LINES)
+    assert g == ReebGraph([("a", 0), ("b", 1)], [("a", "b")])
+    assert load_graph_or_diagram(GRAPH_LINES) == g
+    d = parse_diagram_text(DIAGRAM_LINES)
+    assert d == Diagram([DiagramPoint("Ord0", 0, 1), DiagramPoint("Ext0", 0, 3)])
+    assert load_graph_or_diagram(DIAGRAM_LINES) == d
+    with pytest.raises(ValueError, match="neither a graph nor a diagram"):
+        load_graph_or_diagram(SKIPPED)

@@ -40,6 +40,7 @@ from reebmetrics.operators import (
     clear_features,
     move_certificate,
 )
+from reebmetrics.rationals import format_value
 from value_reference import DisjointSets
 
 
@@ -271,6 +272,14 @@ def passes(moves):
     return len({m.step for m in moves if m.kind == "band-merge"})
 
 
+def warned(fn, *args):
+    """`fn(*args)` and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
 def comb_graph(rng, teeth):
     """Trunk t0 < ... < t(n+1) at multiples of 4, with a tooth of depth 1/4
     to 3 hanging down from or standing up on each inner trunk vertex."""
@@ -443,15 +452,14 @@ def test_merge_sequence_matches_per_band_fold():
         values = sorted({g.value(v) for v in g.vertex_ids})
         anchors = sorted(set(rng.sample(values, rng.randint(1, len(values)))))
         halfwidth = F(rng.randint(1, 1500), 1000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = merge_sequence(g, anchors, halfwidth)
+        result, messages = warned(merge_sequence, g, anchors, halfwidth)
         ref = reference_merge_bands(g, [(c - halfwidth, c + halfwidth) for c in anchors])
         assert is_level_isomorphic(result.graph, ref)
         # 2*halfwidth per pass: one pass for disjoint bands, else one per anchor
-        n_passes = len(anchors) if result.overlap else 1
+        assert len(messages) <= 1
+        n_passes = len(anchors) if messages else 1
         assert result.certificate == 2 * halfwidth * n_passes
-        overlaps += result.overlap
+        overlaps += len(messages)
     assert 0 < overlaps < 80
     assert merge_sequence(g, [], F(1)).certificate == 0
 
@@ -463,13 +471,14 @@ def test_clear_features_matches_per_band_fold():
     for _ in range(120):
         g = family_graph(rng)
         alpha = g.span() / 3 * F(rng.randint(1, 100), 100)
-        fast, ref = clear_features(g, alpha), reference_clear_features(g, alpha)
-        assert fast[1] == ref[1]
-        assert is_level_isomorphic(fast[0], ref[0])
-        moves += len(fast[1])
-        runs[passes(fast[1])] += 1
-        if passes(fast[1]) == 1:
-            assert move_certificate(fast[1]) <= reference_move_certificate(fast[1])
+        fast, (ref_graph, ref_moves) = clear_features(g, alpha), reference_clear_features(g, alpha)
+        assert fast.moves == ref_moves
+        assert is_level_isomorphic(fast.graph, ref_graph)
+        assert fast.certificate == move_certificate(ref_moves)
+        moves += len(fast.moves)
+        runs[passes(fast.moves)] += 1
+        if passes(fast.moves) == 1:
+            assert fast.certificate <= reference_move_certificate(fast.moves)
     assert moves > 100
     assert runs[1] > 50, runs
 
@@ -617,6 +626,29 @@ def test_simplify_tiny_trunk_stretches():
     assert result.moves[-1].kind == "stretch"
 
 
+def test_simplify_results_carry_their_moves_certificate():
+    # `clear_features` costs its own moves and `simplify` costs them again
+    # only when it appends a stretch; random graphs at random scales, a
+    # short segment and a point, the last two stretched
+    rng = random.Random(6190)
+    stretched = 0
+    cases = [(segment(0, F(1, 2)), F(1)), (ReebGraph([("pt", F(1))]), F(1))]
+    for _ in range(60):
+        g = family_graph(rng)
+        cases.append((g, g.span() * F(rng.randint(1, 120), 100)))
+    for g, alpha in cases:
+        cleared, result = clear_features(g, alpha), simplify(g, alpha)
+        assert cleared.certificate == move_certificate(cleared.moves)
+        assert result.certificate == move_certificate(result.moves)
+        if result.moves[-1:] and result.moves[-1].kind == "stretch":
+            stretched += 1
+            assert result.moves[:-1] == cleared.moves
+            assert result.certificate == cleared.certificate + result.moves[-1].cost
+        else:
+            assert result == cleared
+    assert stretched >= 10, stretched
+
+
 def test_simplify_contract_on_random_instances():
     rng = random.Random(17)
     runs = Counter()
@@ -697,9 +729,27 @@ def test_full_transform_certificate_budget():
     y = y_graph()
     perturbed = y.with_values({"b": F("1.01"), "c": F("1.99")})
     alpha = F(1, 50)
-    result = full_transform(perturbed, TransformParams(alpha, critical_values(y)))
-    assert not result.overlap
+    result, messages = warned(full_transform, perturbed, TransformParams(alpha, critical_values(y)))
+    assert messages == []
     assert result.certificate <= 22 * alpha
+
+
+def test_full_transform_certificate_adds_its_two_stages():
+    # the transform's certificate is its simplification's plus its anchor
+    # merges', whether the 9 * alpha bands are disjoint or overlap
+    rng = random.Random(6200)
+    seen = Counter()
+    for _ in range(40):
+        g = family_graph(rng)
+        alpha = F(rng.randint(1, 60), 1000)
+        params = TransformParams(alpha, critical_values(g))
+        result, messages = warned(full_transform, g, params)
+        simplified = simplify(g, 2 * alpha)
+        merged, _ = warned(merge_sequence, simplified.graph, params.anchors, 9 * alpha)
+        assert result.graph == merged.graph
+        assert result.certificate == simplified.certificate + merged.certificate
+        seen["overlap" if messages else "disjoint"] += 1
+    assert min(seen["overlap"], seen["disjoint"]) >= 5, seen
 
 
 def test_full_transform_recovers_jittered_1000_tooth_comb():
@@ -718,15 +768,45 @@ def test_full_transform_recovers_jittered_1000_tooth_comb():
     source = ReebGraph(vertices, edges)
     assert len(source.vertex_ids) == 2002
     noisy = source.with_values({v: x + F(rng.randint(-8, 8), 256) for v, x in vertices})
-    result = full_transform(noisy, TransformParams(F(1, 32), critical_values(source)))
-    assert not result.overlap
+    params = TransformParams(F(1, 32), critical_values(source))
+    result, messages = warned(full_transform, noisy, params)
+    assert messages == []
     assert is_level_isomorphic(result.graph, source)
 
 
 def test_merge_sequence_overlap_warns():
     y = y_graph()
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         merge_sequence(y, critical_values(y), F("0.9"))
+    assert [str(w.message) for w in caught] == [
+        "anchor bands overlap (twice the half-width, 1.8, is at least the least"
+        " anchor gap, 1); merging sequentially from the lowest anchor"
+    ]
+
+
+def test_merge_sequence_warns_exactly_when_a_gap_is_at_most_the_width():
+    # the warning is the only report of overlapping bands: it is raised once
+    # when some gap between sorted anchors is at most twice the half-width,
+    # never otherwise, and it names both numbers
+    rng = random.Random(6180)
+    seen = Counter()
+    for _ in range(200):
+        g = family_graph(rng)
+        values = sorted({g.value(v) for v in g.vertex_ids})
+        anchors = rng.sample(values, rng.randint(1, len(values)))
+        gaps = [b - a for a, b in zip(sorted(anchors), sorted(anchors)[1:])]
+        halfwidth = rng.choice([F(rng.randint(0, 1500), 1000), *(gap / 2 for gap in gaps[:2])])
+        _, messages = warned(merge_sequence, g, anchors, halfwidth)
+        overlap = any(gap <= 2 * halfwidth for gap in gaps)
+        assert len(messages) == overlap
+        if overlap:
+            seen["at the width" if min(gaps) == 2 * halfwidth else "overlap"] += 1
+            assert messages[0].startswith("anchor bands overlap")
+            assert f"half-width, {format_value(2 * halfwidth)}," in messages[0]
+            assert f"anchor gap, {format_value(min(gaps))})" in messages[0]
+        else:
+            seen["disjoint"] += 1
+    assert min(seen[case] for case in ("at the width", "overlap", "disjoint")) >= 20, seen
 
 
 def test_merge_sequence_rejects_negative_halfwidth():
@@ -738,18 +818,18 @@ def test_merge_sequence_rejects_negative_halfwidth():
 
 def test_merge_sequence_reads_every_anchor_form_alike():
     # a CriticalValues, its sorted and reversed lists and a tuple give the
-    # same graph, certificate and overlap flag, for disjoint (1/8) and
+    # same graph, certificate and warning, for disjoint (1/8) and
     # overlapping (9/10) bands
     rng = random.Random(6170)
     for g in [y_graph(), figure1_left()] + [family_graph(rng) for _ in range(6)]:
         anchors = critical_values(g)
         for halfwidth in (F(1, 8), F(9, 10)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                forms = (anchors, list(anchors), list(reversed(anchors.values)), tuple(anchors))
-                results = [merge_sequence(g, form, halfwidth) for form in forms]
-            first = results[0]
-            for other in results[1:]:
+            forms = (anchors, list(anchors), list(reversed(anchors.values)), tuple(anchors))
+            results = [warned(merge_sequence, g, form, halfwidth) for form in forms]
+            first, first_messages = results[0]
+            gaps = [b - a for a, b in zip(anchors, anchors.values[1:])]
+            assert len(first_messages) == any(gap <= 2 * halfwidth for gap in gaps)
+            for other, messages in results[1:]:
                 assert other.graph == first.graph
-                assert (other.certificate, other.overlap) == (first.certificate, first.overlap)
+                assert (other.certificate, messages) == (first.certificate, first_messages)
 
