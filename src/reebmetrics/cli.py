@@ -19,7 +19,7 @@ from . import __version__
 from .bottleneck import bottleneck
 from .diagram import Diagram
 from .distortion import _segment_or_point, certify_fd_upper, projection_correspondence
-from .experiments import _SUITES, EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .fileio import (
     ParseError,
     _data_lines,
@@ -356,8 +356,6 @@ def validate_cmd(path: str) -> None:
 @click.argument("name", type=click.Choice([*EXPERIMENTS, "all"]), metavar="NAME")
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--trials", type=int, default=None, help="override the trial count")
-@click.option("--K", "k_value", default="1/22", show_default=True)
-@click.option("--eps-frac", default="1/2", show_default=True)
 @click.option(
     "--format",
     "fmt",
@@ -365,19 +363,12 @@ def validate_cmd(path: str) -> None:
     default="text",
     show_default=True,
 )
-def experiment_cmd(
-    name: str, seed: int, trials: Optional[int], k_value: str, eps_frac: str, fmt: str
-) -> None:
+def experiment_cmd(name: str, seed: int, trials: Optional[int], fmt: str) -> None:
     """Run a named experiment suite, or 'all'. Exit 0 iff everything passes."""
     names = list(EXPERIMENTS) if name == "all" else [name]
+    config = ExperimentConfig(seed=seed, trials=trials)
     ok = True
     for exp_name in names:
-        config = ExperimentConfig(
-            seed=seed,
-            trials=trials if trials is not None else _SUITES[exp_name][1],
-            K=parse_value(k_value),
-            epsilon_fraction=parse_value(eps_frac),
-        )
         report = run_experiment(exp_name, config)
         if fmt == "records":
             click.echo(report.to_records_text(), nl=False)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -42,28 +42,24 @@ from .operators import (
 )
 from .paths import GraphPath, contraction_path, intrinsic_upper, linear_path, path_length
 from .persistence import extended_diagram
-from .rationals import format_value, to_fraction
+from .rationals import format_value
 
 _CRITICAL_COUNTS = (4, 8)  # a random instance has 4 to 8 critical values
+_K = Fraction(1, 22)  # the local-equivalence constant of the recovery theorem
+_EPSILON_FRACTION = Fraction(1, 2)  # recovery scale, as a share of its bound
 
 _Trial = tuple[int, bool, dict[str, object]]  # (index, passed, values)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """`trials=None` runs the suite's own trial count, as `reeb experiment` does."""
+
     seed: int = 1
-    trials: int = 100
-    K: Fraction = Fraction(1, 22)
-    epsilon_fraction: Fraction = Fraction(1, 2)
+    trials: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "K", to_fraction(self.K))
-        object.__setattr__(self, "epsilon_fraction", to_fraction(self.epsilon_fraction))
-        if not 0 < self.K <= Fraction(1, 22):
-            raise ValueError("K must lie in (0, 1/22]")
-        if not 0 < self.epsilon_fraction < 1:
-            raise ValueError("epsilon_fraction must lie in (0, 1)")
-        if self.trials < 1:
+        if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be positive")
 
 
@@ -195,24 +191,18 @@ def _run_simplify_contract(config: ExperimentConfig) -> Iterator[_Trial]:
 
 def _run_recovery(config: ExperimentConfig) -> Iterator[_Trial]:
     rng = random.Random(config.seed)
-    K = config.K
     for i in range(config.trials):
         f = _random_instance(rng)
         a_f = min_critical_gap(f)
-        eps = config.epsilon_fraction * a_f / (8 * (1 + 22 * K))
+        eps = _EPSILON_FRACTION * a_f / (8 * (1 + 22 * _K))
         # jitter at half the bottleneck threshold keeps every trial applicable
-        g = _jitter(f, rng, K * eps / 2)
+        g = _jitter(f, rng, _K * eps / 2)
         hypothesis = value_shift_upper(f, g, {v: v for v in f.vertex_ids})
         db = graph_bottleneck(f, g)
-        applicable = db < K * eps
-        if applicable:
-            result = full_transform(g, TransformParams(K * eps, critical_values(f)))
-            recovered = is_level_isomorphic(result.graph, f)
-            passed = recovered
-        else:  # pragma: no cover - jitter scale rules this out
-            recovered = False
-            passed = True
-        yield i, passed, {
+        applicable = db < _K * eps
+        result = full_transform(g, TransformParams(_K * eps, critical_values(f)))
+        recovered = is_level_isomorphic(result.graph, f)
+        yield i, applicable and recovered, {
             "epsilon": eps,
             "fd_hypothesis": hypothesis,
             "bottleneck": db,
@@ -348,7 +338,7 @@ def _run_path_equivalence(config: ExperimentConfig) -> Iterator[_Trial]:
         }
 
 
-# suite name -> (runner, trial count of `reeb experiment`), in run order
+# suite name -> (runner, default trial count), in run order
 _SUITES: dict[str, tuple[Callable[[ExperimentConfig], Iterator[_Trial]], int]] = {
     "stability": (_run_stability, 200),
     "snapping": (_run_snapping, 100),
@@ -365,9 +355,12 @@ EXPERIMENTS = tuple(_SUITES)
 def run_experiment(name: str, config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     if name not in _SUITES:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    runner, trials = _SUITES[name]
     config = config or ExperimentConfig()
+    if config.trials is None:
+        config = replace(config, trials=trials)
     records = (
         TrialRecord(name, index, passed, _fmt(values))
-        for index, passed, values in _SUITES[name][0](config)
+        for index, passed, values in runner(config)
     )
     return ExperimentReport(name, tuple(records))

@@ -19,7 +19,7 @@ for tooling.
 from __future__ import annotations
 
 import json
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .diagram import KINDS, Diagram, DiagramPoint
 from .distortion import Correspondence
@@ -28,8 +28,10 @@ from .rationals import format_value, parse_value
 
 
 class ParseError(ValueError):
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    """Text that does not parse; `line_number` is None when the whole file is at fault."""
+
+    def __init__(self, line_number: Optional[int], message: str):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -77,7 +79,7 @@ def parse_graph_text(text: str, name: str | None = None) -> ReebGraph:
     try:
         return ReebGraph(vertices, edges, name=name)
     except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+        raise ParseError(None, str(exc)) from exc
 
 
 def graph_to_json(g: ReebGraph) -> str:
@@ -173,7 +175,7 @@ def correspondence_from_json(g1: ReebGraph, g2: ReebGraph, text: str):
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
     if not isinstance(payload, dict) or not {"resolution", "phi", "psi"} <= payload.keys():
-        raise ParseError(0, "expected a JSON object with resolution, phi and psi")
+        raise ParseError(None, "expected a JSON object with resolution, phi and psi")
     try:
         if payload.get("exact"):
             raise ValueError("a witness file is never exact: its bound keeps the sampling remainder")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Optional
 
 from .graph import ReebGraph, canonicalize, validate
 from .rationals import ValueLike, to_fraction
@@ -29,30 +28,30 @@ __all__ = [
 ]
 
 
-def segment(lo: ValueLike = 0, hi: ValueLike = 3, name: str = "segment") -> ReebGraph:
+def segment(lo: ValueLike = 0, hi: ValueLike = 3) -> ReebGraph:
     lo, hi = to_fraction(lo), to_fraction(hi)
     if not lo < hi:
         raise ValueError("segment needs lo < hi")
-    return ReebGraph([("bot", lo), ("top", hi)], [("bot", "top")], name=name)
+    return ReebGraph([("bot", lo), ("top", hi)], [("bot", "top")], name="segment")
 
 
-def cycle(lo: ValueLike = 0, hi: ValueLike = 3, name: str = "cycle") -> ReebGraph:
+def cycle(lo: ValueLike = 0, hi: ValueLike = 3) -> ReebGraph:
     lo, hi = to_fraction(lo), to_fraction(hi)
     if not lo < hi:
         raise ValueError("cycle needs lo < hi")
     return ReebGraph(
         [("bot", lo), ("top", hi)],
         [("bot", "top"), ("bot", "top")],
-        name=name,
+        name="cycle",
     )
 
 
-def y_graph(name: str = "Y") -> ReebGraph:
+def y_graph() -> ReebGraph:
     """Trunk [0, 3] with a downward branch: minima at 0 and 1, fork at 2."""
     return ReebGraph(
         [("a", 0), ("b", 1), ("c", 2), ("d", 3)],
         [("a", "c"), ("b", "c"), ("c", "d")],
-        name=name,
+        name="Y",
     )
 
 
@@ -84,15 +83,15 @@ def _figure1(split_branches: bool, name: str) -> ReebGraph:
     return ReebGraph(vertices, edges, name=name)
 
 
-def figure1_left(name: str = "figure1_left") -> ReebGraph:
-    return _figure1(split_branches=False, name=name)
+def figure1_left() -> ReebGraph:
+    return _figure1(split_branches=False, name="figure1_left")
 
 
-def figure1_right(name: str = "figure1_right") -> ReebGraph:
-    return _figure1(split_branches=True, name=name)
+def figure1_right() -> ReebGraph:
+    return _figure1(split_branches=True, name="figure1_right")
 
 
-def figure5(n: int, name: Optional[str] = None) -> ReebGraph:
+def figure5(n: int) -> ReebGraph:
     """n downward branches hanging from the top vertex of a unit trunk.
 
     Branch i ends at 1 - 2**-i, so the graph has n + 2 critical values and
@@ -106,7 +105,7 @@ def figure5(n: int, name: Optional[str] = None) -> ReebGraph:
         tip = f"tip{i}"
         vertices.append((tip, Fraction(2**i - 1, 2**i)))
         edges.append((tip, "top"))
-    return ReebGraph(vertices, edges, name=name or f"figure5_{n}")
+    return ReebGraph(vertices, edges, name=f"figure5_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +151,7 @@ def _sample_values(
     return [lo + Fraction(k, _GRID) * span for k in picks]
 
 
-def random_graph(
-    seed: int | random.Random,
-    n_critical: int = 6,
-    name: Optional[str] = None,
-) -> ReebGraph:
+def random_graph(seed: int | random.Random, n_critical: int = 6) -> ReebGraph:
     """A valid canonical connected graph with ~n_critical critical values.
 
     Construction: sample values in `_VALUE_RANGE` at least a quarter of
@@ -254,9 +249,7 @@ def random_graph(
                 edges.append((fork, new_vertex((a + top) / 2)))
             idx += 1
 
-    g = canonicalize(
-        ReebGraph(sorted(vertices.items(), key=lambda kv: (kv[1], kv[0])), edges, name=name)
-    )
+    g = canonicalize(ReebGraph(sorted(vertices.items(), key=lambda kv: (kv[1], kv[0])), edges))
     report = validate(g)
     if not report.ok:  # pragma: no cover - generator guarantee
         raise AssertionError(f"random generator produced invalid graph: {report}")

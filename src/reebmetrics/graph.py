@@ -258,7 +258,7 @@ class ReebGraph:
                 count -= 1
         return count
 
-    def with_values(self, values: dict[str, ValueLike], name: Optional[str] = None) -> "ReebGraph":
+    def with_values(self, values: dict[str, ValueLike]) -> "ReebGraph":
         """Same combinatorial structure with reassigned vertex values."""
         new_vals = dict(self._values)
         for vid, raw in values.items():
@@ -268,7 +268,7 @@ class ReebGraph:
         return ReebGraph(
             [(vid, new_vals[vid]) for vid in self._order],
             self.edges,
-            name=name if name is not None else self.name,
+            name=self.name,
         )
 
     def negated(self) -> "ReebGraph":

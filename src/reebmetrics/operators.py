@@ -388,6 +388,14 @@ def merge_sequence(
     up to 2*halfwidth per anchor, and a warning naming both numbers is the
     only report. New vertices are named `m<n>`.
     """
+    return _merge_anchor_bands(g, anchors, halfwidth)
+
+
+def _merge_anchor_bands(
+    g: ReebGraph, anchors: Iterable[ValueLike], halfwidth: ValueLike
+) -> TransformResult:
+    """`merge_sequence`, for it and `full_transform` to call alike: its
+    warning names the line that called either of them."""
     halfwidth = to_fraction(halfwidth)
     if halfwidth < 0:
         raise ValueError("merge half-width must be nonnegative")
@@ -400,7 +408,7 @@ def merge_sequence(
             f"anchor bands overlap (twice the half-width, {format_value(width)}, "
             f"is at least the least anchor gap, {format_value(gap)}); "
             "merging sequentially from the lowest anchor",
-            stacklevel=2,
+            stacklevel=3,
         )
     bands = [(c - halfwidth, c + halfwidth) for c in values]
     work = g
@@ -414,5 +422,5 @@ def merge_sequence(
 def full_transform(g: ReebGraph, params: TransformParams) -> TransformResult:
     """Simplify at 2*alpha, then merge 9*alpha-bands around the anchors."""
     simplified = simplify(g, 2 * params.alpha)
-    merged = merge_sequence(simplified.graph, params.anchors, 9 * params.alpha)
+    merged = _merge_anchor_bands(simplified.graph, params.anchors, 9 * params.alpha)
     return TransformResult(merged.graph, simplified.certificate + merged.certificate)

@@ -5,7 +5,6 @@ as a human-readable report when run with `pytest -s tests/test_acceptance.py`.
 """
 
 import random
-from fractions import Fraction as F
 
 from reebmetrics import (
     extended_diagram,
@@ -78,10 +77,7 @@ def test_criterion_4_simplification_contract():
 
 def test_criterion_5_recovery():
     """50 recoveries with K = 1/22, epsilon at half the local-scale bound."""
-    config = ExperimentConfig(
-        seed=1, trials=50, K=F(1, 22), epsilon_fraction=F(1, 2)
-    )
-    rep = run_experiment("recovery", config)
+    rep = run_experiment("recovery", ExperimentConfig(seed=1, trials=50))
     good, total = rep.counts
     assert rep.passed, rep.to_text()
     applicable = sum(1 for r in rep.records if r.values.get("applicable") == "True")

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from reebmetrics.cli import main
+from reebmetrics.experiments import EXPERIMENTS, run_experiment
 from reebmetrics.fileio import graph_to_text, parse_graph_text
 from reebmetrics.generators import (
     cycle,
@@ -295,6 +296,16 @@ def test_experiment_command_text(runner):
     assert result.output.startswith("PASS stability")
 
 
+def test_experiment_command_runs_the_library_default(runner):
+    # `reeb experiment` and `run_experiment` run each suite's own trial count
+    for name in EXPERIMENTS:
+        result = runner.invoke(main, ["experiment", name, "--format", "records"])
+        assert result.exit_code == 0, result.output
+        report = run_experiment(name)
+        assert len(result.output.splitlines()) == len(report.records), name
+        assert result.output == report.to_records_text(), name
+
+
 def test_experiment_unknown_name(runner):
     result = runner.invoke(main, ["experiment", "nope"])
     assert result.exit_code == 2
@@ -407,35 +418,39 @@ def test_unreadable_file_is_a_one_line_error(runner, tmp_path, command, args, ba
         (["simplify", "Y", "x"], "not a decimal or ratio value: 'x'"),
         (["transform", "Y", "--anchors", "Y", "--alpha", "0"], "alpha must be positive"),
         (["transform", "Y", "--anchors", "Y", "--alpha", "x"], "not a decimal"),
-        (["experiment", "stability", "--K", "1"], "K must lie in (0, 1/22]"),
         (["experiment", "stability", "--trials", "0"], "trials must be positive"),
-        (["experiment", "stability", "--eps-frac", "2"], "epsilon_fraction must lie in"),
         (["gen", "random", "--n", "1"], "need at least two critical values"),
         (["gen", "figure5", "--n", "-1"], "n must be nonnegative"),
         (["pathlen", "HALF"], "path must start at t=0 and end at t=1"),
         (["pathlen", "REPEAT"], "time stamps must strictly increase"),
         (["simplify", "Y", "1/0"], "zero denominator in value '1/0'"),
         (["merge", "Y", "0/0", "1"], "zero denominator in value '0/0'"),
-        (["experiment", "stability", "--K", "1/0"], "zero denominator in value '1/0'"),
         (["pathlen", "ZERO"], "zero denominator in value '1/0'"),
+        # a command given the wrong kind of input as a whole
+        (["diagram", "DIAGRAM"], "is a diagram, expected a graph"),
+        (["fdbound", "Y", "Y", "--witness", "file"], "--witness file needs --witness-file"),
+        (["pathlen", "ONE"], "manifest needs at least two steps"),
     ],
     ids=[
         "merge-band", "simplify-negative", "simplify-x", "transform-zero", "transform-x",
-        "experiment-K", "experiment-trials", "experiment-eps-frac", "gen-random",
-        "gen-figure5", "pathlen-half", "pathlen-repeat", "simplify-zero-denominator",
-        "merge-zero-denominator", "experiment-K-zero-denominator",
-        "pathlen-zero-denominator",
+        "experiment-trials", "gen-random", "gen-figure5", "pathlen-half", "pathlen-repeat",
+        "simplify-zero-denominator", "merge-zero-denominator", "pathlen-zero-denominator",
+        "diagram-of-a-diagram", "fdbound-no-witness-file", "pathlen-one-step",
     ],
 )
 def test_bad_number_is_a_one_line_error(runner, tmp_path, args, message):
     (tmp_path / "half.txt").write_text("0 y.txt\n1/2 y.txt\n")
     (tmp_path / "repeat.txt").write_text("0 y.txt\n1 y.txt\n1 y.txt\n")
     (tmp_path / "zero.txt").write_text("0 y.txt\n1/0 y.txt\n")
+    (tmp_path / "one.txt").write_text("0 y.txt\n")
+    (tmp_path / "diagram.txt").write_text("Ord0 1 2\n")
     paths = {
         "Y": write(tmp_path / "y.txt", y_graph()),
         "HALF": tmp_path / "half.txt",
         "REPEAT": tmp_path / "repeat.txt",
         "ZERO": tmp_path / "zero.txt",
+        "ONE": tmp_path / "one.txt",
+        "DIAGRAM": tmp_path / "diagram.txt",
     }
     result = runner.invoke(main, [str(paths.get(a, a)) for a in args])
     assert result.exit_code == 1, result.output
@@ -443,6 +458,29 @@ def test_bad_number_is_a_one_line_error(runner, tmp_path, args, message):
     assert "Traceback" not in result.output
     [error] = result.output.splitlines()  # and nothing printed before it
     assert error.startswith("Error: ") and message in error, error
+
+
+@pytest.mark.parametrize(
+    "args, text, message",
+    [
+        (["diagram", "BAD"], "v a 0\nv a 1\n", "duplicate vertex id 'a'"),
+        (["diagram", "BAD"], "v a 0\ne a b\n", "edge (a, b) references unknown vertex"),
+        (
+            ["fdbound", "Y", "Y", "--witness", "file", "--witness-file", "BAD"],
+            "[]\n",
+            "expected a JSON object with resolution, phi and psi",
+        ),
+    ],
+    ids=["duplicate-id", "unknown-vertex", "witness-list"],
+)
+def test_whole_file_error_names_no_line(runner, tmp_path, args, text, message):
+    # an error of the whole file, not of one line, once read "line 0: ..."
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    paths = {"BAD": bad, "Y": write(tmp_path / "y.txt", y_graph())}
+    result = runner.invoke(main, [str(paths.get(a, a)) for a in args])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: cannot read {bad}: {message}\n"
 
 
 def test_fdbound_witness_file(runner, tmp_path):

@@ -784,6 +784,21 @@ def test_merge_sequence_overlap_warns():
     ]
 
 
+def test_overlap_warning_names_the_callers_line():
+    # through `full_transform` the warning once named the library's own call
+    # of `merge_sequence`
+    y = y_graph()
+    anchors = critical_values(y)
+    for fn, args in (
+        (merge_sequence, (y, anchors, F("0.9"))),
+        (full_transform, (y, TransformParams(F("0.1"), anchors))),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fn(*args)
+        assert [w.filename for w in caught] == [__file__], fn.__name__
+
+
 def test_merge_sequence_warns_exactly_when_a_gap_is_at_most_the_width():
     # the warning is the only report of overlapping bands: it is raised once
     # when some gap between sorted anchors is at most twice the half-width,
