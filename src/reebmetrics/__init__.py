@@ -46,7 +46,6 @@ from .generators import (
     figure1_left,
     figure1_right,
     figure5,
-    generate,
     random_graph,
     segment,
     y_graph,
@@ -54,14 +53,12 @@ from .generators import (
 from .graph import (
     CriticalValues,
     GraphPoint,
-    GraphStats,
     InvalidGraphError,
     ReebGraph,
     ValidationReport,
     canonicalize,
     critical_values,
     min_critical_gap,
-    stats,
     travel_distance,
     travel_distances,
     validate,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -18,7 +17,12 @@ import click
 from . import __version__
 from .bottleneck import bottleneck
 from .diagram import Diagram
-from .distortion import _segment_or_point, certify_fd_upper, projection_correspondence
+from .distortion import (
+    FDBoundCertificate,
+    _segment_or_point,
+    certify_fd_upper,
+    projection_correspondence,
+)
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .fileio import (
     ParseError,
@@ -28,15 +32,26 @@ from .fileio import (
     graph_to_json,
     graph_to_text,
     load_graph_or_diagram,
-    parse_graph_text,
 )
-from .generators import _GENERATORS, generate
-from .graph import InvalidGraphError, ReebGraph, canonicalize, critical_values, stats, validate
+from .generators import cycle, figure1_left, figure1_right, figure5, random_graph, segment, y_graph
+from .graph import InvalidGraphError, ReebGraph, canonicalize, critical_values, validate
 from .isomorphism import level_isomorphism
 from .operators import MergeParams, TransformParams, full_transform, merge, simplify
-from .paths import GraphPath, _intrinsic_bound, path_length
+from .paths import GraphPath, _intrinsic_bound, intrinsic_upper, path_length
 from .persistence import extended_diagram
 from .rationals import format_value, parse_value
+
+
+_GENERATORS = {
+    "segment": segment,
+    "cycle": cycle,
+    "Y": y_graph,
+    "y": y_graph,
+    "figure1_left": figure1_left,
+    "figure1_right": figure1_right,
+    "figure5": figure5,
+    "random": random_graph,
+}
 
 
 def _load(path: str, parse=load_graph_or_diagram):
@@ -125,6 +140,24 @@ def _diagram_delta(before: Diagram, after: Diagram) -> str:
     return "\n".join(lines) if lines else "(diagram unchanged)"
 
 
+def _emit_operator_result(
+    g: ReebGraph, result: ReebGraph, certificate: Fraction, output: Optional[str]
+) -> None:
+    """The operator's graph, its distortion certificate and diagram delta."""
+    _emit_graph(result, output)
+    click.echo(f"# distortion certificate {format_value(certificate)}")
+    click.echo("# diagram delta")
+    click.echo(_diagram_delta(extended_diagram(g), extended_diagram(result)))
+
+
+def _emit_bounds(cert: FDBoundCertificate, upper_line: str) -> None:
+    """The certified interval: `lower`, the upper line and `gap`; `{}` in
+    `upper_line` stands for the upper bound."""
+    click.echo(f"lower {format_value(cert.lower)}")
+    click.echo(upper_line.format(format_value(cert.upper)))
+    click.echo(f"gap {format_value(cert.upper - cert.lower)}")
+
+
 @main.command(name="merge")
 @click.argument("path")
 @click.argument("a")
@@ -153,14 +186,9 @@ def simplify_cmd(path: str, alpha: str, output: Optional[str]) -> None:
     """
     g = _load_graph(path)
     result = simplify(g, parse_value(alpha))
-    _emit_graph(result.graph, output)
-    click.echo(f"# distortion certificate {format_value(result.certificate)}")
-    click.echo("# diagram delta")
-    click.echo(_diagram_delta(extended_diagram(g), extended_diagram(result.graph)))
+    _emit_operator_result(g, result.graph, result.certificate, output)
     cert = certify_fd_upper(g, result.graph, result.certificate)
-    click.echo(f"lower {format_value(cert.lower)}")
-    click.echo(f"upper {format_value(cert.upper)} (simplification moves)")
-    click.echo(f"gap {format_value(cert.upper - cert.lower)}")
+    _emit_bounds(cert, "upper {} (simplification moves)")
 
 
 @main.command(name="transform")
@@ -174,10 +202,7 @@ def transform_cmd(path: str, anchors: str, alpha: str, output: Optional[str]) ->
     anchor_graph = _load_graph(anchors)
     params = TransformParams(parse_value(alpha), critical_values(anchor_graph))
     result = full_transform(g, params)
-    _emit_graph(result.graph, output)
-    click.echo(f"# distortion certificate {format_value(result.certificate)}")
-    click.echo("# diagram delta")
-    click.echo(_diagram_delta(extended_diagram(g), extended_diagram(result.graph)))
+    _emit_operator_result(g, result.graph, result.certificate, output)
 
 
 @main.command(name="iso")
@@ -222,9 +247,7 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
         elif _segment_or_point(g1):
             cert = certify_fd_upper(g2, g1, projection_correspondence(g2, g1))
         else:
-            raise click.ClickException(
-                "the collapse witness needs a segment on one side"
-            )
+            raise click.ClickException("the collapse witness needs a segment on one side")
     else:
         if witness_file is None:
             raise click.ClickException("--witness file needs --witness-file <path>")
@@ -238,9 +261,7 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
                 raise click.ClickException(f"bad witness file {witness_file}: {exc}") from exc
 
         cert = certify_fd_upper(g1, g2, _load(witness_file, parse))
-    click.echo(f"lower {format_value(cert.lower)}")
-    click.echo(f"upper {format_value(cert.upper)} ({source})")
-    click.echo(f"gap {format_value(cert.upper - cert.lower)}")
+    _emit_bounds(cert, f"upper {{}} ({source})")
     if witness != "natural":
         click.echo(f"remainder {format_value(cert.remainder)}")
 
@@ -262,16 +283,12 @@ def _parse_manifest(text: str) -> list[tuple[Fraction, str]]:
 def pathlen_cmd(manifest: str, metric: str) -> None:
     """Length of a discretized path; manifest lines: '<t> <graph-file>'."""
     base = Path(manifest).parent
-    steps = [
-        (t, _load(str(base / name), partial(parse_graph_text, name=name)))
-        for t, name in _load(manifest, _parse_manifest)
-    ]
+    steps = [(t, _load_graph(str(base / name))) for t, name in _load(manifest, _parse_manifest)]
     if len(steps) < 2:
         raise click.ClickException("manifest needs at least two steps")
 
     certs = [
-        certify_fd_upper(a, b, _intrinsic_bound(a, b)[0])
-        for (_, a), (_, b) in zip(steps, steps[1:])
+        certify_fd_upper(a, b, intrinsic_upper(a, b)) for (_, a), (_, b) in zip(steps, steps[1:])
     ]
     path = GraphPath(tuple(steps), tuple(certs))
     result = path_length(path, "bottleneck" if metric == "db" else "fd_upper")
@@ -286,10 +303,7 @@ def pathlen_cmd(manifest: str, metric: str) -> None:
 def intrinsic_cmd(file_a: str, file_b: str) -> None:
     """Certified bounds on the intrinsic distortion metric (at least d_FD)."""
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
-    cert = certify_fd_upper(g1, g2, _intrinsic_bound(g1, g2)[0])
-    click.echo(f"lower {format_value(cert.lower)}")
-    click.echo(f"upper bound {format_value(cert.upper)}")
-    click.echo(f"gap {format_value(cert.upper - cert.lower)}")
+    _emit_bounds(certify_fd_upper(g1, g2, intrinsic_upper(g1, g2)), "upper bound {}")
 
 
 @main.command(name="gen")
@@ -301,14 +315,13 @@ def intrinsic_cmd(file_a: str, file_b: str) -> None:
 def gen_cmd(spec: str, seed: int, n: Optional[int], output: Optional[str], as_json: bool) -> None:
     """Generate a built-in or random graph (segment, cycle, Y, figure1_left,
     figure1_right, figure5, random)."""
-    kwargs = {}
+    make = _GENERATORS[spec]
     if spec == "figure5":
-        kwargs["n"] = n if n is not None else 3
+        g = make(n if n is not None else 3)
     elif spec == "random":
-        kwargs["seed"] = seed
-        if n is not None:
-            kwargs["n_critical"] = n
-    g = generate(spec, **kwargs)
+        g = make(seed) if n is None else make(seed, n_critical=n)
+    else:
+        g = make()
     _emit_graph(g, output, as_json)
 
 
@@ -317,15 +330,13 @@ def gen_cmd(spec: str, seed: int, n: Optional[int], output: Optional[str], as_js
 def stats_cmd(path: str) -> None:
     """|V|, |E|, first Betti number, critical values, minimal gap."""
     g = _load_graph(path)
-    info = stats(g)
-    click.echo(f"vertices {info.vertices}")
-    click.echo(f"edges {info.edges}")
-    click.echo(f"betti1 {info.betti1}")
-    click.echo(
-        "critical_values " + " ".join(format_value(v) for v in info.critical_values)
-    )
-    if info.min_gap is not None:
-        click.echo(f"min_gap {format_value(info.min_gap)}")
+    crit = critical_values(g)
+    click.echo(f"vertices {len(g.vertex_ids)}")
+    click.echo(f"edges {len(g.edges)}")
+    click.echo(f"betti1 {g.first_betti()}")
+    click.echo("critical_values " + " ".join(format_value(v) for v in crit))
+    if len(crit) >= 2:
+        click.echo(f"min_gap {format_value(crit.min_gap())}")
 
 
 @main.command(name="convert")
@@ -370,10 +381,7 @@ def experiment_cmd(name: str, seed: int, trials: Optional[int], fmt: str) -> Non
     ok = True
     for exp_name in names:
         report = run_experiment(exp_name, config)
-        if fmt == "records":
-            click.echo(report.to_records_text(), nl=False)
-        else:
-            click.echo(report.to_text(), nl=False)
+        click.echo(report.to_records_text() if fmt == "records" else report.to_text(), nl=False)
         ok = ok and report.passed
     if not ok:
         sys.exit(1)

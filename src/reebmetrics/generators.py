@@ -24,7 +24,6 @@ __all__ = [
     "figure1_right",
     "figure5",
     "random_graph",
-    "generate",
 ]
 
 
@@ -254,22 +253,3 @@ def random_graph(seed: int | random.Random, n_critical: int = 6) -> ReebGraph:
     if not report.ok:  # pragma: no cover - generator guarantee
         raise AssertionError(f"random generator produced invalid graph: {report}")
     return g
-
-
-_GENERATORS = {
-    "segment": segment,
-    "cycle": cycle,
-    "Y": y_graph,
-    "y": y_graph,
-    "figure1_left": figure1_left,
-    "figure1_right": figure1_right,
-    "figure5": figure5,
-    "random": random_graph,
-}
-
-
-def generate(spec: str, **params) -> ReebGraph:
-    """Dispatch on a generator name; see the individual functions."""
-    if spec not in _GENERATORS:
-        raise ValueError(f"unknown generator {spec!r}; choose from {sorted(_GENERATORS)}")
-    return _GENERATORS[spec](**params)

@@ -187,9 +187,6 @@ class ReebGraph:
         la, lv, lb = levels[a], levels[vid], levels[b]
         return la < lv < lb or lb < lv < la
 
-    def is_critical(self, vid: str) -> bool:
-        return not self.is_pass_through(vid)
-
     def min_value(self) -> Fraction:
         return min(self._values.values())
 
@@ -414,7 +411,7 @@ class CriticalValues:
 
 
 def critical_values(g: ReebGraph) -> CriticalValues:
-    vals = sorted({g.value(v) for v in g.vertex_ids if g.is_critical(v)})
+    vals = sorted({g.value(v) for v in g.vertex_ids if not g.is_pass_through(v)})
     return CriticalValues(tuple(vals))
 
 
@@ -593,24 +590,3 @@ def travel_distance(g: ReebGraph, x: GraphPoint, y: GraphPoint) -> Fraction:
     call that once instead.
     """
     return travel_distances(g, (x, y))[0][1]
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    vertices: int
-    edges: int
-    betti1: int
-    critical_values: tuple[Fraction, ...]
-    min_gap: Optional[Fraction]
-
-
-def stats(g: ReebGraph) -> GraphStats:
-    crit = critical_values(g)
-    gap = crit.min_gap() if len(crit) >= 2 else None
-    return GraphStats(
-        vertices=len(g.vertex_ids),
-        edges=len(g.edges),
-        betti1=g.first_betti(),
-        critical_values=crit.values,
-        min_gap=gap,
-    )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .diagram import EXT0
 from .distortion import FDBoundCertificate, best_structure_shift, certify_fd_upper
 from .graph import InvalidGraphError, ReebGraph
 from .operators import clear_features
@@ -156,23 +157,19 @@ def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
 
     def clear(graph: ReebGraph, scale: Fraction) -> ReebGraph:
         cleared = clear_features(graph, scale)
-        if cleared.graph == graph:
+        if not cleared.moves:
             return graph
         stages.append((cleared.graph, cleared.certificate))
         return cleared.graph
 
     current = g
-    for scale in sorted(
-        {p.persistence for p in extended_diagram(g) if p.kind != "Ext0"}
-    ):
+    for scale in sorted({p.persistence for p in extended_diagram(g) if p.kind != EXT0}):
         current = clear(current, scale)
     # snapping during a stage can nudge a residual feature past the largest
     # original scale; clear leftovers at their own scales until only the
     # trunk remains
     while True:
-        residual = [
-            p.persistence for p in extended_diagram(current) if p.kind != "Ext0"
-        ]
+        residual = [p.persistence for p in extended_diagram(current) if p.kind != EXT0]
         if not residual:
             break
         current = clear(current, max(residual))

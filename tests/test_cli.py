@@ -8,11 +8,12 @@ from click.testing import CliRunner
 
 from reebmetrics.cli import main
 from reebmetrics.experiments import EXPERIMENTS, run_experiment
-from reebmetrics.fileio import graph_to_text, parse_graph_text
+from reebmetrics.fileio import graph_to_json, graph_to_text, parse_graph_text
 from reebmetrics.generators import (
     cycle,
     figure1_left,
     figure1_right,
+    figure5,
     random_graph,
     segment,
     y_graph,
@@ -223,13 +224,49 @@ def test_pathlen_three_step_manifest_is_pinned(runner, tmp_path):
         ]
 
 
+def test_pathlen_reads_json_steps_like_every_command(runner, tmp_path):
+    # the same three steps as the pinned manifest, written as JSON graphs
+    for name in ("Y", "segment", "cycle"):
+        result = runner.invoke(main, ["gen", name, "--json", "-o", str(tmp_path / f"{name}.json")])
+        assert result.exit_code == 0, result.output
+    manifest = tmp_path / "path.txt"
+    manifest.write_text("0 Y.json\n1/2 segment.json\n1 cycle.json\n")
+    result = runner.invoke(main, ["pathlen", str(manifest), "--metric", "fd"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == ["step 0: 4", "step 1: 4.5", "total 8.5"]
+
+
+def test_pathlen_rejects_a_diagram_step(runner, tmp_path):
+    y = write(tmp_path / "y.txt", y_graph())
+    (tmp_path / "d.txt").write_text(runner.invoke(main, ["diagram", y]).output)
+    manifest = tmp_path / "path.txt"
+    manifest.write_text("0 y.txt\n1 d.txt\n")
+    result = runner.invoke(main, ["pathlen", str(manifest)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {tmp_path / 'd.txt'} is a diagram, expected a graph\n"
+
+
 def test_stats_command(runner, tmp_path):
+    # the whole output: a graph with a minimal gap, a one-vertex graph
+    # (one critical value, so no `min_gap` line) and a 14-vertex random tree
     a = write(tmp_path / "y.txt", y_graph())
-    result = runner.invoke(main, ["stats", a])
-    assert result.exit_code == 0
-    assert "vertices 4" in result.output
-    assert "betti1 0" in result.output
-    assert "min_gap 1" in result.output
+    one = tmp_path / "one.txt"
+    one.write_text("v a 1\n")
+    rand = tmp_path / "random.txt"
+    result = runner.invoke(main, ["gen", "random", "--seed", "5", "--n", "14", "-o", str(rand)])
+    assert result.exit_code == 0, result.output
+    want = {
+        a: "vertices 4\nedges 3\nbetti1 0\ncritical_values 0 1 2 3\nmin_gap 1\n",
+        str(one): "vertices 1\nedges 0\nbetti1 0\ncritical_values 1\n",
+        str(rand): (
+            "vertices 14\nedges 13\nbetti1 0\ncritical_values 0.13 1.04 1.86 2.21 2.55 "
+            "2.86 3.98 4.17 5.56 5.87 7.48 7.84 8.88 9.38\nmin_gap 0.19\n"
+        ),
+    }
+    for path, output in want.items():
+        result = runner.invoke(main, ["stats", path])
+        assert result.exit_code == 0, result.output
+        assert result.output == output, path
 
 
 def test_validate_command(runner, tmp_path):
@@ -267,6 +304,30 @@ def test_convert_round_trip(runner, tmp_path):
     payload = json.loads(as_json.output)
     assert payload["name"] is None or isinstance(payload["name"], str)
     assert len(payload["vertices"]) == 4
+
+
+GEN_CASES = [
+    (["segment"], segment),
+    (["cycle"], cycle),
+    (["Y"], y_graph),
+    (["y"], y_graph),
+    (["figure1_left"], figure1_left),
+    (["figure1_right"], figure1_right),
+    (["figure5"], lambda: figure5(3)),
+    (["figure5", "--n", "6"], lambda: figure5(6)),
+    (["random"], lambda: random_graph(7)),
+    (["random", "--seed", "3", "--n", "9"], lambda: random_graph(3, n_critical=9)),
+]
+
+
+@pytest.mark.parametrize("args, make", GEN_CASES, ids=[" ".join(a) for a, _ in GEN_CASES])
+def test_gen_prints_the_generator_graph(runner, args, make):
+    result = runner.invoke(main, ["gen", *args])
+    assert result.exit_code == 0, result.output
+    assert result.output == graph_to_text(make())
+    result = runner.invoke(main, ["gen", *args, "--json"])
+    assert result.exit_code == 0, result.output
+    assert result.output == graph_to_json(make())
 
 
 def test_gen_figure5(runner, tmp_path):

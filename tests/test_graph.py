@@ -23,7 +23,6 @@ from reebmetrics import (
     random_graph,
     sample_net,
     segment,
-    stats,
     travel_distance,
     travel_distances,
     validate,
@@ -1022,15 +1021,16 @@ def test_travel_distances_errors():
 
 
 def test_stats_y():
-    info = stats(y_graph())
-    assert info.vertices == 4
-    assert info.edges == 3
-    assert info.betti1 == 0
-    assert info.min_gap == 1
+    g = y_graph()
+    assert len(g.vertex_ids) == 4
+    assert len(g.edges) == 3
+    assert g.first_betti() == 0
+    assert critical_values(g).values == (0, 1, 2, 3)
+    assert critical_values(g).min_gap() == 1
 
 
 def test_stats_cycle_betti():
-    assert stats(cycle()).betti1 == 1
+    assert cycle().first_betti() == 1
 
 
 def test_edge_point_endpoints_normalize_to_vertices():
