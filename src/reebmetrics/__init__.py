@@ -58,7 +58,6 @@ from .graph import (
     ValidationReport,
     canonicalize,
     critical_values,
-    min_critical_gap,
     travel_distance,
     travel_distances,
     validate,

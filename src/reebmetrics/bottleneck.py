@@ -2,12 +2,13 @@
 
 Matchings must pair points of the same kind, so the optimum decomposes as a
 maximum of per-kind optima. Each per-kind optimum is one of finitely many
-candidates: the pairwise l-infinity distances and the diagonal costs. Per
-kind, every coordinate is scaled to an int over the lcm L of the kind's
-denominators; over 2L each pair distance is 2 max(|db|, |dd|) and each
-diagonal cost |b - d|, all ints. Feasibility at a threshold is a perfect
-matching in the graph doubled by diagonal slots, found by an iterative
-Hopcroft-Karp that compares only integers.
+candidates: the pairwise l-infinity distances and the diagonal costs. Both
+diagrams' int rows are read on one lattice L, the lcm of their scales: when
+the scales differ, each side's rows are lifted once by L over its scale.
+Over 2L each pair distance is 2 max(|db|, |dd|) and each diagonal cost
+|b - d|, all ints. Feasibility at a threshold is a perfect matching in the
+graph doubled by diagonal slots, found by an iterative Hopcroft-Karp that
+compares only integers.
 
 The search probes the nearest-neighbour floor first: every point pays at
 least the distance to its nearest partner of the other side or to the
@@ -17,24 +18,26 @@ floor is feasible and one matching settles the kind. Only when it is not
 are the distinct candidates above it sorted and binary-searched, which
 tests O(log nk) of them. Either way the witness is the matching found at
 the optimal candidate, so it does not depend on which search found it.
-Only the optimal candidate becomes a `Fraction` again, and the witness
-matching is checked against it in exact `Fraction` arithmetic before it is
-returned. Among optimal matchings, which one is the witness is an
-implementation detail; its cost always equals the value.
+The witness matching is checked against the optimum before it is
+returned, by recomputing its cost from the rows on the same lattice, and
+only the optimum becomes a `Fraction` again. Among optimal matchings, which
+one is the witness is an implementation detail; its cost always equals the
+value.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .diagram import KINDS, Diagram, DiagramPoint, linf
+from .diagram import KINDS, Diagram
 from .graph import ReebGraph
 from .persistence import extended_diagram
-from .rationals import ValueLike, common_denominator, on_lattice, to_fraction
+from .rationals import ValueLike, to_fraction
 
 
 @dataclass(frozen=True)
@@ -48,15 +51,15 @@ class PartialMatching:
     def validate(self, d1: Diagram, d2: Diagram) -> None:
         left = [i for i, _ in self.pairs] + list(self.unmatched_left)
         right = [j for _, j in self.pairs] + list(self.unmatched_right)
-        if sorted(left) != list(range(len(d1.points))):
+        if sorted(left) != list(range(len(d1))):
             raise ValueError("matching does not cover the left diagram exactly once")
-        if sorted(right) != list(range(len(d2.points))):
+        if sorted(right) != list(range(len(d2))):
             raise ValueError("matching does not cover the right diagram exactly once")
         for i, j in self.pairs:
-            if d1.points[i].kind != d2.points[j].kind:
+            k1, k2 = d1.rows[i][0], d2.rows[j][0]
+            if k1 != k2:
                 raise ValueError(
-                    f"matched points of different kinds: "
-                    f"{d1.points[i].kind} vs {d2.points[j].kind}"
+                    f"matched points of different kinds: {KINDS[k1]} vs {KINDS[k2]}"
                 )
 
 
@@ -66,27 +69,52 @@ class BottleneckResult:
     witness: PartialMatching
 
 
+_Rows = Sequence[tuple[int, int, int]]
+
+
+def _lifted(d1: Diagram, d2: Diagram) -> tuple[int, _Rows, _Rows]:
+    """Both diagrams' rows on the lcm of their scales, and that lcm."""
+    if d1.scale == d2.scale:
+        return d1.scale, d1.rows, d2.rows
+    scale = math.lcm(d1.scale, d2.scale)
+
+    def lift(d: Diagram) -> _Rows:
+        k = scale // d.scale
+        return [(kind, birth * k, death * k) for kind, birth, death in d.rows]
+
+    return scale, lift(d1), lift(d2)
+
+
+def _cost(rows1: _Rows, rows2: _Rows, m: PartialMatching) -> int:
+    """The cost of `m` over twice the rows' lattice: a matched pair pays
+    2 max(|db|, |dd|), an unmatched point |b - d|."""
+    cost = 0
+    for i, j in m.pairs:
+        _, b1, d1 = rows1[i]
+        _, b2, d2 = rows2[j]
+        cost = max(cost, 2 * abs(b1 - b2), 2 * abs(d1 - d2))
+    for rows, unmatched in ((rows1, m.unmatched_left), (rows2, m.unmatched_right)):
+        for i in unmatched:
+            _, b, d = rows[i]
+            cost = max(cost, abs(b - d))
+    return cost
+
+
 def matching_cost(d1: Diagram, d2: Diagram, m: PartialMatching) -> Fraction:
     """Max over matched l-infinity distances and unmatched diagonal costs."""
     m.validate(d1, d2)
-    cost = Fraction(0)
-    for i, j in m.pairs:
-        cost = max(cost, linf(d1.points[i], d2.points[j]))
-    for i in m.unmatched_left:
-        cost = max(cost, d1.points[i].diagonal_distance)
-    for j in m.unmatched_right:
-        cost = max(cost, d2.points[j].diagonal_distance)
-    return cost
+    scale, rows1, rows2 = _lifted(d1, d2)
+    return Fraction(_cost(rows1, rows2, m), 2 * scale)
 
 
 @dataclass(frozen=True)
 class _KindDistances:
     """The distances of one kind, as ints in units of 1/`scale`.
 
-    `pairs[a][j]` is `linf(left[a], right[j])` and `diag_left` /
-    `diag_right` the diagonal costs; together they are the kind's
-    candidates. A threshold is an int on the same lattice, and every test
-    against it compares integers.
+    `pairs[a][j]` is the l-infinity distance of left point a and right
+    point j, and `diag_left` / `diag_right` the diagonal costs; together
+    they are the kind's candidates. A threshold is an int on the same
+    lattice, and every test against it compares integers.
     """
 
     scale: int
@@ -96,23 +124,35 @@ class _KindDistances:
 
 
 def _kind_distances(
-    left: Sequence[DiagramPoint], right: Sequence[DiagramPoint]
+    left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]], scale: int
 ) -> _KindDistances:
-    lattice = common_denominator(
-        chain.from_iterable((p.birth, p.death) for p in chain(left, right))
-    )
+    """The distances between (birth, death) pairs given as ints times `scale`."""
+    # over 2 * scale: linf(p, q) is 2 max(|db|, |dd|), a diagonal cost |b - d|
+    dist = [[2 * max(abs(b - b2), abs(d - d2)) for b2, d2 in right] for b, d in left]
+    diag_left = [abs(b - d) for b, d in left]
+    diag_right = [abs(b - d) for b, d in right]
+    return _KindDistances(2 * scale, dist, diag_left, diag_right)
 
-    def coords(points: Sequence[DiagramPoint]) -> list[tuple[int, int]]:
-        return [(on_lattice(p.birth, lattice), on_lattice(p.death, lattice)) for p in points]
 
-    # over 2 * lattice: linf(p, q) is 2 max(|db|, |dd|), a diagonal cost |b - d|
-    lefts, rights = coords(left), coords(right)
-    dist = [
-        [2 * max(abs(b - b2), abs(d - d2)) for b2, d2 in rights] for b, d in lefts
-    ]
-    diag_left = [abs(b - d) for b, d in lefts]
-    diag_right = [abs(b - d) for b, d in rights]
-    return _KindDistances(2 * lattice, dist, diag_left, diag_right)
+def _kind_tables(
+    scale: int, rows1: _Rows, rows2: _Rows
+) -> Iterator[tuple[range, range, _KindDistances]]:
+    """For each kind present on either side, its row indices on each side
+    and its distances; the rows are both on the lattice of `scale`. Rows
+    sort by kind first, so each kind's rows are one run.
+    """
+
+    def runs(rows: _Rows) -> list[range]:
+        starts = [bisect_left(rows, (kind,)) for kind in range(len(KINDS) + 1)]
+        return [range(a, b) for a, b in zip(starts, starts[1:])]
+
+    for left, right in zip(runs(rows1), runs(rows2)):
+        if left or right:
+            yield left, right, _kind_distances(
+                [(b, d) for _, b, d in rows1[left.start : left.stop]],
+                [(b, d) for _, b, d in rows2[right.start : right.stop]],
+                scale,
+            )
 
 
 def _threshold_matching(
@@ -228,8 +268,9 @@ def _floor(dists: _KindDistances) -> int:
     return max((min((cost, *row)) for cost, row in near), default=0)
 
 
-def _kind_assignment(dists: _KindDistances) -> tuple[Fraction, list[Optional[int]]]:
-    """The smallest feasible candidate of one kind and a matching attaining it.
+def _kind_assignment(dists: _KindDistances) -> tuple[int, list[Optional[int]]]:
+    """The smallest feasible candidate of one kind, an int in units of
+    1/`dists.scale`, and a matching attaining it.
 
     Every matching pays at least the floor, and the floor is a candidate, so
     when the floor is feasible it is the optimum. Otherwise every candidate
@@ -239,7 +280,7 @@ def _kind_assignment(dists: _KindDistances) -> tuple[Fraction, list[Optional[int
     floor = _floor(dists)
     assignment = _threshold_matching(dists, floor)
     if assignment is not None:
-        return Fraction(floor, dists.scale), assignment
+        return floor, assignment
     everything = chain(dists.diag_left, dists.diag_right, chain.from_iterable(dists.pairs))
     candidates = sorted({c for c in everything if c > floor})
     lo, hi = 0, len(candidates) - 1
@@ -252,24 +293,26 @@ def _kind_assignment(dists: _KindDistances) -> tuple[Fraction, list[Optional[int
         else:
             best, assignment, hi = mid, found, mid - 1
     assert assignment is not None
-    return Fraction(candidates[best], dists.scale), assignment
+    return candidates[best], assignment
 
 
 def feasible(d1: Diagram, d2: Diagram, delta: ValueLike) -> bool:
     """Does some valid partial matching have cost <= delta?
 
-    Every distance is an int on its kind's lattice, so a distance is at
-    most delta exactly when it is at most floor(delta * scale), even when
-    delta falls between two candidates or off the lattice.
+    Every distance is an int on the lattice of 2 lcm(d1.scale, d2.scale),
+    so a distance is at most delta exactly when it is at most
+    floor(delta * 2 lcm), even when delta falls between two candidates or
+    off the lattice.
     """
     delta = to_fraction(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    for kind in KINDS:
-        dists = _kind_distances(d1.of_kind(kind), d2.of_kind(kind))
-        if _threshold_matching(dists, math.floor(delta * dists.scale)) is None:
-            return False
-    return True
+    scale, rows1, rows2 = _lifted(d1, d2)
+    threshold = math.floor(delta * 2 * scale)
+    return all(
+        _threshold_matching(dists, threshold) is not None
+        for _, _, dists in _kind_tables(scale, rows1, rows2)
+    )
 
 
 def bottleneck(d1: Diagram, d2: Diagram) -> BottleneckResult:
@@ -279,45 +322,32 @@ def bottleneck(d1: Diagram, d2: Diagram) -> BottleneckResult:
     nearest-neighbour floor when that is feasible, and otherwise the
     smallest feasible candidate above it, found by binary search.
     """
-    kind_indices_1 = {kind: [] for kind in KINDS}
-    kind_indices_2 = {kind: [] for kind in KINDS}
-    for i, p in enumerate(d1.points):
-        kind_indices_1[p.kind].append(i)
-    for j, q in enumerate(d2.points):
-        kind_indices_2[q.kind].append(j)
-
-    value = Fraction(0)
+    scale, rows1, rows2 = _lifted(d1, d2)
+    value = 0  # over 2 * scale
     pairs: list[tuple[int, int]] = []
     unmatched_left: list[int] = []
     unmatched_right: list[int] = []
-
-    for kind in KINDS:
-        left = [d1.points[i] for i in kind_indices_1[kind]]
-        right = [d2.points[j] for j in kind_indices_2[kind]]
-        if not left and not right:
-            continue
-        best, assignment = _kind_assignment(_kind_distances(left, right))
+    for left, right, dists in _kind_tables(scale, rows1, rows2):
+        best, assignment = _kind_assignment(dists)
         value = max(value, best)
         for a, b in enumerate(assignment):
             if b is None:
-                unmatched_left.append(kind_indices_1[kind][a])
+                unmatched_left.append(left[a])
             else:
-                pairs.append((kind_indices_1[kind][a], kind_indices_2[kind][b]))
+                pairs.append((left[a], right[b]))
         matched_right = {b for b in assignment if b is not None}
-        for j in range(len(right)):
-            if j not in matched_right:
-                unmatched_right.append(kind_indices_2[kind][j])
+        unmatched_right += (right[j] for j in range(len(right)) if j not in matched_right)
 
     witness = PartialMatching(
         tuple(sorted(pairs)),
         tuple(sorted(unmatched_left)),
         tuple(sorted(unmatched_right)),
     )
-    result = BottleneckResult(value=value, witness=witness)
-    check = matching_cost(d1, d2, witness)
+    witness.validate(d1, d2)
+    check = _cost(rows1, rows2, witness)
     if check != value:  # pragma: no cover - internal consistency
-        raise AssertionError(f"witness cost {check} != optimum {value}")
-    return result
+        raise AssertionError(f"witness cost {check} != optimum {value}, over {2 * scale}")
+    return BottleneckResult(Fraction(value, 2 * scale), witness)
 
 
 def graph_bottleneck(g1: ReebGraph, g2: ReebGraph) -> Fraction:

@@ -30,7 +30,7 @@ from .generators import (
     segment,
     y_graph,
 )
-from .graph import ReebGraph, critical_values, min_critical_gap, validate
+from .graph import ReebGraph, critical_values, validate
 from .isomorphism import is_level_isomorphic
 from .operators import (
     MergeParams,
@@ -193,7 +193,7 @@ def _run_recovery(config: ExperimentConfig) -> Iterator[_Trial]:
     rng = random.Random(config.seed)
     for i in range(config.trials):
         f = _random_instance(rng)
-        a_f = min_critical_gap(f)
+        a_f = critical_values(f).min_gap()
         eps = _EPSILON_FRACTION * a_f / (8 * (1 + 22 * _K))
         # jitter at half the bottleneck threshold keeps every trial applicable
         g = _jitter(f, rng, _K * eps / 2)

@@ -415,10 +415,6 @@ def critical_values(g: ReebGraph) -> CriticalValues:
     return CriticalValues(tuple(vals))
 
 
-def min_critical_gap(g: ReebGraph) -> Fraction:
-    return critical_values(g).min_gap()
-
-
 # ---------------------------------------------------------------------------
 # travel distance d_f
 # ---------------------------------------------------------------------------

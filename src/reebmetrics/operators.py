@@ -27,10 +27,10 @@ and `merge_sequence` alike: a pass of disjoint bands costs its widest band,
 and passes and stretches add, so the emitted certificate stays proportional
 to the clearance parameter.
 
-Both hot loops compare ints, not `Fraction`s: the closure puts the diagram's
-coordinates and alpha on one lattice (`rationals.common_denominator`), and
-the band merge lifts the graph's own lattice to one that also holds the band
-ends. Only their results, band ends and midpoints, are `Fraction`s.
+Both hot loops compare ints, not `Fraction`s: the closure lifts the
+diagram's int rows to a lattice that also holds alpha, and the band merge
+lifts the graph's own lattice to one that also holds the band ends. Only
+their results, band ends and midpoints, are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .diagram import EXT0, Diagram, DiagramPoint
+from .diagram import _EXT0, Diagram
 from .graph import CriticalValues, ReebGraph, _find_root, canonicalize
 from .persistence import extended_diagram
 from .rationals import ValueLike, common_denominator, format_value, on_lattice, to_fraction
@@ -148,21 +148,24 @@ def snap_diagram(d: Diagram, params: MergeParams) -> Diagram:
 
     Points whose snapped coordinates coincide survive only if their kind
     admits diagonal membership (Ext0); snapped-flat Ord0/Rel1/Ext1 features
-    are destroyed by the merge and leave the multiset.
+    are destroyed by the merge and leave the multiset. The rows, a, b and
+    the midpoint are ints on twice the lcm of the diagram's scale and the
+    band ends' denominators.
     """
-    a, b = params.a, params.b
-    mid = (a + b) / 2
+    scale = 2 * math.lcm(d.scale, params.a.denominator, params.b.denominator)
+    lift = scale // d.scale
+    a, b = on_lattice(params.a, scale), on_lattice(params.b, scale)
+    mid = (a + b) // 2
 
-    def snap(x: Fraction) -> Fraction:
+    def snap(x: int) -> int:
         return mid if a <= x <= b else x
 
-    points = []
-    for p in d.points:
-        birth, death = snap(p.birth), snap(p.death)
-        if birth == death and p.kind != EXT0:
-            continue
-        points.append(DiagramPoint(p.kind, birth, death))
-    return Diagram(points)
+    rows = []
+    for kind, birth, death in d.rows:
+        birth, death = snap(birth * lift), snap(death * lift)
+        if birth != death or kind == _EXT0:
+            rows.append((kind, birth, death))
+    return Diagram._from_rows(scale, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +228,22 @@ def _near_bands(diagram: Diagram, alpha: Fraction) -> list[tuple[Fraction, Fract
     visit began, and of the surviving features it drags, the last in diagram
     order sets both of its ends.
 
-    Every coordinate and alpha are ints on one lattice, and a survivor s is
+    The rows, lifted to the lcm of the diagram's scale and alpha's
+    denominator, and alpha are ints on one lattice, and a survivor s is
     dragged when |lo + hi - 2s| <= 2 alpha, so the midpoint stays an int. Only
     a feature with exactly one end in [lo, hi] can be dragged; bisection in
     the survivors sorted by low end and by high end finds them, so a band
     visit costs O(log P + c) for P survivors and c candidates, not O(P).
     """
-    points = [p for p in diagram if p.kind != EXT0]
-    scale = common_denominator(
-        chain((alpha,), (p.birth for p in points), (p.death for p in points))
-    )
+    scale = math.lcm(diagram.scale, alpha.denominator)
+    lift = scale // diagram.scale
     reach = on_lattice(alpha, scale)
-    exact: dict[int, Fraction] = {}  # lattice point -> the diagram's value
     near: list[list[int]] = []
     others: list[tuple[int, int]] = []  # the survivors, in diagram order
-    for p in points:
-        b, d = on_lattice(p.birth, scale), on_lattice(p.death, scale)
-        exact[b], exact[d] = p.birth, p.death
+    for kind, b, d in diagram.rows:
+        if kind == _EXT0:
+            continue
+        b, d = b * lift, d * lift
         lo, hi = (b, d) if b <= d else (d, b)
         if hi - lo <= reach:
             near.append([lo, hi])
@@ -280,7 +282,7 @@ def _near_bands(diagram: Diagram, alpha: Fraction) -> list[tuple[Fraction, Fract
                 changed = True
         if changed:
             bands = _overlap_merge(bands)
-    return [(exact[lo], exact[hi]) for lo, hi in bands]
+    return [(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in bands]
 
 
 def clear_features(g: ReebGraph, alpha: Fraction) -> SimplifyResult:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .diagram import EXT0
+from .diagram import _EXT0
 from .distortion import FDBoundCertificate, best_structure_shift, certify_fd_upper
 from .graph import InvalidGraphError, ReebGraph
 from .operators import clear_features
@@ -142,6 +142,13 @@ def linear_path(
     return _stage_path(g, _interpolation(g, full_target, n))
 
 
+def _feature_persistences(g: ReebGraph) -> list[Fraction]:
+    """The distinct persistences of g's non-trunk features, ascending."""
+    d = extended_diagram(g)
+    distinct = {abs(birth - death) for kind, birth, death in d.rows if kind != _EXT0}
+    return [Fraction(p, d.scale) for p in sorted(distinct)]
+
+
 def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
     """The stages that deform g to a single vertex; empty when g is one.
 
@@ -163,16 +170,13 @@ def _contraction_stages(g: ReebGraph, n: int) -> list[_Stage]:
         return cleared.graph
 
     current = g
-    for scale in sorted({p.persistence for p in extended_diagram(g) if p.kind != EXT0}):
+    for scale in _feature_persistences(g):
         current = clear(current, scale)
     # snapping during a stage can nudge a residual feature past the largest
     # original scale; clear leftovers at their own scales until only the
     # trunk remains
-    while True:
-        residual = [p.persistence for p in extended_diagram(current) if p.kind != EXT0]
-        if not residual:
-            break
-        current = clear(current, max(residual))
+    while residual := _feature_persistences(current):
+        current = clear(current, residual[-1])
 
     lo, hi = current.min_value(), current.max_value()
     if lo != hi:

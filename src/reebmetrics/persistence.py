@@ -35,23 +35,22 @@ Cells at equal value are ordered by (dimension ascending, stable input
 index); the sweeps and the reduction use the same total order, so their
 pairings agree exactly even at ties. The order is a sort of plain int
 tuples: vertex values enter as the graph's int levels (each value times the
-lcm of their denominators), which keep every comparison and tie, and a
-cell's exact value is always that of one vertex, so diagram points reuse the
-graph's own `Fraction`s.
+lcm of their denominators), which keep every comparison and tie. A cell's
+exact value is always that of one vertex, so a diagram's rows are the
+graph's own levels on the graph's own `scale`, and no `Fraction` is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .diagram import EXT0, EXT1, ORD0, REL1, Diagram, DiagramPoint
+from .diagram import _EXT0, _EXT1, _ORD0, _REL1, Diagram
 from .graph import ReebGraph, _find_root, require_canonical
 
 
-def _cells(g: ReebGraph) -> tuple[list[Fraction], list[int], list[tuple[int, int]]]:
-    """Vertex values, the graph's int levels of the same values, and edges
-    as vertex index pairs.
+def _cells(g: ReebGraph) -> tuple[list[int], list[tuple[int, int]]]:
+    """The graph's int levels of its vertex values, and edges as vertex
+    index pairs.
 
     Edges run lower end first (`ReebGraph` orients them so), so an edge
     enters the sublevel sets at its upper end's value and the superlevel sets
@@ -59,7 +58,6 @@ def _cells(g: ReebGraph) -> tuple[list[Fraction], list[int], list[tuple[int, int
     """
     index = {vid: i for i, vid in enumerate(g.vertex_ids)}
     return (
-        [g.value(vid) for vid in g.vertex_ids],
         [g.level(vid) for vid in g.vertex_ids],
         [(index[u], index[v]) for u, v in g.edges],
     )
@@ -91,7 +89,7 @@ def reduce_extended_filtration(g: ReebGraph) -> Diagram:
     ordinary cells come first, by ascending value; the coned cells follow by
     descending value, superlevel sets indexed by the reversed real line.
     """
-    values, level, ends = _cells(g)
+    level, ends = _cells(g)
     n = len(level)
     size = n + len(ends)
     order = _sublevel_order(level, ends)
@@ -129,7 +127,7 @@ def reduce_extended_filtration(g: ReebGraph) -> Diagram:
     # the vertex whose value each cell takes, and the cell's kind:
     # 0 vertex, 1 edge, 2 cone-vertex, 3 cone-edge
     source = [*range(n), *(v for _, v in ends), *range(n), *(u for u, _ in ends)]
-    points: list[DiagramPoint] = []
+    rows: list[tuple[int, int, int]] = []
     for i, j in pairs:
         birth_cell, death_cell = order[i], order[j]
         bkind = 2 * (birth_cell >= size) + (birth_cell % size >= n)
@@ -137,17 +135,17 @@ def reduce_extended_filtration(g: ReebGraph) -> Diagram:
         b, d = source[birth_cell], source[death_cell]
         if bkind == 0 and dkind == 1:
             if level[b] < level[d]:
-                points.append(DiagramPoint(ORD0, values[b], values[d]))
+                rows.append((_ORD0, level[b], level[d]))
         elif bkind == 0 and dkind == 2:
-            points.append(DiagramPoint(EXT0, values[b], values[d]))
+            rows.append((_EXT0, level[b], level[d]))
         elif bkind == 1 and dkind == 3:
-            points.append(DiagramPoint(EXT1, values[b], values[d]))
+            rows.append((_EXT1, level[b], level[d]))
         elif bkind == 2 and dkind == 3:
             if level[b] > level[d]:
-                points.append(DiagramPoint(REL1, values[b], values[d]))
+                rows.append((_REL1, level[b], level[d]))
         else:  # pragma: no cover - impossible by dimension bookkeeping
             raise AssertionError(f"unexpected pair of cell kinds {bkind} -> {dkind}")
-    return Diagram(points)
+    return Diagram._from_rows(g.scale, rows)
 
 
 class _Sweep(NamedTuple):
@@ -190,12 +188,12 @@ def _elder_sweep(level: list[int], ends: list[tuple[int, int]]) -> _Sweep:
 
 def _diagram_from_sweeps(g: ReebGraph) -> Diagram:
     """The extended diagram of any graph, from an upward and a downward sweep."""
-    values, level, ends = _cells(g)
+    level, ends = _cells(g)
     n = len(level)
     up = _elder_sweep(level, ends)
     down = _elder_sweep([-value for value in level], [(v, u) for u, v in ends])
-    points = [DiagramPoint(ORD0, values[b], values[d]) for b, d in up.deaths]
-    points += [DiagramPoint(REL1, values[b], values[d]) for b, d in down.deaths]
+    rows = [(_ORD0, level[b], level[d]) for b, d in up.deaths]
+    rows += [(_REL1, level[b], level[d]) for b, d in down.deaths]
 
     # the downward forest, rooted at each component's maximum
     top, parent, parent_edge, depth = list(range(n)), [0] * n, [-1] * n, [0] * n
@@ -211,7 +209,7 @@ def _diagram_from_sweeps(g: ReebGraph) -> Diagram:
             if e != parent_edge[x]:
                 parent[y], parent_edge[y], depth[y], top[y] = x, e, depth[x] + 1, top[x]
                 stack.append(y)
-    points += [DiagramPoint(EXT0, values[r], values[top[r]]) for r in up.roots]
+    rows += [(_EXT0, level[r], level[top[r]]) for r in up.roots]
 
     bit = [0] * len(ends)  # 1 << row for each upward loop-closing edge
     for row, e in enumerate(up.loops):
@@ -230,11 +228,11 @@ def _diagram_from_sweeps(g: ReebGraph) -> Diagram:
             kept = owner.get(low)
             if kept is None:
                 owner[low] = col
-                birth = values[ends[up.loops[low]][1]]  # the upper end of e
-                points.append(DiagramPoint(EXT1, birth, values[ends[f][0]]))
+                birth = level[ends[up.loops[low]][1]]  # the upper end of e
+                rows.append((_EXT1, birth, level[ends[f][0]]))
                 break
             col ^= kept
-    return Diagram(points)
+    return Diagram._from_rows(g.scale, rows)
 
 
 def extended_diagram(g: ReebGraph) -> Diagram:

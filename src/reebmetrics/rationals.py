@@ -23,9 +23,13 @@ computation that also reads values the graph does not hold (sample points,
 merge bands) takes the lcm of `g.scale` and the denominators of those extra
 values only, and lifts each level by `scale // g.scale`: the travel-distance
 sweep, and the distortion and value defect of a sampled certificate, which
-read both graphs' sweeps and every sample on one such lattice. Diagram
-points and bottleneck candidates are not a graph's values and get their own
-lattice.
+read both graphs' sweeps and every sample on one such lattice.
+
+A `Diagram` carries a lattice too: its `scale`, the lcm of its points'
+denominators, and one int row per point. The persistence sweeps emit the
+rows from a graph's levels, and the bottleneck matching, the band closure
+of `simplify` and diagram snapping read them, lifting each diagram's rows
+to the lcm of its `scale` and the other denominators they meet.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from reebmetrics import (
     critical_values,
     cycle,
     is_level_isomorphic,
-    min_critical_gap,
     natural_correspondence,
     projection_correspondence,
     random_graph,
@@ -396,18 +395,18 @@ def test_critical_values_cycle():
 
 
 def test_min_gap():
-    assert min_critical_gap(y_graph()) == 1
-    assert min_critical_gap(segment()) == 3
+    assert critical_values(y_graph()).min_gap() == 1
+    assert critical_values(segment()).min_gap() == 3
     g = ReebGraph(
         [("a", 0), ("b", F("0.1")), ("c", 5), ("d", 6)],
         [("a", "c"), ("b", "c"), ("c", "d")],
     )
-    assert min_critical_gap(g) == F("0.1")
+    assert critical_values(g).min_gap() == F("0.1")
 
 
 def test_min_gap_needs_two_values():
     with pytest.raises(InvalidGraphError):
-        min_critical_gap(ReebGraph([("a", 1)], []))
+        critical_values(ReebGraph([("a", 1)], [])).min_gap()
 
 
 # ---------------------------------------------------------------------------
@@ -1116,7 +1115,7 @@ def test_random_generator_many_critical_values(n_critical):
     g = random_graph(1, n_critical=n_critical)
     assert validate(g).ok
     assert len(critical_values(g)) == n_critical
-    assert min_critical_gap(g) >= F(10, 4 * n_critical)
+    assert critical_values(g).min_gap() >= F(10, 4 * n_critical)
 
 
 def test_sample_values_rejects_a_gap_the_grid_cannot_hold():

@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -24,91 +23,11 @@ from reebmetrics import (
     y_graph,
 )
 from reebmetrics.persistence import _diagram_from_sweeps
-from value_reference import coprime_cases, on_primes
+from value_reference import coprime_cases, on_primes, reference_reduce_extended_filtration
 
 
 def point(kind, b, d):
     return DiagramPoint(kind, F(b), F(d))
-
-
-@dataclass(frozen=True)
-class _Cell:
-    value: F  # entry value on its own axis (ascending or descending)
-    dim: int  # dimension of the underlying graph cell
-    index: int  # stable input index
-    kind: str  # "vertex", "edge", "cone-vertex" or "cone-edge"
-    ref: object  # vertex id, or edge index
-
-
-def reference_reduce_extended_filtration(g: ReebGraph) -> Diagram:
-    """The Z2 reduction as it was before cells were sorted on ints.
-
-    Every cell carries its exact `Fraction` value and the sort compares
-    them; the library now sorts the same cells by integer values over one
-    common denominator, and must pair them identically.
-    """
-    cells = [_Cell(g.value(vid), 0, i, "vertex", vid) for i, vid in enumerate(g.vertex_ids)]
-    for idx, (u, v) in enumerate(g.edges):
-        cells.append(_Cell(max(g.value(u), g.value(v)), 1, idx, "edge", idx))
-    cells.sort(key=lambda c: (c.value, c.dim, c.index))
-    coned = [
-        _Cell(g.value(vid), 0, i, "cone-vertex", vid) for i, vid in enumerate(g.vertex_ids)
-    ]
-    for idx, (u, v) in enumerate(g.edges):
-        coned.append(_Cell(min(g.value(u), g.value(v)), 1, idx, "cone-edge", idx))
-    coned.sort(key=lambda c: (-c.value, c.dim, c.index))
-    cells += coned
-    pos = {(c.kind, c.ref): i for i, c in enumerate(cells)}
-
-    columns: list[int] = []
-    for c in cells:
-        if c.kind == "vertex":
-            col = 0
-        elif c.kind == "edge":
-            u, v = g.edges[c.ref]
-            col = (1 << pos[("vertex", u)]) | (1 << pos[("vertex", v)])
-        elif c.kind == "cone-vertex":
-            col = 1 << pos[("vertex", c.ref)]
-        else:
-            u, v = g.edges[c.ref]
-            col = (
-                (1 << pos[("edge", c.ref)])
-                | (1 << pos[("cone-vertex", u)])
-                | (1 << pos[("cone-vertex", v)])
-            )
-        columns.append(col)
-
-    low_owner: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for j in range(len(columns)):
-        col = columns[j]
-        while col:
-            low = col.bit_length() - 1
-            owner = low_owner.get(low)
-            if owner is None:
-                low_owner[low] = j
-                pairs.append((low, j))
-                break
-            col ^= columns[owner]
-        columns[j] = col
-
-    points = []
-    for i, j in pairs:
-        kinds = (cells[i].kind, cells[j].kind)
-        b, d = cells[i].value, cells[j].value
-        if kinds == ("vertex", "edge"):
-            if b < d:
-                points.append(DiagramPoint("Ord0", b, d))
-        elif kinds == ("vertex", "cone-vertex"):
-            points.append(DiagramPoint("Ext0", b, d))
-        elif kinds == ("edge", "cone-edge"):
-            points.append(DiagramPoint("Ext1", b, d))
-        elif kinds == ("cone-vertex", "cone-edge"):
-            if b > d:
-                points.append(DiagramPoint("Rel1", b, d))
-        else:
-            raise AssertionError(f"unexpected pair {kinds}")
-    return Diagram(points)
 
 
 def ladder(rng: random.Random, rungs: int) -> ReebGraph:

@@ -1,5 +1,5 @@
-"""A graph's local structure and its points read from `Fraction` value
-comparisons only, and graphs whose lattice is large.
+"""A graph's local structure, its points and its extended diagram read from
+`Fraction` value comparisons only, and graphs whose lattice is large.
 
 `ReebGraph` orders and compares its own values as ints on its lattice
 (`scale`, `level`). The test oracles read the same facts here, by comparing
@@ -7,17 +7,19 @@ comparisons only, and graphs whose lattice is large.
 which points lie on a graph, where a point is, and which points of a map
 are samples of a graph's net. Connectivity is read the same way apart from
 the program: components by a breadth-first search, and `DisjointSets` for
-the references that union.
+the references that union. The extended diagram comes from a Z2 reduction
+whose cells carry `Fraction` values, as `DiagramPoint`s built from `g.value`.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import NamedTuple
 
-from reebmetrics import GraphPoint, ReebGraph, random_graph, sample_net
+from reebmetrics import Diagram, DiagramPoint, GraphPoint, ReebGraph, random_graph, sample_net
 from reebmetrics.graph import ValidationReport, Violation
 from reebmetrics.rationals import format_value
 
@@ -182,3 +184,89 @@ def coprime_cases(seed: int, count: int):
     for _ in range(count):
         g = on_primes(random_graph(rng, n_critical=rng.randint(16, 24)))
         yield g, subdivided_at_thirds(g)
+
+
+@dataclass(frozen=True)
+class _Cell:
+    value: F  # entry value on its own axis (ascending or descending)
+    dim: int  # dimension of the underlying graph cell
+    index: int  # stable input index
+    kind: str  # "vertex", "edge", "cone-vertex" or "cone-edge"
+    ref: object  # vertex id, or edge index
+
+
+def reference_diagram_points(g: ReebGraph) -> tuple[DiagramPoint, ...]:
+    """The Z2 reduction as it was before cells were sorted on ints, and its
+    points as they were before diagrams were stored on a lattice.
+
+    Every cell carries its exact `Fraction` value and the sort compares
+    them; the library now sorts the same cells by integer values over one
+    common denominator, and must pair them identically. The points are
+    built from `g.value` and sorted by `DiagramPoint.sort_key`.
+    """
+    cells = [_Cell(g.value(vid), 0, i, "vertex", vid) for i, vid in enumerate(g.vertex_ids)]
+    for idx, (u, v) in enumerate(g.edges):
+        cells.append(_Cell(max(g.value(u), g.value(v)), 1, idx, "edge", idx))
+    cells.sort(key=lambda c: (c.value, c.dim, c.index))
+    coned = [
+        _Cell(g.value(vid), 0, i, "cone-vertex", vid) for i, vid in enumerate(g.vertex_ids)
+    ]
+    for idx, (u, v) in enumerate(g.edges):
+        coned.append(_Cell(min(g.value(u), g.value(v)), 1, idx, "cone-edge", idx))
+    coned.sort(key=lambda c: (-c.value, c.dim, c.index))
+    cells += coned
+    pos = {(c.kind, c.ref): i for i, c in enumerate(cells)}
+
+    columns: list[int] = []
+    for c in cells:
+        if c.kind == "vertex":
+            col = 0
+        elif c.kind == "edge":
+            u, v = g.edges[c.ref]
+            col = (1 << pos[("vertex", u)]) | (1 << pos[("vertex", v)])
+        elif c.kind == "cone-vertex":
+            col = 1 << pos[("vertex", c.ref)]
+        else:
+            u, v = g.edges[c.ref]
+            col = (
+                (1 << pos[("edge", c.ref)])
+                | (1 << pos[("cone-vertex", u)])
+                | (1 << pos[("cone-vertex", v)])
+            )
+        columns.append(col)
+
+    low_owner: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for j in range(len(columns)):
+        col = columns[j]
+        while col:
+            low = col.bit_length() - 1
+            owner = low_owner.get(low)
+            if owner is None:
+                low_owner[low] = j
+                pairs.append((low, j))
+                break
+            col ^= columns[owner]
+        columns[j] = col
+
+    points = []
+    for i, j in pairs:
+        kinds = (cells[i].kind, cells[j].kind)
+        b, d = cells[i].value, cells[j].value
+        if kinds == ("vertex", "edge"):
+            if b < d:
+                points.append(DiagramPoint("Ord0", b, d))
+        elif kinds == ("vertex", "cone-vertex"):
+            points.append(DiagramPoint("Ext0", b, d))
+        elif kinds == ("edge", "cone-edge"):
+            points.append(DiagramPoint("Ext1", b, d))
+        elif kinds == ("cone-vertex", "cone-edge"):
+            if b > d:
+                points.append(DiagramPoint("Rel1", b, d))
+        else:
+            raise AssertionError(f"unexpected pair {kinds}")
+    return tuple(sorted(points, key=DiagramPoint.sort_key))
+
+
+def reference_reduce_extended_filtration(g: ReebGraph) -> Diagram:
+    return Diagram(reference_diagram_points(g))
