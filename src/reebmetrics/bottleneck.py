@@ -3,12 +3,11 @@
 Matchings must pair points of the same kind, so the optimum decomposes as a
 maximum of per-kind optima. Each per-kind optimum is one of finitely many
 candidates: the pairwise l-infinity distances and the diagonal costs. Both
-diagrams' int rows are read on one lattice L, the lcm of their scales: when
-the scales differ, each side's rows are lifted once by L over its scale.
-Over 2L each pair distance is 2 max(|db|, |dd|) and each diagonal cost
-|b - d|, all ints. Feasibility at a threshold is a perfect matching in the
-graph doubled by diagonal slots, found by an iterative Hopcroft-Karp that
-compares only integers.
+diagrams' int rows are read on one lattice L, the lcm of their scales, as
+`Diagram._rows_on` lifts them. Over 2L each pair distance is
+2 max(|db|, |dd|) and each diagonal cost |b - d|, all ints. Feasibility at
+a threshold is a perfect matching in the graph doubled by diagonal slots,
+found by an iterative Hopcroft-Karp that compares only integers.
 
 The search probes the nearest-neighbour floor first: every point pays at
 least the distance to its nearest partner of the other side or to the
@@ -74,15 +73,8 @@ _Rows = Sequence[tuple[int, int, int]]
 
 def _lifted(d1: Diagram, d2: Diagram) -> tuple[int, _Rows, _Rows]:
     """Both diagrams' rows on the lcm of their scales, and that lcm."""
-    if d1.scale == d2.scale:
-        return d1.scale, d1.rows, d2.rows
     scale = math.lcm(d1.scale, d2.scale)
-
-    def lift(d: Diagram) -> _Rows:
-        k = scale // d.scale
-        return [(kind, birth * k, death * k) for kind, birth, death in d.rows]
-
-    return scale, lift(d1), lift(d2)
+    return scale, d1._rows_on(scale), d2._rows_on(scale)
 
 
 def _cost(rows1: _Rows, rows2: _Rows, m: PartialMatching) -> int:

@@ -8,6 +8,7 @@ when any assertion fails.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -134,9 +135,10 @@ def bottleneck_cmd(file_a: str, file_b: str, witness: bool) -> None:
 
 
 def _diagram_delta(before: Diagram, after: Diagram) -> str:
-    gone = [p for p in before.points if p not in after.points]
-    new = [p for p in after.points if p not in before.points]
-    lines = [f"- {p}" for p in gone] + [f"+ {p}" for p in new]
+    """The multiset difference each way, each side in its diagram's order."""
+    old, new = Counter(before.points), Counter(after.points)
+    lines = [f"- {p}" for p in (old - new).elements()]
+    lines += [f"+ {p}" for p in (new - old).elements()]
     return "\n".join(lines) if lines else "(diagram unchanged)"
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .rationals import common_denominator, format_value, on_lattice, to_fraction
 
@@ -91,29 +91,32 @@ class Diagram:
     once, on the first read of `points`, iteration, `str` or `repr`; the
     persistence sweeps, the bottleneck matching and the band closure read
     the rows.
+
+    Each diagram rule is written once, here: both constructors store rows
+    through `_store`, `_rows_on` lifts them onto a finer lattice, and `str`
+    is the text form, one `DiagramPoint` per line.
     """
 
     def __init__(self, points: Iterable[DiagramPoint] = ()):
         points = tuple(points)
         scale = common_denominator(chain.from_iterable((p.birth, p.death) for p in points))
-        self.scale = scale
-        self.rows: tuple[_Row, ...] = tuple(
-            sorted(
-                (_KIND_RANK[p.kind], on_lattice(p.birth, scale), on_lattice(p.death, scale))
-                for p in points
-            )
-        )
-        self._points: Optional[tuple[DiagramPoint, ...]] = None
+        rows = [
+            (_KIND_RANK[p.kind], on_lattice(p.birth, scale), on_lattice(p.death, scale))
+            for p in points
+        ]
+        self._store(scale, rows)
 
     @classmethod
     def _from_rows(cls, scale: int, rows: Iterable[_Row]) -> Diagram:
-        """The diagram of `rows` on a lattice of `scale` that holds every
-        coordinate, such as a graph's own `scale`.
+        """The diagram of `rows` on a lattice of `scale` that holds every coordinate."""
+        d = cls.__new__(cls)
+        d._store(scale, rows)
+        return d
 
-        Each row is checked against its kind's side of the diagonal, then
-        the lattice is reduced to the lcm of the points' denominators by
-        dividing out the gcd of `scale` and every coordinate.
-        """
+    def _store(self, scale: int, rows: Iterable[_Row]) -> None:
+        """Check each row against its kind's side of the diagonal, reduce
+        the lattice to the lcm of the points' denominators by dividing out
+        the gcd of `scale` and every coordinate, and store the rows sorted."""
         rows = list(rows)
         common = scale
         for kind, birth, death in rows:
@@ -124,9 +127,16 @@ class Diagram:
             scale //= common
             rows = [(kind, birth // common, death // common) for kind, birth, death in rows]
         rows.sort()
-        d = cls.__new__(cls)
-        d.scale, d.rows, d._points = scale, tuple(rows), None
-        return d
+        self.scale, self.rows = scale, tuple(rows)
+        self._points: Optional[tuple[DiagramPoint, ...]] = None
+
+    def _rows_on(self, scale: int) -> Sequence[_Row]:
+        """The rows on a lattice of `scale`, which must be a multiple of this
+        diagram's: the rows themselves on its own scale."""
+        if scale == self.scale:
+            return self.rows
+        k = scale // self.scale
+        return [(kind, birth * k, death * k) for kind, birth, death in self.rows]
 
     @property
     def points(self) -> tuple[DiagramPoint, ...]:

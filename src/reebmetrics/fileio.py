@@ -111,10 +111,7 @@ def graph_from_json(text: str) -> ReebGraph:
 
 
 def diagram_to_text(d: Diagram) -> str:
-    lines = [
-        f"{p.kind} {format_value(p.birth)} {format_value(p.death)}" for p in d.points
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return f"{d}\n" if d else ""
 
 
 def parse_diagram_text(text: str) -> Diagram:

@@ -27,10 +27,11 @@ and `merge_sequence` alike: a pass of disjoint bands costs its widest band,
 and passes and stretches add, so the emitted certificate stays proportional
 to the clearance parameter.
 
-Both hot loops compare ints, not `Fraction`s: the closure lifts the
-diagram's int rows to a lattice that also holds alpha, and the band merge
-lifts the graph's own lattice to one that also holds the band ends. Only
-their results, band ends and midpoints, are `Fraction`s.
+Both hot loops compare ints, not `Fraction`s: the closure and
+`snap_diagram` read the diagram's int rows on a lattice that also holds
+alpha or the band ends, as `Diagram._rows_on` lifts them, and the band
+merge lifts the graph's own lattice to one that also holds the band ends.
+Only their results, band ends and midpoints, are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -153,7 +154,6 @@ def snap_diagram(d: Diagram, params: MergeParams) -> Diagram:
     band ends' denominators.
     """
     scale = 2 * math.lcm(d.scale, params.a.denominator, params.b.denominator)
-    lift = scale // d.scale
     a, b = on_lattice(params.a, scale), on_lattice(params.b, scale)
     mid = (a + b) // 2
 
@@ -161,8 +161,8 @@ def snap_diagram(d: Diagram, params: MergeParams) -> Diagram:
         return mid if a <= x <= b else x
 
     rows = []
-    for kind, birth, death in d.rows:
-        birth, death = snap(birth * lift), snap(death * lift)
+    for kind, birth, death in d._rows_on(scale):
+        birth, death = snap(birth), snap(death)
         if birth != death or kind == _EXT0:
             rows.append((kind, birth, death))
     return Diagram._from_rows(scale, rows)
@@ -228,22 +228,20 @@ def _near_bands(diagram: Diagram, alpha: Fraction) -> list[tuple[Fraction, Fract
     visit began, and of the surviving features it drags, the last in diagram
     order sets both of its ends.
 
-    The rows, lifted to the lcm of the diagram's scale and alpha's
-    denominator, and alpha are ints on one lattice, and a survivor s is
-    dragged when |lo + hi - 2s| <= 2 alpha, so the midpoint stays an int. Only
-    a feature with exactly one end in [lo, hi] can be dragged; bisection in
-    the survivors sorted by low end and by high end finds them, so a band
-    visit costs O(log P + c) for P survivors and c candidates, not O(P).
+    The rows, on the lcm of the diagram's scale and alpha's denominator,
+    and alpha are ints on one lattice, and a survivor s is dragged when
+    |lo + hi - 2s| <= 2 alpha, so the midpoint stays an int. Only a feature
+    with exactly one end in [lo, hi] can be dragged; bisection in the
+    survivors sorted by low end and by high end finds them, so a band visit
+    costs O(log P + c) for P survivors and c candidates, not O(P).
     """
     scale = math.lcm(diagram.scale, alpha.denominator)
-    lift = scale // diagram.scale
     reach = on_lattice(alpha, scale)
     near: list[list[int]] = []
     others: list[tuple[int, int]] = []  # the survivors, in diagram order
-    for kind, b, d in diagram.rows:
+    for kind, b, d in diagram._rows_on(scale):
         if kind == _EXT0:
             continue
-        b, d = b * lift, d * lift
         lo, hi = (b, d) if b <= d else (d, b)
         if hi - lo <= reach:
             near.append([lo, hi])

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
-from reebmetrics.cli import main
+from reebmetrics.cli import _diagram_delta, main
+from reebmetrics.diagram import Diagram, DiagramPoint
 from reebmetrics.experiments import EXPERIMENTS, run_experiment
 from reebmetrics.fileio import graph_to_json, graph_to_text, parse_graph_text
 from reebmetrics.generators import (
@@ -914,6 +915,26 @@ def test_merge_and_transform_outputs_are_pinned(runner, tmp_path):
         assert [str(w.message)[:20] for w in caught] == (
             ["anchor bands overlap"] if alpha == "0.05" else []
         )
+
+
+def test_merge_delta_counts_multiplicities(runner, tmp_path):
+    # the merge snaps f2 to 2.5, so a second Ord0 1 2.5 joins the first; a
+    # membership test saw only the point that left
+    g = tmp_path / "twins.txt"
+    g.write_text(
+        "v bot 0\nv f2 2.2\nv f1 2.5\nv top 5\nv t1 1\nv t2 1\n"
+        "e bot f2\ne f2 f1\ne f1 top\ne t1 f1\ne t2 f2\n"
+    )
+    result = runner.invoke(main, ["merge", str(g), "2", "3"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.endswith("# diagram delta\n- Ord0 1 2.2\n+ Ord0 1 2.5\n")
+
+
+def test_diagram_delta_is_a_multiset_difference():
+    p, q = DiagramPoint("Ord0", 1, 2), DiagramPoint("Rel1", 3, 1)
+    assert _diagram_delta(Diagram([p, p, q]), Diagram([p, q])) == "- Ord0 1 2"
+    assert _diagram_delta(Diagram([q]), Diagram([p, q, p])) == "+ Ord0 1 2\n+ Ord0 1 2"
+    assert _diagram_delta(Diagram([p, p]), Diagram([p, p])) == "(diagram unchanged)"
 
 
 def vertex_pairs(*ids):

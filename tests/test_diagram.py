@@ -206,6 +206,62 @@ def test_row_lattice_is_the_lcm_of_the_points_denominators():
     assert d.points is d.points  # built once
 
 
+def assert_same_diagram(d: Diagram, e: Diagram) -> None:
+    assert (d.scale, d.rows) == (e.scale, e.rows)
+    assert d == e
+    assert hash(d) == hash(e)
+
+
+def test_both_constructors_give_one_diagram():
+    # from points and from rows, on seeded sweep outputs
+    for g, h in graph_pairs(4242, 6):
+        for d in (extended_diagram(g), extended_diagram(on_primes(h))):
+            assert_same_diagram(Diagram(d.points), d)
+    # mixed denominators 1/3, 0.5 and 1/7 (lcm 42), with rows on a strict
+    # multiple of the lcm
+    points = [
+        DiagramPoint("Rel1", 2, F(1, 7)),
+        DiagramPoint("Ord0", F(1, 3), F("0.5")),
+        DiagramPoint("Ext0", 0, 2),
+        DiagramPoint("Ord0", F(1, 3), F("0.5")),
+        DiagramPoint("Ext1", F(1, 7), F(1, 7)),
+    ]
+    d = Diagram(points)
+    assert d.scale == 42
+    assert d.rows == ((0, 14, 21), (0, 14, 21), (1, 84, 6), (2, 0, 84), (3, 6, 6))
+    rows = [(1, 420, 30), (0, 70, 105), (2, 0, 420), (0, 70, 105), (3, 30, 30)]
+    assert_same_diagram(d, Diagram._from_rows(5 * 42, rows))
+    assert_same_diagram(Diagram(reversed(points)), d)
+    assert_same_diagram(Diagram(), Diagram._from_rows(8, []))
+    assert Diagram().scale == 1
+
+
+def test_rows_on_a_multiple_of_the_scale():
+    d = Diagram(
+        [
+            DiagramPoint("Ord0", F(1, 3), 1),
+            DiagramPoint("Rel1", F(5, 6), 0),
+            DiagramPoint("Ext0", 0, 2),
+        ]
+    )
+    assert d.scale == 6
+    assert d._rows_on(6) is d.rows
+    for k in (2, 7):
+        assert list(d._rows_on(k * 6)) == [(kind, k * b, k * e) for kind, b, e in d.rows]
+        assert Diagram._from_rows(k * 6, d._rows_on(k * 6)) == d
+
+
+def test_text_form_is_the_diagram_string():
+    p, q = DiagramPoint("Ord0", F(1, 3), F("2.5")), DiagramPoint("Ext1", 1, 1)
+    d = Diagram([q, p, p, q, p])
+    text = diagram_to_text(d)
+    assert text == f"{d}\n"
+    assert text == "Ord0 1/3 2.5\n" * 3 + "Ext1 1 1\n" * 2
+    assert parse_diagram_text(text) == d
+    assert diagram_to_text(Diagram()) == ""
+    assert parse_diagram_text("") == Diagram()
+
+
 def test_empty_diagram_matches_empty_diagram():
     empty = Diagram()
     assert bottleneck(empty, empty) == BottleneckResult(F(0), PartialMatching((), (), ()))
@@ -217,5 +273,10 @@ def test_empty_diagram_matches_empty_diagram():
     "row", [(0, 2, 1), (0, 1, 1), (1, 1, 2), (1, 1, 1), (2, 2, 1), (3, 1, 2)]
 )
 def test_row_on_the_wrong_side_of_the_diagonal_raises(row):
-    with pytest.raises(ValueError, match="diagonal"):
+    # the same error from rows and from points
+    kind, birth, death = row
+    with pytest.raises(ValueError, match="diagonal") as from_rows:
         Diagram._from_rows(1, [(2, 0, 1), row])
+    with pytest.raises(ValueError, match="diagonal") as from_points:
+        Diagram([DiagramPoint("Ext0", 0, 1), DiagramPoint(KINDS[kind], birth, death)])
+    assert str(from_rows.value) == str(from_points.value)
