@@ -387,3 +387,7 @@ def experiment_cmd(name: str, seed: int, trials: Optional[int], fmt: str) -> Non
         ok = ok and report.passed
     if not ok:
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

@@ -3,7 +3,8 @@
 A Reeb graph is a finite multigraph whose vertices carry exact rational
 function values and whose edges are monotone arcs (endpoints at strictly
 different values). Graphs are immutable after construction; every operation
-in this module is a pure function.
+in this module is a pure function. A graph's validity is found once, on
+first use, and kept with it (`ReebGraph._defects`); every check reads it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -94,6 +96,9 @@ class ReebGraph:
     `scale` as an int. Levels keep every order and tie of the values, so
     the graph orders and compares its own values as ints; two graphs' levels
     are comparable only when their scales agree.
+
+    Its validity is found once, on first use, and kept with it: `_defects`
+    holds the facts every check of the graph reads.
     """
 
     def __init__(
@@ -243,17 +248,24 @@ class ReebGraph:
 
     # ---- structural helpers ----
 
-    def _component_count(self) -> int:
-        """The number of connected components: one union-find pass over the edges."""
+    @cached_property
+    def _defects(self) -> tuple[tuple[int, ...], int, frozenset[str]]:
+        """The indices of the level edges, the number of connected components
+        (one union-find pass) and the ids of the pass-through vertices."""
+        levels = self._levels
         index = {vid: i for i, vid in enumerate(self._order)}
         parent = list(range(len(index)))
-        count = len(index)
-        for u, v in self.edges:
+        components = len(index)
+        level_edges = []
+        for idx, (u, v) in enumerate(self.edges):
+            if levels[u] == levels[v]:
+                level_edges.append(idx)
             a, b = _find_root(parent, index[u]), _find_root(parent, index[v])
             if a != b:
                 parent[a] = b
-                count -= 1
-        return count
+                components -= 1
+        through = frozenset(vid for vid in self._order if self.is_pass_through(vid))
+        return tuple(level_edges), components, through
 
     def with_values(self, values: dict[str, ValueLike]) -> "ReebGraph":
         """Same combinatorial structure with reassigned vertex values."""
@@ -298,42 +310,23 @@ class ReebGraph:
 # ---------------------------------------------------------------------------
 
 
-def _structural_violations(g: ReebGraph) -> list[Violation]:
-    """Level edges and disconnection: what `canonicalize` cannot repair."""
-    violations: list[Violation] = []
-    for idx, (u, v) in enumerate(g.edges):
-        if g.level(u) == g.level(v):
-            violations.append(
-                Violation(
-                    "level-edge",
-                    f"edge joins two vertices at value {format_value(g.value(u))}",
-                    f"edge {idx} ({u}, {v})",
-                )
-            )
-    components = g._component_count()
-    if components > 1:
-        violations.append(
-            Violation(
-                "disconnected",
-                f"graph has {components} connected components",
-                "graph",
-            )
-        )
-    return violations
-
-
 def validate(g: ReebGraph) -> ValidationReport:
-    """Report every invariant violation; an empty report means a valid graph."""
-    violations = _structural_violations(g)
+    """Report every invariant violation; an empty report means a valid graph.
+    Level edges come in edge order, then disconnection, then pass-through
+    vertices in vertex order."""
+    level_edges, components, through = g._defects
+    violations = []
+    for idx in level_edges:
+        u, v = g.edges[idx]
+        message = f"edge joins two vertices at value {format_value(g.value(u))}"
+        violations.append(Violation("level-edge", message, f"edge {idx} ({u}, {v})"))
+    if components > 1:
+        message = f"graph has {components} connected components"
+        violations.append(Violation("disconnected", message, "graph"))
+    regular = "non-critical degree-2 vertex (one arc down, one arc up)"
     for vid in g.vertex_ids:
-        if g.is_pass_through(vid):
-            violations.append(
-                Violation(
-                    "pass-through",
-                    "non-critical degree-2 vertex (one arc down, one arc up)",
-                    f"vertex {vid}",
-                )
-            )
+        if vid in through:
+            violations.append(Violation("pass-through", regular, f"vertex {vid}"))
     return ValidationReport(tuple(violations))
 
 
@@ -351,10 +344,10 @@ def canonicalize(g: ReebGraph) -> ReebGraph:
     sorted by (value, id), read as (level, id). One O(V + E) pass, plus that
     O(V log V) sort.
     """
-    hard = _structural_violations(g)
-    if hard:
+    level_edges, components, through = g._defects
+    if level_edges or components > 1:
+        hard = (v for v in validate(g).violations if v.code != "pass-through")
         raise InvalidGraphError(str(ValidationReport(tuple(hard))))
-    through = {v for v in g.vertex_ids if g.is_pass_through(v)}
 
     # edges are oriented lower end first, and no edge is level, so each
     # pass-through vertex is the lower end of exactly one edge
@@ -376,12 +369,6 @@ def canonicalize(g: ReebGraph) -> ReebGraph:
         (vid for vid in g.vertex_ids if vid not in through), key=lambda v: (levels[v], v)
     )
     return ReebGraph([(vid, g._values[vid]) for vid in kept_ids], kept, name=g.name)
-
-
-def require_canonical(g: ReebGraph) -> None:
-    report = validate(g)
-    if not report.ok:
-        raise InvalidGraphError(str(report))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +398,8 @@ class CriticalValues:
 
 
 def critical_values(g: ReebGraph) -> CriticalValues:
-    vals = sorted({g.value(v) for v in g.vertex_ids if not g.is_pass_through(v)})
+    _, _, through = g._defects
+    vals = sorted({g.value(v) for v in g.vertex_ids if v not in through})
     return CriticalValues(tuple(vals))
 
 

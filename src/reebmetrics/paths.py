@@ -110,12 +110,13 @@ def _interpolation(g: ReebGraph, target: dict[str, Fraction], n: int) -> list[_S
     for k in range(n + 1):
         s = Fraction(k, n)
         step = g.with_values({v: x + s * (target[v] - x) for v, x in g.vertices()})
-        for u, v in step.edges:
-            if step.value(u) == step.value(v):
-                raise InvalidGraphError(
-                    f"interpolation step {k}/{n} breaks monotonicity: edge joins"
-                    f" two vertices at value {format_value(step.value(u))}"
-                )
+        level_edges, _, _ = step._defects
+        if level_edges:
+            u, _ = step.edges[level_edges[0]]
+            raise InvalidGraphError(
+                f"interpolation step {k}/{n} breaks monotonicity: edge joins"
+                f" two vertices at value {format_value(step.value(u))}"
+            )
         stages.append((step, per_step))
     return stages[1:]
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .diagram import _EXT0, _EXT1, _ORD0, _REL1, Diagram
-from .graph import ReebGraph, _find_root, require_canonical
+from .graph import InvalidGraphError, ReebGraph, _find_root, validate
 
 
 def _cells(g: ReebGraph) -> tuple[list[int], list[tuple[int, int]]]:
@@ -237,5 +237,7 @@ def _diagram_from_sweeps(g: ReebGraph) -> Diagram:
 
 def extended_diagram(g: ReebGraph) -> Diagram:
     """The typed extended persistence diagram of a valid connected graph."""
-    require_canonical(g)
+    level_edges, components, through = g._defects
+    if level_edges or components > 1 or through:
+        raise InvalidGraphError(str(validate(g)))
     return _diagram_from_sweeps(g)

@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import reebmetrics
 from reebmetrics.cli import _diagram_delta, main
 from reebmetrics.diagram import Diagram, DiagramPoint
 from reebmetrics.experiments import EXPERIMENTS, run_experiment
@@ -414,6 +419,28 @@ def test_invalid_graph_is_a_one_line_error(runner, tmp_path, command, text, viol
     assert error.startswith("Error: invalid graph: ")
     assert violation in error
     assert "reeb convert --to canonical" in error
+
+
+def test_module_run_is_the_command_line(runner, tmp_path):
+    # `python -m reebmetrics.cli` runs the command it is given: the segment's
+    # diagram as `reeb diagram` prints it, and exit 1 on a pass-through graph
+    seg = write(tmp_path / "seg.txt", segment())
+    bad = tmp_path / "bad.txt"
+    bad.write_text(PASS_THROUGH)
+    src = str(Path(reebmetrics.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(*args):
+        command = [sys.executable, "-m", "reebmetrics.cli", *args]
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+    diagram = run("diagram", seg)
+    assert diagram.returncode == 0, diagram.stderr
+    assert diagram.stdout == runner.invoke(main, ["diagram", seg]).output == "Ext0 0 3\n"
+    invalid = run("validate", str(bad))
+    assert invalid.returncode == 1
+    assert invalid.stdout == runner.invoke(main, ["validate", str(bad)]).output
 
 
 # a missing path, and one file each that no reader parses

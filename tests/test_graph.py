@@ -17,6 +17,7 @@ from reebmetrics import (
     critical_values,
     cycle,
     is_level_isomorphic,
+    linear_path,
     natural_correspondence,
     projection_correspondence,
     random_graph,
@@ -36,6 +37,7 @@ from value_reference import (
     DisjointSets,
     component_count,
     coprime_cases,
+    count_defect_searches,
     dyadic,
     hard_violations,
     location,
@@ -43,6 +45,7 @@ from value_reference import (
     reference_contains_point,
     reference_validate,
     subdivided_at_thirds,
+    value_reading,
 )
 
 
@@ -753,6 +756,89 @@ def test_travel_matrix_matches_reference_on_level_arcs_and_turn_vertices():
         points = points_on_turns_and_arcs(rng, g)
         assert_matrix_matches_reference(g, shuffled_with_repeats(rng, points))
     assert level_turns >= 50
+
+
+def defect_cases(rng: random.Random, count: int):
+    """Disjoint unions of 1-3 parts, each a level-arc graph or a random
+    graph, with 0 to 3 pass-through vertices put on every arc: graphs with
+    level arcs, several components and pass-through chains, alone or
+    together, and some valid ones."""
+    for _ in range(count):
+        vertices, edges = [], []
+        for k in range(rng.choice((1, 1, 2, 3))):
+            if rng.random() < 0.5:
+                part_vertices, part_edges = level_arc_parts(rng, rng.randint(1, 6))
+            else:
+                part = random_graph(rng, n_critical=rng.randint(2, 5))
+                part_vertices, part_edges = part.vertices(), part.edges
+            vertices += [(f"{k}.{vid}", value) for vid, value in part_vertices]
+            edges += [(f"{k}.{u}", f"{k}.{v}") for u, v in part_edges]
+        yield ReebGraph(*subdivided_parts(rng, vertices, edges, max_chain=rng.choice((0, 0, 3))))
+
+
+def raised(call, *args) -> str:
+    with pytest.raises(InvalidGraphError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+def test_every_check_reads_the_defects_found_once(monkeypatch):
+    # validate, canonicalize, extended_diagram, critical_values and
+    # linear_path, called in a random order on one graph object, each match
+    # the Fraction references, and the defects are searched for once
+    runs = count_defect_searches(monkeypatch)
+    rng = random.Random(3303)
+    codes: Counter = Counter()
+    for g in defect_cases(rng, 200):
+        want = reference_validate(g)
+        hard = hard_violations(g)
+        through = value_reading(g).through
+        codes.update(set(want.codes()) or {"valid"})
+
+        def check_validate():
+            assert validate(g) == want
+
+        def check_canonicalize():
+            if hard:
+                assert raised(canonicalize, g) == str(ValidationReport(tuple(hard)))
+            else:
+                out, ref = canonicalize(g), reference_canonicalize(g)
+                assert (out.vertices(), out.edges) == (ref.vertices(), ref.edges)
+
+        def check_extended_diagram():
+            if want.ok:
+                assert extended_diagram(g) == reduce_extended_filtration(g)
+            else:
+                assert raised(extended_diagram, g) == str(want)
+
+        def check_critical_values():
+            kept = {g.value(v) for v in g.vertex_ids if v not in through}
+            assert critical_values(g).values == tuple(sorted(kept))
+
+        def check_linear_path():
+            doubled = {v: 2 * g.value(v) for v in g.vertex_ids}  # keeps every tie
+            if hard and hard[0].code == "level-edge":
+                message = f"interpolation step 0/2 breaks monotonicity: {hard[0].message}"
+                assert raised(linear_path, g, doubled, 2) == message
+            elif not want.ok:
+                assert raised(linear_path, g, doubled, 2) == str(want)
+            else:
+                assert len(linear_path(g, doubled, 2).certificates) == 2
+
+        checks = [
+            check_validate,
+            check_canonicalize,
+            check_extended_diagram,
+            check_critical_values,
+            check_linear_path,
+        ]
+        rng.shuffle(checks)
+        runs.clear()
+        for check in checks:
+            check()
+        assert sum(run is g for run in runs) == 1
+    assert min(codes[code] for code in ("level-edge", "disconnected", "pass-through")) >= 30
+    assert codes["valid"] >= 30
 
 
 def merge_tree_parts(rng: random.Random, forks: int):

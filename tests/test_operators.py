@@ -41,7 +41,7 @@ from reebmetrics.operators import (
     move_certificate,
 )
 from reebmetrics.rationals import format_value
-from value_reference import DisjointSets
+from value_reference import DisjointSets, count_defect_searches
 
 
 def point(kind, b, d):
@@ -609,13 +609,10 @@ def test_simplify_rejects_nonpositive_alpha():
 
 def test_simplify_checks_its_input_once(monkeypatch):
     # extended_diagram checks the input graph; simplify adds no second check
-    import reebmetrics.graph as graph_module
-
-    calls = []
-    validate = graph_module.validate
-    monkeypatch.setattr(graph_module, "validate", lambda g: calls.append(g) or validate(g))
-    simplify(y_graph(), F(1, 2))
-    assert len(calls) == 1
+    runs = count_defect_searches(monkeypatch)
+    g = y_graph()
+    simplify(g, F(1, 2))
+    assert [run is g for run in runs] == [True]
 
 
 def test_simplify_tiny_trunk_stretches():

@@ -116,6 +116,16 @@ def component_count(g: ReebGraph) -> int:
     return count
 
 
+def count_defect_searches(monkeypatch) -> list[ReebGraph]:
+    """Record every run of `ReebGraph._defects`, the one search for a
+    graph's defects: the returned list gains the graph at each run."""
+    cached = ReebGraph.__dict__["_defects"]
+    search = cached.func
+    runs: list[ReebGraph] = []
+    monkeypatch.setattr(cached, "func", lambda g: runs.append(g) or search(g))
+    return runs
+
+
 def hard_violations(g: ReebGraph) -> list[Violation]:
     """Level edges and disconnection, as `validate` reports them."""
     violations = list(value_reading(g).level_edges)
