@@ -239,6 +239,8 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
     witnesses (collapse, file), the sampling remainder inside the upper bound.
     """
     g1, g2 = _load_graph(file_a), _load_graph(file_b)
+    if witness_file is not None and witness != "file":
+        raise click.ClickException("--witness-file needs --witness file")
     source = witness
     if witness == "natural":
         upper, source = _intrinsic_bound(g1, g2)

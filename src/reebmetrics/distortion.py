@@ -6,8 +6,9 @@ bottleneck distance; upper bounds come from evaluating the distortion
 functional on an explicit pair of maps (a correspondence) or from exact
 analytic bounds such as value reassignments on a fixed graph.
 
-A correspondence checks its points when it is built, and certifies only
-its own two graphs. One vertex-map rule, `_edge_map`, serves the natural
+A correspondence reads its maps once, when it is built: it checks their
+points and keeps the pairs every certificate reads. It certifies only its
+own two graphs. One vertex-map rule, `_edge_map`, serves the natural
 correspondence and the value shift. The projection witness collapses a
 graph onto a segment or onto a point.
 """
@@ -15,16 +16,15 @@ graph onto a segment or onto a point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from operator import sub
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .bottleneck import graph_bottleneck
 from .graph import GraphPoint, ReebGraph, _travel_matrix, critical_values
 from .isomorphism import _unordered, structure_isomorphisms
-from .rationals import ValueLike, common_denominator, format_value, on_lattice, to_fraction
+from .rationals import ValueLike, format_value, on_lattice, to_fraction
 
 
 def default_resolution(g: ReebGraph) -> Fraction:
@@ -69,39 +69,15 @@ def _interior_samples(g: ReebGraph, h: Fraction) -> Iterator[tuple[int, int, int
             yield idx, k, pieces, Fraction(base + span * k, unit)
 
 
-def _net_cover(g: ReebGraph, h: Fraction, points: Iterable[GraphPoint]) -> tuple[int, int]:
-    """How many of `points` are samples of `sample_net(g, h)`, and the net's size.
-
-    Read on the graph's lattice, with no net built: a vertex point counts
-    when it is on g, and an edge point of value num/den on edge i when
-    k = (num·scale - lo·den)·pieces / (span·den) is an int with
-    0 < k < pieces, which makes its value the k-th sample of that edge. A
-    point off the graph never counts. Distinct points count distinct
-    samples, so the count is the net's size exactly when the points cover
-    the net.
-    """
-    cuts = _edge_pieces(g, h)
-    scale = g.scale
-    count = 0
-    for p in points:
-        if p.vertex is not None:
-            count += g.contains_point(p)
-        elif 0 <= p.edge < len(cuts):  # type: ignore[operator]
-            lo, span, pieces = cuts[p.edge]  # type: ignore[index]
-            if pieces > 1:
-                num, den = p.value.numerator, p.value.denominator
-                k, rest = divmod((num * scale - lo * den) * pieces, span * den)
-                count += not rest and 0 < k < pieces
-    size = len(g.vertex_ids) + sum(pieces - 1 for _, _, pieces in cuts if pieces)
-    return count, size
-
-
 def sample_net(g: ReebGraph, resolution: Optional[ValueLike] = None) -> tuple[GraphPoint, ...]:
     """All vertices plus interior points so value spacing stays <= resolution."""
     h = to_fraction(resolution) if resolution is not None else default_resolution(g)
     points = [g.vertex_point(v) for v in g.vertex_ids]
     points += (GraphPoint(value, edge=idx) for idx, _, _, value in _interior_samples(g, h))
     return tuple(points)
+
+
+_Pairs = tuple[tuple[GraphPoint, GraphPoint], ...]
 
 
 @dataclass(frozen=True)
@@ -113,12 +89,12 @@ class Correspondence:
     the stated resolution. A map pair that misses a sample of
     `sample_net(g1, resolution)` or `sample_net(g2, resolution)`, or maps a
     point off either graph, is a ValueError: the sampling remainder of
-    `certify_fd_upper` holds only for a map of the whole net. The check
-    builds no net and hashes no point: it counts the keys of each map that
-    are samples of its net (`_net_cover`), then reads `contains_point` for
-    every pair, all on the graphs' lattices. The resolution is read with
-    `to_fraction`, so a string or an int is coerced and a float is a
-    TypeError.
+    `certify_fd_upper` holds only for a map of the whole net. Each map is
+    read once, in one walk that checks its points and counts its keys that
+    are samples of the net, on the graphs' lattices, and lays out its pairs.
+    Every certificate reads the kept layout (`_sample_pairs`). The
+    resolution is read with `to_fraction`, so a string or an int is coerced
+    and a float is a TypeError.
     """
 
     g1: ReebGraph
@@ -126,23 +102,43 @@ class Correspondence:
     phi: dict[GraphPoint, GraphPoint]
     psi: dict[GraphPoint, GraphPoint]
     resolution: Fraction
+    _layout: tuple[_Pairs, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # a frozen dataclass: the coerced resolution replaces the given one
         object.__setattr__(self, "resolution", to_fraction(self.resolution))
+        pairs: list[tuple[GraphPoint, GraphPoint]] = []
+        denominators = {self.g1.scale, self.g2.scale}
         for name, src, dst, mapping in (
             ("phi", self.g1, self.g2, self.phi),
             ("psi", self.g2, self.g1, self.psi),
         ):
-            covered, size = _net_cover(src, self.resolution, mapping)
+            cuts, scale = _edge_pieces(src, self.resolution), src.scale
+            covered, outside = 0, False
+            for x, y in mapping.items():
+                pairs.append((x, y) if name == "phi" else (y, x))
+                num, den = x.value.numerator, x.value.denominator
+                denominators.update((den, y.value.denominator))
+                on_src = src.contains_point(x)
+                outside |= not (on_src and dst.contains_point(y))
+                # a vertex key on src is a sample, and so is an edge key whose
+                # k = (num·scale - lo·den)·pieces / (span·den) is an int in (0, pieces)
+                if x.vertex is not None:
+                    covered += on_src
+                elif on_src:
+                    lo, span, pieces = cuts[x.edge]  # type: ignore[index]
+                    if pieces > 1:
+                        k, rest = divmod((num * scale - lo * den) * pieces, span * den)
+                        covered += not rest and 0 < k < pieces
+            size = len(src.vertex_ids) + sum(pieces - 1 for _, _, pieces in cuts if pieces)
             if covered < size:
                 raise ValueError(
                     f"{name} maps {covered} of the {size} samples at resolution "
                     f"{format_value(self.resolution)}; a correspondence must map them all"
                 )
-            for x, y in mapping.items():
-                if not (src.contains_point(x) and dst.contains_point(y)):
-                    raise ValueError(f"{name} maps outside the graphs")
+            if outside:
+                raise ValueError(f"{name} maps outside the graphs")
+        object.__setattr__(self, "_layout", (tuple(pairs), math.lcm(*denominators)))
 
 
 # a spine: each vertex with the edge it was climbed to by (None for the first)
@@ -283,11 +279,8 @@ def natural_correspondence(
 # ---------------------------------------------------------------------------
 
 
-def _sample_pairs(
-    g1: ReebGraph, g2: ReebGraph, c: Correspondence
-) -> tuple[list[tuple[GraphPoint, GraphPoint]], int]:
-    """phi's pairs (x, phi(x)) and psi's pairs (psi(y), y), and their lattice:
-    the lcm of both graphs' scales and the denominators of every sampled point.
+def _sample_pairs(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> tuple[_Pairs, int]:
+    """The pairs and the lattice `c` laid out when it was built.
 
     A correspondence between other graphs than g1 and g2 is a ValueError;
     its edge points name edges by index, so the edge order must agree too.
@@ -295,9 +288,7 @@ def _sample_pairs(
     for mine, given in ((c.g1, g1), (c.g2, g2)):
         if not (mine is given or (mine == given and mine.edges == given.edges)):
             raise ValueError("the correspondence maps between other graphs")
-    pairs = [*c.phi.items(), *((x, y) for y, x in c.psi.items())]
-    points = chain.from_iterable(pairs)
-    return pairs, math.lcm(g1.scale, g2.scale, common_denominator(p.value for p in points))
+    return c._layout
 
 
 def distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
@@ -319,8 +310,7 @@ def distortion(g1: ReebGraph, g2: ReebGraph, c: Correspondence) -> Fraction:
     d1, slots1 = _travel_matrix(g1, tuple(x for x, _ in pairs), scale)
     d2, slots2 = _travel_matrix(g2, tuple(y for _, y in pairs), scale)
     distinct = set(zip(slots1, slots2))
-    cols1 = [a for a, _ in distinct]
-    cols2 = [b for _, b in distinct]
+    cols1, cols2 = zip(*distinct)
     # each row holds the gaps of one slot pair to every slot pair, itself
     # included at 0; the matrices are symmetric, so the full rows read each
     # gap twice, which costs less than slicing them

@@ -130,8 +130,6 @@ def _sample_values(
     values are placed by construction: `count` sorted picks from the grid
     shortened by the gaps' total, the i-th moved up by i gaps.
     """
-    if count < 2:
-        raise ValueError("need at least two critical values")
     span = hi - lo
     if span <= 0 or min_gap * (count - 1) >= span:
         raise ValueError("value range too small for requested gap")
@@ -159,6 +157,8 @@ def random_graph(seed: int | random.Random, n_critical: int = 6) -> ReebGraph:
     existing arcs. Every vertex gets a distinct value, so jitter experiments
     can perturb values without order collisions.
     """
+    if n_critical < 2:
+        raise ValueError("need at least two critical values")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     lo, hi = _VALUE_RANGE
     values = _sample_values(rng, n_critical, lo, hi, (hi - lo) / (4 * n_critical))

@@ -84,6 +84,9 @@ class ValidationReport:
         return "\n".join(f"{v.code} at {v.location}: {v.message}" for v in self.violations)
 
 
+_NO_VERTICES: frozenset[str] = frozenset()  # the one pass-through set of every graph with none
+
+
 class ReebGraph:
     """Level-labeled multigraph with monotone arcs.
 
@@ -202,7 +205,8 @@ class ReebGraph:
         return self.max_value() - self.min_value()
 
     def first_betti(self) -> int:
-        return len(self.edges) - len(self._order) + 1
+        _, components, _ = self._defects
+        return len(self.edges) - len(self._order) + components
 
     def edge_values(self, index: int) -> tuple[Fraction, Fraction]:
         u, v = self.edges[index]
@@ -265,7 +269,7 @@ class ReebGraph:
                 parent[a] = b
                 components -= 1
         through = frozenset(vid for vid in self._order if self.is_pass_through(vid))
-        return tuple(level_edges), components, through
+        return tuple(level_edges), components, through or _NO_VERTICES
 
     def with_values(self, values: dict[str, ValueLike]) -> "ReebGraph":
         """Same combinatorial structure with reassigned vertex values."""

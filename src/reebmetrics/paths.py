@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .diagram import _EXT0
 from .distortion import FDBoundCertificate, best_structure_shift, certify_fd_upper
-from .graph import InvalidGraphError, ReebGraph
+from .graph import InvalidGraphError, ReebGraph, validate
 from .operators import clear_features
 from .persistence import extended_diagram
 from .rationals import ValueLike, format_value, to_fraction
@@ -139,6 +139,9 @@ def linear_path(
     unknown = set(target) - set(g.vertex_ids)
     if unknown:
         raise ValueError(f"unknown vertices in target assignment: {sorted(unknown)}")
+    level_edges, components, through = g._defects
+    if not level_edges and (components > 1 or through):
+        raise InvalidGraphError(str(validate(g)))  # before any step is built
     full_target = {v: target.get(v, g.value(v)) for v in g.vertex_ids}
     return _stage_path(g, _interpolation(g, full_target, n))
 

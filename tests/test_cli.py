@@ -258,12 +258,16 @@ def test_stats_command(runner, tmp_path):
     a = write(tmp_path / "y.txt", y_graph())
     one = tmp_path / "one.txt"
     one.write_text("v a 1\n")
+    # two disjoint segments: E - V + 1 once printed `betti1 -1` here
+    apart = tmp_path / "apart.txt"
+    apart.write_text("v a 0\nv b 1\nv c 2\nv d 3\ne a b\ne c d\n")
     rand = tmp_path / "random.txt"
     result = runner.invoke(main, ["gen", "random", "--seed", "5", "--n", "14", "-o", str(rand)])
     assert result.exit_code == 0, result.output
     want = {
         a: "vertices 4\nedges 3\nbetti1 0\ncritical_values 0 1 2 3\nmin_gap 1\n",
         str(one): "vertices 1\nedges 0\nbetti1 0\ncritical_values 1\n",
+        str(apart): "vertices 4\nedges 2\nbetti1 0\ncritical_values 0 1 2 3\nmin_gap 1\n",
         str(rand): (
             "vertices 14\nedges 13\nbetti1 0\ncritical_values 0.13 1.04 1.86 2.21 2.55 "
             "2.86 3.98 4.17 5.56 5.87 7.48 7.84 8.88 9.38\nmin_gap 0.19\n"
@@ -509,6 +513,7 @@ def test_unreadable_file_is_a_one_line_error(runner, tmp_path, command, args, ba
         (["transform", "Y", "--anchors", "Y", "--alpha", "x"], "not a decimal"),
         (["experiment", "stability", "--trials", "0"], "trials must be positive"),
         (["gen", "random", "--n", "1"], "need at least two critical values"),
+        (["gen", "random", "--n", "0"], "need at least two critical values"),
         (["gen", "figure5", "--n", "-1"], "n must be nonnegative"),
         (["pathlen", "HALF"], "path must start at t=0 and end at t=1"),
         (["pathlen", "REPEAT"], "time stamps must strictly increase"),
@@ -518,13 +523,15 @@ def test_unreadable_file_is_a_one_line_error(runner, tmp_path, command, args, ba
         # a command given the wrong kind of input as a whole
         (["diagram", "DIAGRAM"], "is a diagram, expected a graph"),
         (["fdbound", "Y", "Y", "--witness", "file"], "--witness file needs --witness-file"),
+        (["fdbound", "Y", "Y", "--witness-file", "MISSING"], "--witness-file needs --witness file"),
         (["pathlen", "ONE"], "manifest needs at least two steps"),
     ],
     ids=[
         "merge-band", "simplify-negative", "simplify-x", "transform-zero", "transform-x",
-        "experiment-trials", "gen-random", "gen-figure5", "pathlen-half", "pathlen-repeat",
-        "simplify-zero-denominator", "merge-zero-denominator", "pathlen-zero-denominator",
-        "diagram-of-a-diagram", "fdbound-no-witness-file", "pathlen-one-step",
+        "experiment-trials", "gen-random", "gen-random-zero", "gen-figure5", "pathlen-half",
+        "pathlen-repeat", "simplify-zero-denominator", "merge-zero-denominator",
+        "pathlen-zero-denominator", "diagram-of-a-diagram", "fdbound-no-witness-file",
+        "fdbound-witness-file-alone", "pathlen-one-step",
     ],
 )
 def test_bad_number_is_a_one_line_error(runner, tmp_path, args, message):
@@ -540,6 +547,7 @@ def test_bad_number_is_a_one_line_error(runner, tmp_path, args, message):
         "ZERO": tmp_path / "zero.txt",
         "ONE": tmp_path / "one.txt",
         "DIAGRAM": tmp_path / "diagram.txt",
+        "MISSING": tmp_path / "missing.json",  # never written
     }
     result = runner.invoke(main, [str(paths.get(a, a)) for a in args])
     assert result.exit_code == 1, result.output

@@ -30,7 +30,7 @@ from reebmetrics import (
 )
 from reebmetrics.distortion import _sample_pairs, default_resolution
 from reebmetrics.graph import _travel_matrix
-from reebmetrics.rationals import format_value
+from reebmetrics.rationals import common_denominator, format_value
 from value_reference import coprime_cases, dyadic, reference_contains_point, reference_net_cover
 
 
@@ -348,6 +348,60 @@ def test_building_a_correspondence_and_its_travel_matrices_hash_no_fraction(monk
     _travel_matrix(g, tuple(x for x, _ in pairs), scale)
     _travel_matrix(jitter, tuple(y for _, y in pairs), scale)
     assert not calls
+
+
+class CountingMap(dict):
+    """A dict that counts the walks over it: `items()`, `keys()`, `values()`
+    and iteration."""
+
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def keys(self):
+        self.reads += 1
+        return super().keys()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_a_correspondence_reads_each_map_once():
+    # one walk per map builds the correspondence and lays out its pairs;
+    # the certificates read that layout, not the maps (each map was once
+    # walked twice to build it and twice more to certify it)
+    rng = random.Random(3434)
+    g = random_graph(rng, n_critical=5)
+    jitter = g.with_values({v: g.value(v) + F(rng.randint(-3, 3), 97) for v in g.vertex_ids})
+    y = y_graph()
+    for c in (
+        projection_correspondence(y, segment(y.min_value(), y.max_value())),
+        natural_correspondence(g, jitter, {v: v for v in g.vertex_ids}, F(1, 3)),
+    ):
+        phi, psi = CountingMap(c.phi), CountingMap(c.psi)
+        counted = Correspondence(c.g1, c.g2, phi, psi, c.resolution)
+        assert (phi.reads, psi.reads) == (1, 1)
+        cert = certify_fd_upper(c.g1, c.g2, counted)
+        upper = fd_upper(c.g1, c.g2, counted)
+        worst = distortion(c.g1, c.g2, counted)
+        assert (phi.reads, psi.reads) == (1, 1)
+        # the layout is phi's pairs, then psi's pairs turned round, on the
+        # lcm of both scales and every sampled denominator
+        pairs = [*c.phi.items(), *((x, y) for y, x in c.psi.items())]
+        lattice = math.lcm(
+            c.g1.scale, c.g2.scale, common_denominator(p.value for p in chain(*pairs))
+        )
+        assert _sample_pairs(c.g1, c.g2, counted) == (tuple(pairs), lattice)
+        assert worst == reference_distortion(c.g1, c.g2, c)
+        assert cert.upper == upper + 2 * c.resolution
+        assert cert == certify_fd_upper(c.g1, c.g2, c)
 
 
 def test_fd_lower_examples():

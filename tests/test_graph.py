@@ -1118,6 +1118,27 @@ def test_stats_cycle_betti():
     assert cycle().first_betti() == 1
 
 
+def test_betti_number_counts_every_component():
+    # E - V + c, with c the component count: E - V + 1 gave -1 for two
+    # disjoint segments and 1 for two disjoint cycles
+    apart = ReebGraph([("a", 0), ("b", 1), ("c", 2), ("d", 3)], [("a", "b"), ("c", "d")])
+    assert apart.first_betti() == 0
+    loops = ReebGraph(
+        [("a", 0), ("b", 1), ("c", 2), ("d", 3)],
+        [("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")],
+    )
+    assert loops.first_betti() == 2
+
+
+def test_graphs_without_pass_through_vertices_share_one_empty_set():
+    # each graph once kept its own empty frozenset
+    a, b = y_graph(), random_graph(3, n_critical=5)
+    assert a._defects[2] is b._defects[2]
+    assert not a._defects[2]
+    through = ReebGraph([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    assert through._defects[2] == {"b"}
+
+
 def test_edge_point_endpoints_normalize_to_vertices():
     s = segment()
     assert s.edge_point(0, 0) == s.vertex_point("bot")

@@ -20,6 +20,7 @@ from reebmetrics import (
     random_graph,
     segment,
     structure_isomorphisms,
+    validate,
     y_graph,
 )
 from reebmetrics.distortion import (
@@ -108,6 +109,35 @@ def test_linear_path_reports_level_collision():
     with pytest.raises(InvalidGraphError) as err:
         linear_path(s, {"top": 0, "bot": 2}, 2)
     assert "step" in str(err.value)
+
+
+def test_linear_path_rejects_an_invalid_start_before_building_a_step(monkeypatch):
+    # a start with pass-through vertices or several components once got
+    # all n + 1 steps built (51 at n = 50) before its first certificate
+    # rejected it; a start with a level edge still fails at step 0
+    built = []
+    with_values = ReebGraph.with_values
+
+    def counted(self, values):
+        built.append(self)
+        return with_values(self, values)
+
+    monkeypatch.setattr(ReebGraph, "with_values", counted)
+    vertices = [("a", 0), ("b", 1), ("c", 2)]
+    through = ReebGraph(vertices, [("a", "b"), ("b", "c")])
+    apart = ReebGraph([*vertices, ("d", 3)], [("a", "b"), ("c", "d")])
+    for g in (through, apart):
+        with pytest.raises(InvalidGraphError) as err:
+            linear_path(g, {"c": 5}, 50)
+        assert str(err.value) == str(validate(g))
+    assert built == []
+    level = ReebGraph([*vertices, ("d", 1)], [("a", "b"), ("b", "d"), ("b", "c")])
+    with pytest.raises(InvalidGraphError) as err:
+        linear_path(level, {"c": 5}, 50)
+    assert str(err.value) == (
+        "interpolation step 0/50 breaks monotonicity: edge joins two vertices at value 1"
+    )
+    assert built == [level]
 
 
 def test_path_length_needs_metric():
