@@ -18,12 +18,7 @@ import click
 from . import __version__
 from .bottleneck import bottleneck
 from .diagram import Diagram
-from .distortion import (
-    FDBoundCertificate,
-    _segment_or_point,
-    certify_fd_upper,
-    projection_correspondence,
-)
+from .distortion import FDBoundCertificate, certify_fd_upper, projection_correspondence
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .fileio import (
     ParseError,
@@ -246,12 +241,7 @@ def fdbound_cmd(file_a: str, file_b: str, witness: str, witness_file: Optional[s
         upper, source = _intrinsic_bound(g1, g2)
         cert = certify_fd_upper(g1, g2, upper)
     elif witness == "collapse":
-        if _segment_or_point(g2):
-            cert = certify_fd_upper(g1, g2, projection_correspondence(g1, g2))
-        elif _segment_or_point(g1):
-            cert = certify_fd_upper(g2, g1, projection_correspondence(g2, g1))
-        else:
-            raise click.ClickException("the collapse witness needs a segment on one side")
+        cert = certify_fd_upper(g1, g2, projection_correspondence(g1, g2))
     else:
         if witness_file is None:
             raise click.ClickException("--witness file needs --witness-file <path>")

@@ -9,17 +9,18 @@ analytic bounds such as value reassignments on a fixed graph.
 A correspondence reads its maps once, when it is built: it checks their
 points and keeps the pairs every certificate reads. It certifies only its
 own two graphs. One vertex-map rule, `_edge_map`, serves the natural
-correspondence and the value shift. The projection witness collapses a
-graph onto a segment or onto a point.
+correspondence and the value shift. The projection witness collapses
+whichever graph is not a segment or a point onto the one that is.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import sub
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .bottleneck import graph_bottleneck
 from .graph import GraphPoint, ReebGraph, _travel_matrix, critical_values
@@ -145,11 +146,6 @@ class Correspondence:
 _Spine = list[tuple[str, Optional[int]]]
 
 
-def _segment_or_point(g: ReebGraph) -> bool:
-    """True for a graph of one edge or of one vertex: a collapse target."""
-    return len(g.edges) <= 1 and len(g.vertex_ids) == len(g.edges) + 1
-
-
 def _monotone_spine(g: ReebGraph) -> _Spine:
     """A value-monotone vertex path from a global min to a global max.
 
@@ -173,32 +169,44 @@ def _monotone_spine(g: ReebGraph) -> _Spine:
     )
 
 
-def _point_on_spine(g: ReebGraph, spine: _Spine, value: Fraction) -> GraphPoint:
-    """The spine's point at `value`, clamped to the value range of g."""
-    value = max(g.min_value(), min(g.max_value(), value))
-    for w, idx in spine[1:]:
-        if value <= g.value(w):
-            return g.edge_point(idx, value)  # type: ignore[arg-type]
-    return g.vertex_point(spine[0][0])
+def _spine_map(g: ReebGraph) -> Callable[[Fraction], GraphPoint]:
+    """The point at a value on a monotone spine of g, found once, clamped to
+    the spine's ends (a global min and max) and located by bisection."""
+    spine = _monotone_spine(g)
+    tops = [g.value(w) for w, _ in spine[1:]]
+    lo, hi = g.value(spine[0][0]), g.value(spine[-1][0])
+
+    def point_at(value: Fraction) -> GraphPoint:
+        value = max(lo, min(hi, value))
+        if not tops:  # a point
+            return g.vertex_point(spine[0][0])
+        _, idx = spine[bisect_left(tops, value) + 1]  # the first spine edge reaching value
+        return g.edge_point(idx, value)  # type: ignore[arg-type]
+
+    return point_at
 
 
 def projection_correspondence(
-    g: ReebGraph, seg: ReebGraph, resolution: Optional[ValueLike] = None
+    g1: ReebGraph, g2: ReebGraph, resolution: Optional[ValueLike] = None
 ) -> Correspondence:
-    """Collapse g onto a segment or a point; include the target back.
+    """Collapse whichever graph is not a segment or a point (one edge or one
+    vertex, and nothing else) onto the one that is, onto g2 when both are;
+    neither is a ValueError.
 
     Both maps send a sample to the point at its value, clamped to the other
-    graph's range, on a monotone spine of that graph; the target is its own
-    spine. Used as the constructive witness when comparing a graph with its
-    fully simplified trunk.
+    graph's range, on a monotone spine of that graph (`_spine_map`, which
+    reads each graph's spine and range once); the target is its own spine.
+    The resolution defaults to the collapsed graph's.
     """
-    if not _segment_or_point(seg):
-        raise ValueError("projection target must be a segment or a point")
-    h1 = to_fraction(resolution) if resolution is not None else default_resolution(g)
-    seg_spine, spine = _monotone_spine(seg), _monotone_spine(g)
-    phi = {p: _point_on_spine(seg, seg_spine, p.value) for p in sample_net(g, h1)}
-    psi = {q: _point_on_spine(g, spine, q.value) for q in sample_net(seg, h1)}
-    return Correspondence(g, seg, phi, psi, h1)
+    targets = [g for g in (g2, g1) if len(g.edges) <= 1 and len(g.vertex_ids) == len(g.edges) + 1]
+    if not targets:
+        raise ValueError("the collapse witness needs a segment on one side")
+    collapsed = g1 if targets[0] is g2 else g2
+    h = to_fraction(resolution) if resolution is not None else default_resolution(collapsed)
+    onto1, onto2 = _spine_map(g1), _spine_map(g2)
+    phi = {p: onto2(p.value) for p in sample_net(g1, h)}
+    psi = {q: onto1(q.value) for q in sample_net(g2, h)}
+    return Correspondence(g1, g2, phi, psi, h)
 
 
 def _edge_map(g1: ReebGraph, g2: ReebGraph, vertex_map: dict[str, str]) -> list[int]:
@@ -360,15 +368,17 @@ def certify_fd_upper(
 
     A correspondence adds its sampling remainder, twice its resolution, to
     its sampled upper bound; a bound (an operator move, a value shift) is
-    the upper end itself, with no remainder.
+    the upper end itself, with no remainder. The lower bound comes first:
+    its diagrams reject an invalid graph before any sample is read.
     """
+    lower = fd_lower(g1, g2)
     if isinstance(witness, Correspondence):
         remainder = 2 * witness.resolution
         upper = fd_upper(g1, g2, witness) + remainder
     else:
         remainder = Fraction(0)
         upper = to_fraction(witness)
-    return FDBoundCertificate(fd_lower(g1, g2), upper, remainder)
+    return FDBoundCertificate(lower, upper, remainder)
 
 
 def value_shift_upper(g1: ReebGraph, g2: ReebGraph, vertex_map: dict[str, str]) -> Fraction:

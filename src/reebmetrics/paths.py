@@ -104,12 +104,12 @@ def _stage_path(g: ReebGraph, stages: Sequence[_Stage]) -> GraphPath:
 
 def _interpolation(g: ReebGraph, target: dict[str, Fraction], n: int) -> list[_Stage]:
     """Steps 1..n of the linear interpolation from g to `target`, after
-    testing steps 0..n for a level edge (see `linear_path`)."""
+    testing steps 0..n for a level edge (see `linear_path`); step 0 is g."""
     per_step = max(abs(target[v] - g.value(v)) for v in g.vertex_ids) / n
     stages: list[_Stage] = []
     for k in range(n + 1):
         s = Fraction(k, n)
-        step = g.with_values({v: x + s * (target[v] - x) for v, x in g.vertices()})
+        step = g.with_values({v: x + s * (target[v] - x) for v, x in g.vertices()}) if k else g
         level_edges, _, _ = step._defects
         if level_edges:
             u, _ = step.edges[level_edges[0]]

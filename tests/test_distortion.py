@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 
 from reebmetrics import (
     Correspondence,
+    InvalidGraphError,
     ReebGraph,
     FDBoundCertificate,
     GraphPoint,
@@ -25,6 +27,7 @@ from reebmetrics import (
     segment,
     structure_isomorphisms,
     travel_distances,
+    validate,
     value_shift_upper,
     y_graph,
 )
@@ -143,8 +146,72 @@ def test_projection_target_is_a_segment_or_a_point():
         cycle(),  # two arcs between two vertices
         y,
     ):
-        with pytest.raises(ValueError, match="projection target must be a segment or a point"):
+        with pytest.raises(ValueError, match="the collapse witness needs a segment on one side"):
             projection_correspondence(y, target)
+
+
+def test_the_collapse_target_may_be_on_either_side():
+    # the same rule picks the target whichever side it is on: the reversed
+    # witness swaps the two maps, so it certifies the same interval
+    rng = random.Random(35)
+    graphs = [y_graph(), cycle()]
+    graphs += (random_graph(rng, n_critical=rng.randint(3, 6)) for _ in range(4))
+    checked = 0
+    for g in graphs:
+        lo, hi = g.min_value(), g.max_value()
+        point = ReebGraph([("pt", (lo + hi) / 2)])
+        for target in (segment(lo, hi), segment(lo - 1, hi + F(1, 3)), point):
+            forward = projection_correspondence(g, target)
+            backward = projection_correspondence(target, g)
+            assert (backward.g1, backward.g2) == (target, g)
+            assert (backward.phi, backward.psi) == (forward.psi, forward.phi)
+            assert backward.resolution == forward.resolution == default_resolution(g)
+            assert certify_fd_upper(target, g, backward) == certify_fd_upper(g, target, forward)
+            checked += 1
+    assert checked == 18
+
+
+def test_building_a_collapse_reads_each_range_once(monkeypatch):
+    # the range of each graph is read once, not once per sample: the scans
+    # do not grow with the number of samples
+    calls = Counter()
+    for name in ("min_value", "max_value"):
+        scan = getattr(ReebGraph, name)
+
+        def counted(self, scan=scan, name=name):
+            calls[name] += 1
+            return scan(self)
+
+        monkeypatch.setattr(ReebGraph, name, counted)
+    y, seg = y_graph(), segment()
+    totals = []
+    for resolution in (F(1, 4), F(1, 64)):
+        calls.clear()
+        c = projection_correspondence(y, seg, resolution)
+        assert len(c.phi) > 4 / resolution
+        totals.append(sum(calls.values()))
+    assert totals[0] == totals[1] <= 4
+
+
+def test_a_certificate_rejects_an_invalid_graph_before_sampling(monkeypatch):
+    # the lower bound's diagrams reject a pass-through vertex before the
+    # upper bound runs a single travel sweep
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args)
+        return _travel_matrix(*args)
+
+    distortion_module = importlib.import_module("reebmetrics.distortion")
+    monkeypatch.setattr(distortion_module, "_travel_matrix", counted)
+    through = ReebGraph([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    seg = segment(0, 2)
+    with pytest.raises(InvalidGraphError) as err:
+        certify_fd_upper(through, seg, projection_correspondence(through, seg))
+    assert str(err.value) == str(validate(through))
+    assert sweeps == []
+    certify_fd_upper(y_graph(), segment(), projection_correspondence(y_graph(), segment()))
+    assert len(sweeps) == 2
 
 
 def test_natural_correspondence_on_perturbed_y():

@@ -137,7 +137,26 @@ def test_linear_path_rejects_an_invalid_start_before_building_a_step(monkeypatch
     assert str(err.value) == (
         "interpolation step 0/50 breaks monotonicity: edge joins two vertices at value 1"
     )
-    assert built == [level]
+    assert built == []
+
+
+def test_an_interpolation_builds_one_graph_a_step(monkeypatch):
+    # step 0 is the start itself, whose level edges are already known: n
+    # steps build n graphs
+    built = []
+    with_values = ReebGraph.with_values
+
+    def counted(self, values):
+        built.append(self)
+        return with_values(self, values)
+
+    monkeypatch.setattr(ReebGraph, "with_values", counted)
+    p = linear_path(y_graph(), {"b": "1.25"}, 4)
+    assert len(p.certificates) == len(built) == 4
+    built.clear()
+    p = contraction_path(segment(), 4)
+    assert len(built) == 4  # the four shrink steps; the collapse builds a point
+    assert len(p.certificates) == 5
 
 
 def test_path_length_needs_metric():
