@@ -9,19 +9,31 @@ diagrams' int rows are read on one lattice L, the lcm of their scales, as
 a threshold is a perfect matching in the graph doubled by diagonal slots,
 found by an iterative Hopcroft-Karp that compares only integers.
 
+No pair distance is stored: the search uses the geometry of the points, as
+Kerber, Morozov and Nigmetov do (Geometry Helps to Compare Persistence
+Diagrams, JEA 2017). Each kind's rows are sorted by (birth, death), so a
+side's births can be bisected, and a pair is never closer than twice its
+birth gap. The floor scan finds each point's nearest partner by walking
+outward from its birth among the other side's births, and stops once twice
+the birth gap reaches the best distance so far. At a threshold t, a
+point's neighbours are the other side's points whose births lie within
+t // 2 of its own, found by bisection, whose deaths do too. So a kind needs
+memory for its rows and for the pairs within the threshold, not for all
+n·k pairs.
+
 The search probes the nearest-neighbour floor first: every point pays at
 least the distance to its nearest partner of the other side or to the
 diagonal, so the largest such distance bounds every matching from below,
 and it is itself a candidate. On nearby diagrams, the common call, the
 floor is feasible and one matching settles the kind. Only when it is not
-are the distinct candidates above it sorted and binary-searched, which
-tests O(log nk) of them. Either way the witness is the matching found at
-the optimal candidate, so it does not depend on which search found it.
-The witness matching is checked against the optimum before it is
-returned, by recomputing its cost from the rows on the same lattice, and
-only the optimum becomes a `Fraction` again. Among optimal matchings, which
-one is the witness is an implementation detail; its cost always equals the
-value.
+are the ints between the floor and the largest diagonal cost bisected;
+each feasible probe lowers the top to the cost of the matching it found.
+Either way the witness is the matching found at the optimum, so it does
+not depend on which search found it. The witness matching is checked
+against the optimum before it is returned, by recomputing its cost from
+the rows on the same lattice, and only the optimum becomes a `Fraction`
+again. Among optimal matchings, which one is the witness is an
+implementation detail; its cost always equals the value.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .diagram import KINDS, Diagram
@@ -101,16 +113,19 @@ def matching_cost(d1: Diagram, d2: Diagram, m: PartialMatching) -> Fraction:
 
 @dataclass(frozen=True)
 class _KindDistances:
-    """The distances of one kind, as ints in units of 1/`scale`.
+    """One kind's points and diagonal costs, as ints in units of 1/`scale`.
 
-    `pairs[a][j]` is the l-infinity distance of left point a and right
-    point j, and `diag_left` / `diag_right` the diagonal costs; together
-    they are the kind's candidates. A threshold is an int on the same
-    lattice, and every test against it compares integers.
+    `left` and `right` are each side's (birth, death) rows, sorted, on the
+    lattice of `scale` / 2; `diag_left` and `diag_right` are their diagonal
+    costs |b - d|. The distance of left point a and right point j is
+    2 max(|db|, |dd|), computed only where the floor scan or a threshold's
+    band reads it, so nothing of size n·k is built. A threshold is an int
+    in the same units, and every test against it compares integers.
     """
 
     scale: int
-    pairs: list[list[int]]
+    left: Sequence[tuple[int, int]]
+    right: Sequence[tuple[int, int]]
     diag_left: list[int]
     diag_right: list[int]
 
@@ -118,12 +133,12 @@ class _KindDistances:
 def _kind_distances(
     left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]], scale: int
 ) -> _KindDistances:
-    """The distances between (birth, death) pairs given as ints times `scale`."""
-    # over 2 * scale: linf(p, q) is 2 max(|db|, |dd|), a diagonal cost |b - d|
-    dist = [[2 * max(abs(b - b2), abs(d - d2)) for b2, d2 in right] for b, d in left]
-    diag_left = [abs(b - d) for b, d in left]
-    diag_right = [abs(b - d) for b, d in right]
-    return _KindDistances(2 * scale, dist, diag_left, diag_right)
+    """One kind's sorted (birth, death) rows, given as ints times `scale`,
+    and their diagonal costs, with distances read over 2 * `scale`."""
+    assert list(left) == sorted(left) and list(right) == sorted(right), "rows must be sorted"
+    return _KindDistances(
+        2 * scale, left, right, [abs(b - d) for b, d in left], [abs(b - d) for b, d in right]
+    )
 
 
 def _kind_tables(
@@ -147,6 +162,36 @@ def _kind_tables(
             )
 
 
+def _neighbours(dists: _KindDistances, threshold: int) -> list[list[int]]:
+    """The doubled graph's left adjacency at an int threshold (the nodes are
+    those of `_threshold_matching`), without the slot-to-slot block.
+
+    Left point a meets the right points within the threshold, in ascending
+    index order, then its own slot k + a when its diagonal cost is within
+    it; slot n + j meets point j the same way. A pair is within t exactly
+    when both |db| and |dd| are at most t // 2, so point a's candidates are
+    the band of right births within t // 2 of its birth: its start is found
+    by bisection on the sorted rows, and only the deaths in it are tested.
+    """
+    half = threshold // 2
+    right = dists.right
+    k = len(right)
+    adj = []
+    for a, ((b, d), cost) in enumerate(zip(dists.left, dists.diag_left)):
+        row = []
+        for j in range(bisect_left(right, (b - half,)), k):
+            b2, d2 = right[j]
+            if b2 - b > half:
+                break
+            if abs(d2 - d) <= half:
+                row.append(j)
+        if cost <= threshold:
+            row.append(k + a)
+        adj.append(row)
+    adj.extend([j] if cost <= threshold else [] for j, cost in enumerate(dists.diag_right))
+    return adj
+
+
 def _threshold_matching(
     dists: _KindDistances, threshold: int
 ) -> Optional[list[Optional[int]]]:
@@ -157,8 +202,10 @@ def _threshold_matching(
     left point. Point a meets point j when their distance is at most the
     threshold, and its own slot k + a when its diagonal cost is; slot n + j
     meets point j the same way, and every slot meets every slot, since
-    diagonal-to-diagonal is free. Returns, for each left point, the matched
-    right index or None for its diagonal slot.
+    diagonal-to-diagonal is free. `_neighbours` lists these edges from
+    each point's band of births, so the graph costs memory for its edges
+    only. Returns, for each left point, the matched right index or None for
+    its diagonal slot.
 
     Hopcroft-Karp: each phase layers the graph by a BFS from the free left
     nodes, then augments along vertex-disjoint shortest paths found by a DFS
@@ -166,13 +213,9 @@ def _threshold_matching(
     listed: only the slots of the layer where the BFS first enters it can
     use it on a shortest path, and they share one cursor over it.
     """
-    n, k = len(dists.diag_left), len(dists.diag_right)
+    n, k = len(dists.left), len(dists.right)
     size = n + k
-    adj = [[j for j, r in enumerate(row) if r <= threshold] for row in dists.pairs]
-    for a, r in enumerate(dists.diag_left):
-        if r <= threshold:
-            adj[a].append(k + a)
-    adj.extend([j] if r <= threshold else [] for j, r in enumerate(dists.diag_right))
+    adj = _neighbours(dists, threshold)
     block = range(k, size)
     unreached = size + 1
     match_left = [-1] * size
@@ -253,39 +296,82 @@ def _floor(dists: _KindDistances) -> int:
     """The largest, over every point of either side, of the distance to its
     nearest partner on the other side or to the diagonal, whichever is less.
 
-    A point with no partner (the other side is empty) pays its diagonal cost.
+    A point's best starts at its diagonal cost, so a point with no partner
+    (the other side is empty) pays that. The scan walks the other side's
+    births outward from the point's bisect position, up and then down, and
+    stops once twice the birth gap reaches the best so far, since no pair is
+    closer than that. A point whose diagonal cost is at most the floor found
+    so far cannot raise it, so it is not scanned.
     """
-    columns = zip(*dists.pairs) if dists.pairs else repeat(())
-    near = chain(zip(dists.diag_left, dists.pairs), zip(dists.diag_right, columns))
-    return max((min((cost, *row)) for cost, row in near), default=0)
+    floor = 0
+    for points, costs, others in (
+        (dists.left, dists.diag_left, dists.right),
+        (dists.right, dists.diag_right, dists.left),
+    ):
+        for (b, d), best in zip(points, costs):
+            if best <= floor:
+                continue
+            start = bisect_left(others, (b,))
+            for outward in (range(start, len(others)), range(start - 1, -1, -1)):
+                for j in outward:
+                    b2, d2 = others[j]
+                    gap = 2 * abs(b2 - b)
+                    if gap >= best:
+                        break
+                    dist = 2 * abs(d2 - d)
+                    if dist < best:  # and gap < best, so the pair is closer
+                        best = dist if dist > gap else gap
+            if best > floor:
+                floor = best
+    return floor
+
+
+def _assignment_cost(dists: _KindDistances, assignment: list[Optional[int]]) -> int:
+    """The cost of one kind's matching, given as `_threshold_matching`
+    returns it, in units of 1/`dists.scale`."""
+    cost = 0
+    unmatched = set(range(len(dists.right)))
+    for (b, d), j, diagonal in zip(dists.left, assignment, dists.diag_left):
+        if j is None:
+            cost = max(cost, diagonal)
+        else:
+            unmatched.discard(j)
+            b2, d2 = dists.right[j]
+            cost = max(cost, 2 * abs(b - b2), 2 * abs(d - d2))
+    return max([cost, *(dists.diag_right[j] for j in unmatched)])
 
 
 def _kind_assignment(dists: _KindDistances) -> tuple[int, list[Optional[int]]]:
     """The smallest feasible candidate of one kind, an int in units of
-    1/`dists.scale`, and a matching attaining it.
+    1/`dists.scale`, and the matching `_threshold_matching` finds at it.
 
     Every matching pays at least the floor, and the floor is a candidate, so
-    when the floor is feasible it is the optimum. Otherwise every candidate
-    up to it is infeasible, and the binary search runs over the distinct
-    candidates above it, the largest of which is always feasible.
+    when the floor is feasible it is the optimum. Otherwise the ints in
+    (floor, largest diagonal cost] are bisected: the floor is infeasible,
+    and the all-diagonal matching is feasible at the top. A feasible probe
+    lowers the top to the cost of the matching it found, which is feasible
+    and a candidate, so the top is always a candidate and ends as the
+    smallest feasible one. The witness is the matching at that threshold,
+    re-run there unless the last feasible probe was at it, so it is the
+    one a search over the sorted candidates would return.
     """
     floor = _floor(dists)
     assignment = _threshold_matching(dists, floor)
     if assignment is not None:
         return floor, assignment
-    everything = chain(dists.diag_left, dists.diag_right, chain.from_iterable(dists.pairs))
-    candidates = sorted({c for c in everything if c > floor})
-    lo, hi = 0, len(candidates) - 1
-    best = hi
-    while lo <= hi:
+    lo, hi = floor, max(chain(dists.diag_left, dists.diag_right))
+    probed = hi  # the threshold `assignment` was found at
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        found = _threshold_matching(dists, candidates[mid])
+        found = _threshold_matching(dists, mid)
         if found is None:
-            lo = mid + 1
+            lo = mid
         else:
-            best, assignment, hi = mid, found, mid - 1
+            probed, assignment, hi = mid, found, _assignment_cost(dists, found)
+    if assignment is None or probed != hi:
+        assignment = _threshold_matching(dists, hi)
     assert assignment is not None
-    return candidates[best], assignment
+    return hi, assignment
 
 
 def feasible(d1: Diagram, d2: Diagram, delta: ValueLike) -> bool:
@@ -312,7 +398,8 @@ def bottleneck(d1: Diagram, d2: Diagram) -> BottleneckResult:
 
     The optimum is one of finitely many candidate values; per kind it is the
     nearest-neighbour floor when that is feasible, and otherwise the
-    smallest feasible candidate above it, found by binary search.
+    smallest feasible candidate above it, found by bisecting the ints up to
+    the largest diagonal cost.
     """
     scale, rows1, rows2 = _lifted(d1, d2)
     value = 0  # over 2 * scale

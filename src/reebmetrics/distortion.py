@@ -190,8 +190,9 @@ def projection_correspondence(
     g1: ReebGraph, g2: ReebGraph, resolution: Optional[ValueLike] = None
 ) -> Correspondence:
     """Collapse whichever graph is not a segment or a point (one edge or one
-    vertex, and nothing else) onto the one that is, onto g2 when both are;
-    neither is a ValueError.
+    vertex, and nothing else) onto the one that is; neither is a ValueError.
+    When both are, a point is the target, so the order of the arguments does
+    not matter, and between two segments or two points the target is g2.
 
     Both maps send a sample to the point at its value, clamped to the other
     graph's range, on a monotone spine of that graph (`_spine_map`, which
@@ -201,7 +202,8 @@ def projection_correspondence(
     targets = [g for g in (g2, g1) if len(g.edges) <= 1 and len(g.vertex_ids) == len(g.edges) + 1]
     if not targets:
         raise ValueError("the collapse witness needs a segment on one side")
-    collapsed = g1 if targets[0] is g2 else g2
+    target = min(targets, key=lambda g: len(g.edges))  # a point first, then g2
+    collapsed = g1 if target is g2 else g2
     h = to_fraction(resolution) if resolution is not None else default_resolution(collapsed)
     onto1, onto2 = _spine_map(g1), _spine_map(g2)
     phi = {p: onto2(p.value) for p in sample_net(g1, h)}

@@ -24,10 +24,12 @@ from reebmetrics import (
     y_graph,
 )
 from reebmetrics.bottleneck import (
+    _assignment_cost,
     _floor,
     _kind_assignment,
     _kind_distances,
     _KindDistances,
+    _neighbours,
     _threshold_matching,
 )
 from reebmetrics.diagram import linf
@@ -439,12 +441,33 @@ def test_bottleneck_with_pairwise_coprime_denominators():
 # ---------------------------------------------------------------------------
 
 
+def dense_kind_distances(dists: _KindDistances) -> list[list[int]]:
+    """The n·k matrix of pair distances that the search never builds:
+    entry [a][j] is 2 max(|db|, |dd|) of left point a and right point j."""
+    return [
+        [2 * max(abs(b - b2), abs(d - d2)) for b2, d2 in dists.right] for b, d in dists.left
+    ]
+
+
+def dense_neighbours(dists: _KindDistances, threshold: int) -> list[list[int]]:
+    """`_neighbours` by a scan of every row of the dense matrix."""
+    k = len(dists.right)
+    adj = [
+        [j for j, r in enumerate(row) if r <= threshold] for row in dense_kind_distances(dists)
+    ]
+    for a, cost in enumerate(dists.diag_left):
+        if cost <= threshold:
+            adj[a].append(k + a)
+    adj.extend([j] if cost <= threshold else [] for j, cost in enumerate(dists.diag_right))
+    return adj
+
+
 def sorted_candidate_search(dists: _KindDistances) -> tuple[int, list[Optional[int]]]:
     """The per-kind search without the floor probe: a binary search over
-    every distinct candidate, and 0, in increasing order."""
-    candidates = sorted(
-        {0, *dists.diag_left, *dists.diag_right, *itertools.chain.from_iterable(dists.pairs)}
-    )
+    every distinct candidate of the dense matrix, and 0, in increasing
+    order."""
+    pairs = itertools.chain.from_iterable(dense_kind_distances(dists))
+    candidates = sorted({0, *dists.diag_left, *dists.diag_right, *pairs})
     lo, hi = 0, len(candidates) - 1
     best, assignment = hi, None
     while lo <= hi:  # the largest candidate is always feasible
@@ -455,6 +478,15 @@ def sorted_candidate_search(dists: _KindDistances) -> tuple[int, list[Optional[i
         else:
             best, assignment, hi = mid, found, mid - 1
     return candidates[best], assignment
+
+
+def dense_floor(dists: _KindDistances) -> int:
+    """`_floor` from the dense matrix: each point's least entry of its row
+    or column, or its diagonal cost, whichever is less."""
+    matrix = dense_kind_distances(dists)
+    columns = zip(*matrix) if matrix else itertools.repeat(())
+    near = itertools.chain(zip(dists.diag_left, matrix), zip(dists.diag_right, columns))
+    return max((min((cost, *row)) for cost, row in near), default=0)
 
 
 def lattice_pairs(points: Sequence[DiagramPoint], scale: int) -> list[tuple[int, int]]:
@@ -490,6 +522,46 @@ def test_floor_probe_matches_sorted_candidate_search():
                 above_floor += 1
     # the sample reaches both the probe and the fallback search
     assert at_floor > 0 and above_floor > 0, (at_floor, above_floor)
+
+
+def random_kind(rng: random.Random) -> _KindDistances:
+    """One kind's sorted rows on a lattice of up to 10**6 steps: either side
+    may be empty, births tie, points repeat, and a side's points may lie on
+    either side of the diagonal."""
+    span = rng.choice((3, 16, 200, 10**6))
+
+    def side() -> list[tuple[int, int]]:
+        rows: list[tuple[int, int]] = []
+        for _ in range(0 if rng.random() < 0.1 else rng.randint(1, 12)):
+            if rows and rng.random() < 0.15:
+                rows.append(rng.choice(rows))
+                continue
+            birth = rng.choice(rows)[0] if rows and rng.random() < 0.25 else rng.randint(0, span)
+            rows.append((birth, rng.randint(0, span)))
+        return sorted(rows)
+
+    return _kind_distances(side(), side(), rng.choice((1, 3, 64)))
+
+
+def test_banded_search_matches_the_dense_search_on_random_kinds():
+    rng = random.Random(36)
+    fallback = empty = 0
+    for trial in range(1500):
+        dists = random_kind(rng)
+        value, assignment = sorted_candidate_search(dists)
+        assert _kind_assignment(dists) == (value, assignment), trial
+        floor = _floor(dists)
+        assert floor == dense_floor(dists), trial
+        assert value >= floor
+        fallback += value > floor
+        empty += not dists.left or not dists.right
+        # the banded neighbours are the dense rows at and around every candidate
+        pairs = itertools.chain.from_iterable(dense_kind_distances(dists))
+        for c in {0, *dists.diag_left, *dists.diag_right, *pairs}:
+            for t in (c - 1, c, c + 1):
+                assert _neighbours(dists, t) == dense_neighbours(dists, t), (trial, t)
+    # the sample reaches the bisection above an infeasible floor, and empty sides
+    assert fallback > 100 and empty > 100, (fallback, empty)
 
 
 def test_floor_of_a_kind_with_one_empty_side_is_its_largest_diagonal_cost():
@@ -543,3 +615,23 @@ def test_infeasible_floor_falls_back_to_the_sorted_search(matching_calls):
     assert result.value == 5
     assert result.witness == PartialMatching(((0, 0),), (1,), (1,))
     assert len(matching_calls) > 1
+
+
+def test_the_witness_is_the_matching_at_the_optimum_not_at_a_probe_above_it(matching_calls):
+    # the floor is infeasible, and the bisection's probe at 652471 finds a
+    # matching that costs exactly the optimum; the matching found at the
+    # optimum itself pairs two points the other way, and it is the one the
+    # dense search returns, so the search runs it again there
+    dists = _kind_distances(
+        [(61779, 624196), (61779, 821440), (61779, 821440), (183572, 714127), (537435, 671155)],
+        [(204097, 935679), (334420, 686235), (642513, 649757)],
+        3,
+    )
+    value, assignment = _kind_assignment(dists)
+    assert (value, assignment) == sorted_candidate_search(dists)
+    assert value == 562417 > _floor(dists)
+    probes = list(matching_calls)
+    assert 652471 in probes and probes[-1] == value
+    at_probe = _threshold_matching(dists, 652471)
+    assert _assignment_cost(dists, at_probe) == value
+    assert at_probe == [None, 1, 0, None, 2] != assignment == [None, 0, 1, None, 2]

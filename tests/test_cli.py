@@ -447,6 +447,57 @@ def test_module_run_is_the_command_line(runner, tmp_path):
     assert invalid.stdout == runner.invoke(main, ["validate", str(bad)]).output
 
 
+def comb_pair_text(teeth: int) -> tuple[str, str]:
+    """A comb with `teeth` downward teeth and a copy with every value moved
+    by at most 8/256, as graph text; values are counts of 1/256.
+
+    Tooth i forks off the trunk at 1024 i + 896 and ends 256 to 768 below,
+    so every gap between values is at least 256 and the moves keep the
+    structure. Both diagrams hold `teeth` Ord0 points and one Ext0 point,
+    and some tooth end moves by exactly 8, so the bottleneck distance is
+    8/256 = 0.03125.
+    """
+    values = {"b": 0}
+    edges = []
+    prev = "b"
+    for i in range(1, teeth + 1):
+        values[f"f{i}"] = fork = 1024 * i + 896
+        values[f"t{i}"] = fork - 256 - (37 * i) % 513
+        edges += [(prev, f"f{i}"), (f"f{i}", f"t{i}")]
+        prev = f"f{i}"
+    values["top"] = 1024 * (teeth + 1) + 128
+    edges.append((prev, "top"))
+    moved = {vid: value + (7 * k) % 17 - 8 for k, (vid, value) in enumerate(values.items())}
+    edge_lines = [f"e {u} {v}\n" for u, v in edges]
+    return tuple(
+        "".join([*(f"v {vid} {value}/256\n" for vid, value in vals.items()), *edge_lines])
+        for vals in (values, moved)
+    )
+
+
+def test_bottleneck_of_a_100002_vertex_comb_pair_runs_in_1_gb(tmp_path):
+    # a valid input the dense n·k distance matrix could not hold: 50 000
+    # Ord0 points a side. The child limits its own address space to 1 GB.
+    paths = [tmp_path / "comb.txt", tmp_path / "moved.txt"]
+    for path, text in zip(paths, comb_pair_text(50_000)):
+        path.write_text(text)
+    assert paths[0].read_text().count("\nv ") + 1 == 100_002
+    limited = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.argv = ['reeb', *sys.argv[1:]]\n"
+        "runpy.run_module('reebmetrics.cli', run_name='__main__')\n"
+    )
+    src = str(Path(reebmetrics.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-c", limited, "bottleneck", *map(str, paths)]
+    result = subprocess.run(
+        command, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout == "0.03125\n"
+
+
 # a missing path, and one file each that no reader parses
 BAD_FILES = {
     "missing": None,
@@ -818,6 +869,18 @@ def test_fdbound_collapses_onto_a_point(runner, tmp_path):
         result = runner.invoke(main, ["fdbound", *args, "--witness", "collapse"])
         assert result.exit_code == 0, result.output
         assert result.output == expected, args
+
+
+def test_fdbound_point_against_a_segment_collapses_onto_the_point(runner, tmp_path):
+    # with a point on one side the point is the target in either order, so
+    # the segment is sampled at its own default resolution, 3/8
+    seg = write(tmp_path / "segment.txt", segment())
+    pt = tmp_path / "pt.txt"
+    pt.write_text("v pt 1\n")
+    for args in ([str(pt), seg], [seg, str(pt)]):
+        result = runner.invoke(main, ["fdbound", *args, "--witness", "collapse"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "lower 0.75\nupper 2.75 (collapse)\ngap 2\nremainder 0.75\n", args
 
 
 def test_fdbound_collapse_at_the_default_resolution_is_pinned(runner, tmp_path):

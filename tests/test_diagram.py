@@ -30,7 +30,7 @@ from reebmetrics import (
     random_graph,
     reduce_extended_filtration,
 )
-from reebmetrics.bottleneck import _kind_assignment, _KindDistances
+from reebmetrics.bottleneck import _kind_assignment, _kind_distances, _KindDistances
 from reebmetrics.diagram import linf
 from reebmetrics.fileio import diagram_to_text, parse_diagram_text
 from reebmetrics.persistence import _diagram_from_sweeps
@@ -40,17 +40,15 @@ from value_reference import coprime_cases, on_primes, reference_diagram_points
 def fraction_kind_distances(
     left: Sequence[DiagramPoint], right: Sequence[DiagramPoint]
 ) -> _KindDistances:
-    """One kind's distances as they were computed from `Fraction` points:
-    every coordinate over the lcm L of the kind's own denominators, and each
-    distance over 2L."""
+    """One kind's rows as they were computed from `Fraction` points: every
+    coordinate over the lcm L of the kind's own denominators, and each
+    distance over 2L. The points come sorted by `DiagramPoint.sort_key`, so
+    the rows are sorted as the search needs."""
     lattice = math.lcm(*{x.denominator for p in (*left, *right) for x in (p.birth, p.death)})
-    lefts = [(int(p.birth * lattice), int(p.death * lattice)) for p in left]
-    rights = [(int(q.birth * lattice), int(q.death * lattice)) for q in right]
-    return _KindDistances(
-        2 * lattice,
-        [[2 * max(abs(b - b2), abs(d - d2)) for b2, d2 in rights] for b, d in lefts],
-        [abs(b - d) for b, d in lefts],
-        [abs(b - d) for b, d in rights],
+    return _kind_distances(
+        [(int(p.birth * lattice), int(p.death * lattice)) for p in left],
+        [(int(q.birth * lattice), int(q.death * lattice)) for q in right],
+        lattice,
     )
 
 
