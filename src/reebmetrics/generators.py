@@ -55,16 +55,17 @@ def y_graph() -> ReebGraph:
 
 
 def _figure1(split_branches: bool, name: str) -> ReebGraph:
-    # trunk [0, 8], hole spanning [2, 6], two branches with spans (3, 4), (4, 5)
+    # trunk [0, 8], hole spanning [2, 6], two branches with spans (3, 4), (4, 5);
+    # vertices in (value, id) order, so the graph is canonical as built
     vertices = [
         ("bot", 0),
         ("s", 2),
-        ("t", 6),
-        ("top", 8),
-        ("p1", 4),
-        ("p2", 5),
         ("m1", 3),
         ("m2", 4),
+        ("p1", 4),
+        ("p2", 5),
+        ("t", 6),
+        ("top", 8),
     ]
     edges = [
         ("bot", "s"),
@@ -98,12 +99,14 @@ def figure5(n: int) -> ReebGraph:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    vertices: list[tuple[str, ValueLike]] = [("bot", 0), ("top", 1)]
+    # vertices in (value, id) order, so the graph is canonical as built
+    vertices: list[tuple[str, ValueLike]] = [("bot", 0)]
     edges = [("bot", "top")]
     for i in range(1, n + 1):
         tip = f"tip{i}"
         vertices.append((tip, Fraction(2**i - 1, 2**i)))
         edges.append((tip, "top"))
+    vertices.append(("top", 1))
     return ReebGraph(vertices, edges, name=f"figure5_{n}")
 
 

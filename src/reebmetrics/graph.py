@@ -346,12 +346,20 @@ def canonicalize(g: ReebGraph) -> ReebGraph:
     non-pass-through vertex, kept in the slot of the chain's smallest edge
     index, and edges keep their relative order. The output vertices are
     sorted by (value, id), read as (level, id). One O(V + E) pass, plus that
-    O(V log V) sort.
+    O(V log V) sort. An input that is already canonical, with no
+    pass-through vertex and its vertices in that order, is returned as is:
+    graphs are immutable, so the output may share it.
     """
     level_edges, components, through = g._defects
     if level_edges or components > 1:
         hard = (v for v in validate(g).violations if v.code != "pass-through")
         raise InvalidGraphError(str(ValidationReport(tuple(hard))))
+    levels = g._levels
+    kept_ids = sorted(
+        (vid for vid in g.vertex_ids if vid not in through), key=lambda v: (levels[v], v)
+    )
+    if not through and tuple(kept_ids) == g.vertex_ids:
+        return g
 
     # edges are oriented lower end first, and no edge is level, so each
     # pass-through vertex is the lower end of exactly one edge
@@ -368,10 +376,6 @@ def canonicalize(g: ReebGraph) -> ReebGraph:
             v = edges[nxt][1]
         slots[slot] = (u, v)
     kept = [e for e in slots if e is not None]
-    levels = g._levels
-    kept_ids = sorted(
-        (vid for vid in g.vertex_ids if vid not in through), key=lambda v: (levels[v], v)
-    )
     return ReebGraph([(vid, g._values[vid]) for vid in kept_ids], kept, name=g.name)
 
 

@@ -5,14 +5,17 @@
 coordinates inside the band to the midpoint (`snap_diagram`), which is the
 testable contract pairing the two. `MergeParams` is the validated input of
 `merge` and `snap_diagram` only; inside the write path a band is a plain
-`(lo, hi)` pair of `Fraction`s, as `_near_bands` returns it and `Move.band`
-stores it. Every caller goes through one private function that contracts a
-sorted list of pairwise-disjoint pairs in a single pass and canonicalizes
-once, so `merge_sequence` on disjoint anchors and each pass of
-`clear_features` cost one O((V + E) log k) pass for k bands, not one pass
-per band. A new vertex is named by a prefix and the least free number
-(`m0`, `m1`, ... for `merge` and `merge_sequence`, `s<pass>_0`, ... for
-`clear_features`); a lone vertex already at its band's midpoint keeps its id.
+`(lo, hi)` pair of ints on a lattice its caller names, as `_near_bands`
+returns it, and only `Move.band` stores it as `Fraction`s. Every caller
+goes through one private function that contracts a sorted list of
+pairwise-disjoint pairs in a single pass and builds its output once, in
+canonical vertex order, so `merge_sequence` on disjoint anchors and each
+pass of `clear_features` cost one O((V + E) log k) pass for k bands, not
+one pass per band, and `canonicalize` rebuilds the output only when an
+edge crossing a band left a pass-through vertex. A new vertex is named by
+a prefix and the least free number (`m0`, `m1`, ... for `merge` and
+`merge_sequence`, `s<pass>_0`, ... for `clear_features`); a lone vertex
+already at its band's midpoint keeps its id.
 
 `simplify` removes every diagram point within the stated offset of the
 diagonal by merging bands around the near features' spans, widened so that
@@ -25,13 +28,19 @@ features and c features with exactly one end in a band, not O(k P).
 `move_certificate` is the one rule that costs band merges, for `simplify`
 and `merge_sequence` alike: a pass of disjoint bands costs its widest band,
 and passes and stretches add, so the emitted certificate stays proportional
-to the clearance parameter.
+to the clearance parameter. `merge_sequence` costs its passes as
+`(pass, width)` pairs through the same rule and builds no `Move`.
 
 Both hot loops compare ints, not `Fraction`s: the closure and
 `snap_diagram` read the diagram's int rows on a lattice that also holds
 alpha or the band ends, as `Diagram._rows_on` lifts them, and the band
 merge lifts the graph's own lattice to one that also holds the band ends.
-Only their results, band ends and midpoints, are `Fraction`s.
+The anchored merge lifts its anchors and half-width once, so its sort, its
+gap test and every band end are ints; `clear_features` hands the closure's
+own ints to the merge; and a midpoint is the int lo + hi on twice the
+merge's lattice, which the test that a lone vertex already sits at it
+compares. Only the results, a `Move`'s band and width, the overlap
+warning's numbers and the midpoints as output values, are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .diagram import _EXT0, Diagram
@@ -64,34 +72,43 @@ class MergeParams:
 
 
 def _merge_bands(
-    g: ReebGraph, bands: Sequence[tuple[Fraction, Fraction]], prefix: str = "m"
+    g: ReebGraph, bands: Sequence[tuple[int, int]], scale: int, prefix: str = "m"
 ) -> ReebGraph:
     """Contract the preimage of every band in one pass; output is canonical.
 
-    `bands` are sorted, pairwise disjoint `(lo, hi)` pairs (hi_i < lo_{i+1}),
-    so a vertex lies in at most one band, found by bisection. The components
-    of a band's preimage are the classes of its vertices joined by edges with
-    both ends in that band; each becomes one vertex at the band midpoint,
-    named `<prefix><n>` with the least n free, except that a lone vertex
-    already at the midpoint keeps its id. Edges inside one band are dropped; every other
-    edge keeps its ends, each moved to its component's vertex. An edge that
-    crosses a band with neither end inside stays whole: the vertex a merge
-    would put on it is pass-through. One O((V + E) log k) pass for k bands,
-    then one `canonicalize`; the same graph, up to the names of new vertices,
-    as merging the bands one at a time.
+    `bands` are sorted, pairwise disjoint `(lo, hi)` int pairs on the lattice
+    `scale` (hi_i < lo_{i+1}), so a vertex lies in at most one band, found
+    by bisection. The graph's levels and the bands are lifted onto the lcm
+    of `scale` and `g.scale`; on twice that lattice a band's midpoint is the
+    int lo + hi, so the lookup, the midpoints and the test that a lone vertex
+    already sits at its midpoint all compare ints, and a midpoint becomes a
+    `Fraction` only as an output value. The components of a band's preimage
+    are the classes of its vertices joined by edges with both ends in that
+    band; each becomes one vertex at the band midpoint, named
+    `<prefix><n>` with the least n free, except that a lone vertex already
+    at the midpoint keeps its id. Edges inside one band are dropped; every
+    other edge keeps its ends, each moved to its component's vertex. An edge
+    that crosses a band with neither end inside stays whole: the vertex a
+    merge would put on it is pass-through. The output's vertices are built
+    in (value, id) order, so `canonicalize` returns the graph as built
+    unless such a crossing edge left a pass-through vertex. One
+    O((V + E) log k) pass for k bands, plus the O(V log V) sort; the same
+    graph, up to the names of new vertices, as merging the bands one at a
+    time.
     """
     if not bands:
         return g
-    values = g.vertices()
-    scale = math.lcm(g.scale, common_denominator(chain.from_iterable(bands)))
-    lift = scale // g.scale
-    starts = [on_lattice(lo, scale) for lo, _ in bands]
-    ends = [on_lattice(hi, scale) for _, hi in bands]
+    common = math.lcm(g.scale, scale)
+    lift, widen = common // g.scale, common // scale
+    if widen > 1:
+        bands = [(lo * widen, hi * widen) for lo, hi in bands]
+    starts = [lo for lo, _ in bands]
+    level = g.level
     band_of: dict[str, int] = {}
     for vid in g.vertex_ids:
-        x = g.level(vid) * lift
+        x = level(vid) * lift
         i = bisect_right(starts, x) - 1
-        if i >= 0 and x <= ends[i]:
+        if i >= 0 and x <= bands[i][1]:
             band_of[vid] = i
 
     slot = {vid: k for k, vid in enumerate(band_of)}
@@ -103,7 +120,10 @@ def _merge_bands(
     root_of = {vid: _find_root(parent, k) for vid, k in slot.items()}
     sizes = Counter(root_of.values())
 
-    vertices = [(vid, val) for vid, val in values if vid not in band_of]
+    # (twice the value on the common lattice, id, value), sorted below
+    rows = [
+        (2 * level(vid) * lift, vid, g.value(vid)) for vid in g.vertex_ids if vid not in band_of
+    ]
     taken = set(g.vertex_ids)
     counter = 0
     name_of: dict[str, str] = {}  # component root -> its new vertex
@@ -112,9 +132,10 @@ def _merge_bands(
         if root in name_of:
             continue
         i = band_of[vid]
+        twice_mid = bands[i][0] + bands[i][1]
         if i not in mids:
-            mids[i] = (bands[i][0] + bands[i][1]) / 2
-        if sizes[root] == 1 and g.value(vid) == mids[i]:
+            mids[i] = Fraction(twice_mid, 2 * common)
+        if sizes[root] == 1 and 2 * level(vid) * lift == twice_mid:
             name = vid  # a lone vertex already at the midpoint keeps its id
         else:
             while f"{prefix}{counter}" in taken:
@@ -122,7 +143,8 @@ def _merge_bands(
             name = f"{prefix}{counter}"
             taken.add(name)
         name_of[root] = name
-        vertices.append((name, mids[i]))
+        rows.append((twice_mid, name, mids[i]))
+    rows.sort()
 
     def moved(vid: str) -> str:
         return name_of[root_of[vid]] if vid in band_of else vid
@@ -132,6 +154,7 @@ def _merge_bands(
         for u, v in g.edges
         if u not in band_of or band_of[u] != band_of.get(v)
     ]
+    vertices = [(name, value) for _, name, value in rows]
     return canonicalize(ReebGraph(vertices, edges, name=g.name))
 
 
@@ -141,7 +164,8 @@ def merge(g: ReebGraph, params: MergeParams) -> ReebGraph:
     Post-contract, pass-through vertices left by arcs that crossed the whole
     band are removed, so merging a band free of critical values is a no-op.
     """
-    return _merge_bands(g, [(params.a, params.b)])
+    scale = math.lcm(params.a.denominator, params.b.denominator)
+    return _merge_bands(g, [(on_lattice(params.a, scale), on_lattice(params.b, scale))], scale)
 
 
 def snap_diagram(d: Diagram, params: MergeParams) -> Diagram:
@@ -216,8 +240,11 @@ def _overlap_merge(bands: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _near_bands(diagram: Diagram, alpha: Fraction) -> list[tuple[Fraction, Fraction]]:
+def _near_bands(diagram: Diagram, alpha: Fraction) -> tuple[int, list[tuple[int, int]]]:
     """Merge bands clearing every near-diagonal feature, with cascade closure.
+
+    Returns the lattice `scale` and the sorted, disjoint bands as int
+    `(lo, hi)` pairs on it, no band when no feature is near.
 
     Bands start as the overlap-clusters of the near features' own spans. A
     merge snaps coordinates inside its band to the midpoint, which can pull a
@@ -248,7 +275,7 @@ def _near_bands(diagram: Diagram, alpha: Fraction) -> list[tuple[Fraction, Fract
         else:
             others.append((lo, hi))
     if not near:
-        return []
+        return scale, []
 
     by_low = sorted(range(len(others)), key=lambda i: others[i][0])
     lows = [others[i][0] for i in by_low]
@@ -280,7 +307,7 @@ def _near_bands(diagram: Diagram, alpha: Fraction) -> list[tuple[Fraction, Fract
                 changed = True
         if changed:
             bands = _overlap_merge(bands)
-    return [(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in bands]
+    return scale, [(lo, hi) for lo, hi in bands]
 
 
 def clear_features(g: ReebGraph, alpha: Fraction) -> SimplifyResult:
@@ -290,20 +317,23 @@ def clear_features(g: ReebGraph, alpha: Fraction) -> SimplifyResult:
     recomputes the diagram; by the snapping principle every near point lands
     on the diagonal and disappears, so the point count strictly decreases
     and the loop terminates. A pass's bands are sorted and disjoint, so they
-    are contracted together in one pass over the graph; the vertices it
-    creates are named `s<pass>_<n>`. Each band is one `band-merge` move,
-    costed at its width and tagged with its pass, and `move_certificate`
-    costs the moves into the result's certificate.
+    are contracted together in one pass over the graph, on the lattice of
+    the closure's own ints; the vertices it creates are named `s<pass>_<n>`.
+    Each band is one `band-merge` move, its `Fraction` ends and width read
+    off those ints and tagged with its pass, and `move_certificate` costs
+    the moves into the result's certificate.
     """
     work = g
     moves: list[Move] = []
     diagram = extended_diagram(g)
     for step in range(len(diagram) + 2):
-        bands = _near_bands(diagram, alpha)
+        scale, bands = _near_bands(diagram, alpha)
         if not bands:
             break
-        work = _merge_bands(work, bands, prefix=f"s{step}_")
-        moves.extend(Move("band-merge", (lo, hi), hi - lo, step) for lo, hi in bands)
+        work = _merge_bands(work, bands, scale, prefix=f"s{step}_")
+        for lo, hi in bands:
+            band = (Fraction(lo, scale), Fraction(hi, scale))
+            moves.append(Move("band-merge", band, Fraction(hi - lo, scale), step))
         diagram = extended_diagram(work)
     else:  # pragma: no cover - termination is structural
         raise AssertionError("simplification failed to terminate")
@@ -319,16 +349,20 @@ def move_certificate(moves: Sequence[Move]) -> Fraction:
     leaves every other value alone. A path's span changes only through its
     two extremes, so d_f, the least span of a path between two points, moves
     by at most max w_i. Passes and stretches are composed one after another,
-    so their costs add by the triangle inequality.
+    so their costs add by the triangle inequality. `_pass_cost` costs the
+    band merges as `(pass, width)` pairs.
     """
+    stretch = sum((m.cost for m in moves if m.kind == "stretch"), Fraction(0))
+    return _pass_cost((m.step, m.cost) for m in moves if m.kind != "stretch") + stretch
+
+
+def _pass_cost(widths: Iterable[tuple[int, Fraction]]) -> Fraction:
+    """The sum over passes of each pass's widest band, from `(pass, width)`
+    pairs: the band-merge part of `move_certificate`."""
     widest: dict[int, Fraction] = {}
-    stretch = Fraction(0)
-    for m in moves:
-        if m.kind == "stretch":
-            stretch += m.cost
-        else:
-            widest[m.step] = max(m.cost, widest.get(m.step, m.cost))
-    return sum(widest.values(), stretch)
+    for step, width in widths:
+        widest[step] = max(width, widest.get(step, width))
+    return sum(widest.values(), Fraction(0))
 
 
 def simplify(g: ReebGraph, alpha: ValueLike) -> SimplifyResult:
@@ -380,13 +414,17 @@ def merge_sequence(
 ) -> TransformResult:
     """Merge a band around every anchor, lowest anchor first.
 
-    `anchors` is any iterable of values, sorted here; a negative halfwidth
-    is a ValueError. Disjoint bands are one pass, contracted together in one
-    pass over the graph, so by `move_certificate` they cost the widest band,
-    2*halfwidth. Bands overlap when some anchor gap is at most 2*halfwidth;
-    they are contracted one pass per band in the same order, their costs add
-    up to 2*halfwidth per anchor, and a warning naming both numbers is the
-    only report. New vertices are named `m<n>`.
+    `anchors` is any iterable of values, sorted here, and a repeated anchor
+    is one band; a negative halfwidth is a ValueError. The anchors and the
+    half-width are lifted once onto the lcm of their denominators, so the
+    sort, the overlap test and every band end are ints. Disjoint bands are
+    one pass, contracted together in one pass over the graph, so by
+    `move_certificate` they cost the widest band, 2*halfwidth. Bands overlap
+    when some anchor gap is at most 2*halfwidth; they are contracted one
+    pass per band in the same order, their costs add up to 2*halfwidth per
+    anchor, and a warning naming both numbers is the only report. The
+    certificate costs one `(pass, 2*halfwidth)` pair per pass; no `Move` is
+    built. New vertices are named `m<n>`.
     """
     return _merge_anchor_bands(g, anchors, halfwidth)
 
@@ -399,24 +437,27 @@ def _merge_anchor_bands(
     halfwidth = to_fraction(halfwidth)
     if halfwidth < 0:
         raise ValueError("merge half-width must be nonnegative")
-    width = 2 * halfwidth
-    values = sorted(to_fraction(v) for v in anchors)
-    gap = min((b - a for a, b in zip(values, values[1:])), default=None)
+    values = [to_fraction(v) for v in anchors]
+    scale = math.lcm(halfwidth.denominator, common_denominator(values))
+    half = on_lattice(halfwidth, scale)
+    width = 2 * half
+    centres = sorted({on_lattice(v, scale) for v in values})
+    gap = min((b - a for a, b in zip(centres, centres[1:])), default=None)
     disjoint = gap is None or gap > width
+    cost = Fraction(width, scale)
     if not disjoint:
         warnings.warn(
-            f"anchor bands overlap (twice the half-width, {format_value(width)}, "
-            f"is at least the least anchor gap, {format_value(gap)}); "
+            f"anchor bands overlap (twice the half-width, {format_value(cost)}, "
+            f"is at least the least anchor gap, {format_value(Fraction(gap, scale))}); "
             "merging sequentially from the lowest anchor",
             stacklevel=3,
         )
-    bands = [(c - halfwidth, c + halfwidth) for c in values]
+    bands = [(c - half, c + half) for c in centres]
+    groups = [bands] if disjoint and bands else [[band] for band in bands]
     work = g
-    moves: list[Move] = []
-    for step, group in enumerate([bands] if disjoint else [[band] for band in bands]):
-        work = _merge_bands(work, group)
-        moves.extend(Move("band-merge", band, width, step) for band in group)
-    return TransformResult(work, move_certificate(moves))
+    for group in groups:
+        work = _merge_bands(work, group, scale)
+    return TransformResult(work, _pass_cost((step, cost) for step in range(len(groups))))
 
 
 def full_transform(g: ReebGraph, params: TransformParams) -> TransformResult:

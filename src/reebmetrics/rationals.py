@@ -5,8 +5,9 @@ rejected at every entry point because a single rounding error would corrupt
 exact diagram equality and matching types downstream.
 
 The hot loops of the read path (the persistence cell sort, the bottleneck
-candidates, the travel-distance sweep) and of the band-merge write path (the
-band closure of `simplify` and the band lookup of a merge) do not compare
+candidates, the travel-distance sweep) and the band-merge write path (the
+band closure of `simplify`, the anchors, gaps and bands of the anchored
+merge, and the band lookup and midpoints of a merge) do not compare
 `Fraction`s. Each computation takes the lcm of the denominators of the
 values it reads (`common_denominator`) and works on each value times that
 lcm, an exact `int` (`on_lattice`). Scaling by a positive constant keeps
@@ -22,8 +23,11 @@ check of a correspondence tests its points against levels as ints. A
 computation that also reads values the graph does not hold (sample points,
 merge bands) takes the lcm of `g.scale` and the denominators of those extra
 values only, and lifts each level by `scale // g.scale`: the travel-distance
-sweep, and the distortion and value defect of a sampled certificate, which
-read both graphs' sweeps and every sample on one such lattice.
+sweep, the distortion and value defect of a sampled certificate, which
+read both graphs' sweeps and every sample on one such lattice, and the band
+merge, whose bands arrive as ints on their own lattice (the closure's, or
+the anchors' and half-width's, lifted once) and are lifted with the levels
+onto the lcm of the two.
 
 A `Diagram` carries a lattice too: its `scale`, the lcm of its points'
 denominators, and one int row per point. The persistence sweeps emit the

@@ -16,6 +16,11 @@ from reebmetrics import (
     canonicalize,
     critical_values,
     cycle,
+    figure1_left,
+    figure1_right,
+    figure5,
+    graph_to_text,
+    parse_graph_text,
     is_level_isomorphic,
     linear_path,
     natural_correspondence,
@@ -355,6 +360,33 @@ def test_canonicalize_rejects_level_edge():
     g = ReebGraph([("a", 1), ("b", 1)], [("a", "b")])
     with pytest.raises(InvalidGraphError):
         canonicalize(g)
+
+
+def test_canonicalize_returns_a_canonical_input_as_is():
+    rng = random.Random(37)
+    graphs = [segment(), cycle(), y_graph(), figure1_left(), figure1_right()]
+    graphs += [figure5(n) for n in range(6)]
+    graphs += [random_graph(rng, n_critical=rng.randint(4, 20)) for _ in range(20)]
+    # a comb file as `graph_to_text` writes it: vertices in (value, id) order
+    teeth = [(f"f{i}", 4 * i + F(7, 2)) for i in range(1, 60)]
+    tips = [(f"t{i}", x - F(rng.randint(64, 192), 64)) for i, (_, x) in enumerate(teeth, 1)]
+    comb = ReebGraph(
+        [("b", 0), *teeth, *tips, ("top", 250)],
+        [("b", "f1"), ("f59", "top")]
+        + [(f"f{i}", f"f{i + 1}") for i in range(1, 59)]
+        + [(f"f{i}", f"t{i}") for i in range(1, 60)],
+    )
+    graphs.append(parse_graph_text(graph_to_text(comb)))
+    for g in graphs:
+        assert canonicalize(g) is g, g.name
+    # the comb as built lists its tips last: a new graph, sorted
+    out = canonicalize(comb)
+    assert out is not comb and out == comb and out.edges == comb.edges
+    assert out.vertex_ids == graphs[-1].vertex_ids
+    # a pass-through vertex: a new graph without it
+    chain = ReebGraph([("a", 0), ("m", 1), ("b", 2)], [("a", "m"), ("m", "b")])
+    out = canonicalize(chain)
+    assert out is not chain and out.vertices() == (("a", 0), ("b", 2))
 
 
 def test_canonicalize_chain_of_pass_throughs():

@@ -33,6 +33,7 @@ from reebmetrics import (
     snap_diagram,
     y_graph,
 )
+from reebmetrics import operators
 from reebmetrics.operators import (
     Move,
     _merge_bands,
@@ -40,12 +41,33 @@ from reebmetrics.operators import (
     clear_features,
     move_certificate,
 )
-from reebmetrics.rationals import format_value
-from value_reference import DisjointSets, count_defect_searches
+from reebmetrics.rationals import common_denominator, format_value, on_lattice
+from value_reference import (
+    DisjointSets,
+    count_defect_searches,
+    fraction_full_transform,
+    fraction_merge_bands,
+    fraction_merge_sequence,
+    fraction_simplify,
+    recovery_comb,
+)
 
 
 def point(kind, b, d):
     return DiagramPoint(kind, F(b), F(d))
+
+
+def merge_bands(g, bands, prefix="m"):
+    """`_merge_bands` on `Fraction` bands, lifted onto their own lattice."""
+    scale = common_denominator(x for band in bands for x in band)
+    lifted = [(on_lattice(lo, scale), on_lattice(hi, scale)) for lo, hi in bands]
+    return _merge_bands(g, lifted, scale, prefix)
+
+
+def near_bands(diagram, alpha):
+    """`_near_bands`' int bands as `Fraction` pairs."""
+    scale, bands = _near_bands(diagram, alpha)
+    return [(F(lo, scale), F(hi, scale)) for lo, hi in bands]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +395,7 @@ def band_features(g, bands):
 
 
 def assert_merge_matches_fold(g, bands):
-    fast = _merge_bands(g, bands)
+    fast = merge_bands(g, bands)
     ref = reference_merge_bands(g, bands)
     assert is_level_isomorphic(fast, ref)
     assert extended_diagram(fast) == extended_diagram(ref)
@@ -493,7 +515,7 @@ def test_near_bands_matches_the_fraction_scan():
     for _ in range(1200):
         d = extended_diagram(random_graph(rng, n_critical=rng.randint(4, 9)))
         for alpha in NEAR_ALPHAS:
-            assert _near_bands(d, alpha) == reference_near_bands(d, alpha, seen)
+            assert near_bands(d, alpha) == reference_near_bands(d, alpha, seen)
     assert seen["widening call"] >= 100 and seen["two triggers"] >= 1, seen
 
 
@@ -510,7 +532,7 @@ def test_near_bands_last_trigger_sets_both_ends():
             point("Ord0", F(1, 4), F(3, 2)),
         ]
     )
-    assert _near_bands(d, F(1)) == reference_near_bands(d, F(1)) == [(0, F(3, 2))]
+    assert near_bands(d, F(1)) == reference_near_bands(d, F(1)) == [(0, F(3, 2))]
     # as Rel1 points the survivors swap places in diagram order
     d = Diagram(
         [
@@ -520,7 +542,7 @@ def test_near_bands_last_trigger_sets_both_ends():
             point("Rel1", F(3, 4), F(-1, 2)),
         ]
     )
-    assert _near_bands(d, F(1)) == reference_near_bands(d, F(1)) == [(F(-1, 2), 1)]
+    assert near_bands(d, F(1)) == reference_near_bands(d, F(1)) == [(F(-1, 2), 1)]
 
 
 def test_near_bands_and_simplify_on_a_1000_tooth_comb():
@@ -533,9 +555,9 @@ def test_near_bands_and_simplify_on_a_1000_tooth_comb():
     for alpha, share in ((F(1), F(1, 3)), (F(2), F(2, 3)), (F(3), F(1))):
         near = sum(p.persistence <= alpha for p in teeth)
         assert abs(F(near, 1000) - share) < F(1, 20)
-        bands = _near_bands(d, alpha)
-        assert bands == reference_near_bands(d, alpha)
-        assert all(type(x) is F for band in bands for x in band)
+        _, ints = _near_bands(d, alpha)
+        assert near_bands(d, alpha) == reference_near_bands(d, alpha)
+        assert all(type(x) is int for band in ints for x in band)
         result = simplify(g, alpha)
         assert all(p.diagonal_distance > alpha / 2 for p in extended_diagram(result.graph))
         assert result.certificate <= 2 * alpha
@@ -549,7 +571,7 @@ def test_merge_bands_snaps_the_diagram(graph_seed, band_seed):
     want = extended_diagram(g)
     for a, b in bands:
         want = snap_diagram(want, MergeParams(a, b))
-    assert extended_diagram(_merge_bands(g, bands)) == want
+    assert extended_diagram(merge_bands(g, bands)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -845,3 +867,131 @@ def test_merge_sequence_reads_every_anchor_form_alike():
                 assert other.graph == first.graph
                 assert (other.certificate, messages) == (first.certificate, first_messages)
 
+
+
+def test_merge_sequence_reads_a_repeated_anchor_as_one_band():
+    # two copies of one anchor once read as a gap of 0: an overlap warning
+    # and two passes over one band, certified at 1/2
+    result, messages = warned(merge_sequence, y_graph(), [1, 1], F(1, 8))
+    assert messages == []
+    assert result.certificate == F(1, 4)
+    assert result.graph == merge_sequence(y_graph(), [1], F(1, 8)).graph
+
+
+# ---------------------------------------------------------------------------
+# the int lattice against the `Fraction` merges, exactly
+# ---------------------------------------------------------------------------
+
+
+def assert_identical(got, want):
+    """Equal graphs, with the same vertex order and values, edge order and name."""
+    assert got == want
+    assert got.vertices() == want.vertices()
+    assert got.edges == want.edges
+    assert got.name == want.name
+
+
+def assert_same_transform(got, want):
+    (got, got_messages), (want, want_messages) = got, want
+    assert_identical(got.graph, want.graph)
+    assert got.certificate == want.certificate
+    assert got_messages == want_messages
+
+
+OFF_LATTICE = (3, 7, 21)  # denominators coprime to every value's
+
+
+def test_lattice_merges_match_the_fraction_merges_exactly():
+    rng = random.Random(3737)
+    seen = Counter()
+    for _ in range(150):
+        g = family_graph(rng)
+        values = sorted({g.value(v) for v in g.vertex_ids})
+
+        # merge: a band with ends on the values' lattice or in thirds and sevenths
+        den = rng.choice((100, *OFF_LATTICE))
+        a = F(rng.randint(int(values[0] * den) - den, int(values[-1] * den)), den)
+        b = a + F(rng.randint(0, 3 * den), den)
+        assert_identical(merge(g, MergeParams(a, b)), fraction_merge_bands(g, [(a, b)]))
+
+        # merge_sequence: anchors in any order, bands disjoint, a gap equal
+        # to the width, overlapping, and half-widths off the values' lattice
+        anchors = rng.sample(values, rng.randint(1, len(values)))
+        ordered = sorted(anchors)
+        least = min((y - x for x, y in zip(ordered, ordered[1:])), default=F(1))
+        cases = {
+            "disjoint": least / 3,
+            "gap equal to the width": least / 2,
+            "overlapping": least * F(3, 4),
+            "off the lattice": F(rng.randint(1, 40), rng.choice(OFF_LATTICE)),
+        }
+        for case, halfwidth in cases.items():
+            got = warned(merge_sequence, g, anchors, halfwidth)
+            want = warned(fraction_merge_sequence, g, anchors, halfwidth)
+            assert_same_transform(got, want)
+            seen[case] += 1
+            seen["warned"] += bool(got[1])
+
+        # simplify and full_transform at dyadic and off-lattice alphas
+        for alpha in (
+            g.span() / 3 * F(rng.randint(1, 100), 100),
+            F(rng.randint(1, 60), rng.choice(OFF_LATTICE) * 10),
+        ):
+            got, want = simplify(g, alpha), fraction_simplify(g, alpha)
+            assert_identical(got.graph, want.graph)
+            assert (got.certificate, got.moves) == (want.certificate, want.moves)
+            seen["simplify moved"] += bool(got.moves)
+            params = TransformParams(alpha / 9, critical_values(g))
+            got = warned(full_transform, g, params)
+            want = warned(fraction_full_transform, g, params)
+            assert_same_transform(got, want)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_lattice_transform_matches_the_fraction_merges_on_the_recovery_comb():
+    # the benchmark's jittered 602-vertex comb, its anchors at every base
+    # value, at the recovery alpha, and simplified at an alpha that clears
+    # about half of its teeth
+    source, noisy, anchors = recovery_comb(300)
+    params = TransformParams(F(1, 32), anchors)
+    got = warned(full_transform, noisy, params)
+    assert_same_transform(got, warned(fraction_full_transform, noisy, params))
+    assert got[1] == [] and is_level_isomorphic(got[0].graph, source)
+    halfwidth = 9 * params.alpha
+    got = warned(merge_sequence, noisy, anchors, halfwidth)
+    assert_same_transform(got, warned(fraction_merge_sequence, noisy, anchors, halfwidth))
+    got, want = simplify(noisy, 2), fraction_simplify(noisy, 2)
+    assert_identical(got.graph, want.graph)
+    assert (got.certificate, got.moves) == (want.certificate, want.moves)
+    assert 100 < len(got.moves) < 200
+
+
+def count_builds(monkeypatch) -> tuple[list[ReebGraph], list[Move]]:
+    """Record every `ReebGraph` built and every `Move` the operators build."""
+    built: list[ReebGraph] = []
+    moves: list[Move] = []
+    init = ReebGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_move(*args, **kwargs):
+        moves.append(Move(*args, **kwargs))
+        return moves[-1]
+
+    monkeypatch.setattr(ReebGraph, "__init__", counting_init)
+    monkeypatch.setattr(operators, "Move", counting_move)
+    return built, moves
+
+
+def test_full_transform_builds_one_graph_and_no_move_for_its_anchors(monkeypatch):
+    # the simplification at 2 alpha finds no near feature and builds
+    # nothing, so every build is the anchor stage's: one merge of 602 bands
+    _, noisy, anchors = recovery_comb(300)
+    params = TransformParams(F(1, 32), anchors)
+    built, moves = count_builds(monkeypatch)
+    simplify(noisy, 2 * params.alpha)
+    assert (built, moves) == ([], [])
+    full_transform(noisy, params)
+    assert len(built) <= 1 and moves == []

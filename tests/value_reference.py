@@ -9,19 +9,47 @@ are samples of a graph's net. Connectivity is read the same way apart from
 the program: components by a breadth-first search, and `DisjointSets` for
 the references that union. The extended diagram comes from a Z2 reduction
 whose cells carry `Fraction` values, as `DiagramPoint`s built from `g.value`.
+
+The band merges of `operators` run on one int lattice, from the anchors to
+the output graph. Their references here keep each band as a pair of
+`Fraction`s: the merge lifts the band ends onto the graph's lattice one
+band set at a time, computes each midpoint as a `Fraction`, canonicalizes
+an output built in vertex order, and the anchored merge sorts, gap-tests
+and offsets its anchors as `Fraction`s and costs one `Move` per anchor.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from collections import deque
+import warnings
+from bisect import bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction as F
+from itertools import chain
 from typing import NamedTuple
 
-from reebmetrics import Diagram, DiagramPoint, GraphPoint, ReebGraph, random_graph, sample_net
-from reebmetrics.graph import ValidationReport, Violation
-from reebmetrics.rationals import format_value
+from reebmetrics import (
+    Diagram,
+    DiagramPoint,
+    GraphPoint,
+    ReebGraph,
+    canonicalize,
+    extended_diagram,
+    random_graph,
+    sample_net,
+)
+from reebmetrics.fileio import parse_graph_text
+from reebmetrics.graph import CriticalValues, ValidationReport, Violation, _find_root
+from reebmetrics.operators import (
+    Move,
+    SimplifyResult,
+    TransformResult,
+    _near_bands,
+    _stretched_segment,
+)
+from reebmetrics.rationals import common_denominator, format_value, on_lattice, to_fraction
 
 
 class ValueReading(NamedTuple):
@@ -280,3 +308,167 @@ def reference_diagram_points(g: ReebGraph) -> tuple[DiagramPoint, ...]:
 
 def reference_reduce_extended_filtration(g: ReebGraph) -> Diagram:
     return Diagram(reference_diagram_points(g))
+
+
+# ---------------------------------------------------------------------------
+# band merges on `Fraction` bands
+# ---------------------------------------------------------------------------
+
+
+def fraction_merge_bands(g: ReebGraph, bands, prefix: str = "m") -> ReebGraph:
+    """`_merge_bands` on sorted, disjoint `Fraction` bands: the ends lifted
+    onto the lcm of the graph's scale and their denominators, each midpoint
+    a `Fraction`, and the output built in input vertex order, then
+    canonicalized."""
+    if not bands:
+        return g
+    values = g.vertices()
+    scale = math.lcm(g.scale, common_denominator(chain.from_iterable(bands)))
+    lift = scale // g.scale
+    starts = [on_lattice(lo, scale) for lo, _ in bands]
+    ends = [on_lattice(hi, scale) for _, hi in bands]
+    band_of: dict[str, int] = {}
+    for vid in g.vertex_ids:
+        x = g.level(vid) * lift
+        i = bisect_right(starts, x) - 1
+        if i >= 0 and x <= ends[i]:
+            band_of[vid] = i
+
+    slot = {vid: k for k, vid in enumerate(band_of)}
+    parent = list(range(len(slot)))
+    for u, v in g.edges:
+        if u in band_of and band_of[u] == band_of.get(v):
+            a, b = _find_root(parent, slot[u]), _find_root(parent, slot[v])
+            parent[a] = b
+    root_of = {vid: _find_root(parent, k) for vid, k in slot.items()}
+    sizes = Counter(root_of.values())
+
+    vertices = [(vid, val) for vid, val in values if vid not in band_of]
+    taken = set(g.vertex_ids)
+    counter = 0
+    name_of: dict[str, str] = {}
+    mids: dict[int, F] = {}
+    for vid, root in root_of.items():
+        if root in name_of:
+            continue
+        i = band_of[vid]
+        if i not in mids:
+            mids[i] = (bands[i][0] + bands[i][1]) / 2
+        if sizes[root] == 1 and g.value(vid) == mids[i]:
+            name = vid
+        else:
+            while f"{prefix}{counter}" in taken:
+                counter += 1
+            name = f"{prefix}{counter}"
+            taken.add(name)
+        name_of[root] = name
+        vertices.append((name, mids[i]))
+
+    def moved(vid: str) -> str:
+        return name_of[root_of[vid]] if vid in band_of else vid
+
+    edges = [
+        (moved(u), moved(v))
+        for u, v in g.edges
+        if u not in band_of or band_of[u] != band_of.get(v)
+    ]
+    return canonicalize(ReebGraph(vertices, edges, name=g.name))
+
+
+def fraction_move_certificate(moves) -> F:
+    """`move_certificate` over `Move`s: each pass's widest band, plus every
+    stretch."""
+    widest: dict[int, F] = {}
+    stretch = F(0)
+    for m in moves:
+        if m.kind == "stretch":
+            stretch += m.cost
+        else:
+            widest[m.step] = max(m.cost, widest.get(m.step, m.cost))
+    return sum(widest.values(), stretch)
+
+
+def fraction_clear_features(g: ReebGraph, alpha: F) -> SimplifyResult:
+    """`clear_features` merging `_near_bands`' bands as `Fraction` pairs."""
+    work, moves = g, []
+    diagram = extended_diagram(g)
+    for step in range(len(diagram) + 2):
+        scale, ints = _near_bands(diagram, alpha)
+        bands = [(F(lo, scale), F(hi, scale)) for lo, hi in ints]
+        if not bands:
+            break
+        work = fraction_merge_bands(work, bands, prefix=f"s{step}_")
+        moves.extend(Move("band-merge", (lo, hi), hi - lo, step) for lo, hi in bands)
+        diagram = extended_diagram(work)
+    else:
+        raise AssertionError("simplification failed to terminate")
+    return SimplifyResult(work, fraction_move_certificate(moves), tuple(moves))
+
+
+def fraction_simplify(g: ReebGraph, alpha) -> SimplifyResult:
+    alpha = to_fraction(alpha)
+    cleared = fraction_clear_features(g, alpha)
+    if cleared.graph.span() > alpha:
+        return cleared
+    work, stretch = _stretched_segment(cleared.graph, alpha)
+    moves = (*cleared.moves, stretch)
+    return SimplifyResult(work, fraction_move_certificate(moves), moves)
+
+
+def fraction_merge_sequence(g: ReebGraph, anchors, halfwidth) -> TransformResult:
+    """`merge_sequence` on `Fraction` anchors, one `Move` per anchor."""
+    halfwidth = to_fraction(halfwidth)
+    if halfwidth < 0:
+        raise ValueError("merge half-width must be nonnegative")
+    width = 2 * halfwidth
+    values = sorted(to_fraction(v) for v in anchors)
+    gap = min((b - a for a, b in zip(values, values[1:])), default=None)
+    disjoint = gap is None or gap > width
+    if not disjoint:
+        warnings.warn(
+            f"anchor bands overlap (twice the half-width, {format_value(width)}, "
+            f"is at least the least anchor gap, {format_value(gap)}); "
+            "merging sequentially from the lowest anchor",
+            stacklevel=2,
+        )
+    bands = [(c - halfwidth, c + halfwidth) for c in values]
+    work = g
+    moves: list[Move] = []
+    for step, group in enumerate([bands] if disjoint else [[band] for band in bands]):
+        work = fraction_merge_bands(work, group)
+        moves.extend(Move("band-merge", band, width, step) for band in group)
+    return TransformResult(work, fraction_move_certificate(moves))
+
+
+def fraction_full_transform(g: ReebGraph, params) -> TransformResult:
+    simplified = fraction_simplify(g, 2 * params.alpha)
+    merged = fraction_merge_sequence(simplified.graph, params.anchors, 9 * params.alpha)
+    return TransformResult(merged.graph, simplified.certificate + merged.certificate)
+
+
+def recovery_comb(teeth: int, seed: object = "recovery-300"):
+    """The recovery pair of the benchmark's `transform` workload, drawing the
+    same random numbers: a comb of `teeth` downward teeth with values in
+    1/256 units (slots of 4, teeth 1 to 3 deep on a 1/64 grid), a copy with
+    every value moved by at most 1/32, both parsed from text, and the comb's
+    values as anchors. Returns (source, noisy, anchors)."""
+    rng = random.Random(seed)
+    slot, unit = 1024, 256
+    values, edges, prev = {"b": 0}, [], "b"
+    for i in range(1, teeth + 1):
+        fork = i * slot + slot - unit // 2
+        values[f"f{i}"] = fork
+        values[f"t{i}"] = fork - rng.randint(64, 192) * 4
+        edges += [(prev, f"f{i}"), (f"f{i}", f"t{i}")]
+        prev = f"f{i}"
+    values["top"] = (teeth + 1) * slot + unit // 2
+    edges.append((prev, "top"))
+    noisy = {vid: x + rng.randint(-8, 8) for vid, x in values.items()}
+
+    def parsed(vals: dict[str, int]) -> ReebGraph:
+        lines = [f"v {vid} {F(x, unit)}" for vid, x in vals.items()]
+        lines += [f"e {u} {v}" for u, v in edges]
+        return parse_graph_text("\n".join(lines) + "\n")
+
+    anchors = CriticalValues(tuple(F(x, unit) for x in sorted(values.values())))
+    return parsed(values), parsed(noisy), anchors
