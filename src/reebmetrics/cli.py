@@ -310,6 +310,8 @@ def gen_cmd(spec: str, seed: int, n: Optional[int], output: Optional[str], as_js
     """Generate a built-in or random graph (segment, cycle, Y, figure1_left,
     figure1_right, figure5, random)."""
     make = _GENERATORS[spec]
+    if n is not None and spec not in ("figure5", "random"):
+        raise click.ClickException(f"--n applies to figure5 and random only, not {spec}")
     if spec == "figure5":
         g = make(n if n is not None else 3)
     elif spec == "random":

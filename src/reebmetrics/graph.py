@@ -196,13 +196,14 @@ class ReebGraph:
         return la < lv < lb or lb < lv < la
 
     def min_value(self) -> Fraction:
-        return min(self._values.values())
+        return Fraction(min(self._levels.values()), self.scale)
 
     def max_value(self) -> Fraction:
-        return max(self._values.values())
+        return Fraction(max(self._levels.values()), self.scale)
 
     def span(self) -> Fraction:
-        return self.max_value() - self.min_value()
+        levels = self._levels.values()
+        return Fraction(max(levels) - min(levels), self.scale)
 
     def first_betti(self) -> int:
         _, components, _ = self._defects
