@@ -8,12 +8,14 @@ when any assertion fails.
 from __future__ import annotations
 
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .bottleneck import bottleneck
@@ -81,19 +83,24 @@ def _emit_graph(g: ReebGraph, output: Optional[str], as_json: bool = False) -> N
 
 class _ReebGroup(click.Group):
     """Reports a graph that breaks an invariant, or any other bad value a
-    command rejects, as a one-line error (exit 1)."""
+    command rejects, as a one-line error (exit 1), and each warning the
+    library raises as one `Warning: <message>` line on stderr."""
 
     def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except InvalidGraphError as exc:
-            details = "; ".join(str(exc).splitlines())
-            raise click.ClickException(
-                f"invalid graph: {details} (`reeb convert --to canonical` removes "
-                "pass-through vertices)"
-            ) from exc
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return super().invoke(ctx)
+            except InvalidGraphError as exc:
+                details = "; ".join(str(exc).splitlines())
+                raise click.ClickException(
+                    f"invalid graph: {details} (`reeb convert --to canonical` removes "
+                    "pass-through vertices)"
+                ) from exc
+            except ValueError as exc:
+                raise click.ClickException(str(exc)) from exc
+            finally:
+                for w in caught:
+                    click.echo(f"Warning: {w.message}", err=True)
 
 
 @click.group(cls=_ReebGroup)
@@ -312,6 +319,9 @@ def gen_cmd(spec: str, seed: int, n: Optional[int], output: Optional[str], as_js
     make = _GENERATORS[spec]
     if n is not None and spec not in ("figure5", "random"):
         raise click.ClickException(f"--n applies to figure5 and random only, not {spec}")
+    seeded = click.get_current_context().get_parameter_source("seed") != ParameterSource.DEFAULT
+    if seeded and spec != "random":
+        raise click.ClickException(f"--seed applies to random only, not {spec}")
     if spec == "figure5":
         g = make(n if n is not None else 3)
     elif spec == "random":

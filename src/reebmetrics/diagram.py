@@ -126,8 +126,7 @@ class Diagram:
         if common != 1:
             scale //= common
             rows = [(kind, birth // common, death // common) for kind, birth, death in rows]
-        rows.sort()
-        self.scale, self.rows = scale, tuple(rows)
+        self.scale, self.rows = scale, tuple(sorted(rows))
         self._points: Optional[tuple[DiagramPoint, ...]] = None
 
     def _rows_on(self, scale: int) -> Sequence[_Row]:

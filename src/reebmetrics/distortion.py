@@ -152,16 +152,17 @@ def _monotone_spine(g: ReebGraph) -> _Spine:
     Not every valid graph has one (a bridge can force a descent); callers
     get a ValueError in that case, since the graph itself is not at fault.
     """
-    bottom = min(g.vertex_ids, key=lambda v: (g.value(v), v))
-    target_value = g.max_value()
+    level = g.level
+    bottom, top = g.vertex_ids[0], level(g.vertex_ids[-1])
     stack: list[tuple[str, _Spine]] = [(bottom, [(bottom, None)])]
     seen = {bottom}
     while stack:
         v, path = stack.pop()
-        if g.value(v) == target_value:
+        lv = level(v)
+        if lv == top:
             return path
-        for idx, w in sorted(g.neighbors(v), key=lambda t: (g.value(t[1]), t[1])):
-            if w not in seen and g.value(w) > g.value(v):
+        for idx, w in sorted(g.neighbors(v), key=lambda t: (level(t[1]), t[1])):
+            if w not in seen and level(w) > lv:
                 seen.add(w)
                 stack.append((w, path + [(w, idx)]))
     raise ValueError(

@@ -49,11 +49,8 @@ def _data_lines(text: str) -> Iterator[tuple[int, str, str]]:
 
 
 def graph_to_text(g: ReebGraph) -> str:
-    lines = []
-    for vid, value in sorted(g.vertices(), key=lambda kv: (kv[1], kv[0])):
-        lines.append(f"v {vid} {format_value(value)}")
-    for u, v in sorted(g.edges):
-        lines.append(f"e {u} {v}")
+    lines = [f"v {vid} {format_value(value)}" for vid, value in g.vertices()]
+    lines += [f"e {u} {v}" for u, v in sorted(g.edges)]
     return "\n".join(lines) + "\n"
 
 
@@ -85,10 +82,7 @@ def parse_graph_text(text: str, name: str | None = None) -> ReebGraph:
 def graph_to_json(g: ReebGraph) -> str:
     payload = {
         "name": g.name,
-        "vertices": [
-            {"id": vid, "value": format_value(value)}
-            for vid, value in sorted(g.vertices(), key=lambda kv: (kv[1], kv[0]))
-        ],
+        "vertices": [{"id": vid, "value": format_value(value)} for vid, value in g.vertices()],
         "edges": sorted([u, v] for u, v in g.edges),
     }
     return json.dumps(payload, indent=2) + "\n"

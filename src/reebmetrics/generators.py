@@ -55,8 +55,7 @@ def y_graph() -> ReebGraph:
 
 
 def _figure1(split_branches: bool, name: str) -> ReebGraph:
-    # trunk [0, 8], hole spanning [2, 6], two branches with spans (3, 4), (4, 5);
-    # vertices in (value, id) order, so the graph is canonical as built
+    # trunk [0, 8], hole spanning [2, 6], two branches with spans (3, 4), (4, 5)
     vertices = [
         ("bot", 0),
         ("s", 2),
@@ -99,14 +98,12 @@ def figure5(n: int) -> ReebGraph:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # vertices in (value, id) order, so the graph is canonical as built
-    vertices: list[tuple[str, ValueLike]] = [("bot", 0)]
+    vertices: list[tuple[str, ValueLike]] = [("bot", 0), ("top", 1)]
     edges = [("bot", "top")]
     for i in range(1, n + 1):
         tip = f"tip{i}"
         vertices.append((tip, Fraction(2**i - 1, 2**i)))
         edges.append((tip, "top"))
-    vertices.append(("top", 1))
     return ReebGraph(vertices, edges, name=f"figure5_{n}")
 
 
@@ -251,7 +248,7 @@ def random_graph(seed: int | random.Random, n_critical: int = 6) -> ReebGraph:
                 edges.append((fork, new_vertex((a + top) / 2)))
             idx += 1
 
-    g = canonicalize(ReebGraph(sorted(vertices.items(), key=lambda kv: (kv[1], kv[0])), edges))
+    g = canonicalize(ReebGraph(vertices.items(), edges))
     report = validate(g)
     if not report.ok:  # pragma: no cover - generator guarantee
         raise AssertionError(f"random generator produced invalid graph: {report}")

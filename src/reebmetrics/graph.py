@@ -94,6 +94,10 @@ class ReebGraph:
     anything `to_fraction` accepts. `edges` is an iterable of id pairs;
     parallel edges are allowed and kept as distinct arcs.
 
+    The graph holds its vertices in (level, id) order, sorted once here:
+    `vertex_ids` and `vertices()` return that order whatever order the input
+    listed them in, so nothing computed from a graph depends on it.
+
     The graph carries its integer lattice: `scale`, the lcm of the
     denominators of its values, and `level(vid)`, a vertex's value times
     `scale` as an int. Levels keep every order and tie of the values, so
@@ -113,18 +117,19 @@ class ReebGraph:
         # ids are interned, so every edge end shares its vertex's string
         # (parsing text makes a new string for each occurrence of an id)
         values: dict[str, Fraction] = {}
-        order: list[str] = []
         for vid, raw in vertices:
             vid = sys.intern(str(vid))
             if vid in values:
                 raise ValueError(f"duplicate vertex id {vid!r}")
             values[vid] = to_fraction(raw)
-            order.append(vid)
         if not values:
             raise ValueError("vertex set must be nonempty")
 
         self.scale = common_denominator(values.values())
         levels = {vid: on_lattice(value, self.scale) for vid, value in values.items()}
+        # (level, id) order: two stable sorts, each on a C-level key
+        order = sorted(levels)
+        order.sort(key=levels.__getitem__)
 
         edge_list: list[tuple[str, str]] = []
         for u, v in edges:
@@ -196,14 +201,14 @@ class ReebGraph:
         return la < lv < lb or lb < lv < la
 
     def min_value(self) -> Fraction:
-        return Fraction(min(self._levels.values()), self.scale)
+        return Fraction(self._levels[self._order[0]], self.scale)
 
     def max_value(self) -> Fraction:
-        return Fraction(max(self._levels.values()), self.scale)
+        return Fraction(self._levels[self._order[-1]], self.scale)
 
     def span(self) -> Fraction:
-        levels = self._levels.values()
-        return Fraction(max(levels) - min(levels), self.scale)
+        levels, order = self._levels, self._order
+        return Fraction(levels[order[-1]] - levels[order[0]], self.scale)
 
     def first_betti(self) -> int:
         _, components, _ = self._defects
@@ -318,7 +323,7 @@ class ReebGraph:
 def validate(g: ReebGraph) -> ValidationReport:
     """Report every invariant violation; an empty report means a valid graph.
     Level edges come in edge order, then disconnection, then pass-through
-    vertices in vertex order."""
+    vertices in (level, id) order."""
     level_edges, components, through = g._defects
     violations = []
     for idx in level_edges:
@@ -345,21 +350,15 @@ def canonicalize(g: ReebGraph) -> ReebGraph:
     input's pass-through set. Those vertices form maximal monotone chains;
     each chain becomes one edge from its lowest to its highest
     non-pass-through vertex, kept in the slot of the chain's smallest edge
-    index, and edges keep their relative order. The output vertices are
-    sorted by (value, id), read as (level, id). One O(V + E) pass, plus that
-    O(V log V) sort. An input that is already canonical, with no
-    pass-through vertex and its vertices in that order, is returned as is:
-    graphs are immutable, so the output may share it.
+    index, and edges keep their relative order. One O(V + E) pass. An input
+    that is already canonical, with no pass-through vertex, is returned as
+    is: graphs are immutable, so the output may share it.
     """
     level_edges, components, through = g._defects
     if level_edges or components > 1:
         hard = (v for v in validate(g).violations if v.code != "pass-through")
         raise InvalidGraphError(str(ValidationReport(tuple(hard))))
-    levels = g._levels
-    kept_ids = sorted(
-        (vid for vid in g.vertex_ids if vid not in through), key=lambda v: (levels[v], v)
-    )
-    if not through and tuple(kept_ids) == g.vertex_ids:
+    if not through:
         return g
 
     # edges are oriented lower end first, and no edge is level, so each
@@ -377,7 +376,8 @@ def canonicalize(g: ReebGraph) -> ReebGraph:
             v = edges[nxt][1]
         slots[slot] = (u, v)
     kept = [e for e in slots if e is not None]
-    return ReebGraph([(vid, g._values[vid]) for vid in kept_ids], kept, name=g.name)
+    vertices = [(vid, g._values[vid]) for vid in g.vertex_ids if vid not in through]
+    return ReebGraph(vertices, kept, name=g.name)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +408,8 @@ class CriticalValues:
 
 def critical_values(g: ReebGraph) -> CriticalValues:
     _, _, through = g._defects
-    vals = sorted({g.value(v) for v in g.vertex_ids if v not in through})
-    return CriticalValues(tuple(vals))
+    levels = dict.fromkeys(g.level(v) for v in g.vertex_ids if v not in through)
+    return CriticalValues(tuple(Fraction(level, g.scale) for level in levels))
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,11 @@ def _isomorphisms(
     """Up to `limit` vertex bijections g1 -> g2 that keep `key`, edge
     multiplicities and the value order on every edge.
 
-    g1's vertices are visited in (value, id) order, read as (level, id);
-    each is tried against the unused vertices of g2 with its key, in
-    `g2.vertex_ids` order, so the witnesses come in a fixed order. Edge
-    orientation is tested on each graph's own levels.
+    g1's vertices are visited in their (level, id) order, and each is tried
+    against the unused vertices of g2 with its key, in g2's (level, id)
+    order, so the witnesses, and which `limit` of them are found, depend
+    only on the two graphs. Edge orientation is tested on each graph's own
+    levels.
     """
     if len(g1.vertex_ids) != len(g2.vertex_ids) or len(g1.edges) != len(g2.edges):
         return []
@@ -46,7 +47,7 @@ def _isomorphisms(
         by_key.setdefault(key(g2, w), []).append(w)
     if Counter(keys1.values()) != Counter({k: len(ws) for k, ws in by_key.items()}):
         return []
-    order1 = sorted(g1.vertex_ids, key=lambda v: (g1.level(v), v))
+    order1 = g1.vertex_ids
     edges1, edges2 = _edge_counts(g1), _edge_counts(g2)
     nbrs1 = {v: {w for _, w in g1.neighbors(v)} for v in g1.vertex_ids}
     nbrs2 = {v: {w for _, w in g2.neighbors(v)} for v in g2.vertex_ids}

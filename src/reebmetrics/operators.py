@@ -8,13 +8,13 @@ testable contract pairing the two. `MergeParams` is the validated input of
 `(lo, hi)` pair of ints on a lattice its caller names, as `_near_bands`
 returns it, and only `Move.band` stores it as `Fraction`s. Every caller
 goes through one private function that contracts a sorted list of
-pairwise-disjoint pairs in a single pass and builds its output once, in
-canonical vertex order, so `merge_sequence` on disjoint anchors and each
-pass of `clear_features` cost one O((V + E) log k) pass for k bands, not
-one pass per band, and `canonicalize` rebuilds the output only when an
-edge crossing a band left a pass-through vertex. A new vertex is named by
-a prefix and the least free number (`m0`, `m1`, ... for `merge` and
-`merge_sequence`, `s<pass>_0`, ... for `clear_features`); a lone vertex
+pairwise-disjoint pairs in a single pass and builds its output once, so
+`merge_sequence` on disjoint anchors and each pass of `clear_features`
+cost one O((V + E) log k) pass for k bands, not one pass per band, and
+`canonicalize` rebuilds the output only when an edge crossing a band left
+a pass-through vertex. New vertices are named, in the input's (level, id)
+order, by a prefix and the least free number (`m0`, `m1`, ... for `merge`
+and `merge_sequence`, `s<pass>_0`, ... for `clear_features`); a lone vertex
 already at its band's midpoint keeps its id.
 
 `simplify` removes every diagram point within the stated offset of the
@@ -89,12 +89,11 @@ def _merge_bands(
     at the midpoint keeps its id. Edges inside one band are dropped; every
     other edge keeps its ends, each moved to its component's vertex. An edge
     that crosses a band with neither end inside stays whole: the vertex a
-    merge would put on it is pass-through. The output's vertices are built
-    in (value, id) order, so `canonicalize` returns the graph as built
-    unless such a crossing edge left a pass-through vertex. One
-    O((V + E) log k) pass for k bands, plus the O(V log V) sort; the same
-    graph, up to the names of new vertices, as merging the bands one at a
-    time.
+    merge would put on it is pass-through, so `canonicalize` returns the
+    graph as built unless such a crossing edge left a pass-through vertex.
+    Components are named in the (level, id) order of their least vertex.
+    One O((V + E) log k) pass for k bands; the same graph, up to the names
+    of new vertices, as merging the bands one at a time.
     """
     if not bands:
         return g
@@ -120,10 +119,7 @@ def _merge_bands(
     root_of = {vid: _find_root(parent, k) for vid, k in slot.items()}
     sizes = Counter(root_of.values())
 
-    # (twice the value on the common lattice, id, value), sorted below
-    rows = [
-        (2 * level(vid) * lift, vid, g.value(vid)) for vid in g.vertex_ids if vid not in band_of
-    ]
+    vertices = [(vid, g.value(vid)) for vid in g.vertex_ids if vid not in band_of]
     taken = set(g.vertex_ids)
     counter = 0
     name_of: dict[str, str] = {}  # component root -> its new vertex
@@ -143,8 +139,7 @@ def _merge_bands(
             name = f"{prefix}{counter}"
             taken.add(name)
         name_of[root] = name
-        rows.append((twice_mid, name, mids[i]))
-    rows.sort()
+        vertices.append((name, mids[i]))
 
     def moved(vid: str) -> str:
         return name_of[root_of[vid]] if vid in band_of else vid
@@ -154,7 +149,6 @@ def _merge_bands(
         for u, v in g.edges
         if u not in band_of or band_of[u] != band_of.get(v)
     ]
-    vertices = [(name, value) for _, name, value in rows]
     return canonicalize(ReebGraph(vertices, edges, name=g.name))
 
 

@@ -37,7 +37,6 @@ import subprocess
 import sys
 import tempfile
 import traceback
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -152,9 +151,8 @@ def run_case(case: Case, run: Run, directory: Path) -> list[str]:
 
 
 def in_process(args: list[str], directory: Path) -> tuple[int, str, str]:
-    """`reeb <args>` through click's `CliRunner`. Warnings go to stderr as
-    the interpreter prints them (pytest would record them instead), and an
-    exception other than an exit as its traceback."""
+    """`reeb <args>` through click's `CliRunner`; an exception other than
+    an exit goes to stderr as its traceback."""
     # imported here: run as a script, through a command prefix, this file
     # needs neither
     from click.testing import CliRunner
@@ -164,15 +162,10 @@ def in_process(args: list[str], directory: Path) -> tuple[int, str, str]:
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = CliRunner().invoke(main, args, prog_name="reeb")
+        result = CliRunner().invoke(main, args, prog_name="reeb")
     finally:
         os.chdir(cwd)
-    stderr = "".join(
-        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
-    )
-    stderr += result.stderr
+    stderr = result.stderr
     if not isinstance(result.exception, (SystemExit, type(None))):
         stderr += "".join(traceback.format_exception(*result.exc_info))
     return result.exit_code, result.stdout, stderr

@@ -379,9 +379,9 @@ def test_canonicalize_returns_a_canonical_input_as_is():
     graphs.append(parse_graph_text(graph_to_text(comb)))
     for g in graphs:
         assert canonicalize(g) is g, g.name
-    # the comb as built lists its tips last: a new graph, sorted
+    # the comb as built lists its tips last; the graph holds them in order
     out = canonicalize(comb)
-    assert out is not comb and out == comb and out.edges == comb.edges
+    assert out is comb and out == comb and out.edges == comb.edges
     assert out.vertex_ids == graphs[-1].vertex_ids
     # a pass-through vertex: a new graph without it
     chain = ReebGraph([("a", 0), ("m", 1), ("b", 2)], [("a", "m"), ("m", "b")])
